@@ -36,6 +36,7 @@ from .maps import (
     AffineMap,
     Configuration,
     MClassification,
+    classify_map,
     classify_transfer,
     complement,
     anticomplement,

@@ -13,7 +13,7 @@ import sys
 
 from .field import FieldError, fe, format_element
 from .plane import BaryPoint, PlaneError, point
-from .maps import MapError, classify_transfer, derive_configuration
+from .maps import MapError, classify_map, derive_configuration
 from .conics import Conic
 from . import curve as curve_mod
 from . import locus as locus_mod
@@ -47,6 +47,7 @@ def cmd_compute(args) -> int:
         print(f"unknown names: {bad}; choose from {COMPUTE_NAMES}", file=sys.stderr)
         return 2
     cfg = derive_configuration(p)
+    transfer = None
     out = {}
     median_only = {"V": cfg.v, "Z": cfg.z, "U": cfg.u}
     simple = {
@@ -63,7 +64,8 @@ def cmd_compute(args) -> int:
         elif name == "S":
             # the classification center is total; the meet-based value in the
             # configuration exists only off the medians
-            out["S"] = _point_json(classify_transfer(p).center)
+            transfer = transfer or classify_map(cfg.transfer)
+            out["S"] = _point_json(transfer.center)
         elif name in median_only:
             value = median_only[name]
             if value is None:
@@ -73,10 +75,10 @@ def cmd_compute(args) -> int:
                 return 2
             out[name] = _point_json(value)
         elif name == "M":
-            cls = classify_transfer(p)
-            entry = {"kind": cls.kind, "center": _point_json(cls.center)}
-            if cls.ratio is not None:
-                entry["ratio"] = format_element(cls.ratio)
+            transfer = transfer or classify_map(cfg.transfer)
+            entry = {"kind": transfer.kind, "center": _point_json(transfer.center)}
+            if transfer.ratio is not None:
+                entry["ratio"] = format_element(transfer.ratio)
             out["M"] = entry
         elif name == "conics":
             entry = {

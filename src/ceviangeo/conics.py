@@ -409,11 +409,3 @@ def circumconic_for(p_iso: BaryPoint, t_p_iso) -> Conic:
     n = nine_point_conic(p_iso)
     return conic_image(n, t_p_iso.inverse())
 
-
-def circumconic_of(p: BaryPoint) -> Conic:
-    """Convenience form of circumconic_for that derives the cevian map of
-    the isotomic conjugate itself."""
-    from .maps import cevian_map, isotomic
-
-    p_iso = isotomic(p)
-    return circumconic_for(p_iso, cevian_map(p_iso))

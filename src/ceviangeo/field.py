@@ -1,11 +1,14 @@
 """Exact arithmetic in the rationals and in towers of real quadratic extensions.
 
 An element lives in Q, Q(sqrt(d1)) or Q(sqrt(d1), sqrt(d2)) for distinct
-squarefree integer radicands d > 1 and is stored as Fraction coordinates on
-the basis {1, sqrt(d1), sqrt(d2), sqrt(d1*d2)} (truncated to the tower
-depth).  Every radicand maps to the positive real root, so elements carry a
-decidable sign; equality, order and square roots are decided exactly, with
-no floating point anywhere in this module.
+squarefree integer radicands d > 1.  It is stored as integer numerators
+``num`` over one positive common denominator ``den`` on the basis
+{1, sqrt(d1), sqrt(d2), sqrt(d1*d2)} (truncated to the tower depth), kept in
+lowest terms: ``gcd(den, *num) == 1``.  The representation is therefore
+unique within a tower, and equality there is a tuple comparison.  Every
+radicand maps to the positive real root, so elements carry a decidable sign;
+equality, order and square roots are decided exactly, with no floating point
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 
 
 class FieldError(Exception):
@@ -48,22 +51,37 @@ class ExpressionError(FieldError):
     """Malformed field-element expression."""
 
 
+class FactorBudgetExceeded(FieldError):
+    """An integer to factor has a part too large for proven factoring."""
+
+
 # ---------------------------------------------------------------------------
 # integer helpers
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# Miller-Rabin with the prime bases 2..41 is deterministic below
+# psi_13 = 3317044064679887385961981, the least strong pseudoprime to all of
+# them (Sorenson & Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+# factorize refuses to test or split a number longer than this, which keeps
+# primality proven and Pollard rho fast
+FACTOR_BUDGET_BITS = 64
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is beyond the proven Miller-Rabin range")
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    # deterministic Miller-Rabin for n < 3.3e24, which covers every input here
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -93,11 +111,16 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n > 0 as an exponent map."""
+    """Prime factorization of n > 0 as an exponent map.
+
+    After the primes below 50 and perfect squares are split off, every part
+    left to test or split must fit in FACTOR_BUDGET_BITS bits; otherwise
+    raises FactorBudgetExceeded.
+    """
     if n <= 0:
         raise ValueError("factorize needs a positive integer")
     out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+    for p in _SMALL_PRIMES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
@@ -106,12 +129,17 @@ def factorize(n: int) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
         r = isqrt(m)
         if r * r == m:
             stack.extend([r, r])
+            continue
+        if m.bit_length() > FACTOR_BUDGET_BITS:
+            raise FactorBudgetExceeded(
+                f"cannot factor a {m.bit_length()}-bit number without small prime factors"
+                f" (budget {FACTOR_BUDGET_BITS} bits)"
+            )
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
         stack.extend([d, m // d])
@@ -127,11 +155,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         if e % 2:
             m *= p
     return s, m
-
-
-# Factoring huge integers to find an adjoinable radicand can dwarf every
-# other cost; past this size a non-square is reported as not adjoinable.
-_MAX_FACTOR_BITS = 128
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
@@ -174,6 +197,9 @@ def canonical_tower(radicands) -> tuple[int, ...]:
     raise TowerMismatch(f"radicands {rads} need a tower deeper than 2")
 
 
+_canonical_of = lru_cache(maxsize=None)(canonical_tower)
+
+
 @lru_cache(maxsize=None)
 def _directions(tower: tuple[int, ...]) -> dict[int, tuple[int, int]]:
     """Map each squarefree radicand representable in the tower to
@@ -187,32 +213,165 @@ def _directions(tower: tuple[int, ...]) -> dict[int, tuple[int, int]]:
     return {d1: (1, 1), d2: (2, 1), m: (3, s)}
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+@lru_cache(maxsize=None)
+def _embedding(src: tuple[int, ...], dst: tuple[int, ...]):
+    """For each irrational basis index i of ``src``: (i, radicand, index j
+    in ``dst``, p, q) with src basis[i] == (p/q) * dst basis[j], or j None
+    when the radicand is not representable in ``dst``."""
+    dirs = _directions(dst)
+    plan = []
+    for rad, (i, mult) in _directions(src).items():
+        if rad in dirs:
+            j, tmult = dirs[rad]
+            ratio = Fraction(mult, tmult)
+            plan.append((i, rad, j, ratio.numerator, ratio.denominator))
+        else:
+            plan.append((i, rad, None, 1, 1))
+    return tuple(plan)
+
+
+@lru_cache(maxsize=None)
+def _product_table(tower: tuple[int, ...]):
+    """Row i, column j: (i ^ j, factor) with basis[i]*basis[j] == factor*basis[i ^ j]."""
+    n = 1 << len(tower)
+    return tuple(
+        tuple(
+            (i ^ j, prod(d for bit, d in enumerate(tower) if (i & j) >> bit & 1))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+# -- integer-vector kernels: numerator tuples on one tower's basis ---------
+
+
+def _vmul(tower: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    if not tower:
+        return (a[0] * b[0],)
+    table = _product_table(tower)
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            row = table[i]
+            for j, y in enumerate(b):
+                if y:
+                    k, f = row[j]
+                    out[k] += f * x * y
+    return tuple(out)
+
+
+def _vsign(tower: tuple[int, ...], a: tuple[int, ...]) -> int:
+    """Sign of a numerator vector, decided recursively: for p + q*sqrt(d)
+    with p, q over the lower tower, compare p^2 against q^2*d when the signs
+    of p and q disagree."""
+    if not tower:
+        x = a[0]
+        return (x > 0) - (x < 0)
+    half = len(a) >> 1
+    lower = tower[:-1]
+    p, q = a[:half], a[half:]
+    if not any(q):
+        return _vsign(lower, p)
+    if not any(p):
+        return _vsign(lower, q)
+    sp, sq = _vsign(lower, p), _vsign(lower, q)
+    if sp == sq:
+        return sp
+    d = tower[-1]
+    pp, qq = _vmul(lower, p, p), _vmul(lower, q, q)
+    return sp * _vsign(lower, tuple(x - d * y for x, y in zip(pp, qq)))
+
+
+def _add(tower, an, da, bn, db) -> FieldElement:
+    """an/da + bn/db, reducing only by gcd(da, db) (Henrici)."""
+    g = gcd(da, db)
+    if g == 1:
+        if not tower:
+            return _make(tower, (an[0] * db + bn[0] * da,), da * db)
+        return _make(tower, tuple(x * db + y * da for x, y in zip(an, bn)), da * db)
+    s, t = da // g, db // g
+    num = (an[0] * t + bn[0] * s,) if not tower else tuple(x * t + y * s for x, y in zip(an, bn))
+    g2 = gcd(g, *num)
+    if g2 == 1:
+        return _make(tower, num, s * db)
+    return _make(tower, tuple(x // g2 for x in num), s * (db // g2))
+
+
+def _scale(x: FieldElement, n: int, d: int) -> FieldElement:
+    """x * (n/d) for n/d in lowest terms, cancelling crosswise first."""
+    num, den = x.num, x.den
+    if not x.tower:
+        (m,) = num
+        g1, g2 = gcd(n, den), gcd(m, d)
+        return _make((), ((n // g1) * (m // g2),), (den // g1) * (d // g2))
+    g1 = gcd(n, den)
+    if g1 != 1:
+        n //= g1
+        den //= g1
+    g2 = gcd(d, *num)
+    if g2 != 1:
+        d //= g2
+        num = tuple(v // g2 for v in num)
+    if n != 1:
+        num = tuple(v * n for v in num)
+    return _make(x.tower, num, den * d)
+
+
+def _reduced(tower, num, den) -> FieldElement:
+    """num/den with den != 0, brought to lowest terms with den > 0."""
+    if den < 0:
+        num = tuple(-x for x in num)
+        den = -den
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple(x // g for x in num)
+        den //= g
+    return _make(tower, num, den)
+
+
+def _pad(x: FieldElement, tower: tuple[int, ...]) -> FieldElement:
+    """A rational element on the basis of ``tower``."""
+    return _make(tower, x.num + (0,) * ((1 << len(tower)) - 1), x.den)
 
 
 @total_ordering
 class FieldElement:
-    """An exact element of Q(sqrt(d1), sqrt(d2)) with depth <= 2."""
+    """An exact element of Q(sqrt(d1), sqrt(d2)) with depth <= 2.
 
-    __slots__ = ("tower", "coeffs", "_minimal")
+    ``num`` holds one integer numerator per basis vector and ``den`` > 0 the
+    common denominator, with ``gcd(den, *num) == 1``.
+    """
+
+    __slots__ = ("tower", "num", "den", "_minimal")
 
     def __init__(self, tower: tuple[int, ...], coeffs):
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != 1 << len(tower):
             raise ValueError("coefficient count must be 2**depth")
+        den = lcm(*(c.denominator for c in coeffs))
         object.__setattr__(self, "tower", tuple(tower))
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", tuple(c.numerator * (den // c.denominator) for c in coeffs))
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_minimal", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates on the tower's basis, as Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_rational(cls, value) -> FieldElement:
-        return cls((), (Fraction(value),))
+        if type(value) is int:
+            return _make((), (value,), 1)
+        q = Fraction(value)
+        return _make((), (q.numerator,), q.denominator)
 
     @classmethod
     def coerce(cls, value) -> FieldElement:
@@ -232,85 +391,75 @@ class FieldElement:
         s, m = squarefree_decompose(n) if n else (0, 1)
         if m == 1:
             return cls.from_rational(s)
-        return cls((m,), (_ZERO, Fraction(s)))
+        return _make((m,), (0, s), 1)
 
     # -- representation changes ---------------------------------------------
 
-    def in_tower(self, tower: tuple[int, ...]) -> FieldElement:
-        """Re-express this element on the basis of a containing tower."""
+    def _present(self) -> tuple[int, ...]:
+        """The radicands whose basis coefficient is nonzero."""
+        num = self.num
+        return tuple(rad for rad, (i, _) in _directions(self.tower).items() if num[i])
+
+    def _embed(self, tower: tuple[int, ...]) -> FieldElement:
+        """Re-express on the basis of ``tower``, which must contain every
+        radicand with a nonzero coefficient."""
         if tower == self.tower:
             return self
-        src = self.minimal()
-        dirs = _directions(tower)
-        out = [_ZERO] * (1 << len(tower))
-        out[0] = src.coeffs[0]
-        src_dirs = _directions(src.tower)
-        for rad, (i, mult) in src_dirs.items():
-            c = src.coeffs[i]
-            if c == 0:
-                continue
-            if rad not in dirs:
+        num = self.num
+        plan = _embedding(self.tower, tower)
+        used = [entry for entry in plan if num[entry[0]]]
+        for _, rad, j, _, _ in used:
+            if j is None:
                 raise TowerMismatch(f"sqrt({rad}) is not representable in tower {tower}")
-            j, tmult = dirs[rad]
-            # c * mult * sqrt(rad) == (c*mult/tmult) * basis[j]
-            out[j] += c * mult / tmult
-        return FieldElement(tower, out)
+        scale = lcm(*(q for *_, q in used))
+        out = [0] * (1 << len(tower))
+        out[0] = num[0] * scale
+        for i, _, j, p, q in used:
+            out[j] += num[i] * p * (scale // q)
+        return _reduced(tower, tuple(out), self.den * scale)
+
+    def in_tower(self, tower: tuple[int, ...]) -> FieldElement:
+        """Re-express this element on the basis of a containing tower."""
+        return self._embed(tuple(tower))
 
     def minimal(self) -> FieldElement:
         """Equivalent element over the smallest canonical tower."""
         cached = self._minimal
         if cached is not None:
             return cached
-        dirs = _directions(self.tower)
-        present: dict[int, Fraction] = {}
-        for rad, (i, mult) in dirs.items():
-            c = self.coeffs[i]
-            if c != 0:
-                present[rad] = c * mult  # coefficient of sqrt(rad)
-        if not present:
-            result = FieldElement((), (self.coeffs[0],))
-        else:
-            tower = canonical_tower(present)
-            tdirs = _directions(tower)
-            out = [_ZERO] * (1 << len(tower))
-            out[0] = self.coeffs[0]
-            for rad, c in present.items():
-                j, tmult = tdirs[rad]
-                out[j] += c / tmult
-            result = FieldElement(tower, out)
-        if result.tower == self.tower:
-            result = self
+        result = self._embed(_canonical_of(self._present()))
         object.__setattr__(self, "_minimal", result)
         return result
 
     @staticmethod
     def common_tower(a: FieldElement, b: FieldElement) -> tuple[int, ...]:
-        rads = set()
-        for x in (a.minimal(), b.minimal()):
-            for rad, (i, _) in _directions(x.tower).items():
-                if x.coeffs[i] != 0:
-                    rads.add(rad)
-        return canonical_tower(rads)
+        return _canonical_of(a._present() + b._present())
 
     def _pair(self, other) -> tuple[FieldElement, FieldElement]:
-        other = FieldElement.coerce(other)
-        if self.tower == other.tower:
+        if other.__class__ is not FieldElement:
+            other = FieldElement.coerce(other)
+        ta, tb = self.tower, other.tower
+        if ta == tb:
             return self, other
+        if not tb:
+            return self, _pad(other, ta)
+        if not ta:
+            return _pad(self, tb), other
         tower = FieldElement.common_tower(self, other)
-        return self.in_tower(tower), other.in_tower(tower)
+        return self._embed(tower), other._embed(tower)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -319,43 +468,40 @@ class FieldElement:
             a, b = self._pair(other)
         except TypeError:
             return NotImplemented
-        return FieldElement(a.tower, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return _add(a.tower, a.num, a.den, b.num, b.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.tower, tuple(-c for c in self.coeffs))
+        return _make(self.tower, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         try:
             a, b = self._pair(other)
         except TypeError:
             return NotImplemented
-        return FieldElement(a.tower, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return _add(a.tower, a.num, a.den, tuple(-y for y in b.num), b.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        try:
-            a, b = self._pair(other)
-        except TypeError:
-            return NotImplemented
-        n = len(a.coeffs)
-        rads = a.tower
-        out = [_ZERO] * n
-        for i, ci in enumerate(a.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(b.coeffs):
-                if cj == 0:
-                    continue
-                f = ci * cj
-                for bit, d in enumerate(rads):
-                    if (i >> bit) & 1 and (j >> bit) & 1:
-                        f *= d
-                out[i ^ j] += f
-        return FieldElement(rads, out)
+        if other.__class__ is not FieldElement:
+            try:
+                other = FieldElement.coerce(other)
+            except TypeError:
+                return NotImplemented
+        if not other.tower:
+            return _scale(self, other.num[0], other.den)
+        if not self.tower:
+            return _scale(other, self.num[0], self.den)
+        a, b = self._pair(other)
+        # a rational value scales the other operand, cancelling crosswise
+        if not any(b.num[1:]):
+            return _scale(a, b.num[0], b.den)
+        if not any(a.num[1:]):
+            return _scale(b, a.num[0], a.den)
+        return _reduced(a.tower, _vmul(a.tower, a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -364,9 +510,9 @@ class FieldElement:
         if not self.tower:
             raise ValueError("depth-0 element has no top radicand")
         lower = self.tower[:-1]
-        half = 1 << len(lower)
-        p = FieldElement(lower, self.coeffs[:half])
-        q = FieldElement(lower, self.coeffs[half:])
+        half = len(self.num) >> 1
+        p = _reduced(lower, self.num[:half], self.den)
+        q = _reduced(lower, self.num[half:], self.den)
         return p, q, self.tower[-1]
 
     def _join_top(self, p: FieldElement, q: FieldElement) -> FieldElement:
@@ -374,19 +520,28 @@ class FieldElement:
         lower = self.tower[:-1]
         p = p.in_tower(lower)
         q = q.in_tower(lower)
-        return FieldElement(self.tower, p.coeffs + q.coeffs)
+        num = tuple(x * q.den for x in p.num) + tuple(y * p.den for y in q.num)
+        return _reduced(self.tower, num, p.den * q.den)
 
     def inverse(self) -> FieldElement:
-        if self.is_zero():
+        num, tower = self.num, self.tower
+        if not any(num):
             raise ZeroDivisionError("inverse of zero field element")
-        if not self.tower:
-            return FieldElement((), (1 / self.coeffs[0],))
-        p, q, d = self._split_top()
-        # 1/(p + q*sqrt(d)) = (p - q*sqrt(d)) / (p^2 - d*q^2); the norm is
-        # nonzero because sqrt(d) is irrational over the lower tower
-        norm = p * p - q * q * d
-        ninv = norm.inverse()
-        return self._join_top(p * ninv, -(q * ninv))
+        if not any(num[1:]):
+            # a rational value: swap numerator and denominator
+            n, pad = num[0], (0,) * (len(num) - 1)
+            if n < 0:
+                return _make(tower, (-self.den,) + pad, -n)
+            return _make(tower, (self.den,) + pad, n)
+        # 1/x = conj(x) / N(x): multiply by one Galois conjugate per radicand
+        # until the numerator vector is rational; the norm is nonzero because
+        # each sqrt(d) is irrational over the rest of the tower
+        acc = None
+        for bit in range(len(tower)):
+            conj = tuple(-c if i >> bit & 1 else c for i, c in enumerate(num))
+            acc = conj if acc is None else _vmul(tower, acc, conj)
+            num = _vmul(tower, num, conj)
+        return _reduced(tower, tuple(self.den * c for c in acc), num[0])
 
     def __truediv__(self, other):
         other = FieldElement.coerce(other)
@@ -410,23 +565,8 @@ class FieldElement:
     # -- order ---------------------------------------------------------------
 
     def sign(self) -> int:
-        """Sign under the real embedding with every sqrt(d) > 0.
-
-        Decided recursively: for p + q*sqrt(d) with p, q in the lower field,
-        compare p^2 against q^2*d when the signs of p and q disagree.
-        """
-        if not self.tower:
-            c = self.coeffs[0]
-            return (c > 0) - (c < 0)
-        p, q, d = self._split_top()
-        if q.is_zero():
-            return p.sign()
-        if p.is_zero():
-            return q.sign()
-        sp, sq = p.sign(), q.sign()
-        if sp == sq:
-            return sp
-        return sp * (p * p - q * q * d).sign()
+        """Sign under the real embedding with every sqrt(d) > 0."""
+        return _vsign(self.tower, self.num)
 
     def __eq__(self, other):
         if isinstance(other, (FieldElement, int, Fraction)):
@@ -434,7 +574,7 @@ class FieldElement:
                 a, b = self._pair(other)
             except (TypeError, TowerMismatch):
                 return False
-            return all(x == y for x, y in zip(a.coeffs, b.coeffs))
+            return a.den == b.den and a.num == b.num
         return NotImplemented
 
     def __lt__(self, other):
@@ -443,7 +583,7 @@ class FieldElement:
     def __hash__(self):
         m = self.minimal()
         if not m.tower:
-            return hash(m.coeffs[0])
+            return hash(Fraction(m.num[0], m.den))
         return hash((m.tower, m.coeffs))
 
     def __bool__(self):
@@ -471,10 +611,27 @@ class FieldElement:
     def _sqrt_minimal(self, avail: dict[int, tuple[int, int]]) -> FieldElement:
         depth = len(self.tower)
         if depth == 0:
-            return _sqrt_rational(self.coeffs[0], avail)
+            return _sqrt_rational(self.as_fraction(), avail)
         if depth == 1:
             return _sqrt_depth1(self, avail)
         return _sqrt_depth2(self)
+
+
+_new = object.__new__
+_set_tower = FieldElement.tower.__set__
+_set_num = FieldElement.num.__set__
+_set_den = FieldElement.den.__set__
+_set_minimal = FieldElement._minimal.__set__
+
+
+def _make(tower, num, den) -> FieldElement:
+    """Internal constructor: ``num``/``den`` must already be in lowest terms."""
+    x = _new(FieldElement)
+    _set_tower(x, tower)
+    _set_num(x, num)
+    _set_den(x, den)
+    _set_minimal(x, None)
+    return x
 
 
 def _sqrt_rational(r: Fraction, avail) -> FieldElement:
@@ -483,18 +640,19 @@ def _sqrt_rational(r: Fraction, avail) -> FieldElement:
     exact = _fraction_sqrt(r)
     if exact is not None:
         return FieldElement.from_rational(exact)
-    # sqrt(p/q) = sqrt(p*q)/q; extract the square part of p*q
-    n = r.numerator * r.denominator
-    if n.bit_length() > _MAX_FACTOR_BITS:
-        raise NotASquare(f"nonsquare rational too large to find a radicand for")
-    s, k = squarefree_decompose(n)
-    coeff = Fraction(s, r.denominator)
-    if k in avail:
-        j, mult = avail[k]
-        tower = canonical_tower(avail)
-        out = [_ZERO] * (1 << len(tower))
-        out[j] = coeff / mult
-        return FieldElement(tower, out)
+    # r = c^2 * k for at most one available radicand k
+    for k, (j, mult) in avail.items():
+        c = _fraction_sqrt(r / k)
+        if c is not None:
+            tower = canonical_tower(avail)
+            out = [0] * (1 << len(tower))
+            out[j] = c / mult
+            return FieldElement(tower, out)
+    # sqrt(p/q) = sqrt(p*q)/q: the squarefree part of p*q is the radicand to adjoin
+    try:
+        k = squarefree_decompose(r.numerator * r.denominator)[1]
+    except FactorBudgetExceeded as exc:
+        raise NotASquare("nonsquare rational too large to find a radicand for") from exc
     raise NotASquare(f"{r} needs sqrt({k})", radicand=k)
 
 
@@ -523,10 +681,10 @@ def _sqrt_depth1(a: FieldElement, avail) -> FieldElement:
     for w in candidates:
         if w <= 0:
             continue
-        n = w.numerator * w.denominator
-        if n.bit_length() > _MAX_FACTOR_BITS:
+        try:
+            ks, k = squarefree_decompose(w.numerator * w.denominator)
+        except FactorBudgetExceeded:
             continue
-        ks, k = squarefree_decompose(n)
         sprime = Fraction(ks, w.denominator)  # sqrt(w/k)
         if sprime == 0 or k == 1:
             continue
@@ -581,12 +739,8 @@ def sqrt_extending(a: FieldElement) -> FieldElement:
     except NotASquare as exc:
         if exc.radicand is None:
             raise TowerDepthExceeded(str(exc)) from exc
-        rads = {exc.radicand}
-        for rad, (i, _) in _directions(a.minimal().tower).items():
-            if a.minimal().coeffs[i] != 0:
-                rads.add(rad)
         try:
-            tower = canonical_tower(rads)
+            tower = canonical_tower(a._present() + (exc.radicand,))
         except TowerMismatch as exc2:
             raise TowerDepthExceeded(str(exc2)) from exc
         return a.in_tower(tower).sqrt()

@@ -54,10 +54,6 @@ def transpose3(m):
     return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
 
 
-def scale_rows(m, s):
-    return tuple(tuple(x * s for x in row) for row in m)
-
-
 def nullspace(rows: list[list[FieldElement]]) -> list[list[FieldElement]]:
     """Basis of the right nullspace of an exact matrix (list of rows)."""
     if not rows:

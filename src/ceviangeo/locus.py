@@ -37,6 +37,7 @@ from .maps import (
     AffineMap,
     Configuration,
     cevian_traces,
+    classify_map,
     classify_transfer,
     complement,
     anticomplement,
@@ -214,7 +215,7 @@ def special_configuration(sign: int = 1) -> Configuration:
         cfg.o == D0,
         signed_ratio(cfg.o, cfg.p_iso, cfg.p) == -3,
         cfg.circumconic == circumconic_of_line(doubled_anticomplementary_line()),
-        classify_transfer(cfg.p).is_translation(),
+        classify_map(cfg.transfer).is_translation(),
     ]
     d3 = cevian_traces(cfg.p_iso)[0]
     checks.append(d3 == midpoint(A, cfg.p_iso))

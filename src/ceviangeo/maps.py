@@ -293,29 +293,36 @@ class Configuration:
     inconic: object  # conic with center q tangent to the sides
 
 
-def transfer_map(p: BaryPoint) -> AffineMap:
-    """The map taking the circumconic to the inconic; symmetric in p and its
-    isotomic conjugate."""
-    t_p = cevian_map(p)
-    t_p_iso = cevian_map(isotomic(p))
+def _transfer(t_p: AffineMap, t_p_iso: AffineMap) -> AffineMap:
     return (t_p @ ANTICOMPLEMENT @ t_p_iso).normalized()
 
 
+def transfer_map(p: BaryPoint) -> AffineMap:
+    """The map taking the circumconic to the inconic; symmetric in p and its
+    isotomic conjugate."""
+    return _transfer(cevian_map(p), cevian_map(isotomic(p)))
+
+
 def classify_transfer(p: BaryPoint) -> MClassification:
-    """Read the linear part of the transfer map off its matrix."""
-    n = transfer_map(p).rows
+    """Classify the transfer map of p."""
+    return classify_map(transfer_map(p))
+
+
+def classify_map(m: AffineMap) -> MClassification:
+    """Read the linear part of a homothety or translation off its matrix."""
+    n = m.rows
     v1 = (ONE, -ONE, ZERO)
     v2 = (ZERO, ONE, -ONE)
     w1 = matvec3(n, v1)
     w2 = matvec3(n, v2)
     k1 = w1[0]
     if w1[1] != -k1 or not w1[2].is_zero():
-        raise NotHomothetyOrTranslation(f"linear part is not scalar at {p}")
+        raise NotHomothetyOrTranslation(f"linear part is not scalar: {m}")
     k2 = w2[1]
     if w2[2] != -k2 or not w2[0].is_zero():
-        raise NotHomothetyOrTranslation(f"linear part is not scalar at {p}")
+        raise NotHomothetyOrTranslation(f"linear part is not scalar: {m}")
     if k1 != k2:
-        raise NotHomothetyOrTranslation(f"linear part has two eigenvalues at {p}")
+        raise NotHomothetyOrTranslation(f"linear part has two eigenvalues: {m}")
     k = k1
     col = (n[0][0] - k, n[1][0], n[2][0])
     if all(c.is_zero() for c in col):
@@ -347,7 +354,7 @@ def derive_configuration(p: BaryPoint) -> Configuration:
     o = t_p_iso_inv.apply(complement(q))
     h = anticomplement(o)
     o_iso = t_p.inverse().apply(complement(q_iso))
-    transfer = (t_p @ ANTICOMPLEMENT @ t_p_iso).normalized()
+    transfer = _transfer(t_p, t_p_iso)
 
     circumconic = _conics.circumconic_for(p_iso, t_p_iso)
     inconic = _conics.inconic(p)

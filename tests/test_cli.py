@@ -57,6 +57,16 @@ class TestCompute:
         assert code == 2
         assert "median" in err
 
+    def test_oversized_radicand_refused_fast(self, capsys):
+        import time
+
+        semiprime = 211106232533047 * 211106233533017  # 96 bits
+        start = time.perf_counter()
+        code, _, err = run_cli(["compute", f"[1,1,sqrt({semiprime})]"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err.count("\n") == 1 and "budget" in err
+
     def test_unknown_name(self, capsys):
         code, _, _ = run_cli(["compute", "[6,3,2]", "W"], capsys)
         assert code == 2

@@ -271,3 +271,262 @@ class TestFieldAxioms:
         if a < b:
             assert a + 1 < b + 1
             assert not b < a
+
+
+class TestFactorBudget:
+    # psi_12, the least strong pseudoprime to the prime bases 2..37
+    PSI12 = 318665857834031151167461
+    P, Q = 399165290221, 798330580441
+
+    def test_strong_pseudoprime_rejected(self):
+        from ceviangeo.field import _is_prime
+
+        assert self.P * self.Q == self.PSI12
+        assert not _is_prime(self.PSI12)
+        assert _is_prime(self.P) and _is_prime(self.Q)
+
+    def test_budget_inside_proven_range(self):
+        from ceviangeo.field import FACTOR_BUDGET_BITS, _MR_LIMIT, _is_prime
+
+        assert 1 << FACTOR_BUDGET_BITS < _MR_LIMIT
+        with pytest.raises(ValueError):
+            _is_prime(_MR_LIMIT)
+
+    def test_pseudoprime_radicand_refused(self):
+        # sqrt(P*P*Q) == P*sqrt(Q) failed while psi_12 passed as a prime;
+        # now the 118-bit radicand is refused instead
+        from ceviangeo.field import FactorBudgetExceeded
+
+        with pytest.raises(FactorBudgetExceeded):
+            fe(f"sqrt({self.P * self.P * self.Q})")
+
+    def test_square_factor_radicand_equality(self):
+        import sympy
+
+        p, q = sympy.prevprime(2 ** 21), sympy.nextprime(10 ** 6)
+        assert fe(f"sqrt({p * p * q})") == p * fe(f"sqrt({q})")
+
+    def test_semiprime_at_budget_against_sympy(self):
+        import sympy
+
+        n = 2147483659 * 4294867333  # 63 bits, two 32-bit primes
+        assert factorize(n) == dict(sympy.factorint(n))
+
+    def test_over_budget_refused(self):
+        from ceviangeo.field import FactorBudgetExceeded, FieldError
+
+        n = 211106232533047 * 211106233533017  # 96 bits
+        with pytest.raises(FactorBudgetExceeded) as err:
+            factorize(n)
+        assert isinstance(err.value, FieldError)
+        # small prime factors and squares are split off before the budget applies
+        assert factorize(2 ** 200 * 3) == {2: 200, 3: 1}
+        p = 1099511627791  # a 41-bit prime
+        assert factorize(2 * p ** 4) == {2: 1, p: 4}
+        assert sqrt_extending(fe(2 * p * p)) == p * R2
+
+    def test_sqrt_paths_report_not_adjoinable(self):
+        n = 211106232533047 * 211106233533017
+        with pytest.raises(NotASquare) as err:
+            fe(n).sqrt()
+        assert err.value.radicand is None
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the integer-vector representation against sympy,
+# mpmath and Fraction arithmetic
+
+import sympy  # noqa: E402
+
+from ceviangeo.field import (  # noqa: E402
+    FactorBudgetExceeded,
+    TowerDepthExceeded,
+    _directions,
+)
+
+# (6, 10) has a basis vector sqrt(60) = 2*sqrt(15), so embeddings into and
+# out of it rescale coefficients
+TOWERS = ((), (), (2,), (3,), (5,), (15,), (2, 3), (2, 5), (3, 7), (6, 10))
+RADICANDS = (2, 3, 5, 6, 7)
+
+
+def _sym(a: FieldElement):
+    """The element as a sympy expression on its own tower's basis."""
+    total = sympy.Integer(0)
+    for i, c in enumerate(a.coeffs):
+        basis = sympy.Integer(1)
+        for bit, d in enumerate(a.tower):
+            if i >> bit & 1:
+                basis *= sympy.sqrt(d)
+        total += sympy.Rational(c.numerator, c.denominator) * basis
+    return total
+
+
+def _sym_equal(x, y) -> bool:
+    # sums of rational multiples of square roots of distinct squarefree
+    # integers are linearly independent, so expand decides equality
+    return sympy.expand(x - y) == 0
+
+
+def _reduced_ok(a: FieldElement) -> bool:
+    from math import gcd
+
+    return (
+        a.den > 0
+        and gcd(a.den, *a.num) == 1
+        and len(a.num) == 1 << len(a.tower)
+        and all(isinstance(n, int) for n in a.num)
+        and a.coeffs == tuple(Fraction(n, a.den) for n in a.num)
+    )
+
+
+small_q = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+big_q = st.builds(
+    Fraction,
+    st.integers(min_value=-(2 ** 300), max_value=2 ** 300),
+    st.integers(min_value=1, max_value=2 ** 300),
+)
+
+
+@st.composite
+def field_elements(draw, towers=TOWERS, coeffs=st.one_of(small_q, small_q, big_q)):
+    tower = draw(st.sampled_from(towers))
+    return FieldElement(tower, [draw(coeffs) for _ in range(1 << len(tower))])
+
+
+@pytest.fixture(scope="module")
+def height_pair():
+    from ceviangeo.curve import GENERATOR
+
+    w = 60 * GENERATOR
+    return w.u, w.v
+
+
+class TestDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(field_elements(), field_elements())
+    def test_ring_operations_against_sympy(self, a, b):
+        try:
+            results = {"+": a + b, "-": a - b, "*": a * b}
+        except TowerMismatch:
+            with pytest.raises(TowerMismatch):
+                FieldElement.common_tower(a, b)
+            return
+        sa, sb = _sym(a), _sym(b)
+        assert _sym_equal(_sym(results["+"]), sa + sb)
+        assert _sym_equal(_sym(results["-"]), sa - sb)
+        assert _sym_equal(_sym(results["*"]), sa * sb)
+        for r in results.values():
+            assert _reduced_ok(r)
+        if not b.is_zero():
+            q = a / b
+            assert _reduced_ok(q)
+            assert _sym_equal(_sym(q) * sb, sa)
+
+    @settings(max_examples=80, deadline=None)
+    @given(field_elements())
+    def test_inverse_and_sign_against_mpmath(self, a):
+        import mpmath
+
+        bits = max([abs(n).bit_length() for n in a.num] + [a.den.bit_length()])
+        with mpmath.workdps(60 + bits):
+            value = mpmath.mpf(0)
+            for i, c in enumerate(a.coeffs):
+                basis = mpmath.mpf(1)
+                for bit, d in enumerate(a.tower):
+                    if i >> bit & 1:
+                        basis *= mpmath.sqrt(d)
+                value += mpmath.mpf(c.numerator) / c.denominator * basis
+            s = a.sign()
+            if a.is_zero():
+                assert s == 0 and value == 0
+                return
+            assert s == (1 if value > 0 else -1)
+            inv = a.inverse()
+            assert _reduced_ok(inv) and inv.tower == a.tower
+            assert _sym_equal(_sym(inv) * _sym(a), 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(field_elements(towers=((), (2,), (3,), (5,))), st.sampled_from(RADICANDS))
+    def test_sqrt_and_sqrt_extending(self, a, k):
+        square = a * a
+        root = square.sqrt()
+        assert root == (a if a.sign() >= 0 else -a)
+        assert _reduced_ok(root)
+        try:
+            ext = sqrt_extending(square * k)
+        except (TowerDepthExceeded, FactorBudgetExceeded):
+            return
+        assert ext.sign() >= 0
+        assert _sym_equal(_sym(ext), sympy.Abs(_sym(a)) * sympy.sqrt(k))
+
+    @settings(max_examples=80, deadline=None)
+    @given(field_elements())
+    def test_text_and_json_roundtrip(self, a):
+        text = format_element(a)
+        back = parse_element(text)
+        assert back == a and hash(back) == hash(a)
+        assert _sym_equal(sympy.sympify(text), _sym(a))
+        data = element_to_json(a)
+        assert data["tower"] == list(a.minimal().tower)
+        assert data["coeffs"] == [
+            [str(c.numerator), str(c.denominator)] for c in a.minimal().coeffs
+        ]
+        assert element_from_json(data) == a
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_q | big_q, small_q | big_q)
+    def test_rational_arithmetic_against_fractions(self, x, y):
+        a, b = fe(x), fe(y)
+        pairs = [(a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x)]
+        if y:
+            pairs.append((a / b, x / y))
+        for got, want in pairs:
+            assert got.tower == () and _reduced_ok(got)
+            assert got.as_fraction() == want
+            assert hash(got) == hash(want)
+        assert (a < b) == (x < y) and a.sign() == (x > 0) - (x < 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        field_elements(towers=((), (2,), (3,), (6,), (10,), (15,))),
+        st.sampled_from(((2, 3), (6, 10))),
+    )
+    def test_equal_elements_on_other_towers_hash_alike(self, a, tower):
+        try:
+            wide = a.in_tower(tower)
+        except TowerMismatch:
+            assert set(a._present()) - set(_directions(tower))
+            return
+        assert wide.tower == tower and _reduced_ok(wide)
+        assert wide == a and hash(wide) == hash(a)
+        assert wide.minimal().tower == a.minimal().tower
+        assert wide.minimal().num == a.minimal().num
+        # arithmetic that cancels the irrational part keeps its tower
+        padded = (a + R2) - R2
+        assert padded == a and hash(padded) == hash(a)
+        if a.is_rational():
+            assert hash(a) == hash(a.as_fraction())
+
+    def test_large_height_against_fractions(self, height_pair):
+        u, v = height_pair
+        assert u.is_rational() and u.den.bit_length() > 1000
+        fu = u.as_fraction()
+        fv = (v / R2).as_fraction()
+        r, s = fe(fu), fe(fv)  # the same values at depth 0
+        for got, want in ((u * u, fu * fu), (u + 3, fu + 3), (u - u / 7, fu - fu / 7),
+                          (u.inverse(), 1 / fu), (v * v, 2 * fv * fv),
+                          (r * s, fu * fv), (r / s, fu / fv), (r - s, fu - fv),
+                          (r * 6 / 35 + s, fu * 6 / 35 + fv)):
+            assert _reduced_ok(got)
+            assert got.as_fraction() == want
+
+    def test_large_height_in_towers_against_sympy(self, height_pair):
+        u, v = height_pair
+        a = u + v * (1 + R3)
+        b = v - u * R6 + 1
+        assert _reduced_ok(a) and a.tower == (2, 3)
+        assert _sym_equal(_sym(a * b), _sym(a) * _sym(b))
+        assert _sym_equal(_sym(a.inverse()) * _sym(a), 1)
+        assert (a * a).sqrt() == (a if a.sign() > 0 else -a)
+        assert parse_element(format_element(b)) == b

@@ -55,3 +55,14 @@ class TestSuitesPass:
     def test_run_all_alternate_seed(self):
         reports = run_all(seed=2, n=3)
         assert all(r.passed for r in reports)
+
+
+def test_hyperbola_check_can_fail(monkeypatch):
+    import ceviangeo.verify as verify_mod
+
+    def results():
+        return {r.name: r.passed for r in run_suite("construction").results}
+
+    assert results()["frame conic is a hyperbola"]
+    monkeypatch.setattr(verify_mod, "affine_type", lambda conic: "ellipse")
+    assert not results()["frame conic is a hyperbola"]
