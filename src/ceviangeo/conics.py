@@ -5,7 +5,9 @@ line intersection (with tower-extension requests when the discriminant is
 not a square), the shared-points-at-infinity conic-conic intersection via
 the radical line of the pencil, and the named conics of the derived-point
 dictionary: the cevian conic, the circumconic, the inconic and the
-nine-point conic of a quadrangle.
+nine-point conic of a quadrangle.  The first three are closed forms, at the
+scale of their defining constructions (the five-point fit and the image of
+the nine-point conic), which ``verify`` keeps as cross-checks.
 """
 
 from __future__ import annotations
@@ -128,11 +130,7 @@ def conic_through(*points: BaryPoint) -> Conic:
         raise DegenerateConfiguration(
             f"points do not determine a unique conic (kernel dimension {len(basis)})"
         )
-    conic = Conic.from_upper(basis[0])
-    for p in points:
-        if not conic.contains(p):
-            raise ConstructionError("fitted conic misses an input point")
-    return conic
+    return Conic.from_upper(basis[0])
 
 
 def conic_center(c: Conic) -> BaryPoint:
@@ -355,35 +353,17 @@ def circumconic_of_line(line: BaryLine) -> Conic:
 
 
 def inconic(p: BaryPoint) -> Conic:
-    """The conic tangent to the three sidelines at the cevian traces of p;
-    its center is the isotomcomplement of p."""
-    from .maps import cevian_traces, isotom_complement, validate_point
+    """The conic tangent to the sidelines at the cevian traces of p = (a:b:c),
+    centered at the isotomcomplement: with w = (c/a, c/b, 1), m_ii = w_i^2
+    and m_ij = -w_i*w_j."""
+    from .maps import validate_point
 
     validate_point(p)
-    d, e, f = cevian_traces(p)
-    dx, dy, dz = d.coords
-    ex, ey, ez = e.coords
-    fx, fy, fz = f.coords
-    rows = [
-        # polar of d is the sideline x=0: components 1 and 2 of m*d vanish
-        [ZERO, dx, ZERO, dy, dz, ZERO],
-        [ZERO, ZERO, dx, ZERO, dy, dz],
-        # polar of e is the sideline y=0: components 0 and 2 of m*e vanish
-        [ex, ey, ez, ZERO, ZERO, ZERO],
-        [ZERO, ZERO, ex, ZERO, ey, ez],
-        # f lies on the conic
-        [fx * fx, 2 * fx * fy, 2 * fx * fz, fy * fy, ZERO, ZERO],
-    ]
-    basis = nullspace(rows)
-    if len(basis) != 1:
-        raise DegenerateConfiguration("tangency system is degenerate")
-    conic = Conic.from_upper(basis[0])
-    third = matvec3(conic.m, f.coords)
-    if not (third[0].is_zero() and third[1].is_zero()):
-        raise ConstructionError("inconic is not tangent to the third sideline")
-    if conic_center(conic) != isotom_complement(p):
-        raise ConstructionError("inconic center is not the isotomcomplement")
-    return conic
+    a, b, c = p.coords
+    w = (c / a, c / b, ONE)
+    return Conic(
+        tuple(tuple(w[i] * w[j] if i == j else -w[i] * w[j] for j in range(3)) for i in range(3))
+    )
 
 
 def nine_point_conic(p_iso: BaryPoint) -> Conic:
@@ -403,9 +383,13 @@ def nine_point_conic(p_iso: BaryPoint) -> Conic:
     return conic
 
 
-def circumconic_for(p_iso: BaryPoint, t_p_iso) -> Conic:
-    """The circumconic centered at the generalized circumcenter: the image
-    of the nine-point conic of the quadrangle under the inverse cevian map."""
-    n = nine_point_conic(p_iso)
-    return conic_image(n, t_p_iso.inverse())
+def circumconic_for(p: BaryPoint) -> Conic:
+    """The circumconic centered at the generalized circumcenter of p = (a:b:c):
+    the isotomic image of (q1^2 : q2^2 : q3^2) for the isotomcomplement q,
+    times -4a^2b^2c/((a+b)(a+c)(b+c))^3, the scale of the nine-point route."""
+    from .maps import isotom_complement, validate_point
 
+    validate_point(p)
+    a, b, c = p.coords
+    scale = -4 * a * a * b * b * c / ((a + b) * (a + c) * (b + c)) ** 3
+    return circumconic_of_line(BaryLine(*(scale * x * x for x in isotom_complement(p).coords)))

@@ -209,7 +209,10 @@ def torsion_addition_table() -> list[list[int]]:
         row = []
         for q in pts:
             s = p + q
-            row.append(next(i for i, t in enumerate(pts) if t == s))
+            index = next((i for i, t in enumerate(pts) if t == s), None)
+            if index is None:
+                raise CurveError(f"{p} + {q} is not among the torsion points")
+            row.append(index)
         table.append(row)
     return table
 
@@ -220,6 +223,18 @@ def is_torsion(p: WPoint) -> bool:
 
 # ---------------------------------------------------------------------------
 # the normal-form family and the barycentric cubic
+
+
+def _nf_residual(a, x, y) -> FieldElement:
+    """The left side of the member with parameter a, evaluated at (x, y)."""
+    lead = a * x + 1
+    return lead * y * y + lead * (x - 1) * y + x * x - x
+
+
+def _nf_y_discriminant(a, x) -> FieldElement:
+    """Discriminant in y of the member with parameter a at a given x."""
+    lead = a * x + 1
+    return lead * lead * (x - 1) * (x - 1) - 4 * lead * (x * x - x)
 
 
 class NormalFormCurve:
@@ -240,18 +255,14 @@ class NormalFormCurve:
         self.a = a
 
     def residual(self, x, y) -> FieldElement:
-        x, y = fe(x), fe(y)
-        lead = self.a * x + 1
-        return lead * y * y + lead * (x - 1) * y + x * x - x
+        return _nf_residual(self.a, fe(x), fe(y))
 
     def contains(self, x, y) -> bool:
         return self.residual(x, y).is_zero()
 
     def y_discriminant(self, x) -> FieldElement:
         """Discriminant of the defining equation in y at a given x."""
-        x = fe(x)
-        lead = self.a * x + 1
-        return lead * lead * (x - 1) * (x - 1) - 4 * lead * (x * x - x)
+        return _nf_y_discriminant(self.a, fe(x))
 
     def points_at(self, x) -> list[tuple[FieldElement, FieldElement]]:
         """The (up to two) real curve points above x, adjoining one square
@@ -297,9 +308,7 @@ def translation_cubic(p: BaryPoint) -> FieldElement:
 
 def translation_y_discriminant(x) -> FieldElement:
     """Discriminant in y of the translation normal form at a given x."""
-    x = fe(x)
-    lead = 3 * x + 1
-    return lead * lead * (x - 1) * (x - 1) - 4 * lead * (x * x - x)
+    return _nf_y_discriminant(3, fe(x))
 
 
 def on_translation_locus(p: BaryPoint) -> bool:
@@ -314,9 +323,7 @@ class NFPoint:
     y: FieldElement
 
     def __post_init__(self):
-        lead = 3 * self.x + 1
-        res = lead * self.y ** 2 + lead * (self.x - 1) * self.y + self.x ** 2 - self.x
-        if not res.is_zero():
+        if not _nf_residual(3, self.x, self.y).is_zero():
             raise OffCurve(f"({self.x}, {self.y}) is not on the normal-form curve")
 
     @classmethod

@@ -4,7 +4,9 @@ Covers the complement and isotomic maps, cevian triangles and the affine
 maps carrying the reference triangle onto them, the generalized orthocenter
 and circumcenter, the transfer map (the homothety or translation taking the
 circumconic to the inconic) and its classification, and the affine
-reflection that swaps a point with its isotomic conjugate.
+reflection that swaps a point with its isotomic conjugate.  The orthocenter
+and the named conics are closed forms in the base point; their defining
+constructions are cross-checks in ``verify.construction_profile``.
 """
 
 from __future__ import annotations
@@ -340,6 +342,18 @@ def transfer_center_formula(p: BaryPoint) -> BaryPoint:
     return BaryPoint(x * (y + z) ** 2, y * (x + z) ** 2, z * (x + y) ** 2)
 
 
+def orthocenter(p: BaryPoint) -> BaryPoint:
+    """The generalized orthocenter of a valid base point p = (a:b:c):
+    (a*D_b*D_c : b*D_a*D_c : c*D_a*D_b) with D_a = a^2 - a(b+c) - bc, so it
+    is the vertex A exactly on the vertex conic x^2 = xy + xz + yz."""
+    validate_point(p)
+    a, b, c = p.coords
+    d_a = a * a - a * (b + c) - b * c
+    d_b = b * b - b * (a + c) - a * c
+    d_c = c * c - c * (a + b) - a * b
+    return BaryPoint(a * d_b * d_c, b * d_a * d_c, c * d_a * d_b)
+
+
 def derive_configuration(p: BaryPoint) -> Configuration:
     """Compute the full derived-point dictionary for a valid base point."""
     from . import conics as _conics
@@ -350,20 +364,21 @@ def derive_configuration(p: BaryPoint) -> Configuration:
     q_iso = complement(p)
     t_p = cevian_map(p)
     t_p_iso = cevian_map(p_iso)
-    t_p_iso_inv = t_p_iso.inverse()
-    o = t_p_iso_inv.apply(complement(q))
-    h = anticomplement(o)
-    o_iso = t_p.inverse().apply(complement(q_iso))
+    h = orthocenter(p)
+    o = complement(h)
+    o_iso = complement(orthocenter(p_iso))
     transfer = _transfer(t_p, t_p_iso)
 
-    circumconic = _conics.circumconic_for(p_iso, t_p_iso)
+    circumconic = _conics.circumconic_for(p)
     inconic = _conics.inconic(p)
 
     x, y, z = p.coords
     on_median = (x - y).is_zero() or (y - z).is_zero() or (x - z).is_zero()
     v = z_center = u = s = cev = None
     if not on_median:
-        cev = _conics.conic_through(A, B, C, p, q)
+        # the circumconic through p and q is the isotomic image of the line
+        # through their isotomic conjugates
+        cev = _conics.circumconic_of_line(join(p_iso, isotomic(q)).canonical())
         v = meet(join(p, q), join(p_iso, q_iso))
         z_center = _conics.conic_center(cev)
         u = anticomplement(z_center)

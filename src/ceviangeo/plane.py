@@ -9,6 +9,7 @@ scale, and the canonical form divides by the first nonzero entry.
 from __future__ import annotations
 
 from .field import FieldElement, fe, ZERO, format_element, parse_element
+from .linalg import det3
 
 
 class PlaneError(Exception):
@@ -183,13 +184,7 @@ def meet(l1: BaryLine, l2: BaryLine) -> BaryPoint:
 
 
 def collinear(p1: BaryPoint, p2: BaryPoint, p3: BaryPoint) -> bool:
-    x, y, z = p1.coords, p2.coords, p3.coords
-    det = (
-        x[0] * (y[1] * z[2] - y[2] * z[1])
-        - x[1] * (y[0] * z[2] - y[2] * z[0])
-        + x[2] * (y[0] * z[1] - y[1] * z[0])
-    )
-    return det.is_zero()
+    return det3((p1.coords, p2.coords, p3.coords)).is_zero()
 
 
 def infinite_point_of(line: BaryLine) -> BaryPoint:

@@ -29,17 +29,23 @@ from .plane import (
     signed_ratio,
 )
 from .maps import (
+    cevian_traces,
     classify_map,
     classify_transfer,
     complement,
     derive_configuration,
     is_valid_point,
+    orthocenter_matches_definition,
 )
 from .conics import (
     affine_type,
+    circumconic_of_line,
     conic_center,
+    conic_image,
+    conic_through,
     intersect_line,
     is_interior,
+    nine_point_conic,
     polar,
     steiner_circumellipse,
     tangent_at,
@@ -74,13 +80,17 @@ class SuiteReport:
         self.results.append(CheckResult(name, bool(passed), detail))
 
     def check(self, name: str, fn):
-        """Run a predicate, recording exceptions as failures."""
+        """Run a predicate, recording exceptions as failures.  A tuple
+        result passes when all its entries do and is the detail otherwise."""
         try:
             value = fn()
         except Exception as exc:  # failures are data, not crashes
             self.add(name, False, f"{type(exc).__name__}: {exc}")
             return
-        self.add(name, bool(value))
+        if isinstance(value, tuple):
+            self.add(name, all(value), "" if all(value) else repr(value))
+        else:
+            self.add(name, bool(value))
 
     def to_dict(self):
         return {
@@ -238,9 +248,7 @@ def verify_special(seed: int = 0, n: int = 0) -> SuiteReport:
     """The two special translation points: every stated relation, plus the
     equilateral-embedding distance checks."""
     report = SuiteReport("special")
-    from .conics import circumconic_of_line
-    from .maps import cevian_traces
-
+    doubled = locus_mod.doubled_anticomplementary_line()
     for sign in (1, -1):
         tag = "+" if sign > 0 else "-"
         try:
@@ -248,57 +256,43 @@ def verify_special(seed: int = 0, n: int = 0) -> SuiteReport:
         except Exception as exc:
             report.add(f"variant {tag} construction", False, str(exc))
             continue
-        report.add(f"variant {tag}: orthocenter is A", cfg.h == A)
-        report.add(f"variant {tag}: circumcenter is the midpoint of BC", cfg.o == D0)
-        report.add(
-            f"variant {tag}: signed ratio of iso displacement is -3",
-            signed_ratio(cfg.o, cfg.p_iso, cfg.p) == -3,
-        )
-        doubled = locus_mod.doubled_anticomplementary_line()
-        report.add(
-            f"variant {tag}: circumconic is the isotomic image of the doubled anticomplementary line",
-            doubled == BaryLine(2, 1, 1)
-            and cfg.circumconic == circumconic_of_line(doubled),
-        )
-        report.add(
-            f"variant {tag}: transfer map is a translation",
-            classify_map(cfg.transfer).is_translation(),
-        )
         d = cevian_traces(cfg.p)[0]
         d3 = cevian_traces(cfg.p_iso)[0]
-        report.add(
-            f"variant {tag}: d3 is the midpoint of the segment to the isotomic point",
-            d3 == midpoint(A, cfg.p_iso),
+
+        def trace_offset():
+            dn, d0n, cn = d.normalized(), D0.normalized(), C.normalized()
+            return all((dn[i] - d0n[i]) ** 2 == 2 * (cn[i] - d0n[i]) ** 2 for i in range(3))
+
+        def axis_line_meets_special_points():
+            pts = intersect_line(cfg.circumconic, BaryLine(-2, 1, 1))
+            return len(pts) == 2 and all(
+                any(p == locus_mod.special_point(s) for s in (1, -1)) for p in pts
+            )
+
+        checks = (
+            ("orthocenter is A", lambda: cfg.h == A),
+            ("circumcenter is the midpoint of BC", lambda: cfg.o == D0),
+            ("signed ratio of iso displacement is -3",
+             lambda: signed_ratio(cfg.o, cfg.p_iso, cfg.p) == -3),
+            ("circumconic is the isotomic image of the doubled anticomplementary line",
+             lambda: doubled == BaryLine(2, 1, 1)
+             and cfg.circumconic == circumconic_of_line(doubled)),
+            ("transfer map is a translation",
+             lambda: classify_map(cfg.transfer).is_translation()),
+            ("d3 is the midpoint of the segment to the isotomic point",
+             lambda: d3 == midpoint(A, cfg.p_iso)),
+            ("base point is the centroid of o, d, q", lambda: centroid(cfg.o, d, cfg.q) == cfg.p),
+            ("image of d3 is the midpoint of o and d",
+             lambda: cfg.t_p.apply(d3) == midpoint(cfg.o, d)),
+            ("squared trace offset doubles the squared half-side", trace_offset),
+            ("o and its reflection lie on the iso line",
+             lambda: collinear(cfg.o, cfg.p, cfg.p_iso)
+             and collinear(cfg.o_iso, cfg.p, cfg.p_iso)),
+            ("the axis-parallel line meets the circumconic in the two special points",
+             axis_line_meets_special_points),
         )
-        report.add(
-            f"variant {tag}: base point is the centroid of o, d, q",
-            centroid(cfg.o, d, cfg.q) == cfg.p,
-        )
-        a3 = cfg.t_p.apply(d3)
-        report.add(
-            f"variant {tag}: image of d3 is the midpoint of o and d",
-            a3 == midpoint(cfg.o, d),
-        )
-        dn = d.normalized()
-        d0n = D0.normalized()
-        cn = C.normalized()
-        report.add(
-            f"variant {tag}: squared trace offset doubles the squared half-side",
-            all(
-                (dn[i] - d0n[i]) ** 2 == 2 * (cn[i] - d0n[i]) ** 2 for i in range(3)
-            ),
-        )
-        report.add(
-            f"variant {tag}: o and its reflection lie on the iso line",
-            collinear(cfg.o, cfg.p, cfg.p_iso) and collinear(cfg.o_iso, cfg.p, cfg.p_iso),
-        )
-        pts = intersect_line(cfg.circumconic, BaryLine(-2, 1, 1))
-        both = {0, 1}
-        report.add(
-            f"variant {tag}: the axis-parallel line meets the circumconic in the two special points",
-            len(pts) == 2
-            and all(any(p == locus_mod.special_point(s) for s in (1, -1)) for p in pts),
-        )
+        for name, fn in checks:
+            report.check(f"variant {tag}: {name}", fn)
     for name, ok in locus_mod.equilateral_metric_checks(1).items():
         report.add(f"equilateral embedding: {name}", ok)
     return report
@@ -333,9 +327,30 @@ def translation_consequence_profile(cfg) -> tuple[bool, ...]:
     return (c1, c2, c3, c4, c5)
 
 
+def construction_profile(cfg) -> tuple[bool, ...]:
+    """The closed forms of a configuration against the constructions that
+    define them: the parallels through the vertices for the orthocenter, the
+    inverse cevian map of the isotomic conjugate for the circumcenter, the
+    image of the nine-point conic for the circumconic, tangency at the
+    traces and the center for the inconic, and the five-point fit for the
+    cevian conic."""
+    c1 = orthocenter_matches_definition(cfg)
+    t_inv = cfg.t_p_iso.inverse()
+    c2 = cfg.o == t_inv.apply(complement(cfg.q))
+    c3 = cfg.circumconic == conic_image(nine_point_conic(cfg.p_iso), t_inv)
+    sides = (BaryLine(1, 0, 0), BaryLine(0, 1, 0), BaryLine(0, 0, 1))
+    c4 = all(
+        cfg.inconic.contains(t) and polar(cfg.inconic, t) == side
+        for t, side in zip(cevian_traces(cfg.p), sides)
+    ) and conic_center(cfg.inconic) == cfg.q
+    c5 = cfg.cevian_conic == conic_through(A, B, C, cfg.p, cfg.q)
+    return (c1, c2, c3, c4, c5)
+
+
 def verify_translation_criteria(seed: int = 0, n: int = 10) -> SuiteReport:
     """The six translation conditions evaluate identically at each point and
-    hold exactly on the locus."""
+    hold exactly on the locus; at each point the closed forms also match
+    their defining constructions."""
     report = SuiteReport("translation")
     on_points = curve_mod.sample_translation_points(n, seed=seed)
     off_points = random_valid_points(n, seed + 1, off_locus=True)
@@ -348,6 +363,8 @@ def verify_translation_criteria(seed: int = 0, n: int = 10) -> SuiteReport:
             all(prof) and kind_ok,
             repr(prof) if not all(prof) else "",
         )
+        report.check(f"constructions on-locus {point_to_literal(p)[:48]}",
+                     lambda: construction_profile(cfg))
     for p in off_points:
         cfg = derive_configuration(p)
         prof = translation_condition_profile(cfg)
@@ -357,6 +374,8 @@ def verify_translation_criteria(seed: int = 0, n: int = 10) -> SuiteReport:
             not any(prof) and kind_ok,
             repr(prof) if any(prof) else "",
         )
+        report.check(f"constructions off-locus {point_to_literal(p)}",
+                     lambda: construction_profile(cfg))
     return report
 
 
@@ -395,13 +414,8 @@ def verify_curve(seed: int = 0, n: int = 20) -> SuiteReport:
     )
     census = curve_mod.torsion_order_census()
     report.add("torsion order census {1:1, 2:3, 3:2, 6:6}", census == {1: 1, 2: 3, 3: 2, 6: 6})
-    torsion = curve_mod.torsion_points()
-    report.check(
-        "torsion closes under addition",
-        lambda: all(
-            any(p + q == t for t in torsion) for p in torsion for q in torsion
-        ),
-    )
+    report.check("torsion closes under addition",
+                 lambda: bool(curve_mod.torsion_addition_table()))
     report.check(
         "generator multiples up to 24 avoid the torsion group",
         lambda: all(not curve_mod.is_torsion(k * gen) for k in range(1, 25)),
@@ -599,10 +613,9 @@ SUITES = {
 def run_suite(name: str, seed: int = 0, n: int | None = None) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    fn = SUITES[name]
-    defaults = {"equivalences": 20, "vertex-locus": 20, "special": 0,
-                "translation": 10, "consequences": 10, "curve": 20, "construction": 5}
-    return fn(seed=seed, n=n if n is not None else defaults[name])
+    if n is None:
+        return SUITES[name](seed=seed)
+    return SUITES[name](seed=seed, n=n)
 
 
 def run_all(seed: int = 0, n: int | None = None) -> list[SuiteReport]:

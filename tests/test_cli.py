@@ -72,6 +72,44 @@ class TestCompute:
         assert code == 2
 
 
+# each degenerate input is refused by validation before any closed form
+# divides by (a+b)(a+c)(b+c)
+DEGENERATE_COMPUTE = (
+    ["[0,1,2]"],  # on a sideline
+    ["[1,-1,3]"],  # on a sideline of the anticomplementary triangle
+    ["[2,2,-1]"],  # on the Steiner circumellipse
+    ["[1,1,-2]"],  # an infinite point
+    ["[1,1,2]", "V"],  # median-only members on a median
+    ["[1,1,2]", "Z"],
+    ["[1,1,2]", "U"],
+    ["[sqrt(2),sqrt(3),sqrt(5)]"],  # a tower of depth three
+    ["[1,1,sqrt(2**128+1)]"],  # a radicand past the factoring budget
+    ["[1,2]"],  # two coordinates
+    ["[1,2,3"],  # unbalanced bracket
+)
+
+
+@pytest.mark.parametrize("args", DEGENERATE_COMPUTE, ids=" ".join)
+def test_degenerate_compute_input_exits_2(args, capsys):
+    code, out, err = run_cli(["compute", *args], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_readme_library_example(capsys):
+    """Run the README's Python block; each print line's trailing comment is
+    the line it prints."""
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("# ", 1)[1] for line in block.splitlines()
+                if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 class TestVerifyCommand:
     def test_single_suite(self, capsys):
         code, out, _ = run_cli(["verify", "special", "--json"], capsys)

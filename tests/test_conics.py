@@ -20,6 +20,7 @@ from ceviangeo.plane import (
     point,
 )
 from ceviangeo.maps import (
+    cevian_map,
     cevian_traces,
     complement,
     derive_configuration,
@@ -37,6 +38,7 @@ from ceviangeo.conics import (
     conic_center,
     conic_image,
     conic_through,
+    circumconic_for,
     inconic,
     intersect_line,
     intersect_shared_infinity,
@@ -246,6 +248,36 @@ class TestNamedConics:
             ]
             assert all(n.contains(m) for m in mids)
             assert conic_center(n) == complement(isotom_complement(p))
+
+    # the printed coefficients are not normalized, so the closed forms must
+    # reproduce the constructions' scale, not only the conics
+    CLOSED_FORM_POINTS = (
+        "[6,3,2]", "[1,2,3]", "[-7,-7/9,-5/8]", "[5,-2,9/4]",
+        "[1,1+sqrt(2),1-sqrt(2)]", "[2,3-sqrt(2),1+sqrt(3)]",
+    )
+
+    @pytest.mark.parametrize("literal", CLOSED_FORM_POINTS)
+    def test_circumconic_closed_form_keeps_the_nine_point_scale(self, literal):
+        p = point(literal)
+        p_iso = isotomic(p)
+        image = conic_image(nine_point_conic(p_iso), cevian_map(p_iso).inverse())
+        assert circumconic_for(p).upper() == image.upper()
+
+    @pytest.mark.parametrize("literal", CLOSED_FORM_POINTS)
+    def test_cevian_conic_closed_form_keeps_the_fit_scale(self, literal):
+        p = point(literal)
+        fitted = conic_through(A, B, C, p, isotom_complement(p))
+        assert derive_configuration(p).cevian_conic.upper() == fitted.upper()
+
+    @pytest.mark.parametrize("literal", CLOSED_FORM_POINTS)
+    def test_inconic_closed_form_tangent_at_traces(self, literal):
+        p = point(literal)
+        c = inconic(p)
+        assert c.m[2][2] == 1
+        sides = (BaryLine(1, 0, 0), BaryLine(0, 1, 0), BaryLine(0, 0, 1))
+        for trace, side in zip(cevian_traces(p), sides):
+            assert tangent_at(c, trace) == side
+        assert conic_center(c) == isotom_complement(p)
 
     def test_circumconic_of_infinite_line(self):
         assert circumconic_of_line(LINE_AT_INFINITY) == steiner_circumellipse()

@@ -116,6 +116,14 @@ class TestTorsion:
             for j in range(12):
                 assert table[i][j] == table[j][i]
 
+    def test_addition_table_refuses_an_open_set(self, monkeypatch):
+        import ceviangeo.curve as curve_mod
+
+        # five points cannot be closed under addition in a group of order 12
+        monkeypatch.setattr(curve_mod, "torsion_points", lambda: rational_torsion()[:5])
+        with pytest.raises(curve_mod.CurveError):
+            curve_mod.torsion_addition_table()
+
     def test_minimal_model_shift(self):
         import sympy
 

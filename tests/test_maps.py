@@ -37,6 +37,7 @@ from ceviangeo.maps import (
     isotom_complement,
     isotomic,
     map_from_triangles,
+    orthocenter,
     orthocenter_matches_definition,
     transfer_center_formula,
     transfer_map,
@@ -183,6 +184,30 @@ class TestConfiguration:
         for _ in range(10):
             cfg = derive_configuration(random_valid(rng))
             assert orthocenter_matches_definition(cfg)
+
+    def test_orthocenter_closed_form_matches_inverse_cevian_map(self):
+        rng = random.Random(25)
+        points = [random_valid(rng) for _ in range(8)] + [
+            point("[1,1+sqrt(2),1-sqrt(2)]"),
+            point("[2,3-sqrt(2),1+sqrt(3)]"),
+        ]
+        for p in points:
+            circumcenter = cevian_map(isotomic(p)).inverse().apply(
+                complement(isotom_complement(p))
+            )
+            assert orthocenter(p) == anticomplement(circumcenter)
+
+    def test_orthocenter_is_a_exactly_on_the_vertex_conic(self):
+        rng = random.Random(26)
+        for _ in range(40):
+            p = random_valid(rng)
+            x, y, z = p.coords
+            assert (orthocenter(p) == A) == (x * x == x * y + x * z + y * z)
+        assert orthocenter(point([6, 3, 2])) == A
+
+    def test_orthocenter_validates(self):
+        with pytest.raises(OnSideline):
+            orthocenter(BaryPoint(0, 1, 2))
 
     def test_circumcenter_is_complement_of_orthocenter(self):
         rng = random.Random(22)
