@@ -13,7 +13,7 @@ import sys
 
 from .field import FieldError, fe, format_element
 from .plane import BaryPoint, PlaneError, point
-from .maps import MapError, classify_map, derive_configuration
+from .maps import MapError, classify_transfer, derive_configuration
 from .conics import Conic
 from . import curve as curve_mod
 from . import locus as locus_mod
@@ -64,7 +64,7 @@ def cmd_compute(args) -> int:
         elif name == "S":
             # the classification center is total; the meet-based value in the
             # configuration exists only off the medians
-            transfer = transfer or classify_map(cfg.transfer)
+            transfer = transfer or classify_transfer(cfg.p)
             out["S"] = _point_json(transfer.center)
         elif name in median_only:
             value = median_only[name]
@@ -75,7 +75,7 @@ def cmd_compute(args) -> int:
                 return 2
             out[name] = _point_json(value)
         elif name == "M":
-            transfer = transfer or classify_map(cfg.transfer)
+            transfer = transfer or classify_transfer(cfg.p)
             entry = {"kind": transfer.kind, "center": _point_json(transfer.center)}
             if transfer.ratio is not None:
                 entry["ratio"] = format_element(transfer.ratio)

@@ -8,7 +8,11 @@ Moebius change of variable carry it to the Weierstrass model
 v^2 = u(u^2 + 6u - 3), where the chord-tangent group law lives.  This module
 implements the models, the birational maps between them (with the explicit
 limit table at their exceptional points), the group law, the torsion group,
-and seeded samplers used by the verification suites.
+and seeded samplers used by the verification suites.  The cubic is the
+coordinate sum of the transfer map's center (``maps.transfer_center_coords``),
+and ``w_to_bary`` leaves the Weierstrass model in one step, by the closed
+form of the chain ``w_to_nf`` then ``nf_to_bary``; ``bary_to_w`` still walks
+the chain, so the round trip cross-checks the two.
 
 Shifting u by 2 puts the Weierstrass model in the minimal form
 v^2 = u^3 - 15u + 22 (Cremona label 36a2), whose Mordell-Weil rank over Q
@@ -301,9 +305,11 @@ class NormalFormCurve:
 
 
 def translation_cubic(p: BaryPoint) -> FieldElement:
-    """The projective cubic whose zero locus is the translation locus."""
-    x, y, z = p.coords
-    return x * (y + z) ** 2 + y * (x + z) ** 2 + z * (x + y) ** 2
+    """The projective cubic x(y+z)^2 + y(x+z)^2 + z(x+y)^2 whose zero locus
+    is the translation locus: the coordinate sum of the transfer map's
+    center, so it is zero exactly where that center is infinite."""
+    a, b, c = _maps.transfer_center_coords(p)
+    return a + b + c
 
 
 def translation_y_discriminant(x) -> FieldElement:
@@ -369,28 +375,31 @@ def w_to_nf(w: WPoint) -> NFPoint:
     return NFPoint(x, y)
 
 
-def _torsion_bary_limits() -> list[tuple[WPoint, BaryPoint]]:
-    # limits of the birational chain at its exceptional torsion points,
-    # computed by expanding the chain along a local parameter
-    return [
-        (WPoint.infinity(), A),
-        (WPoint.of(0, 0), BaryPoint(0, 1, -1)),
-        (WPoint.of(-3, 6), BaryPoint(1, 0, -1)),
-        (WPoint.of(-3, -6), BaryPoint(1, -1, 0)),
-    ]
+# limits of the birational chain at its exceptional torsion points,
+# computed by expanding the chain along a local parameter
+_TORSION_BARY_LIMITS = (
+    (WPoint.infinity(), A),
+    (WPoint.of(0, 0), BaryPoint(0, 1, -1)),
+    (WPoint.of(-3, 6), BaryPoint(1, 0, -1)),
+    (WPoint.of(-3, -6), BaryPoint(1, -1, 0)),
+)
 
 
 def w_to_bary(w: WPoint) -> BaryPoint:
     """Total map from the Weierstrass model to the projective cubic, using
-    the documented limits at the exceptional points of the chain."""
-    for wp, bary in _torsion_bary_limits():
+    the documented limits at the exceptional points of the chain.  Elsewhere
+    it is the composite of ``w_to_nf`` and ``nf_to_bary`` in closed form, the
+    absolute coordinates ((u-1)/(u+3), (v+2u)/(u(u+3)), (2u-v)/(u(u+3)))."""
+    for wp, bary in _TORSION_BARY_LIMITS:
         if w == wp:
             return bary
-    return nf_to_bary(w_to_nf(w))
+    u, v = w.u, w.v
+    inv = (u * (u + 3)).inverse()
+    return BaryPoint((u - 1) * u * inv, (v + 2 * u) * inv, (2 * u - v) * inv)
 
 
 def bary_to_w(p: BaryPoint) -> WPoint:
-    for wp, bary in _torsion_bary_limits():
+    for wp, bary in _TORSION_BARY_LIMITS:
         if p == bary:
             return wp
     return nf_to_w(bary_to_nf(p))

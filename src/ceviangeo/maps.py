@@ -4,9 +4,12 @@ Covers the complement and isotomic maps, cevian triangles and the affine
 maps carrying the reference triangle onto them, the generalized orthocenter
 and circumcenter, the transfer map (the homothety or translation taking the
 circumconic to the inconic) and its classification, and the affine
-reflection that swaps a point with its isotomic conjugate.  The orthocenter
-and the named conics are closed forms in the base point; their defining
-constructions are cross-checks in ``verify.construction_profile``.
+reflection that swaps a point with its isotomic conjugate.  The orthocenter,
+the named conics, the transfer map and its classification are closed forms
+in the base point; their defining constructions (for the transfer map, the
+composition of the cevian maps through the anticomplement) are cross-checks
+in ``verify.construction_profile``.  ``classify_map`` reads the kind, ratio
+and center off any homothety or translation matrix.
 """
 
 from __future__ import annotations
@@ -295,19 +298,42 @@ class Configuration:
     inconic: object  # conic with center q tangent to the sides
 
 
-def _transfer(t_p: AffineMap, t_p_iso: AffineMap) -> AffineMap:
-    return (t_p @ ANTICOMPLEMENT @ t_p_iso).normalized()
-
-
 def transfer_map(p: BaryPoint) -> AffineMap:
-    """The map taking the circumconic to the inconic; symmetric in p and its
-    isotomic conjugate."""
-    return _transfer(cevian_map(p), cevian_map(isotomic(p)))
+    """The map T_P o K^-1 o T_P' taking the circumconic to the inconic, in
+    closed form: with D = (x+y)(x+z)(y+z) it is (1/D) times
+
+        [[x(y-z)^2, x(y+z)^2, x(y+z)^2],
+         [y(x+z)^2, y(x-z)^2, y(x+z)^2],
+         [z(x+y)^2, z(x+y)^2, z(x-y)^2]],
+
+    whose columns already sum to one.  It is symmetric in p and its isotomic
+    conjugate; the composition of the cevian maps is a cross-check in
+    ``verify.construction_profile``."""
+    validate_point(p)
+    x, y, z = p.coords
+    inv = ((x + y) * (x + z) * (y + z)).inverse()
+    a, b, c = x * inv, y * inv, z * inv
+    yz2, xz2, xy2 = (y + z) ** 2, (x + z) ** 2, (x + y) ** 2
+    return AffineMap(
+        (
+            (a * (y - z) ** 2, a * yz2, a * yz2),
+            (b * xz2, b * (x - z) ** 2, b * xz2),
+            (c * xy2, c * xy2, c * (x - y) ** 2),
+        )
+    )
 
 
 def classify_transfer(p: BaryPoint) -> MClassification:
-    """Classify the transfer map of p."""
-    return classify_map(transfer_map(p))
+    """Classify the transfer map of p without building it.  Its center is
+    S = transfer_center_formula(p), whose coordinate sum is D + 4xyz with
+    D = (x+y)(x+z)(y+z): when S is infinite the map is a translation in the
+    direction S, otherwise a homothety about S with ratio -4xyz/D."""
+    validate_point(p)
+    s = transfer_center_formula(p)
+    if s.is_infinite():
+        return MClassification("translation", None, s)
+    x, y, z = p.coords
+    return MClassification("homothety", -4 * x * y * z / ((x + y) * (x + z) * (y + z)), s)
 
 
 def classify_map(m: AffineMap) -> MClassification:
@@ -335,11 +361,18 @@ def classify_map(m: AffineMap) -> MClassification:
     return MClassification("homothety", k, center)
 
 
+def transfer_center_coords(p: BaryPoint) -> tuple[FieldElement, FieldElement, FieldElement]:
+    """The coordinates (x(y+z)^2, y(x+z)^2, z(x+y)^2) of the transfer map's
+    center.  Their sum is the translation cubic; all three vanish only at
+    the vertices, which lie on it."""
+    x, y, z = p.coords
+    return (x * (y + z) ** 2, y * (x + z) ** 2, z * (x + y) ** 2)
+
+
 def transfer_center_formula(p: BaryPoint) -> BaryPoint:
     """Closed-form center of the transfer map, with coordinate sum zero
     exactly on the translation locus."""
-    x, y, z = p.coords
-    return BaryPoint(x * (y + z) ** 2, y * (x + z) ** 2, z * (x + y) ** 2)
+    return BaryPoint(*transfer_center_coords(p))
 
 
 def orthocenter(p: BaryPoint) -> BaryPoint:
@@ -367,7 +400,7 @@ def derive_configuration(p: BaryPoint) -> Configuration:
     h = orthocenter(p)
     o = complement(h)
     o_iso = complement(orthocenter(p_iso))
-    transfer = _transfer(t_p, t_p_iso)
+    transfer = transfer_map(p)
 
     circumconic = _conics.circumconic_for(p)
     inconic = _conics.inconic(p)

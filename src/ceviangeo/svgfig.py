@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .field import FieldElement
+from .field import FieldElement, _directions
 from .plane import A, B, C, G, BaryPoint, point
 from .conics import Conic
 from . import conics as conics_mod
@@ -25,12 +25,12 @@ class DegeneratePlacement(Exception):
 
 
 def _fe_float(x: FieldElement) -> float:
+    # integer true division is correctly rounded, like Fraction.__float__
     m = x.minimal()
-    from .field import _directions
-
-    value = float(m.coeffs[0])
+    num, den = m.num, m.den
+    value = num[0] / den
     for rad, (i, mult) in _directions(m.tower).items():
-        value += float(m.coeffs[i]) * mult * math.sqrt(rad)
+        value += num[i] / den * mult * math.sqrt(rad)
     return value
 
 
@@ -53,13 +53,9 @@ class Placement:
         return cls((0, 2, -1, 0, Fraction(3, 2), 0))
 
     def locate(self, p: BaryPoint) -> tuple[float, float]:
-        w = p.normalized()
-        x = _fe_float(w[0]) * float(self.ax) + _fe_float(w[1]) * float(self.bx) + _fe_float(
-            w[2]
-        ) * float(self.cx)
-        y = _fe_float(w[0]) * float(self.ay) + _fe_float(w[1]) * float(self.by) + _fe_float(
-            w[2]
-        ) * float(self.cy)
+        wa, wb, wc = (_fe_float(c) for c in p.normalized())
+        x = wa * float(self.ax) + wb * float(self.bx) + wc * float(self.cx)
+        y = wa * float(self.ay) + wb * float(self.by) + wc * float(self.cy)
         return x, y
 
 

@@ -29,6 +29,8 @@ from .plane import (
     signed_ratio,
 )
 from .maps import (
+    ANTICOMPLEMENT,
+    AffineMap,
     cevian_traces,
     classify_map,
     classify_transfer,
@@ -327,13 +329,27 @@ def translation_consequence_profile(cfg) -> tuple[bool, ...]:
     return (c1, c2, c3, c4, c5)
 
 
+def composed_transfer(t_p: AffineMap, t_p_iso: AffineMap) -> AffineMap:
+    """The transfer map as its definition builds it: the cevian map of p
+    after the anticomplement after the cevian map of the isotomic conjugate."""
+    return (t_p @ ANTICOMPLEMENT @ t_p_iso).normalized()
+
+
+def transfer_matches_composition(cfg) -> bool:
+    """The closed-form transfer map equals the composition entry by entry,
+    and reading the composition's matrix gives the closed-form
+    classification: the same kind, ratio and center."""
+    m = composed_transfer(cfg.t_p, cfg.t_p_iso)
+    return cfg.transfer.rows == m.rows and classify_map(m) == classify_transfer(cfg.p)
+
+
 def construction_profile(cfg) -> tuple[bool, ...]:
     """The closed forms of a configuration against the constructions that
     define them: the parallels through the vertices for the orthocenter, the
     inverse cevian map of the isotomic conjugate for the circumcenter, the
     image of the nine-point conic for the circumconic, tangency at the
-    traces and the center for the inconic, and the five-point fit for the
-    cevian conic."""
+    traces and the center for the inconic, the five-point fit for the
+    cevian conic, and the composition of cevian maps for the transfer map."""
     c1 = orthocenter_matches_definition(cfg)
     t_inv = cfg.t_p_iso.inverse()
     c2 = cfg.o == t_inv.apply(complement(cfg.q))
@@ -344,7 +360,8 @@ def construction_profile(cfg) -> tuple[bool, ...]:
         for t, side in zip(cevian_traces(cfg.p), sides)
     ) and conic_center(cfg.inconic) == cfg.q
     c5 = cfg.cevian_conic == conic_through(A, B, C, cfg.p, cfg.q)
-    return (c1, c2, c3, c4, c5)
+    c6 = transfer_matches_composition(cfg)
+    return (c1, c2, c3, c4, c5, c6)
 
 
 def verify_translation_criteria(seed: int = 0, n: int = 10) -> SuiteReport:

@@ -162,6 +162,29 @@ class TestBirationalChain:
         disc = sympy.discriminant(lead * y ** 2 + lead * (x - 1) * y + x ** 2 - x, y)
         assert sympy.expand(disc - (x - 1) * (3 * x + 1) * (3 * x ** 2 - 6 * x - 1)) == 0
 
+    def test_symbolic_w_to_bary_closed_form(self):
+        # w_to_nf followed by nf_to_bary, restated in sympy, is the closed
+        # form that w_to_bary returns off its limit table
+        import sympy
+
+        u, v = sympy.symbols("u v")
+        x = (u - 1) / (u + 3)
+        big_y = 8 * v / (u + 3) ** 2
+        y = (big_y / (3 * x + 1) - (x - 1)) / 2
+        chain = (x, y, 1 - x - y)
+        closed = ((u - 1) / (u + 3), (v + 2 * u) / (u * (u + 3)), (2 * u - v) / (u * (u + 3)))
+        assert all(sympy.cancel(a - b) == 0 for a, b in zip(chain, closed))
+
+    def test_w_to_bary_matches_the_chain_exactly(self):
+        # every point off the limit table, the median torsion points included
+        points = [k * GENERATOR + t for k in (1, 2, 3, -5) for t in rational_torsion()]
+        points += torsion_points()[6:]
+        for w in points:
+            closed, chain = w_to_bary(w), nf_to_bary(w_to_nf(w))
+            assert [(c.tower, c.num, c.den) for c in closed.coords] == [
+                (c.tower, c.num, c.den) for c in chain.coords
+            ]
+
     def test_generator_correspondence(self):
         p = point("[1,1+sqrt(2),1-sqrt(2)]")
         nf = bary_to_nf(p)

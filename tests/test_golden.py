@@ -1,0 +1,67 @@
+"""Byte-identity against the outputs pinned in perfbench/data/expected.json.
+
+The benchmark checks every operation against these sha256[:16] digests;
+here a slice of each pool, spread over the pool's recorded cost order,
+makes the same check part of the test suite: ``compute <literal> all
+--json`` output, the curve-point description of ``k*GENERATOR + T``, and
+one placement of each SVG figure.  The file is only read.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from ceviangeo import cli, curve, maps, svgfig
+from ceviangeo.plane import point_to_literal
+
+EXPECTED = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "expected.json").read_text()
+)
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def spread(ordered: list, n: int) -> list:
+    """n entries of a cost-ordered list, evenly spaced from cheapest to costliest."""
+    return [ordered[i * (len(ordered) - 1) // (n - 1)] for i in range(n)]
+
+
+COMPUTE = [pytest.param(lit, d, id=f"{depth}:{lit}")
+           for depth, pool in sorted(EXPECTED["compute"].items())
+           for lit, d in spread(pool, 8)]
+CURVE = [pytest.param(k, ti, id=f"{k}:{ti}")
+         for k, ti in spread(EXPECTED["curve"]["by_cost"], 6)]
+FIGURES = sorted(EXPECTED["figures"]["digests"])
+# the i-th figure takes the i-th of len(FIGURES) evenly spaced cost ranks
+SVG = [pytest.param(fig, spread(EXPECTED["figures"]["by_cost"][fig], len(FIGURES))[i], id=fig)
+       for i, fig in enumerate(FIGURES)]
+
+
+@pytest.mark.parametrize("literal,expected", COMPUTE)
+def test_compute_output(literal, expected):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["compute", literal, "all", "--json"]) == 0
+    assert digest(out.getvalue()) == expected
+
+
+@pytest.mark.parametrize("k,torsion", CURVE)
+def test_curve_point(k, torsion):
+    w = k * curve.GENERATOR + curve.rational_torsion()[torsion]
+    p = curve.w_to_bary(w)
+    text = f"{point_to_literal(p)} {curve.on_translation_locus(p)} {maps.classify_transfer(p).kind}"
+    assert digest(text) == EXPECTED["curve"]["digests"][f"{k}:{torsion}"]
+
+
+@pytest.mark.parametrize("figure,index", SVG)
+def test_svg_figure(figure, index):
+    coords = EXPECTED["figures"]["placements"][index]
+    placement = svgfig.Placement(coords) if coords is not None else None
+    svg = svgfig.render_figure(figure, placement)
+    assert digest(svg) == EXPECTED["figures"]["digests"][figure][index]

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -312,3 +314,90 @@ class TestEtaReflection:
         cfg = derive_configuration(G)
         with pytest.raises(OnMedian):
             eta_reflection(cfg)
+
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "expected.json"
+
+
+def _closed_form_cases():
+    """The pinned compute literals by tower depth, and translation points."""
+    pools = json.loads(EXPECTED.read_text())["compute"]
+    cases = [pytest.param([lit for lit, _ in pool], id=depth)
+             for depth, pool in sorted(pools.items())]
+    return cases + [pytest.param(None, id="translation")]
+
+
+def _entries(m: AffineMap):
+    return [(e.tower, e.num, e.den) for row in m.rows for e in row]
+
+
+class TestTransferClosedForm:
+    @pytest.mark.parametrize("literals", _closed_form_cases())
+    def test_entry_identical_to_composition(self, literals):
+        from ceviangeo.curve import sample_translation_points
+        from ceviangeo.verify import composed_transfer
+
+        if literals is None:
+            points = sample_translation_points(8, seed=5)
+        else:
+            points = [point(lit) for lit in literals]
+        for p in points:
+            composed = composed_transfer(cevian_map(p), cevian_map(isotomic(p)))
+            assert _entries(transfer_map(p)) == _entries(composed), p
+
+    @pytest.mark.parametrize("fn", [transfer_map, classify_transfer])
+    @pytest.mark.parametrize(
+        "coords,error",
+        [
+            ([1, 0, 0], OnSideline),
+            ([0, 1, 2], OnSideline),
+            ([1, -1, 3], OnAnticomplementarySideline),
+            ([2, 2, -1], OnSteinerCircumellipse),
+            ([1, 2, -3], InfinitePointArgument),
+        ],
+        ids=["vertex", "sideline", "anticomplementary-sideline", "steiner-circumellipse",
+             "infinite"],
+    )
+    def test_invalid_base_point(self, fn, coords, error):
+        with pytest.raises(error):
+            fn(BaryPoint(*coords))
+
+    def test_symbolic_oracle(self):
+        # derive T_P o K o T_P' from the cevian triangles with sympy and
+        # compare it, its ratio and its center with the library's closed forms
+        import sympy
+
+        x, y, z = sympy.symbols("x y z")
+
+        def cevian(a, b, c):
+            traces = ((0, b, c), (a, 0, c), (a, b, 0))
+            return sympy.Matrix(3, 3, lambda i, j: traces[j][i] / sum(traces[j]))
+
+        k_inv = sympy.Matrix([[-1, 1, 1], [1, -1, 1], [1, 1, -1]])
+        m = cevian(x, y, z) * k_inv * cevian(y * z, x * z, x * y)
+        m = m * sympy.diag(*(1 / sum(m[:, j]) for j in range(3)))
+        m = m.applyfunc(sympy.factor)
+        d = (x + y) * (x + z) * (y + z)
+        closed = sympy.Matrix([
+            [x * (y - z) ** 2, x * (y + z) ** 2, x * (y + z) ** 2],
+            [y * (x + z) ** 2, y * (x - z) ** 2, y * (x + z) ** 2],
+            [z * (x + y) ** 2, z * (x + y) ** 2, z * (x - y) ** 2],
+        ]) / d
+        assert (m - closed).applyfunc(sympy.cancel) == sympy.zeros(3, 3)
+        k = -4 * x * y * z / d
+        for v in (sympy.Matrix([1, -1, 0]), sympy.Matrix([0, 1, -1])):
+            assert (m * v - k * v).applyfunc(sympy.cancel) == sympy.zeros(3, 1)
+        s = sympy.Matrix([x * (y + z) ** 2, y * (x + z) ** 2, z * (x + y) ** 2])
+        moved = m[:, 0] - k * sympy.Matrix([1, 0, 0])
+        assert moved.cross(s).applyfunc(sympy.cancel) == sympy.zeros(3, 1)
+        assert sympy.expand(sum(s) - d - 4 * x * y * z) == 0
+
+        rng = random.Random(34)
+        for _ in range(6):
+            p = random_valid(rng)
+            at = dict(zip((x, y, z), (sympy.Rational(str(c)) for c in p.coords)))
+            rows = [[sympy.Rational(str(e)) for e in row] for row in transfer_map(p).rows]
+            assert sympy.Matrix(rows) == m.subs(at)
+            cls = classify_transfer(p)
+            assert cls.ratio == fe(str(k.subs(at)))
+            assert cls.center == BaryPoint(*(fe(str(c)) for c in s.subs(at)))

@@ -74,6 +74,7 @@ CROSS_CHECK_SWAPS = (
     (2, "circumconic", "inconic"),
     (3, "inconic", "circumconic"),
     (4, "cevian_conic", "circumconic"),
+    (5, "transfer", "t_p"),
 )
 
 
@@ -86,9 +87,9 @@ def test_construction_profile_entry_can_fail(index, member, source):
     from ceviangeo.verify import construction_profile
 
     cfg = derive_configuration(point([1, 2, 3]))
-    assert construction_profile(cfg) == (True,) * 5
+    assert construction_profile(cfg) == (True,) * 6
     broken = construction_profile(replace(cfg, **{member: getattr(cfg, source)}))
-    assert broken == tuple(i != index for i in range(5))
+    assert broken == tuple(i != index for i in range(6))
 
 
 def test_translation_cross_check_entries_can_fail(monkeypatch):
@@ -105,7 +106,7 @@ def test_translation_cross_check_entries_can_fail(monkeypatch):
     results = run_suite("translation", seed=0, n=2).results
     cross = [r for r in results if r.name.startswith("constructions ")]
     assert len(cross) == 4
-    assert all(not r.passed and r.detail == repr((True, True, False, True, True))
+    assert all(not r.passed and r.detail == repr((True, True, False, True, True, True))
                for r in cross)
 
 
