@@ -1,10 +1,12 @@
 """Deterministic SVG figures from exact geometry.
 
 Conics are traced through an exact rational second-intersection sweep (no
-square roots are ever taken); coordinates become decimal only at the output
-boundary, at twelve significant digits.  Paths are reserved for conics;
-segments and markers use line, circle and text elements, so a figure's
-conic count equals its path count.
+square roots are ever taken): from a base point of the conic, each line in a
+grid of directions meets the conic once more, at a point that is a closed
+form in the sweep parameter (see ``conic_sweep``).  Coordinates become
+decimal only at the output boundary, at twelve significant digits.  Paths
+are reserved for conics; segments and markers use line, circle and text
+elements, so a figure's conic count equals its path count.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class Placement:
         )
         if area2 == 0:
             raise DegeneratePlacement("the three placed vertices are collinear")
+        self._floats = tuple(float(v) for v in vals)
 
     @classmethod
     def default(cls) -> Placement:
@@ -54,8 +57,9 @@ class Placement:
 
     def locate(self, p: BaryPoint) -> tuple[float, float]:
         wa, wb, wc = (_fe_float(c) for c in p.normalized())
-        x = wa * float(self.ax) + wb * float(self.bx) + wc * float(self.cx)
-        y = wa * float(self.ay) + wb * float(self.by) + wc * float(self.cy)
+        ax, ay, bx, by, cx, cy = self._floats
+        x = wa * ax + wb * bx + wc * cx
+        y = wa * ay + wb * by + wc * cy
         return x, y
 
 
@@ -63,42 +67,58 @@ def _fmt(v: float) -> str:
     return format(v, ".12g")
 
 
-def _direction(chart: int, t: Fraction) -> BaryPoint:
-    # two charts covering the projective line of directions
-    if chart == 0:
-        coords = (Fraction(1), t - 1, -t)
-    else:
-        coords = (t, 1 - t, Fraction(-1))
-    return BaryPoint(*coords)
-
-
 def conic_sweep(c: Conic, base: BaryPoint, steps: int = 96) -> list[BaryPoint | None]:
     """Exact points sweeping the conic once: the second intersection of the
     line through a base point of the conic in every direction.  None marks a
-    direction where the point escapes to infinity (hyperbola branch gap)."""
+    direction where the point escapes to infinity (hyperbola branch gap).
+
+    The directions are the infinite points e + t*f, then f + t*e, for
+    e = (1,-1,0), f = (0,1,-1) and t = n/s on the grid s = ``steps``,
+    n = 2k - s; scaling a direction does not move the point, so
+    d = s*e + n*f and d = n*e + s*f.  The line bn + lam*d through the
+    normalized base bn meets the conic again at lam = -2*bd/qd, with
+    qd = d^T C d = s^2*Qee + 2sn*Qef + n^2*Qff and bd = bn^T C d = s*Be + n*Bf
+    (the second chart swaps Qee with Qff and Be with Bf); the five
+    coefficients are computed once per conic.  qd = 0 is an asymptotic
+    direction (None) and bd = 0 the tangent at the base, where the sweep
+    returns to bn.  Since bn sums to 1 and d to 0, every point sums to 1.
+    """
+    if steps < 1:
+        raise ValueError(f"sweep needs at least one step, got {steps}")
     if not c.contains(base):
         raise ValueError("sweep base must lie on the conic")
     bn = BaryPoint(*base.normalized())
+    b0, b1, b2 = bn.coords
+    m = c.m
+    ce = [row[0] - row[1] for row in m]  # C e
+    cf = [row[1] - row[2] for row in m]  # C f
+    qee, qef, qff = ce[0] - ce[1], cf[0] - cf[1], cf[1] - cf[2]
+    be = b0 * ce[0] + b1 * ce[1] + b2 * ce[2]
+    bf = b0 * cf[0] + b1 * cf[1] + b2 * cf[2]
+    s = steps
+    q_sn = qef * (2 * s)
     out: list[BaryPoint | None] = []
-    params = [Fraction(2 * k, steps) - 1 for k in range(steps + 1)]
-    sweep = [(0, t) for t in params] + [(1, t) for t in reversed(params[:-1])]
-    for chart, t in sweep:
-        d = _direction(chart, t)
-        qd = c.evaluate(d)
-        bd = c.pair(bn, d)
-        if qd.is_zero():
-            out.append(None)  # asymptotic direction
-            continue
-        lam = -2 * bd / qd
-        if lam.is_zero():
-            # tangent direction at the base point: the sweep returns there
-            out.append(bn)
-            continue
-        pt = BaryPoint(*(x + lam * y for x, y in zip(bn.coords, d.coords)))
-        if pt.is_infinite():
-            out.append(None)
-        else:
-            out.append(pt)
+    # chart 0: d = (s, n-s, -n) for n = -s, -s+2, ..., s; chart 1:
+    # d = (n, s-n, -s) for n = s-2, s-4, ..., -s
+    for chart, q_ss, q_nn, b_s, b_n, ns in (
+        (0, qee, qff, be, bf, range(-s, s + 1, 2)),
+        (1, qff, qee, bf, be, range(s - 2, -s - 1, -2)),
+    ):
+        q_ss = q_ss * (s * s)
+        b_s, b_n = b_s * (-2 * s), b_n * -2  # -2*bd, the numerator of lam
+        for n in ns:
+            qd = q_ss + q_sn * n + q_nn * (n * n)
+            if qd.is_zero():
+                out.append(None)  # asymptotic direction
+                continue
+            lam_num = b_s + b_n * n
+            if lam_num.is_zero():
+                # tangent direction at the base point: the sweep returns there
+                out.append(bn)
+                continue
+            lam = lam_num * qd.inverse()
+            d0, d2 = (s, -n) if chart == 0 else (n, -s)
+            out.append(BaryPoint(b0 + lam * d0, b1 - lam * (d0 + d2), b2 + lam * d2))
     return out
 
 

@@ -373,27 +373,26 @@ def verify_translation_criteria(seed: int = 0, n: int = 10) -> SuiteReport:
     off_points = random_valid_points(n, seed + 1, off_locus=True)
     for p in on_points:
         cfg = derive_configuration(p)
-        prof = translation_condition_profile(cfg)
-        kind_ok = classify_map(cfg.transfer).is_translation()
-        report.add(
-            f"on-locus {point_to_literal(p)[:48]}",
-            all(prof) and kind_ok,
-            repr(prof) if not all(prof) else "",
-        )
+        report.check(f"on-locus {point_to_literal(p)[:48]}",
+                     lambda: _translation_flags(cfg, on_locus=True))
         report.check(f"constructions on-locus {point_to_literal(p)[:48]}",
                      lambda: construction_profile(cfg))
     for p in off_points:
         cfg = derive_configuration(p)
-        prof = translation_condition_profile(cfg)
-        kind_ok = not classify_map(cfg.transfer).is_translation()
-        report.add(
-            f"off-locus {point_to_literal(p)}",
-            not any(prof) and kind_ok,
-            repr(prof) if any(prof) else "",
-        )
+        report.check(f"off-locus {point_to_literal(p)}",
+                     lambda: _translation_flags(cfg, on_locus=False))
         report.check(f"constructions off-locus {point_to_literal(p)}",
                      lambda: construction_profile(cfg))
     return report
+
+
+def _translation_flags(cfg, on_locus: bool) -> tuple[bool, ...]:
+    """The six translation conditions, then whether the transfer map is a
+    translation; each flag is True when it matches the side of the locus
+    the base point is on.  A transfer map that is neither a homothety nor a
+    translation raises, which the calling check records as a failure."""
+    flags = translation_condition_profile(cfg) + (classify_map(cfg.transfer).is_translation(),)
+    return flags if on_locus else tuple(not f for f in flags)
 
 
 def verify_translation_consequences(seed: int = 0, n: int = 10) -> SuiteReport:

@@ -1,0 +1,178 @@
+"""The closed-form conic sweep against the generic second-intersection route.
+
+``generic_sweep`` is the sweep as the definition reads: per direction d it
+evaluates the conic at d, pairs the normalized base with d and moves by
+lam = -2*bd/qd.  ``svgfig.conic_sweep`` must give the same list, point for
+point and value for value, on every figure's conics, on seeded conics over
+towers of depth 0 to 2, and on conics built so that the grid meets an
+asymptotic direction and the tangent at the base.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ceviangeo import svgfig
+from ceviangeo.conics import Conic
+from ceviangeo.field import FieldElement, fe
+from ceviangeo.plane import A, B, BaryPoint
+
+
+def generic_sweep(c: Conic, base: BaryPoint, steps: int) -> list[BaryPoint | None]:
+    bn = BaryPoint(*base.normalized())
+    params = [Fraction(2 * k, steps) - 1 for k in range(steps + 1)]
+    sweep = [(0, t) for t in params] + [(1, t) for t in reversed(params[:-1])]
+    out = []
+    for chart, t in sweep:
+        d = BaryPoint(1, t - 1, -t) if chart == 0 else BaryPoint(t, 1 - t, -1)
+        qd, bd = c.evaluate(d), c.pair(bn, d)
+        if qd.is_zero():
+            out.append(None)
+            continue
+        lam = -2 * bd / qd
+        if lam.is_zero():
+            out.append(bn)
+            continue
+        pt = BaryPoint(*(x + lam * y for x, y in zip(bn.coords, d.coords)))
+        out.append(None if pt.is_infinite() else pt)
+    return out
+
+
+def assert_matches_generic(c: Conic, base: BaryPoint, steps: int):
+    got = svgfig.conic_sweep(c, base, steps)
+    want = generic_sweep(c, base, steps)
+    assert len(got) == len(want) == 2 * steps + 1
+    for i, (p, q) in enumerate(zip(got, want)):
+        if q is None:
+            assert p is None, i
+            continue
+        assert p is not None, i
+        assert p.coords == q.coords, i
+        assert p.coordinate_sum() == 1, i
+        assert c.contains(p), i
+    return got
+
+
+def depth(c: Conic) -> int:
+    return max(len(x.minimal().tower) for row in c.m for x in row)
+
+
+def figure_sweeps(monkeypatch, name: str) -> list[tuple[Conic, BaryPoint, int]]:
+    """The (conic, base, steps) of every sweep the figure draws."""
+    calls = []
+    sweep = svgfig.conic_sweep
+
+    def recording(c, base, steps=96):
+        calls.append((c, base, steps))
+        return sweep(c, base, steps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(svgfig, "conic_sweep", recording)
+        svgfig.render_figure(name)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(svgfig.FIGURES))
+def test_figure_sweeps_match_generic_route(monkeypatch, name):
+    sweeps = figure_sweeps(monkeypatch, name)
+    assert sweeps
+    for c, base, steps in sweeps:
+        assert_matches_generic(c, base, steps)
+
+
+def test_figure_conics_cover_depths_zero_and_one(monkeypatch):
+    depths = {depth(c) for name in svgfig.FIGURES for c, _, _ in figure_sweeps(monkeypatch, name)}
+    assert depths == {0, 1}
+
+
+R2, R3 = FieldElement.root(2), FieldElement.root(3)
+BASIS = {0: [fe(1)], 1: [fe(1), R2], 2: [fe(1), R2, R3, R2 * R3]}
+
+
+def random_element(rng: random.Random, d: int) -> FieldElement:
+    return sum((Fraction(rng.randint(-6, 6), rng.randint(1, 4)) * b for b in BASIS[d]), fe(0))
+
+
+def seeded_conic(seed: int, d: int) -> tuple[Conic, BaryPoint]:
+    """A nondegenerate conic over a tower of depth d through a random base:
+    a random symmetric matrix whose m00 is shifted to put the base on it."""
+    rng = random.Random(seed)
+    while True:
+        b = [random_element(rng, d) for _ in range(3)]
+        if b[0].is_zero() or sum(b, fe(0)).is_zero():
+            continue
+        six = [random_element(rng, d) for _ in range(6)]
+        c = Conic.from_upper(six)
+        base = BaryPoint(*b)
+        six[0] = six[0] - c.evaluate(base) / (b[0] * b[0])
+        c = Conic.from_upper(six)
+        if not c.is_degenerate():
+            return c, base
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("steps", [1, 2, 7, 24])
+def test_seeded_conics_match_generic_route(seed, d, steps):
+    c, base = seeded_conic(100 * d + seed, d)
+    assert c.contains(base) and depth(c) == d
+    assert_matches_generic(c, base, steps)
+
+
+# base A; e = (1,-1,0) is asymptotic (chart 0 at t = 0) and the tangent at A
+# is the direction (1,0,-1) (chart 0 at t = 1)
+HYPERBOLA_A = Conic(((0, 1, 0), (1, 2, 0), (0, 0, -1)))
+# base B; f = (0,1,-1) is asymptotic (chart 1 at t = 0) and the tangent at B
+# is the direction (1,1,-2) (chart 1 at t = 1/2)
+HYPERBOLA_B = Conic(((1, 2, 0), (2, 0, 1), (0, 1, 2)))
+
+
+@pytest.mark.parametrize("c,base,asymptote,tangent", [
+    (HYPERBOLA_A, A, 48, 96),
+    (HYPERBOLA_B, B, 144, 120),
+], ids=["chart0", "chart1"])
+def test_grid_hits_asymptote_and_tangent(c, base, asymptote, tangent):
+    assert not c.is_degenerate()
+    got = assert_matches_generic(c, base, 96)
+    assert got[asymptote] is None
+    assert got[tangent] == base and got[tangent].coordinate_sum() == 1
+    assert sum(p is None for p in got) == 2
+    assert sum(p is not None and p == base for p in got) == 1
+
+
+@pytest.mark.parametrize("steps", [0, -4])
+def test_sweep_rejects_nonpositive_steps(steps):
+    with pytest.raises(ValueError):
+        svgfig.conic_sweep(HYPERBOLA_A, A, steps)
+
+
+def test_sweep_rejects_a_base_off_the_conic():
+    with pytest.raises(ValueError):
+        svgfig.conic_sweep(HYPERBOLA_A, B, 8)
+
+
+def test_sweep_coefficient_identities():
+    import sympy
+
+    m = sympy.symbols("m00 m01 m02 m11 m12 m22")
+    cm = sympy.Matrix([[m[0], m[1], m[2]], [m[1], m[3], m[4]], [m[2], m[4], m[5]]])
+    b0, b1, s, n, lam = sympy.symbols("b0 b1 s n lam")
+    bn = sympy.Matrix([b0, b1, 1 - b0 - b1])
+    e, f = sympy.Matrix([1, -1, 0]), sympy.Matrix([0, 1, -1])
+    qee, qef, qff = (e.T * cm * e)[0], (e.T * cm * f)[0], (f.T * cm * f)[0]
+    be, bf = (bn.T * cm * e)[0], (bn.T * cm * f)[0]
+    charts = (
+        (s * e + n * f, qee, qff, be, bf),
+        (n * e + s * f, qff, qee, bf, be),
+    )
+    for d, q_ss, q_nn, b_s, b_n in charts:
+        qd, bd = (d.T * cm * d)[0], (bn.T * cm * d)[0]
+        assert sympy.expand(qd - (s**2 * q_ss + 2 * s * n * qef + n**2 * q_nn)) == 0
+        assert sympy.expand(bd - (s * b_s + n * b_n)) == 0
+        # Q(bn + lam*d) = Q(bn) + lam*(2*bd + lam*qd): when bn is on the
+        # conic, so is the point at lam = -2*bd/qd, and it sums to 1
+        pt = bn + lam * d
+        on = (pt.T * cm * pt)[0] - (bn.T * cm * bn)[0] - lam * (2 * bd + lam * qd)
+        assert sympy.expand(on) == 0
+        assert sympy.expand(sum(pt)) == 1

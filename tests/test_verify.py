@@ -110,6 +110,40 @@ def test_translation_cross_check_entries_can_fail(monkeypatch):
                for r in cross)
 
 
+def test_translation_entries_fail_on_a_non_scalar_transfer(monkeypatch):
+    from dataclasses import replace
+
+    import ceviangeo.verify as verify_mod
+
+    # the cevian map of p is neither a homothety nor a translation, so
+    # classifying it raises NotHomothetyOrTranslation inside each entry
+    derive = verify_mod.derive_configuration
+    monkeypatch.setattr(
+        verify_mod,
+        "derive_configuration",
+        lambda p: replace(derive(p), transfer=derive(p).t_p),
+    )
+    results = run_suite("translation", seed=0, n=2).results
+    entries = [r for r in results if r.name.startswith(("on-locus ", "off-locus "))]
+    assert len(entries) == 4
+    assert all(not r.passed and r.detail.startswith("NotHomothetyOrTranslation")
+               for r in entries)
+
+
+def test_translation_entry_reports_the_failing_condition(monkeypatch):
+    import ceviangeo.verify as verify_mod
+
+    # every condition now claims p is off the locus: on-locus entries fail
+    # on the six conditions but not on the map's kind
+    monkeypatch.setattr(verify_mod, "translation_condition_profile",
+                        lambda cfg: (False,) * 6)
+    results = run_suite("translation", seed=0, n=2).results
+    on = [r for r in results if r.name.startswith("on-locus ")]
+    off = [r for r in results if r.name.startswith("off-locus ")]
+    assert all(not r.passed and r.detail == repr((False,) * 6 + (True,)) for r in on)
+    assert all(r.passed for r in off)
+
+
 def test_special_checks_can_fail(monkeypatch):
     import ceviangeo.locus as locus_mod
     from ceviangeo.plane import point
