@@ -12,8 +12,9 @@ the nine-point conic), which ``verify`` keeps as cross-checks.
 
 from __future__ import annotations
 
-from .field import FieldElement, fe, ZERO, ONE
-from .linalg import adjugate3, det3, matmul3, matvec3, nullspace, transpose3
+from .field import FieldElement, fe, ZERO, ONE, sqrt_extending
+from .linalg import adjugate3, det3, matmul3, matvec3, nullspace, proportional, transpose3
+from .maps import isotom_complement, validate_point
 from .plane import (
     A,
     B,
@@ -46,10 +47,6 @@ class NotSharedInfinity(ConicError):
 
 
 class IdenticalConics(ConicError):
-    pass
-
-
-class NotAHyperbola(ConicError):
     pass
 
 
@@ -105,10 +102,7 @@ class Conic:
     def __eq__(self, other):
         if not isinstance(other, Conic):
             return NotImplemented
-        a, b = self.upper(), other.upper()
-        pivot = next(i for i in range(6) if not b[i].is_zero())
-        t = a[pivot] / b[pivot]
-        return all(a[i] == b[i] * t for i in range(6))
+        return proportional(self.upper(), other.upper())
 
     def __hash__(self):
         raise TypeError("Conic is unhashable")
@@ -148,15 +142,6 @@ def polar(c: Conic, p: BaryPoint) -> BaryLine:
     return BaryLine(*coords)
 
 
-def pole(c: Conic, line: BaryLine) -> BaryPoint:
-    if c.is_degenerate():
-        raise DegenerateConic("pole needs a nondegenerate conic")
-    coords = matvec3(adjugate3(c.m), line.coords)
-    if all(x.is_zero() for x in coords):
-        raise DegenerateConic("line has no pole")
-    return BaryPoint(*coords)
-
-
 def tangent_at(c: Conic, p: BaryPoint) -> BaryLine:
     if not c.contains(p):
         raise PointNotOnConic(f"{p} is not on the conic")
@@ -189,8 +174,6 @@ def intersect_line(c: Conic, line: BaryLine, extend: bool = False) -> list[BaryP
     radicand one may adjoin, unless ``extend`` is set, in which case the
     extension is adjoined automatically (TowerDepthExceeded past depth 2).
     """
-    from .field import sqrt_extending
-
     p0, p1 = _span_points(line)
     a = c.evaluate(p1)
     b = c.pair(p0, p1)
@@ -236,19 +219,6 @@ def affine_type(c: Conic) -> str:
     if sgn == 0:
         return "parabola"
     return "ellipse"
-
-
-def infinite_points(c: Conic) -> list[BaryPoint]:
-    """The real points of the conic on the infinite line (may need a tower
-    extension; raises NotASquare with the radicand in that case)."""
-    return [p for p in intersect_line(c, LINE_AT_INFINITY)]
-
-
-def asymptotes(c: Conic) -> tuple[BaryLine, BaryLine]:
-    if affine_type(c) != "hyperbola":
-        raise NotAHyperbola("asymptotes exist only for hyperbolas")
-    i1, i2 = infinite_points(c)
-    return tangent_at(c, i1), tangent_at(c, i2)
 
 
 def conic_image(c: Conic, mapping) -> Conic:
@@ -338,10 +308,6 @@ def steiner_circumellipse() -> Conic:
     return circumconic_of_line(LINE_AT_INFINITY)
 
 
-def steiner_inellipse() -> Conic:
-    return Conic(((1, -1, -1), (-1, 1, -1), (-1, -1, 1)))
-
-
 def circumconic_of_line(line: BaryLine) -> Conic:
     """The isotomic image of a line: for line (p:q:r) the circumconic
     p*yz + q*xz + r*xy = 0."""
@@ -356,8 +322,6 @@ def inconic(p: BaryPoint) -> Conic:
     """The conic tangent to the sidelines at the cevian traces of p = (a:b:c),
     centered at the isotomcomplement: with w = (c/a, c/b, 1), m_ii = w_i^2
     and m_ij = -w_i*w_j."""
-    from .maps import validate_point
-
     validate_point(p)
     a, b, c = p.coords
     w = (c / a, c / b, ONE)
@@ -387,8 +351,6 @@ def circumconic_for(p: BaryPoint) -> Conic:
     """The circumconic centered at the generalized circumcenter of p = (a:b:c):
     the isotomic image of (q1^2 : q2^2 : q3^2) for the isotomcomplement q,
     times -4a^2b^2c/((a+b)(a+c)(b+c))^3, the scale of the nine-point route."""
-    from .maps import isotom_complement, validate_point
-
     validate_point(p)
     a, b, c = p.coords
     scale = -4 * a * a * b * b * c / ((a + b) * (a + c) * (b + c)) ** 3

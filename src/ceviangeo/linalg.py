@@ -1,4 +1,5 @@
-"""Tiny exact linear algebra over field elements: 3x3 kernels and nullspaces."""
+"""Tiny exact linear algebra over field elements: 3x3 kernels, equality up
+to scale and nullspaces."""
 
 from __future__ import annotations
 
@@ -52,6 +53,13 @@ def matmul3(a, b):
 
 def transpose3(m):
     return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
+
+
+def proportional(a, b) -> bool:
+    """Whether a = t*b for some scalar t; b must have a nonzero entry."""
+    pivot = next(i for i, x in enumerate(b) if not x.is_zero())
+    t = a[pivot] / b[pivot]
+    return all(x == y * t for x, y in zip(a, b))
 
 
 def nullspace(rows: list[list[FieldElement]]) -> list[list[FieldElement]]:

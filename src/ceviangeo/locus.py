@@ -32,6 +32,7 @@ from .plane import (
     midpoint,
 )
 from .maps import (
+    ANTICOMPLEMENT,
     AffineMap,
     Configuration,
     cevian_traces,
@@ -46,10 +47,12 @@ from .maps import (
 from .conics import (
     Conic,
     ConstructionError,
+    IdenticalConics,
+    _span_points,
     affine_type,
-    conic_through,
     intersect_line,
     intersect_shared_infinity,
+    radical_line,
     reflect_conic,
 )
 from . import curve as _curve
@@ -195,8 +198,6 @@ def doubled_anticomplementary_line() -> BaryLine:
     """The image of sideline BC under the anticomplement map applied twice:
     the line parallel to BC through the reflection of A in the centroid-side
     midpoint."""
-    from .maps import ANTICOMPLEMENT
-
     bc = BaryLine(1, 0, 0)
     return ANTICOMPLEMENT.apply_line(ANTICOMPLEMENT.apply_line(bc))
 
@@ -312,7 +313,7 @@ def construction_frame(p: BaryPoint) -> ConstructionFrame:
     b_inf = _tangency_point(conic, join(cfg.z, f_mid))
     if not (a_inf.is_infinite() and b_inf.is_infinite()):
         raise ConstructionError("asymptote tangency points must be infinite")
-    frame = ConstructionFrame(
+    return ConstructionFrame(
         h=cfg.h,
         u=cfg.u,
         p=cfg.p,
@@ -332,23 +333,6 @@ def construction_frame(p: BaryPoint) -> ConstructionFrame:
         asymptote_points=(a_inf, b_inf),
         t_p=cfg.t_p,
     )
-    _check_frame(frame)
-    return frame
-
-
-def _check_frame(frame: ConstructionFrame) -> None:
-    ok = (
-        frame.z == midpoint(frame.h, frame.p)
-        and frame.z == midpoint(frame.u, frame.v)
-        and frame.q == midpoint(frame.p, frame.v)
-        and frame.q_iso == midpoint(frame.h, frame.u)
-        and frame.o == midpoint(frame.u, frame.p)
-        and frame.g == meet(join(frame.u, frame.v), join(frame.h, frame.o))
-        and frame.g == midpoint(frame.e, frame.f)
-        and frame.conic == conic_through(frame.p, frame.q, frame.h, frame.q_iso, frame.p_iso)
-    )
-    if not ok:
-        raise ConstructionError("frame invariants failed")
 
 
 def half_turn_projectivity(frame: ConstructionFrame, y: BaryPoint) -> BaryPoint:
@@ -402,8 +386,6 @@ def admissible(frame: ConstructionFrame, a1: BaryPoint) -> bool:
     conic must meet in two distinct real ordinary points and a1 must not lie
     on the reflected conic.  Decided by the sign of the discriminant of the
     radical-line intersection, never by square roots."""
-    from .conics import IdenticalConics, _span_points, radical_line
-
     if not frame.conic.contains(a1):
         raise NotOnConic(f"{a1} is not on the frame conic")
     if a1.is_infinite():

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import FieldElement, fe, ZERO, ONE
-from .linalg import adjugate3, det3, matmul3, matvec3, vecmat3
+from .linalg import adjugate3, det3, matmul3, matvec3, proportional, vecmat3
 from .plane import (
     A,
     B,
@@ -27,6 +27,7 @@ from .plane import (
     BaryPoint,
     InfinitePointArgument,
     infinite_point_of,
+    is_parallel,
     join,
     meet,
 )
@@ -127,20 +128,11 @@ class AffineMap:
     def __eq__(self, other):
         if not isinstance(other, AffineMap):
             return NotImplemented
-        # equality up to scale
-        a, b = self.rows, other.rows
-        pivot = None
-        for i in range(3):
-            for j in range(3):
-                if not b[i][j].is_zero():
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            return all(x.is_zero() for r in a for x in r)
-        t = a[pivot[0]][pivot[1]] / b[pivot[0]][pivot[1]]
-        return all(a[i][j] == b[i][j] * t for i in range(3) for j in range(3))
+        # equality up to scale; the constructor accepts the zero matrix
+        a, b = sum(self.rows, ()), sum(other.rows, ())
+        if all(x.is_zero() for x in b):
+            return all(x.is_zero() for x in a)
+        return proportional(a, b)
 
     def __hash__(self):
         raise TypeError("AffineMap is unhashable")
@@ -149,13 +141,6 @@ class AffineMap:
         return f"AffineMap({self.rows!r})"
 
 
-COMPLEMENT = AffineMap.from_columns(
-    (
-        (0, fe(1) / 2, fe(1) / 2),
-        (fe(1) / 2, 0, fe(1) / 2),
-        (fe(1) / 2, fe(1) / 2, 0),
-    )
-)
 ANTICOMPLEMENT = AffineMap.from_columns(((-1, 1, 1), (1, -1, 1), (1, 1, -1)))
 
 
@@ -389,7 +374,7 @@ def orthocenter(p: BaryPoint) -> BaryPoint:
 
 def derive_configuration(p: BaryPoint) -> Configuration:
     """Compute the full derived-point dictionary for a valid base point."""
-    from . import conics as _conics
+    from . import conics as _conics  # conics imports maps at module level
 
     validate_point(p)
     p_iso = isotomic(p)
@@ -441,8 +426,6 @@ def orthocenter_matches_definition(cfg: Configuration) -> bool:
     """Independent check of the orthocenter: the line from each vertex to h
     is parallel to the line from q to the corresponding cevian trace.
     Pairs where either line degenerates are skipped."""
-    from .plane import is_parallel
-
     traces = cevian_traces(cfg.p)
     checked = 0
     for vertex, trace in zip((A, B, C), traces):

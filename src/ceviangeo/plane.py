@@ -201,11 +201,6 @@ def is_parallel(l1: BaryLine, l2: BaryLine) -> bool:
     return meet(l1, l2).is_infinite()
 
 
-def parallel_through(line: BaryLine, p: BaryPoint) -> BaryLine:
-    """The line through p parallel to the given ordinary line."""
-    return join(p, infinite_point_of(line))
-
-
 def _diff(p: BaryPoint, q: BaryPoint):
     pn, qn = p.normalized(), q.normalized()
     return tuple(a - b for a, b in zip(pn, qn))
@@ -242,12 +237,6 @@ def displacement_ratio(a: BaryPoint, b: BaryPoint, c: BaryPoint, d: BaryPoint) -
     return _vector_ratio(_diff(b, a), _diff(d, c))
 
 
-def is_between(x: BaryPoint, y: BaryPoint, z: BaryPoint) -> bool:
-    """True when y lies strictly between x and z on their common line."""
-    t = signed_ratio(x, y, z)
-    return t.sign() > 0 and (1 - t).sign() > 0
-
-
 def affine_combination(weighted: list[tuple[BaryPoint, FieldElement]]) -> BaryPoint:
     weights = [fe(w) for _, w in weighted]
     total = sum(weights, ZERO)
@@ -264,11 +253,6 @@ def affine_combination(weighted: list[tuple[BaryPoint, FieldElement]]) -> BaryPo
 def midpoint(p: BaryPoint, q: BaryPoint) -> BaryPoint:
     half = fe(1) / 2
     return affine_combination([(p, half), (q, half)])
-
-
-def reflect_through(p: BaryPoint, center: BaryPoint) -> BaryPoint:
-    """The image of p under the half-turn about center."""
-    return affine_combination([(center, fe(2)), (p, fe(-1))])
 
 
 def centroid(*points: BaryPoint) -> BaryPoint:

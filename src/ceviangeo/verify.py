@@ -20,6 +20,7 @@ from .plane import (
     G,
     BaryLine,
     BaryPoint,
+    affine_combination,
     centroid,
     collinear,
     displacement_ratio,
@@ -547,6 +548,28 @@ def verify_curve(seed: int = 0, n: int = 20) -> SuiteReport:
     return report
 
 
+def frame_profile(frame) -> tuple[bool, ...]:
+    """The identities of the construction frame.  Each names a member that
+    no other entry reads, so changing one member fails one entry: z is the
+    center of the parallelogram h-u-p-v, whose fourth vertex v = h + p - u;
+    q, q_iso and o are the midpoints of its sides p v, h u and u p; g is the
+    centroid of h, u and p (where the diagonal u v meets the line h o) and
+    bisects the secant e f; the conic is the five-point fit through p, q, h,
+    q_iso and p_iso."""
+    h, u, p = frame.h, frame.u, frame.p
+    fourth = affine_combination([(h, 1), (p, 1), (u, -1)])
+    return (
+        frame.z == midpoint(h, p),
+        frame.v == fourth,
+        frame.q == midpoint(p, fourth),
+        frame.q_iso == midpoint(h, u),
+        frame.o == midpoint(u, p),
+        frame.g == centroid(h, u, p),
+        frame.g == midpoint(frame.e, frame.f),
+        frame.conic == conic_through(p, frame.q, h, frame.q_iso, frame.p_iso),
+    )
+
+
 def verify_construction(seed: int = 0, n: int = 5) -> SuiteReport:
     """The inscribed-triangle construction on the canonical frame."""
     report = SuiteReport("construction")
@@ -556,6 +579,7 @@ def verify_construction(seed: int = 0, n: int = 5) -> SuiteReport:
         report.add("canonical frame construction", False, str(exc))
         return report
     report.add("canonical frame construction", True)
+    report.check("frame identities", lambda: frame_profile(frame))
     report.check(
         "projectivity cycles u -> z -> v -> u",
         lambda: locus_mod.half_turn_projectivity(frame, frame.u) == frame.z

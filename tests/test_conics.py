@@ -30,11 +30,9 @@ from ceviangeo.maps import (
 from ceviangeo.conics import (
     Conic,
     DegenerateConfiguration,
-    NotAHyperbola,
     NotSharedInfinity,
     PointNotOnConic,
     affine_type,
-    asymptotes,
     conic_center,
     conic_image,
     conic_through,
@@ -46,11 +44,9 @@ from ceviangeo.conics import (
     nine_point_conic,
     circumconic_of_line,
     polar,
-    pole,
     radical_line,
     reflect_conic,
     steiner_circumellipse,
-    steiner_inellipse,
     tangent_at,
 )
 
@@ -117,12 +113,6 @@ class TestPolarity:
             ).is_zero()
             assert on_polar_pq == on_polar_qp
 
-    def test_pole_polar_inverse(self):
-        rng = random.Random(7)
-        for _ in range(15):
-            p = BaryPoint(*(rng.randint(1, 9) for _ in range(3)))
-            assert pole(VERTEX_A_CONIC, polar(VERTEX_A_CONIC, p)) == p
-
     def test_center_on_diameters(self):
         # the center lies on the polar of every infinite point
         c = VERTEX_A_CONIC
@@ -165,9 +155,6 @@ class TestLineIntersection:
 
 
 class TestAffineType:
-    def test_steiner_inellipse_is_ellipse(self):
-        assert affine_type(steiner_inellipse()) == "ellipse"
-
     def test_vertex_conic_is_ellipse(self):
         assert affine_type(VERTEX_A_CONIC) == "ellipse"
 
@@ -187,12 +174,9 @@ class TestAffineType:
         c = Conic(m)
         assert not c.is_degenerate()
         assert affine_type(c) == "hyperbola"
-        a1, a2 = asymptotes(c)
+        # the asymptotes are the tangents at the two infinite points
+        a1, a2 = (tangent_at(c, v) for v in intersect_line(c, LINE_AT_INFINITY))
         assert {a1, a2} == {BaryLine(*l1), BaryLine(*l2)}
-
-    def test_asymptotes_need_hyperbola(self):
-        with pytest.raises(NotAHyperbola):
-            asymptotes(steiner_inellipse())
 
 
 class TestSharedInfinity:
@@ -219,7 +203,7 @@ class TestSharedInfinity:
 class TestNamedConics:
     def test_inconic_of_centroid_is_steiner_inellipse(self):
         c = inconic(G)
-        assert c == steiner_inellipse()
+        assert c == Conic(((1, -1, -1), (-1, 1, -1), (-1, -1, 1)))
         assert conic_center(c) == G
 
     def test_inconic_center(self):

@@ -21,6 +21,7 @@ from ceviangeo.plane import (
 from ceviangeo.maps import classify_transfer
 from ceviangeo.conics import affine_type, intersect_line, tangent_at
 from ceviangeo.curve import on_translation_locus, sample_translation_points
+from ceviangeo.verify import frame_profile
 from ceviangeo.locus import (
     DegenerateInscribed,
     ExcludedParameter,
@@ -241,6 +242,7 @@ class TestInscribed:
             B.canonical().coords,
             C.canonical().coords,
         }
+        assert frame_profile(frame2) == (True,) * 8
 
 
 def _torsion_barycentric():
@@ -298,3 +300,17 @@ class TestArcStructure:
         for start, _, _ in point_false:
             p = sweep[start]
             assert reflected_conic(frame, p).contains(p)
+
+
+def test_frame_needs_no_linear_solver(monkeypatch):
+    import ceviangeo.conics as conics_mod
+    import ceviangeo.linalg as linalg_mod
+
+    def refuse(rows):
+        raise AssertionError("construction_frame ran a nullspace fit")
+
+    # conics binds nullspace at import, so both names are replaced
+    monkeypatch.setattr(linalg_mod, "nullspace", refuse)
+    monkeypatch.setattr(conics_mod, "nullspace", refuse)
+    frame = canonical_frame()
+    assert frame.conic.contains(frame.p) and frame.conic.contains(frame.q)

@@ -24,15 +24,12 @@ from ceviangeo.plane import (
     collinear,
     displacement_ratio,
     infinite_point_of,
-    is_between,
     is_parallel,
     join,
     meet,
     midpoint,
-    parallel_through,
     point,
     point_to_literal,
-    reflect_through,
     signed_ratio,
 )
 
@@ -76,10 +73,6 @@ class TestIncidence:
         assert is_parallel(BaryLine(1, 0, 0), BaryLine(0, 1, 1))
         with pytest.raises(InfiniteLineArgument):
             is_parallel(LINE_AT_INFINITY, BaryLine(1, 0, 0))
-
-    def test_parallel_through(self):
-        l = parallel_through(BaryLine(1, 0, 0), G)
-        assert l == BaryLine(-2, 1, 1)
 
     def test_infinite_point_of(self):
         assert infinite_point_of(BaryLine(1, 0, 0)) == BaryPoint(0, 1, -1)
@@ -139,16 +132,8 @@ class TestRatios:
     def test_displacement_ratio(self):
         assert displacement_ratio(A, G, G, D0) == 2
 
-    def test_between(self):
-        assert is_between(B, D0, C)
-        assert not is_between(D0, B, C)
-        assert not is_between(B, C, D0)
-
 
 class TestCombinations:
-    def test_reflection(self):
-        assert reflect_through(A, D0) == BaryPoint(-1, 1, 1)
-
     def test_weights_must_sum_to_one(self):
         with pytest.raises(WeightsSumNotOne):
             affine_combination([(A, fe(1)), (B, fe(1))])

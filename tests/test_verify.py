@@ -92,6 +92,53 @@ def test_construction_profile_entry_can_fail(index, member, source):
     assert broken == tuple(i != index for i in range(6))
 
 
+# one swap per frame identity; each moves members that only that identity
+# reads, or moves them where the other identities still hold: q and q_iso
+# stay on the conic, and the secant ends h and p still have midpoint z
+FRAME_SWAPS = (
+    (0, {"z": "g"}),
+    (1, {"v": "z"}),
+    (2, {"q": "e"}),
+    (3, {"q_iso": "f"}),
+    (4, {"o": "g"}),
+    (5, {"g": "z", "e": "h", "f": "p"}),
+    (6, {"e": "f"}),
+    (7, {"p_iso": "o_iso"}),
+)
+
+
+@pytest.fixture(scope="module")
+def frame():
+    from ceviangeo.locus import canonical_frame
+
+    return canonical_frame()
+
+
+@pytest.mark.parametrize("index,swap", FRAME_SWAPS)
+def test_frame_profile_entry_can_fail(frame, index, swap):
+    from dataclasses import replace
+
+    from ceviangeo.verify import frame_profile
+
+    assert frame_profile(frame) == (True,) * 8
+    broken = frame_profile(replace(frame, **{m: getattr(frame, s) for m, s in swap.items()}))
+    assert broken == tuple(i != index for i in range(8))
+
+
+def test_frame_identities_entry_can_fail(monkeypatch):
+    from dataclasses import replace
+
+    import ceviangeo.locus as locus_mod
+
+    canonical = locus_mod.canonical_frame
+    monkeypatch.setattr(locus_mod, "canonical_frame",
+                        lambda: replace(canonical(), q=canonical().e))
+    results = run_suite("construction", seed=0, n=1).results
+    assert [r.name for r in results[:2]] == ["canonical frame construction", "frame identities"]
+    entry = results[1]
+    assert not entry.passed and entry.detail == repr(tuple(i != 2 for i in range(8)))
+
+
 def test_translation_cross_check_entries_can_fail(monkeypatch):
     from dataclasses import replace
 
