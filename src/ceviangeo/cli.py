@@ -124,7 +124,7 @@ def cmd_curve(args) -> int:
         }
         print(json.dumps(out))
     elif args.action == "multiple":
-        w = args.k * curve_mod.GENERATOR
+        w = curve_mod.generator_multiple(args.k)
         out = {"k": args.k, "point": _wpoint_json(w)}
         if not w.is_infinity():
             bary = curve_mod.w_to_bary(w)
@@ -186,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="curve arithmetic queries")
     p_curve.add_argument("action", choices=("invariants", "torsion", "multiple", "sample"))
-    p_curve.add_argument("--k", type=int, default=1, help="multiple of the generator")
+    p_curve.add_argument("--k", type=int, default=1,
+                         help=f"multiple of the generator, |k| <= {curve_mod.MULTIPLE_BOUND}")
     p_curve.add_argument("--n", type=int, default=None)
     p_curve.add_argument("--seed", type=int, default=0)
     p_curve.set_defaults(func=cmd_curve)
@@ -214,7 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FieldError, PlaneError, MapError, ValueError, KeyError,
+    except (FieldError, PlaneError, MapError, curve_mod.CurveError, ValueError, KeyError,
             svgfig.DegeneratePlacement, locus_mod.LocusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,17 @@ Shifting u by 2 puts the Weierstrass model in the minimal form
 v^2 = u^3 - 15u + 22 (Cremona label 36a2), whose Mordell-Weil rank over Q
 is zero; here that fact is not recomputed, and the bounded checks that the
 generator's first 24 multiples avoid the torsion group stand in for it.
+
+The generator G = (3, 6*sqrt(2)) has rational u and v in sqrt(2)*Q, so it
+is the image of the rational point G' = (6, 24) of the quadratic twist
+V^2 = U^3 + 12U^2 - 12U under u = U/2, v = (V/4)*sqrt(2) (Silverman, The
+Arithmetic of Elliptic Curves, GTM 106, section X.2).  The map is a group
+homomorphism, so ``k*P`` for such a point runs double-and-add on the twist
+over Q and lifts the result once onto the tower with sqrt(2); both curves
+share one chord-tangent formula.  Group-law results are built without
+evaluating the cubic (only ``WPoint(...)`` and ``WPoint.of`` check it); the
+``curve`` suite's entries "generator multiples lie on the curve" and
+"twist multiples equal chord-tangent multiples up to 24" check them.
 """
 
 from __future__ import annotations
@@ -25,9 +36,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .field import FieldElement, fe, sqrt_extending, ZERO
-from .plane import A, BaryPoint
+from .plane import A, BaryPoint, _integral
 from . import maps as _maps
 
 
@@ -48,13 +60,56 @@ class BadParameter(CurveError):
     pass
 
 
+class MultipleTooLarge(CurveError):
+    """A multiple of the generator above MULTIPLE_BOUND was requested."""
+
+
 # Weierstrass coefficients of v^2 = u^3 + 6u^2 - 3u
 _A2 = fe(6)
 _A4 = fe(-3)
+# its quadratic twist by 2, V^2 = U^3 + 12U^2 - 12U, with u = U/2 and
+# v = (V/4)*sqrt(2); the twist's rational torsion is {O, (0, 0)} (Nagell-Lutz),
+# so a point with v != 0 on its image has no torsion
+_TWIST_TOWER = (2,)
+_TWIST_A2 = fe(12)
+_TWIST_A4 = fe(-12)
+# the largest |k| whose multiple of the generator the CLI prints: the
+# coordinates of k*G have about 0.7*k^2 bits, 3.5 k digits at k = 128
+MULTIPLE_BOUND = 128
 
 
 def _rhs(u: FieldElement) -> FieldElement:
     return u * (u * u + 6 * u - 3)
+
+
+def _chord_tangent(a2, a4, p, q):
+    """p + q on v^2 = u^3 + a2*u^2 + a4*u, for coordinate pairs (u, v) with
+    None for the point at infinity."""
+    if p is None:
+        return q
+    if q is None:
+        return p
+    (u1, v1), (u2, v2) = p, q
+    if u1 == u2:
+        if (v1 + v2).is_zero():
+            return None
+        slope = (3 * u1 * u1 + 2 * a2 * u1 + a4) / (2 * v1)
+    else:
+        slope = (v2 - v1) / (u2 - u1)
+    u3 = slope * slope - a2 - u1 - u2
+    return u3, -(v1 + slope * (u3 - u1))
+
+
+def _double_and_add(a2, a4, p, n: int):
+    """n*p for n >= 0 on the curve with coefficients (a2, a4)."""
+    acc = None
+    while n:
+        if n & 1:
+            acc = _chord_tangent(a2, a4, acc, p)
+        n >>= 1
+        if n:
+            p = _chord_tangent(a2, a4, p, p)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -84,7 +139,7 @@ class WPoint:
     def __neg__(self) -> WPoint:
         if self.is_infinity():
             return self
-        return WPoint(self.u, -self.v)
+        return _wpoint((self.u, -self.v))
 
     def __add__(self, other: WPoint) -> WPoint:
         if not isinstance(other, WPoint):
@@ -93,16 +148,7 @@ class WPoint:
             return other
         if other.is_infinity():
             return self
-        u1, v1, u2, v2 = self.u, self.v, other.u, other.v
-        if u1 == u2:
-            if (v1 + v2).is_zero():
-                return WPoint.infinity()
-            slope = (3 * u1 * u1 + 2 * _A2 * u1 + _A4) / (2 * v1)
-        else:
-            slope = (v2 - v1) / (u2 - u1)
-        u3 = slope * slope - _A2 - u1 - u2
-        v3 = -(v1 + slope * (u3 - u1))
-        return WPoint(u3, v3)
+        return _wpoint(_chord_tangent(_A2, _A4, (self.u, self.v), (other.u, other.v)))
 
     def __sub__(self, other: WPoint) -> WPoint:
         return self + (-other)
@@ -112,14 +158,11 @@ class WPoint:
             return NotImplemented
         if n < 0:
             return (-n) * (-self)
-        acc = WPoint.infinity()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc + base
-            base = base + base
-            n >>= 1
-        return acc
+        if n > 1:
+            twisted = _to_twist(self)
+            if twisted is not None:
+                return _from_twist(_double_and_add(_TWIST_A2, _TWIST_A4, twisted, n))
+        return chord_tangent_multiple(self, n)
 
     def double(self) -> WPoint:
         return self + self
@@ -139,7 +182,60 @@ class WPoint:
         return f"WPoint({self.u!r}, {self.v!r})"
 
 
+def _wpoint(coords) -> WPoint:
+    """Internal constructor for group-law results, which lie on the curve by
+    construction: skips the cubic evaluation of ``WPoint.__post_init__``."""
+    w = object.__new__(WPoint)
+    u, v = (None, None) if coords is None else coords
+    object.__setattr__(w, "u", u)
+    object.__setattr__(w, "v", v)
+    return w
+
+
+def _to_twist(p: WPoint):
+    """(U, V) = (2u, 2*sqrt(2)*v) over Q when p is finite with rational u and
+    v a nonzero rational multiple of sqrt(2), else None."""
+    if p.is_infinity():
+        return None
+    u, v = p.u, p.v
+    if v.tower != _TWIST_TOWER or v.num[0] or not v.num[1]:
+        return None
+    if u.tower not in ((), _TWIST_TOWER) or not u.is_rational():
+        return None
+    return 2 * u.minimal(), fe(Fraction(4 * v.num[1], v.den))
+
+
+def _from_twist(coords) -> WPoint:
+    """The point (U/2, (V/4)*sqrt(2)) over the tower with sqrt(2); the twist
+    point is finite, being a multiple of a point of infinite order."""
+    big_u, big_v = coords
+    u = (big_u / 2).in_tower(_TWIST_TOWER)
+    v = FieldElement(_TWIST_TOWER, (0, (big_v / 4).as_fraction()))
+    return _wpoint((u, v))
+
+
+def chord_tangent_multiple(p: WPoint, n: int) -> WPoint:
+    """n*p by double-and-add with the chord-tangent law on the curve itself.
+    ``n*p`` takes this route unless p lies on the image of the twist; there
+    it is the cross-check of the twist route."""
+    if n < 0:
+        return chord_tangent_multiple(-p, -n)
+    if p.is_infinity():
+        return p
+    return _wpoint(_double_and_add(_A2, _A4, (p.u, p.v), n))
+
+
 GENERATOR = WPoint.of(3, FieldElement.root(2) * 6)
+
+
+def generator_multiple(k: int) -> WPoint:
+    """k*GENERATOR for |k| <= MULTIPLE_BOUND."""
+    if abs(k) > MULTIPLE_BOUND:
+        raise MultipleTooLarge(
+            f"|k| = {abs(k)} exceeds {MULTIPLE_BOUND}: the coordinates of k*G have"
+            " about 0.7*k^2 bits"
+        )
+    return k * GENERATOR
 
 
 def curve_invariants() -> dict[str, Fraction]:
@@ -181,8 +277,9 @@ def rational_torsion() -> list[WPoint]:
     ]
 
 
-def torsion_points() -> list[WPoint]:
-    """The full 12-element torsion group, defined over the tower with sqrt(3)."""
+@cache
+def _torsion_group() -> tuple[WPoint, ...]:
+    """The torsion points, built and checked on first use."""
     r3 = FieldElement.root(3)
     extra = []
     for sgn in (1, -1):
@@ -193,7 +290,12 @@ def torsion_points() -> list[WPoint]:
         v = fe(12) + 6 * sgn * r3
         extra.append(WPoint(u, v))
         extra.append(WPoint(u, -v))
-    return rational_torsion() + extra
+    return tuple(rational_torsion() + extra)
+
+
+def torsion_points() -> list[WPoint]:
+    """The full 12-element torsion group, defined over the tower with sqrt(3)."""
+    return list(_torsion_group())
 
 
 def torsion_order_census() -> dict[int, int]:
@@ -222,7 +324,7 @@ def torsion_addition_table() -> list[list[int]]:
 
 
 def is_torsion(p: WPoint) -> bool:
-    return any(p == t for t in torsion_points())
+    return any(p == t for t in _torsion_group())
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +420,7 @@ def translation_y_discriminant(x) -> FieldElement:
 
 
 def on_translation_locus(p: BaryPoint) -> bool:
-    return translation_cubic(p).is_zero()
+    return translation_cubic(_integral(p)).is_zero()
 
 
 @dataclass(frozen=True)

@@ -558,8 +558,9 @@ class FieldElement:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- order ---------------------------------------------------------------

@@ -26,6 +26,7 @@ from .plane import (
     BaryLine,
     BaryPoint,
     InfinitePointArgument,
+    _integral,
     infinite_point_of,
     is_parallel,
     join,
@@ -312,7 +313,10 @@ def classify_transfer(p: BaryPoint) -> MClassification:
     """Classify the transfer map of p without building it.  Its center is
     S = transfer_center_formula(p), whose coordinate sum is D + 4xyz with
     D = (x+y)(x+z)(y+z): when S is infinite the map is a translation in the
-    direction S, otherwise a homothety about S with ratio -4xyz/D."""
+    direction S, otherwise a homothety about S with ratio -4xyz/D.  Both are
+    evaluated on the point scaled to integral coordinates, so the center is
+    S up to a scalar."""
+    p = _integral(p)
     validate_point(p)
     s = transfer_center_formula(p)
     if s.is_infinite():

@@ -8,6 +8,8 @@ scale, and the canonical form divides by the first nonzero entry.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .field import FieldElement, fe, ZERO, format_element, parse_element
 from .linalg import det3
 
@@ -133,6 +135,16 @@ D0 = BaryPoint(0, 1, 1)
 E0 = BaryPoint(1, 0, 1)
 F0 = BaryPoint(1, 1, 0)
 LINE_AT_INFINITY = BaryLine(1, 1, 1)
+
+
+def _integral(p: BaryPoint) -> BaryPoint:
+    """The same point scaled by the lcm of its coordinates' denominators, so
+    each coordinate has denominator one and a polynomial zero test in them
+    reduces no product by a gcd."""
+    scale = lcm(*(c.den for c in p.coords))
+    if scale == 1:
+        return p
+    return BaryPoint(*(c * scale for c in p.coords))
 
 
 def point(value) -> BaryPoint:

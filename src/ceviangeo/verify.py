@@ -429,6 +429,21 @@ def verify_curve(seed: int = 0, n: int = 20) -> SuiteReport:
         "fourth multiple of the generator",
         4 * gen == curve_mod.WPoint.of(fe("169/8"), fe("-2483/32") * r2),
     )
+
+    def multiples_on_curve():
+        # group-law results skip the constructor's check, so evaluate the
+        # cubic on a seeded sample of k*G + T
+        sample_rng = random.Random(seed + 3)
+        torsion = curve_mod.rational_torsion()
+        points = [sample_rng.choice((1, -1)) * sample_rng.randint(1, 40) * gen
+                  + sample_rng.choice(torsion) for _ in range(8)]
+        return tuple(curve_mod._rhs(w.u) == w.v * w.v for w in points)
+
+    report.check("generator multiples lie on the curve", multiples_on_curve)
+    report.check(
+        "twist multiples equal chord-tangent multiples up to 24",
+        lambda: all(k * gen == curve_mod.chord_tangent_multiple(gen, k) for k in range(1, 25)),
+    )
     census = curve_mod.torsion_order_census()
     report.add("torsion order census {1:1, 2:3, 3:2, 6:6}", census == {1: 1, 2: 3, 3: 2, 6: 6})
     report.check("torsion closes under addition",

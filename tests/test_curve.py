@@ -54,6 +54,10 @@ class TestGroupLaw:
     def test_named_multiples(self):
         assert 2 * GENERATOR == WPoint.of(fe("1/2"), R2 / 4)
         assert 4 * GENERATOR == WPoint.of(fe("169/8"), fe("-2483/32") * R2)
+        # exactly: both coordinates on the tower with sqrt(2), the rational u too
+        double, fourth = 2 * GENERATOR, 4 * GENERATOR
+        assert [(c.tower, c.num, c.den) for c in (double.u, double.v, fourth.u, fourth.v)] == [
+            ((2,), (1, 0), 2), ((2,), (0, 1), 4), ((2,), (169, 0), 8), ((2,), (0, -2483), 32)]
 
     def test_secant_addition(self):
         assert WPoint.of(1, 2) + WPoint.of(-3, 6) == WPoint.of(-3, -6)
@@ -103,6 +107,13 @@ class TestTorsion:
     def test_generator_not_torsion(self):
         for n in range(1, 25):
             assert not is_torsion(n * GENERATOR)
+
+    def test_fresh_lists_from_the_cached_group(self):
+        pts = torsion_points()
+        pts.clear()
+        rational_torsion().clear()
+        assert len(torsion_points()) == 12 and len(rational_torsion()) == 6
+        assert is_torsion(torsion_points()[7])
 
     def test_addition_table_structure(self):
         from ceviangeo.curve import torsion_addition_table

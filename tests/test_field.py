@@ -57,6 +57,21 @@ class TestArithmetic:
         assert x ** 5 == x * x * x * x * x
         assert x ** -2 == (x * x).inverse()
 
+    def test_power_skips_the_unused_last_square(self, monkeypatch):
+        mul, calls = FieldElement.__mul__, []
+
+        def counting(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(FieldElement, "__mul__", counting)
+        x = 1 + R2
+        for n in range(1, 10):
+            calls.clear()
+            x ** n
+            # one product per set bit and one square per bit after the first
+            assert len(calls) == bin(n).count("1") + n.bit_length() - 1
+
 
 class TestSign:
     def test_root_two_below_three_halves(self):
