@@ -64,6 +64,11 @@ class MultipleTooLarge(CurveError):
     """A multiple of the generator above MULTIPLE_BOUND was requested."""
 
 
+class SampleTooLarge(CurveError):
+    """A sample of translation points larger than SAMPLE_BOUND, or of
+    negative size, was requested."""
+
+
 # Weierstrass coefficients of v^2 = u^3 + 6u^2 - 3u
 _A2 = fe(6)
 _A4 = fe(-3)
@@ -76,6 +81,10 @@ _TWIST_A4 = fe(-12)
 # the largest |k| whose multiple of the generator the CLI prints: the
 # coordinates of k*G have about 0.7*k^2 bits, 3.5 k digits at k = 128
 MULTIPLE_BOUND = 128
+# the largest sample sample_translation_points draws: its multiple range
+# widens with n, so coordinate heights grow with n^2 (n = 128 takes about
+# 0.8 s, n = 256 about 9 s)
+SAMPLE_BOUND = 128
 
 
 def _rhs(u: FieldElement) -> FieldElement:
@@ -522,10 +531,20 @@ def median_torsion_bary() -> list[BaryPoint]:
     ]
 
 
+def check_sample_size(n: int) -> None:
+    """Raise SampleTooLarge unless 0 <= n <= SAMPLE_BOUND."""
+    if not 0 <= n <= SAMPLE_BOUND:
+        raise SampleTooLarge(
+            f"sample size {n} is outside 0..{SAMPLE_BOUND}: the coordinate heights"
+            " of the sampled points grow with n^2"
+        )
+
+
 def sample_translation_points(n: int, seed: int = 0) -> list[BaryPoint]:
     """n distinct valid base points on the translation locus over the tower
     with sqrt(2), built as small signed multiples of the generator plus
     rational torsion (so coordinate heights stay moderate)."""
+    check_sample_size(n)
     rng = random.Random(seed)
     torsion = rational_torsion()
     out: list[BaryPoint] = []

@@ -840,36 +840,45 @@ def parse_element(text: str) -> FieldElement:
 
 
 def format_element(a: FieldElement) -> str:
-    """Canonical textual form, parseable by parse_element."""
+    """Canonical textual form, parseable by parse_element.
+
+    The element is taken over its minimal tower and written as the rational
+    part, then one term per nonzero radicand in increasing order, each
+    ``c*sqrt(d)`` with ``c`` in lowest terms, ``sqrt(d)`` when ``c`` is 1 and
+    a leading sign only where it is negative.  The terms come from the
+    integer ``num``/``den`` with one gcd each, not from ``coeffs``.
+    """
     m = a.minimal()
-    terms: list[tuple[Fraction, int]] = []
-    if m.coeffs[0] != 0:
-        terms.append((m.coeffs[0], 1))
+    num, den = m.num, m.den
+    terms = [(num[0], 1)] if num[0] else []
     for rad, (i, mult) in sorted(_directions(m.tower).items()):
-        c = m.coeffs[i]
-        if c != 0:
-            terms.append((c * mult, rad))
+        if num[i]:
+            terms.append((num[i] * mult, rad))
     if not terms:
         return "0"
     parts = []
-    for c, rad in terms:
-        mag = -c if c < 0 else c
+    for n, rad in terms:
+        g = gcd(n, den)
+        top, bot = abs(n) // g, den // g
+        mag = str(top) if bot == 1 else f"{top}/{bot}"
         if rad == 1:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = f"sqrt({rad})"
         else:
             body = f"{mag}*sqrt({rad})"
-        parts.append(("-" if c < 0 else ("+" if parts else "")) + body)
+        parts.append(("-" if n < 0 else ("+" if parts else "")) + body)
     return "".join(parts)
 
 
 def element_to_json(a: FieldElement) -> dict:
     m = a.minimal()
-    return {
-        "tower": list(m.tower),
-        "coeffs": [[str(c.numerator), str(c.denominator)] for c in m.coeffs],
-    }
+    den = m.den
+    coeffs = []
+    for n in m.num:
+        g = gcd(n, den)
+        coeffs.append([str(n // g), str(den // g)])
+    return {"tower": list(m.tower), "coeffs": coeffs}
 
 
 def element_from_json(data: dict) -> FieldElement:

@@ -587,6 +587,8 @@ def frame_profile(frame) -> tuple[bool, ...]:
 
 def verify_construction(seed: int = 0, n: int = 5) -> SuiteReport:
     """The inscribed-triangle construction on the canonical frame."""
+    # the admissible samples are pulled back from a batch of 2n translation points
+    curve_mod.check_sample_size(2 * n)
     report = SuiteReport("construction")
     try:
         frame = locus_mod.canonical_frame()

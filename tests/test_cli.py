@@ -1,12 +1,17 @@
+import argparse
+import hashlib
 import json
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+from ceviangeo import cli
 from ceviangeo.cli import main
-from ceviangeo.field import format_element, parse_element
+from ceviangeo.field import FieldElement, format_element, parse_element
 from ceviangeo.plane import point, point_to_literal
 from ceviangeo import svgfig
 
@@ -153,6 +158,42 @@ class TestCurveLocusCommands:
         code, out2, _ = run_cli(["curve", "sample", "--n", "3", "--seed", "4"], capsys)
         assert out1 == out2
 
+    # sha256[:16] of the printed samples, recorded before the sample bound existed
+    @pytest.mark.parametrize("seed,n,expected", [
+        (0, 1, "7f2288a244471f86"),
+        (0, 5, "5187dcd846e67380"),
+        (1, 17, "b334123034fce166"),
+        (7, 40, "a41ac5b5f980a16f"),
+        (3, 64, "ca2fc7b17ef1d1b7"),
+        (2, 128, "72522f049ea6fa36"),
+    ])
+    def test_sample_output_pinned(self, seed, n, expected, capsys):
+        code, out, _ = run_cli(["curve", "sample", "--n", str(n), "--seed", str(seed)], capsys)
+        assert code == 0 and len(json.loads(out)) == n
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected
+
+    def test_sample_count_defaults_only_when_absent(self, capsys):
+        code, out, _ = run_cli(["curve", "sample"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "5187dcd846e67380"
+        code, out, _ = run_cli(["curve", "sample", "--n", "0"], capsys)
+        assert code == 0 and json.loads(out) == []
+
+    @pytest.mark.parametrize("args", [
+        ["curve", "sample", "--n", "129"],
+        ["curve", "sample", "--n", "100000"],
+        ["curve", "sample", "--n", "-1"],
+        ["verify", "translation", "--n", "100000"],
+        ["verify", "consequences", "--n", "129"],
+        ["verify", "construction", "--n", "65"],
+    ])
+    def test_oversized_sample_refused_fast(self, args, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(args, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "sample size" in err
+
     def test_locus_param(self, capsys):
         code, out, _ = run_cli(["locus", "param", "--vertex", "A", "--t", "1/3"], capsys)
         assert code == 0
@@ -161,6 +202,73 @@ class TestCurveLocusCommands:
     def test_locus_check(self, capsys):
         code, out, _ = run_cli(["locus", "check", "--point", "[6,3,2]"], capsys)
         assert json.loads(out)["orthocenter_vertex"] == "A"
+
+
+def run_any(args, capsys):
+    """Exit code, stdout and stderr of a call that may end in SystemExit."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+REUSE_CALLS = (
+    ["compute", "[6,3,2]", "all", "--json"],
+    ["verify", "special"],
+    ["curve", "multiple", "--k", "3"],
+    ["render", sorted(svgfig.FIGURES)[0]],
+    ["compute"],
+    ["--help"],
+)
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_a_fresh_one(self, capsys):
+        reused = [run_any(args, capsys) for args in REUSE_CALLS + REUSE_CALLS]
+        fresh = []
+        for args in REUSE_CALLS:
+            cli._parser.cache_clear()
+            fresh.append(run_any(args, capsys))
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 0]
+        assert reused == fresh + fresh
+
+    def test_compute_builds_the_parser_once(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        counts = []
+        for _ in range(2):
+            before = len(built)
+            assert main(["compute", "[6,3,2]", "all", "--json"]) == 0
+            counts.append(len(built) - before)
+        cli._parser.cache_clear()
+        assert counts[0] > 0 and counts[1] == 0
+
+
+EXPECTED_COMPUTE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "expected.json").read_text()
+)["compute"]
+
+
+@pytest.mark.parametrize("depth", ["d0", "d1", "d2"])
+def test_compute_output_reads_no_fraction_coefficients(depth, monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("FieldElement.coeffs read on the compute path")
+
+    monkeypatch.setattr(FieldElement, "coeffs", property(refuse))
+    pool = EXPECTED_COMPUTE[depth]
+    for literal, expected in (pool[0], pool[-1]):
+        code, out, err = run_cli(["compute", literal, "all", "--json"], capsys)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected
 
 
 class TestSerializationRoundTrip:

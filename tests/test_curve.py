@@ -7,6 +7,8 @@ from ceviangeo.field import FieldElement, fe
 from ceviangeo.plane import A, B, C, BaryPoint, point
 from ceviangeo.curve import (
     GENERATOR,
+    SAMPLE_BOUND,
+    SampleTooLarge,
     BadParameter,
     MapUndefined,
     NFPoint,
@@ -292,6 +294,12 @@ class TestSampler:
     def test_samples_live_over_sqrt2(self):
         for p in sample_translation_points(10, seed=2):
             assert all(c.minimal().tower in ((), (2,)) for c in p.coords)
+
+    def test_sample_size_bounded(self):
+        assert sample_translation_points(0) == []
+        for n in (-1, SAMPLE_BOUND + 1, 10 ** 9):
+            with pytest.raises(SampleTooLarge):
+                sample_translation_points(n)
 
 
 class TestNormalFormFamily:

@@ -545,3 +545,76 @@ class TestDifferential:
         assert _sym_equal(_sym(a.inverse()) * _sym(a), 1)
         assert (a * a).sqrt() == (a if a.sign() > 0 else -a)
         assert parse_element(format_element(b)) == b
+
+
+# ---------------------------------------------------------------------------
+# the integer formatter against the Fraction-based one it replaced
+
+
+def _format_oracle(a: FieldElement) -> str:
+    """format_element as written on the Fraction-valued ``coeffs``."""
+    m = a.minimal()
+    terms = []
+    if m.coeffs[0] != 0:
+        terms.append((m.coeffs[0], 1))
+    for rad, (i, mult) in sorted(_directions(m.tower).items()):
+        c = m.coeffs[i]
+        if c != 0:
+            terms.append((c * mult, rad))
+    if not terms:
+        return "0"
+    parts = []
+    for c, rad in terms:
+        mag = -c if c < 0 else c
+        if rad == 1:
+            body = str(mag)
+        elif mag == 1:
+            body = f"sqrt({rad})"
+        else:
+            body = f"{mag}*sqrt({rad})"
+        parts.append(("-" if c < 0 else ("+" if parts else "")) + body)
+    return "".join(parts)
+
+
+def _json_oracle(a: FieldElement) -> dict:
+    m = a.minimal()
+    return {
+        "tower": list(m.tower),
+        "coeffs": [[str(c.numerator), str(c.denominator)] for c in m.coeffs],
+    }
+
+
+# (2, 6), (6, 10), (6, 15) and (10, 15) have a product radicand that is not
+# squarefree, so their last basis vector is 2*sqrt(3), 2*sqrt(15), 3*sqrt(10)
+# or 5*sqrt(6) and the printed coefficient is the stored one times that multiplier
+FORMAT_TOWERS = ((), (2,), (3,), (15,), (2, 3), (2, 6), (6, 10), (6, 15), (10, 15))
+edge_q = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                          Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 5)])
+
+
+class TestIntegerFormatter:
+    @settings(max_examples=300, deadline=None)
+    @given(field_elements(towers=FORMAT_TOWERS,
+                          coeffs=st.one_of(edge_q, edge_q, small_q, big_q)))
+    def test_matches_fraction_oracle(self, a):
+        assert format_element(a) == _format_oracle(a)
+        assert element_to_json(a) == _json_oracle(a)
+
+    def test_multiplier_edge_cases(self):
+        half = Fraction(1, 2)
+        cases = [
+            FieldElement((6, 10), (0, 0, 0, half)),  # sqrt(15)
+            FieldElement((6, 10), (0, 0, 0, -half)),  # -sqrt(15)
+            FieldElement((6, 10), (1, -1, half, Fraction(1, 4))),
+            FieldElement((2, 6), (0, 0, 0, half)),  # sqrt(3)
+            FieldElement((10, 15), (0, 0, 0, Fraction(2, 5))),  # 2*sqrt(6)
+            FieldElement((2, 3), (0, 0, 0, 0)),
+            FieldElement((), (Fraction(-(2 ** 300) - 1, 3 ** 190),)),
+        ]
+        texts = [format_element(a) for a in cases]
+        assert texts[:6] == ["sqrt(15)", "-sqrt(15)", "1-sqrt(6)+1/2*sqrt(10)+1/2*sqrt(15)",
+                             "sqrt(3)", "2*sqrt(6)", "0"]
+        for a, text in zip(cases, texts):
+            assert text == _format_oracle(a)
+            assert element_to_json(a) == _json_oracle(a)
+            assert parse_element(text) == a
