@@ -65,8 +65,8 @@ class MultipleTooLarge(CurveError):
 
 
 class SampleTooLarge(CurveError):
-    """A sample of translation points larger than SAMPLE_BOUND, or of
-    negative size, was requested."""
+    """A sample larger than SAMPLE_BOUND, or of negative size, was
+    requested: of translation points, or per invariant of a verify suite."""
 
 
 # Weierstrass coefficients of v^2 = u^3 + 6u^2 - 3u
@@ -534,10 +534,7 @@ def median_torsion_bary() -> list[BaryPoint]:
 def check_sample_size(n: int) -> None:
     """Raise SampleTooLarge unless 0 <= n <= SAMPLE_BOUND."""
     if not 0 <= n <= SAMPLE_BOUND:
-        raise SampleTooLarge(
-            f"sample size {n} is outside 0..{SAMPLE_BOUND}: the coordinate heights"
-            " of the sampled points grow with n^2"
-        )
+        raise SampleTooLarge(f"sample size {n} is outside 0..{SAMPLE_BOUND}")
 
 
 def sample_translation_points(n: int, seed: int = 0) -> list[BaryPoint]:

@@ -283,6 +283,19 @@ def _vsign(tower: tuple[int, ...], a: tuple[int, ...]) -> int:
     return sp * _vsign(lower, tuple(x - d * y for x, y in zip(pp, qq)))
 
 
+def _vinverse(tower: tuple[int, ...], num: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(acc, norm) with num * acc == norm, an integer, for a nonzero
+    numerator vector: 1/num = acc/norm.  Multiply by one Galois conjugate per
+    radicand until the product is rational; the norm is nonzero because each
+    sqrt(d) is irrational over the rest of the tower."""
+    acc = None
+    for bit in range(len(tower)):
+        conj = tuple(-c if i >> bit & 1 else c for i, c in enumerate(num))
+        acc = conj if acc is None else _vmul(tower, acc, conj)
+        num = _vmul(tower, num, conj)
+    return (1,) if acc is None else acc, num[0]
+
+
 def _add(tower, an, da, bn, db) -> FieldElement:
     """an/da + bn/db, reducing only by gcd(da, db) (Henrici)."""
     g = gcd(da, db)
@@ -426,9 +439,11 @@ class FieldElement:
         """Equivalent element over the smallest canonical tower."""
         cached = self._minimal
         if cached is not None:
-            return cached
+            return self if cached is True else cached
         result = self._embed(_canonical_of(self._present()))
-        object.__setattr__(self, "_minimal", result)
+        # True marks an element that is its own minimal form: caching self
+        # would make a reference cycle that only the cyclic collector frees
+        object.__setattr__(self, "_minimal", True if result is self else result)
         return result
 
     @staticmethod
@@ -533,15 +548,8 @@ class FieldElement:
             if n < 0:
                 return _make(tower, (-self.den,) + pad, -n)
             return _make(tower, (self.den,) + pad, n)
-        # 1/x = conj(x) / N(x): multiply by one Galois conjugate per radicand
-        # until the numerator vector is rational; the norm is nonzero because
-        # each sqrt(d) is irrational over the rest of the tower
-        acc = None
-        for bit in range(len(tower)):
-            conj = tuple(-c if i >> bit & 1 else c for i, c in enumerate(num))
-            acc = conj if acc is None else _vmul(tower, acc, conj)
-            num = _vmul(tower, num, conj)
-        return _reduced(tower, tuple(self.den * c for c in acc), num[0])
+        acc, norm = _vinverse(tower, num)
+        return _reduced(tower, tuple(self.den * c for c in acc), norm)
 
     def __truediv__(self, other):
         other = FieldElement.coerce(other)

@@ -3,8 +3,13 @@
 Conics are traced through an exact rational second-intersection sweep (no
 square roots are ever taken): from a base point of the conic, each line in a
 grid of directions meets the conic once more, at a point that is a closed
-form in the sweep parameter (see ``conic_sweep``).  Coordinates become
-decimal only at the output boundary, at twelve significant digits.  Paths
+form in the sweep parameter (see ``conic_sweep``).  The sweep lifts its
+per-conic coefficients once to integer numerator vectors on one tower, so
+each swept point costs integer arithmetic only, and it returns every point
+in absolute barycentrics (summing to 1): ``_conic_path`` places them as they
+are with ``Placement.place``, while ``Placement.locate`` normalizes any other
+point first.  Coordinates become decimal only at the output boundary, at
+twelve significant digits, each read from its minimal tower.  Paths
 are reserved for conics; segments and markers use line, circle and text
 elements, so a figure's conic count equals its path count.
 """
@@ -14,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .field import FieldElement, _directions
+from .field import FieldElement, _canonical_of, _directions, _reduced, _vinverse, _vmul
 from .plane import A, B, C, G, BaryPoint, point
 from .conics import Conic
 from . import conics as conics_mod
@@ -40,7 +45,12 @@ class Placement:
     """Cartesian positions for the reference triangle's vertices."""
 
     def __init__(self, coords):
-        vals = [Fraction(c) for c in coords]
+        try:
+            vals = [Fraction(c) for c in coords]
+        except ZeroDivisionError:
+            raise DegeneratePlacement("a placement coordinate has a zero denominator") from None
+        except OverflowError:  # a float infinity
+            raise DegeneratePlacement("a placement coordinate has no finite float") from None
         if len(vals) != 6:
             raise DegeneratePlacement("placement needs six coordinates")
         self.ax, self.ay, self.bx, self.by, self.cx, self.cy = vals
@@ -49,14 +59,21 @@ class Placement:
         )
         if area2 == 0:
             raise DegeneratePlacement("the three placed vertices are collinear")
-        self._floats = tuple(float(v) for v in vals)
+        try:
+            self._floats = tuple(float(v) for v in vals)
+        except OverflowError:
+            raise DegeneratePlacement("a placement coordinate has no finite float") from None
 
     @classmethod
     def default(cls) -> Placement:
         return cls((0, 2, -1, 0, Fraction(3, 2), 0))
 
     def locate(self, p: BaryPoint) -> tuple[float, float]:
-        wa, wb, wc = (_fe_float(c) for c in p.normalized())
+        return self.place(p.normalized())
+
+    def place(self, coords) -> tuple[float, float]:
+        """The position of a point given in absolute barycentrics (summing to 1)."""
+        wa, wb, wc = (_fe_float(c) for c in coords)
         ax, ay, bx, by, cx, cy = self._floats
         x = wa * ax + wb * bx + wc * cx
         y = wa * ay + wb * by + wc * cy
@@ -65,6 +82,15 @@ class Placement:
 
 def _fmt(v: float) -> str:
     return format(v, ".12g")
+
+
+def _lift(values) -> tuple[tuple[int, ...], int, list[tuple[int, ...]]]:
+    """Exact values on one tower over one common denominator D:
+    (tower, D, the integer numerator vector of each value)."""
+    tower = _canonical_of(tuple(r for x in values for r in x._present()))
+    values = [x.in_tower(tower) for x in values]
+    den = math.lcm(*(x.den for x in values))
+    return tower, den, [tuple(v * (den // x.den) for v in x.num) for x in values]
 
 
 def conic_sweep(c: Conic, base: BaryPoint, steps: int = 96) -> list[BaryPoint | None]:
@@ -78,10 +104,18 @@ def conic_sweep(c: Conic, base: BaryPoint, steps: int = 96) -> list[BaryPoint | 
     d = s*e + n*f and d = n*e + s*f.  The line bn + lam*d through the
     normalized base bn meets the conic again at lam = -2*bd/qd, with
     qd = d^T C d = s^2*Qee + 2sn*Qef + n^2*Qff and bd = bn^T C d = s*Be + n*Bf
-    (the second chart swaps Qee with Qff and Be with Bf); the five
-    coefficients are computed once per conic.  qd = 0 is an asymptotic
-    direction (None) and bd = 0 the tangent at the base, where the sweep
-    returns to bn.  Since bn sums to 1 and d to 0, every point sums to 1.
+    (the second chart swaps Qee with Qff and Be with Bf).
+
+    The five coefficients and the three coordinates of bn are computed once
+    per conic and lifted to integer numerator vectors on one tower over one
+    common denominator D, so each direction costs integer arithmetic only:
+    with Q = D*qd and L = -2*D*bd, the point is
+    (B_i*Q + D*d_i*L) / (D*Q), divided through by Q with one conjugate-norm
+    product and reduced once per coordinate.  Q = 0 is an asymptotic
+    direction (None) and L = 0 the tangent at the base, where the sweep
+    returns bn itself.  Since bn sums to 1 and d to 0, every point is
+    returned in absolute coordinates, summing to 1: callers may place it
+    without normalizing.
     """
     if steps < 1:
         raise ValueError(f"sweep needs at least one step, got {steps}")
@@ -95,30 +129,38 @@ def conic_sweep(c: Conic, base: BaryPoint, steps: int = 96) -> list[BaryPoint | 
     qee, qef, qff = ce[0] - ce[1], cf[0] - cf[1], cf[1] - cf[2]
     be = b0 * ce[0] + b1 * ce[1] + b2 * ce[2]
     bf = b0 * cf[0] + b1 * cf[1] + b2 * cf[2]
+    tower, den, (Qee, Qef, Qff, Be, Bf, *bs) = _lift((qee, qef, qff, be, bf, b0, b1, b2))
     s = steps
-    q_sn = qef * (2 * s)
+    ss, s2 = s * s, 2 * s
     out: list[BaryPoint | None] = []
     # chart 0: d = (s, n-s, -n) for n = -s, -s+2, ..., s; chart 1:
     # d = (n, s-n, -s) for n = s-2, s-4, ..., -s
     for chart, q_ss, q_nn, b_s, b_n, ns in (
-        (0, qee, qff, be, bf, range(-s, s + 1, 2)),
-        (1, qff, qee, bf, be, range(s - 2, -s - 1, -2)),
+        (0, Qee, Qff, Be, Bf, range(-s, s + 1, 2)),
+        (1, Qff, Qee, Bf, Be, range(s - 2, -s - 1, -2)),
     ):
-        q_ss = q_ss * (s * s)
-        b_s, b_n = b_s * (-2 * s), b_n * -2  # -2*bd, the numerator of lam
+        q_terms = tuple(zip(q_ss, Qef, q_nn))
+        b_terms = tuple(zip(b_s, b_n))
         for n in ns:
-            qd = q_ss + q_sn * n + q_nn * (n * n)
-            if qd.is_zero():
+            sn, nn = s2 * n, n * n
+            q = tuple(ss * x + sn * y + nn * z for x, y, z in q_terms)
+            if not any(q):
                 out.append(None)  # asymptotic direction
                 continue
-            lam_num = b_s + b_n * n
-            if lam_num.is_zero():
+            lam = tuple(-2 * (s * x + n * y) for x, y in b_terms)
+            if not any(lam):
                 # tangent direction at the base point: the sweep returns there
                 out.append(bn)
                 continue
-            lam = lam_num * qd.inverse()
+            # 1/Q = acc/norm, so point_i = (norm*B_i + D*d_i*L*acc) / (D*norm)
+            acc, norm = _vinverse(tower, q)
+            dla = tuple(den * x for x in _vmul(tower, lam, acc))
             d0, d2 = (s, -n) if chart == 0 else (n, -s)
-            out.append(BaryPoint(b0 + lam * d0, b1 - lam * (d0 + d2), b2 + lam * d2))
+            dn = den * norm
+            out.append(BaryPoint(*(
+                _reduced(tower, tuple(norm * b + d * x for b, x in zip(bi, dla)), dn)
+                for bi, d in zip(bs, (d0, -d0 - d2, d2))
+            )))
     return out
 
 
@@ -130,7 +172,7 @@ def _conic_path(c: Conic, base: BaryPoint, placement: Placement, steps: int = 96
             if pieces[-1]:
                 pieces.append([])
             continue
-        x, y = placement.locate(p)
+        x, y = placement.place(p.coords)
         if abs(x) > span or abs(y) > span:
             if pieces[-1]:
                 pieces.append([])

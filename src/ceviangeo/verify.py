@@ -667,13 +667,25 @@ SUITES = {
 }
 
 
+def _check_count(name: str, n: int) -> None:
+    """Refuse a sample count outside 0..curve.SAMPLE_BOUND before the suite
+    starts; construction draws its admissible samples from a batch of 2n."""
+    curve_mod.check_sample_size(2 * n if name == "construction" else n)
+
+
 def run_suite(name: str, seed: int = 0, n: int | None = None) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     if n is None:
         return SUITES[name](seed=seed)
+    _check_count(name, n)
     return SUITES[name](seed=seed, n=n)
 
 
 def run_all(seed: int = 0, n: int | None = None) -> list[SuiteReport]:
+    """Every suite in order; a count that any suite refuses stops all of them
+    before the first one runs."""
+    if n is not None:
+        for name in SUITES:
+            _check_count(name, n)
     return [run_suite(name, seed=seed, n=n) for name in SUITES]

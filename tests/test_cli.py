@@ -186,6 +186,12 @@ class TestCurveLocusCommands:
         ["verify", "translation", "--n", "100000"],
         ["verify", "consequences", "--n", "129"],
         ["verify", "construction", "--n", "65"],
+        ["verify", "equivalences", "--n", "2000"],
+        ["verify", "vertex-locus", "--n", "-1"],
+        ["verify", "curve", "--n", "129"],
+        ["verify", "special", "--n", "129"],
+        ["verify", "all", "--n", "100000"],
+        ["verify", "all", "--n", "65"],
     ])
     def test_oversized_sample_refused_fast(self, args, capsys):
         start = time.perf_counter()
@@ -323,6 +329,16 @@ class TestRender:
         )
         assert code == 2
         assert "collinear" in err
+
+    @pytest.mark.parametrize("placement,reason", [
+        ("0 0 1e400 0 0 1", "no finite float"),
+        ("0 0 -1e400 0 0 1", "no finite float"),
+        ("0 0 1/0 0 0 1", "zero denominator"),
+    ])
+    def test_unrepresentable_placement(self, placement, reason, capsys):
+        code, out, err = run_cli(["render", "locus", "--placement", placement], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and reason in err
 
     def test_stdout_output(self, capsys):
         code, out, _ = run_cli(["render", "special"], capsys)

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -200,6 +201,16 @@ class TestTower:
     def test_hash_matches_int(self):
         assert hash(fe(5)) == hash(5)
         assert fe(5) == 5
+
+    def test_minimal_cache_makes_no_reference_cycle(self):
+        # an element that is its own minimal form must not hold itself, or
+        # each one becomes garbage that only the cyclic collector frees
+        for x in (fe(5), R2 + 1, R2 * R3 + R2):
+            assert x.minimal() is x and x.minimal() is x
+            assert all(ref is not x for ref in gc.get_referents(x))
+        wide = (R2 + 1).in_tower((2, 3))
+        m = wide.minimal()
+        assert m.tower == (2,) and wide.minimal() is m and m.minimal() is m
 
 
 class TestSerialization:

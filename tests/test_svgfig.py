@@ -6,17 +6,25 @@ lam = -2*bd/qd.  ``svgfig.conic_sweep`` must give the same list, point for
 point and value for value, on every figure's conics, on seeded conics over
 towers of depth 0 to 2, and on conics built so that the grid meets an
 asymptotic direction and the tangent at the base.
+
+``generic_path`` is the path string as it was drawn before the sweep ran on
+integer vectors: the generic sweep, each point located through
+``Placement.locate`` (which normalizes it).  ``svgfig._conic_path`` must
+give the same string on the same conics, over hypothesis-drawn placements
+too, and the sweep's count of field operations must not grow with its step
+count.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ceviangeo import svgfig
 from ceviangeo.conics import Conic
 from ceviangeo.field import FieldElement, fe
-from ceviangeo.plane import A, B, BaryPoint
+from ceviangeo.plane import A, B, G, BaryPoint
 
 
 def generic_sweep(c: Conic, base: BaryPoint, steps: int) -> list[BaryPoint | None]:
@@ -95,8 +103,9 @@ def random_element(rng: random.Random, d: int) -> FieldElement:
 
 
 def seeded_conic(seed: int, d: int) -> tuple[Conic, BaryPoint]:
-    """A nondegenerate conic over a tower of depth d through a random base:
-    a random symmetric matrix whose m00 is shifted to put the base on it."""
+    """A nondegenerate conic over a tower of depth d (or over the tower d)
+    through a random base: a random symmetric matrix whose m00 is shifted to
+    put the base on it."""
     rng = random.Random(seed)
     while True:
         b = [random_element(rng, d) for _ in range(3)]
@@ -176,3 +185,127 @@ def test_sweep_coefficient_identities():
         on = (pt.T * cm * pt)[0] - (bn.T * cm * bn)[0] - lam * (2 * bd + lam * qd)
         assert sympy.expand(on) == 0
         assert sympy.expand(sum(pt)) == 1
+
+
+def generic_path(c: Conic, base: BaryPoint, placement: svgfig.Placement, steps: int,
+                 sweep=None, span: float = 1e3) -> str:
+    """The path string from the generic sweep, each point normalized by
+    ``Placement.locate``; ``sweep`` reuses the generic sweep's points."""
+    pieces: list[list[tuple[float, float]]] = [[]]
+    for p in sweep or generic_sweep(c, base, steps):
+        if p is None:
+            if pieces[-1]:
+                pieces.append([])
+            continue
+        x, y = placement.locate(p)
+        if abs(x) > span or abs(y) > span:
+            if pieces[-1]:
+                pieces.append([])
+            continue
+        pieces[-1].append((x, y))
+    parts = []
+    for piece in pieces:
+        if len(piece) < 2:
+            continue
+        coords = " L ".join(f"{svgfig._fmt(x)} {svgfig._fmt(-y)}" for x, y in piece)
+        parts.append(f"M {coords}")
+    return " ".join(parts)
+
+
+PLACEMENTS = [
+    svgfig.Placement.default(),
+    svgfig.Placement(("0", "3", "-1.5", "0", "2", "0")),
+    svgfig.Placement(("-7/3", "1/9", "5", "-2/7", "11/5", "13/3")),
+]
+
+
+@pytest.mark.parametrize("name", sorted(svgfig.FIGURES))
+def test_figure_paths_match_generic_route(monkeypatch, name):
+    for c, base, steps in figure_sweeps(monkeypatch, name):
+        sweep = generic_sweep(c, base, steps)
+        for placement in PLACEMENTS:
+            want = generic_path(c, base, placement, steps, sweep)
+            assert svgfig._conic_path(c, base, placement, steps) == want
+
+
+# the basis of the (non-canonical) tower (6, 15), whose last vector is
+# sqrt(6)*sqrt(15) = 3*sqrt(10): its conics are drawn on that tower
+BASIS[(6, 15)] = [FieldElement((6, 15), [int(i == j) for j in range(4)]) for i in range(4)]
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, (6, 15)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_seeded_paths_match_generic_route(seed, d):
+    c, base = seeded_conic(1000 + seed, d)
+    for placement in PLACEMENTS:
+        assert svgfig._conic_path(c, base, placement, 24) == generic_path(c, base, placement, 24)
+
+
+def test_tower_6_15_has_a_multiplier_three_basis_vector():
+    root10 = BASIS[(6, 15)][3].minimal()
+    assert root10.tower == (10,) and root10.num == (0, 3)
+    c, _ = seeded_conic(1000, (6, 15))
+    assert {x.tower for row in c.m for x in row} == {(6, 15)} and depth(c) == 2
+
+
+# a depth-0 and a depth-1 conic with their generic sweeps, computed once
+DRAWN = [(c, base, generic_sweep(c, base, 48))
+         for c, base in ((HYPERBOLA_A, A), seeded_conic(101, 1))]
+COORD = st.fractions(min_value=-20, max_value=20, max_denominator=50)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(COORD, min_size=6, max_size=6))
+def test_paths_match_generic_route_under_drawn_placements(coords):
+    ax, ay, bx, by, cx, cy = coords
+    assume((bx - ax) * (cy - ay) != (cx - ax) * (by - ay))
+    placement = svgfig.Placement(coords)
+    for c, base, sweep in DRAWN:
+        want = generic_path(c, base, placement, 48, sweep)
+        assert svgfig._conic_path(c, base, placement, 48) == want
+
+
+def test_place_of_normalized_is_locate():
+    c, base = seeded_conic(201, 2)
+    points = [A, G, BaryPoint(3, -1, 5), BaryPoint(1, 1 + R2, R3), base]
+    points += [p for p in svgfig.conic_sweep(c, base, 6) if p is not None]
+    for placement in PLACEMENTS:
+        for p in points:
+            assert placement.place(p.normalized()) == placement.locate(p)
+
+
+FIELD_OPS = ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "inverse")
+
+
+def field_op_count(monkeypatch, c: Conic, base: BaryPoint, steps: int) -> int:
+    calls = [0]
+    with monkeypatch.context() as patch:
+        for name in FIELD_OPS:
+            original = getattr(FieldElement, name)
+
+            def counted(*args, original=original):
+                calls[0] += 1
+                return original(*args)
+
+            patch.setattr(FieldElement, name, counted)
+        svgfig.conic_sweep(c, base, steps)
+    return calls[0]
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_sweep_field_operations_do_not_grow_with_steps(monkeypatch, d):
+    c, base, _ = next(sweep for name in sorted(svgfig.FIGURES)
+                      for sweep in figure_sweeps(monkeypatch, name) if depth(sweep[0]) == d)
+    few = field_op_count(monkeypatch, c, base, 8)
+    assert few > 0
+    assert field_op_count(monkeypatch, c, base, 192) == few
+
+
+@pytest.mark.parametrize("coords", [
+    (0, 0, float("inf"), 0, 0, 1),
+    (0, 0, "1e400", 0, 0, 1),
+    (0, 0, "1/0", 0, 0, 1),
+])
+def test_placement_refuses_unrepresentable_coordinates(coords):
+    with pytest.raises(svgfig.DegeneratePlacement):
+        svgfig.Placement(coords)

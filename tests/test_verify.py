@@ -1,5 +1,6 @@
 import pytest
 
+from ceviangeo.curve import SampleTooLarge
 from ceviangeo.verify import (
     SUITES,
     SuiteReport,
@@ -222,3 +223,26 @@ def test_torsion_closure_check_can_fail(monkeypatch):
 def test_run_suite_applies_the_suite_default(name):
     names = [r.name for r in SUITES[name](seed=0).results]
     assert [r.name for r in run_suite(name).results] == names
+
+
+@pytest.mark.parametrize("n", [-1, 65, 129, 100000])
+def test_run_all_refuses_a_count_before_any_suite_runs(monkeypatch, n):
+    ran = []
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda seed, n, name=name: ran.append(name))
+    with pytest.raises(SampleTooLarge):
+        run_all(seed=0, n=n)
+    assert ran == []
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+@pytest.mark.parametrize("n", [-1, 129])
+def test_run_suite_refuses_a_count_outside_the_bound(monkeypatch, name, n):
+    monkeypatch.setitem(SUITES, name, lambda seed, n: pytest.fail("the suite ran"))
+    with pytest.raises(SampleTooLarge):
+        run_suite(name, seed=0, n=n)
+
+
+@pytest.mark.parametrize("name,n", [("curve", 128), ("vertex-locus", 128), ("equivalences", 0)])
+def test_run_suite_accepts_the_bound(name, n):
+    assert run_suite(name, seed=0, n=n).passed
