@@ -12,7 +12,7 @@ the nine-point conic), which ``verify`` keeps as cross-checks.
 
 from __future__ import annotations
 
-from .field import FieldElement, fe, ZERO, ONE, sqrt_extending
+from .field import FieldElement, fe, ZERO, ONE, canonical_tower, sqrt_extending
 from .linalg import adjugate3, det3, matmul3, matvec3, nullspace, proportional, transpose3
 from .maps import isotom_complement, validate_point
 from .plane import (
@@ -166,18 +166,24 @@ def _span_points(line: BaryLine) -> tuple[BaryPoint, BaryPoint]:
     raise ValueError("degenerate line")
 
 
+def _line_restriction(c: Conic, line: BaryLine):
+    """The conic restricted to the line: (p0, p1, a, b, cc) for two points
+    spanning it, with c(p0 + t*p1) = a*t^2 + 2*b*t + cc."""
+    p0, p1 = _span_points(line)
+    return p0, p1, c.evaluate(p1), c.pair(p0, p1), c.evaluate(p0)
+
+
 def intersect_line(c: Conic, line: BaryLine, extend: bool = False) -> list[BaryPoint]:
     """Ordinary and infinite intersection points of a line with a conic.
 
     Returns 0, 1 (tangency) or 2 points.  When the points exist only over a
-    quadratic extension of the current tower, raises NotASquare carrying the
-    radicand one may adjoin, unless ``extend`` is set, in which case the
-    extension is adjoined automatically (TowerDepthExceeded past depth 2).
+    quadratic extension of the field of the conic's entries and the line's
+    coordinates (decided by their values, not by the towers they are written
+    on), raises NotASquare carrying the radicand one may adjoin, unless
+    ``extend`` is set, in which case the extension is adjoined automatically
+    (TowerDepthExceeded past depth 2).
     """
-    p0, p1 = _span_points(line)
-    a = c.evaluate(p1)
-    b = c.pair(p0, p1)
-    cc = c.evaluate(p0)
+    p0, p1, a, b, cc = _line_restriction(c, line)
     if a.is_zero():
         if b.is_zero():
             if cc.is_zero():
@@ -193,7 +199,12 @@ def intersect_line(c: Conic, line: BaryLine, extend: bool = False) -> list[BaryP
     if sgn == 0:
         t = -b / a
         return [BaryPoint(*(x + t * y for x, y in zip(p0.coords, p1.coords)))]
-    r = sqrt_extending(disc) if extend else disc.sqrt()
+    if extend:
+        r = sqrt_extending(disc)
+    else:
+        values = [x for row in c.m for x in row] + list(line.coords)
+        field = canonical_tower([d for x in values for d in x.minimal().tower])
+        r = disc.in_tower(field).sqrt()
     out = []
     for t in ((-b + r) / a, (-b - r) / a):
         out.append(BaryPoint(*(x + t * y for x, y in zip(p0.coords, p1.coords))))

@@ -7,8 +7,11 @@ squarefree integer radicands d > 1.  It is stored as integer numerators
 lowest terms: ``gcd(den, *num) == 1``.  The representation is therefore
 unique within a tower, and equality there is a tuple comparison.  Every
 radicand maps to the positive real root, so elements carry a decidable sign;
-equality, order and square roots are decided exactly, with no floating point
-anywhere in this module.
+equality and order are decided exactly, with no floating point anywhere in
+this module.  Square roots come from one search by value: it finds the
+nonnegative root on the smallest tower of depth <= 2 holding it, trying the
+radicands of the requested tower before it factors anything, and ``sqrt`` and
+``sqrt_extending`` differ only in the tower they put that root on.
 """
 
 from __future__ import annotations
@@ -155,18 +158,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         if e % 2:
             m *= p
     return s, m
-
-
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    """Exact rational square root, or None."""
-    if q < 0:
-        return None
-    if q == 0:
-        return Fraction(0)
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -520,24 +511,6 @@ class FieldElement:
 
     __rmul__ = __mul__
 
-    def _split_top(self) -> tuple[FieldElement, FieldElement, int]:
-        """Write self = p + q*sqrt(d_top) with p, q over the lower tower."""
-        if not self.tower:
-            raise ValueError("depth-0 element has no top radicand")
-        lower = self.tower[:-1]
-        half = len(self.num) >> 1
-        p = _reduced(lower, self.num[:half], self.den)
-        q = _reduced(lower, self.num[half:], self.den)
-        return p, q, self.tower[-1]
-
-    def _join_top(self, p: FieldElement, q: FieldElement) -> FieldElement:
-        # arithmetic may have demoted p or q to a smaller tower
-        lower = self.tower[:-1]
-        p = p.in_tower(lower)
-        q = q.in_tower(lower)
-        num = tuple(x * q.den for x in p.num) + tuple(y * p.den for y in q.num)
-        return _reduced(self.tower, num, p.den * q.den)
-
     def inverse(self) -> FieldElement:
         num, tower = self.num, self.tower
         if not any(num):
@@ -604,26 +577,23 @@ class FieldElement:
     # -- square roots ---------------------------------------------------------
 
     def sqrt(self) -> FieldElement:
-        """The square root inside this element's tower.
+        """The nonnegative square root, on the tower this element is written on.
 
-        Raises NotASquare carrying an adjoinable squarefree radicand when the
-        root lives in a quadratic integer extension of the tower, NotASquare
-        with radicand None when it does not, and NegativeRadicand for
+        The root is found by value and then put on ``self.tower``, so the
+        tower chooses the field: call ``in_tower`` first to search a larger
+        one, or use ``sqrt_extending`` to adjoin what the root needs.  Raises
+        NotASquare carrying a radicand that the tower lacks when the root lives
+        in a quadratic extension of it, NotASquare with radicand None when no
+        tower of depth <= 2 holds the root (or its radicand would take
+        factoring beyond FACTOR_BUDGET_BITS), and NegativeRadicand for
         negative elements.
         """
-        if self.sign() < 0:
-            raise NegativeRadicand(f"sqrt of negative element {self}")
-        m = self.minimal()
-        root = m._sqrt_minimal(_directions(self.tower))
+        dirs = _directions(self.tower)
+        root = _root(self, dirs)
+        for rad in root._present():
+            if rad not in dirs:
+                raise NotASquare(f"sqrt of {self} needs sqrt({rad})", radicand=rad)
         return root.in_tower(self.tower)
-
-    def _sqrt_minimal(self, avail: dict[int, tuple[int, int]]) -> FieldElement:
-        depth = len(self.tower)
-        if depth == 0:
-            return _sqrt_rational(self.as_fraction(), avail)
-        if depth == 1:
-            return _sqrt_depth1(self, avail)
-        return _sqrt_depth2(self)
 
 
 _new = object.__new__
@@ -643,116 +613,79 @@ def _make(tower, num, den) -> FieldElement:
     return x
 
 
-def _sqrt_rational(r: Fraction, avail) -> FieldElement:
-    if r == 0:
-        return FieldElement.from_rational(0)
-    exact = _fraction_sqrt(r)
-    if exact is not None:
-        return FieldElement.from_rational(exact)
-    # r = c^2 * k for at most one available radicand k
-    for k, (j, mult) in avail.items():
-        c = _fraction_sqrt(r / k)
-        if c is not None:
-            tower = canonical_tower(avail)
-            out = [0] * (1 << len(tower))
-            out[j] = c / mult
-            return FieldElement(tower, out)
-    # sqrt(p/q) = sqrt(p*q)/q: the squarefree part of p*q is the radicand to adjoin
+def _root(a: FieldElement, radicands) -> FieldElement:
+    """The nonnegative square root of ``a`` on the smallest tower of depth
+    <= 2 holding it; ``radicands`` are those of the requested tower.
+
+    A rational n/den is tried as an exact square, then as c^2*k for each of
+    ``radicands``, and only then factored: its root is sqrt(n*den)/den, so
+    the squarefree part of n*den is the radicand, found within
+    FACTOR_BUDGET_BITS.  Otherwise ``a`` is p + q*sqrt(d) over the lower
+    field, and a root s + t*sqrt(d) has norm s^2 - d*t^2 = +-gamma with
+    gamma^2 = p^2 - d*q^2: gamma must lie in the lower field, s^2 is
+    (p +- gamma)/2 (s may adjoin one radicand) and t = q/(2s).  Raises
+    NegativeRadicand, or NotASquare with radicand None when there is no root.
+    """
+    if a.sign() < 0:
+        raise NegativeRadicand(f"sqrt of negative element {a}")
+    m = a.minimal()
+    if not m.tower:
+        n, den = m.num[0], m.den
+        for k in (1, *radicands):
+            s = isqrt(n * den * k)
+            if s * s == n * den * k:
+                break
+        else:
+            try:
+                s, k = squarefree_decompose(n * den)
+            except FactorBudgetExceeded as exc:
+                raise NotASquare("nonsquare rational too large to find a radicand for") from exc
+            s *= k
+        # sqrt(n/den) = sqrt(n*den*k)/(den*k) * sqrt(k)
+        return _reduced((), (s,), den) if k == 1 else _reduced((k,), (0, s), den * k)
+    lower, d, half = m.tower[:-1], m.tower[-1], len(m.num) >> 1
+    p = _reduced(lower, m.num[:half], m.den)
+    q = _reduced(lower, m.num[half:], m.den)
     try:
-        k = squarefree_decompose(r.numerator * r.denominator)[1]
-    except FactorBudgetExceeded as exc:
-        raise NotASquare("nonsquare rational too large to find a radicand for") from exc
-    raise NotASquare(f"{r} needs sqrt({k})", radicand=k)
-
-
-def _sqrt_depth1(a: FieldElement, avail) -> FieldElement:
-    # a = p + q*sqrt(d) with rational p, q and q != 0; solve (s + t*sqrt(d))^2 = a
-    # via the norm: s^2 must equal (p +- gamma)/2 where gamma^2 = p^2 - d*q^2.
-    p, q, d = a._split_top()
-    pr, qr = p.coeffs[0], q.coeffs[0]
-    delta = pr * pr - d * qr * qr
-    gamma = _fraction_sqrt(delta)
-    if gamma is None:
-        # a square in any quadratic extension would force the norm to be a
-        # rational square already
-        raise NotASquare(f"{a} is not a square (norm {delta})")
-    candidates = [(pr + sgn * gamma) / 2 for sgn in (1, -1)]
-    for w in candidates:
-        if w == 0:
-            continue
-        sw = _fraction_sqrt(w)
-        if sw is not None:
-            t = qr / (2 * sw)
-            cand = FieldElement(a.tower, (sw, t))
-            if cand * cand == a:
-                return cand if cand.sign() > 0 else -cand
-    # second pass: a = k * beta^2 for the squarefree part k of a branch
-    for w in candidates:
-        if w <= 0:
-            continue
-        try:
-            ks, k = squarefree_decompose(w.numerator * w.denominator)
-        except FactorBudgetExceeded:
-            continue
-        sprime = Fraction(ks, w.denominator)  # sqrt(w/k)
-        if sprime == 0 or k == 1:
-            continue
-        tprime = qr / (2 * sprime * k)
-        beta = FieldElement(a.tower, (sprime, tprime))
-        if beta * beta * k == a:
-            if k in avail:
-                rootk = FieldElement.root(k).in_tower(canonical_tower(avail))
-                cand = beta.in_tower(rootk.tower) * rootk
-                return cand if cand.sign() > 0 else -cand
-            raise NotASquare(f"{a} needs sqrt({k})", radicand=k)
-    raise NotASquare(f"{a} is not a square in its tower")
-
-
-def _sqrt_depth2(a: FieldElement) -> FieldElement:
-    # relative version of the depth-1 search over the lower field; keep the
-    # intermediate values expressed over the lower tower so their square
-    # roots may use its radicand
-    lower = a.tower[:-1]
-    p, q, d = a._split_top()
-    delta = (p * p - q * q * d).in_tower(lower)
-    try:
-        gamma = delta.sqrt() if delta.sign() >= 0 else None
-    except NotASquare:
+        gamma = _root(p * p - q * q * d, radicands)
+    except (NegativeRadicand, NotASquare):
         gamma = None
-    if gamma is None:
-        raise NotASquare(f"{a} is not a square in its tower")
-    for sgn in (1, -1):
-        w = ((p + gamma * sgn) / 2).in_tower(lower)
-        if w.is_zero() or w.sign() < 0:
+    # a root in any quadratic extension would make the norm a square in the
+    # lower field already
+    if gamma is None or not set(gamma._present()) <= _directions(lower).keys():
+        raise NotASquare(f"{a} is not a square: its norm has no root in the lower field")
+    sqrt_d = _make((d,), (0, 1), 1)
+    for w in ((p + gamma) / 2, (p - gamma) / 2):
+        if w.sign() <= 0:
             continue
         try:
-            s = w.sqrt()
-        except NotASquare:
+            s = _root(w, radicands)
+            cand = s + q / (2 * s) * sqrt_d
+        except (NotASquare, TowerMismatch):
             continue
-        if s.is_zero():
-            continue
-        t = q / (s * 2)
-        cand = a._join_top(s, t)
         if cand * cand == a:
-            return cand if cand.sign() > 0 else -cand
-    raise NotASquare(f"{a} is not a square in its tower")
+            return (cand if cand.sign() > 0 else -cand).minimal()
+    raise NotASquare(f"{a} is not a square in a tower of depth <= 2")
 
 
 def sqrt_extending(a: FieldElement) -> FieldElement:
-    """sqrt(a), adjoining one integer radicand to a's tower when needed.
+    """The nonnegative square root of a, on a's tower when it holds the root
+    and otherwise on the smallest tower holding the root, which adjoins one
+    radicand to a's (it holds a's radicands, since a is the root squared).
 
-    Raises TowerDepthExceeded when the root does not fit in depth 2.
+    Runs the same search as ``FieldElement.sqrt``, once.  Raises
+    TowerDepthExceeded when the root does not fit in depth 2 (or its radicand
+    would take factoring beyond FACTOR_BUDGET_BITS), and NegativeRadicand for
+    negative elements.
     """
     try:
-        return a.sqrt()
+        root = _root(a, _directions(a.tower))
     except NotASquare as exc:
-        if exc.radicand is None:
-            raise TowerDepthExceeded(str(exc)) from exc
-        try:
-            tower = canonical_tower(a._present() + (exc.radicand,))
-        except TowerMismatch as exc2:
-            raise TowerDepthExceeded(str(exc2)) from exc
-        return a.in_tower(tower).sqrt()
+        raise TowerDepthExceeded(str(exc)) from exc
+    try:
+        return root.in_tower(a.tower)
+    except TowerMismatch:
+        return root
 
 
 # ---------------------------------------------------------------------------

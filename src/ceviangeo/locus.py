@@ -48,7 +48,7 @@ from .conics import (
     Conic,
     ConstructionError,
     IdenticalConics,
-    _span_points,
+    _line_restriction,
     affine_type,
     intersect_line,
     intersect_shared_infinity,
@@ -399,10 +399,7 @@ def admissible(frame: ConstructionFrame, a1: BaryPoint) -> bool:
         return False
     if line is None:
         return False
-    p0, p1 = _span_points(line)
-    a = frame.conic.evaluate(p1)
-    b = frame.conic.pair(p0, p1)
-    c = frame.conic.evaluate(p0)
+    p0, p1, a, b, c = _line_restriction(frame.conic, line)
     s0 = p0.coordinate_sum()
     s1 = p1.coordinate_sum()
     if a.is_zero():

@@ -63,6 +63,9 @@ class Placement:
             self._floats = tuple(float(v) for v in vals)
         except OverflowError:
             raise DegeneratePlacement("a placement coordinate has no finite float") from None
+        ax, ay, bx, by, cx, cy = self._floats
+        if (bx - ax) * (cy - ay) - (cx - ax) * (by - ay) == 0:
+            raise DegeneratePlacement("the placed triangle has zero area in floating point")
 
     @classmethod
     def default(cls) -> Placement:

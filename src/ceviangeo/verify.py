@@ -587,8 +587,7 @@ def frame_profile(frame) -> tuple[bool, ...]:
 
 def verify_construction(seed: int = 0, n: int = 5) -> SuiteReport:
     """The inscribed-triangle construction on the canonical frame."""
-    # the admissible samples are pulled back from a batch of 2n translation points
-    curve_mod.check_sample_size(2 * n)
+    _check_count("construction", n)
     report = SuiteReport("construction")
     try:
         frame = locus_mod.canonical_frame()
@@ -668,9 +667,12 @@ SUITES = {
 
 
 def _check_count(name: str, n: int) -> None:
-    """Refuse a sample count outside 0..curve.SAMPLE_BOUND before the suite
-    starts; construction draws its admissible samples from a batch of 2n."""
-    curve_mod.check_sample_size(2 * n if name == "construction" else n)
+    """Refuse a sample count outside the suite's bound before the suite
+    starts: curve.SAMPLE_BOUND, halved for construction, which pulls its
+    admissible samples back from a batch of 2n translation points."""
+    bound = curve_mod.SAMPLE_BOUND // (2 if name == "construction" else 1)
+    if not 0 <= n <= bound:
+        raise curve_mod.SampleTooLarge(f"sample size {n} is outside 0..{bound}")
 
 
 def run_suite(name: str, seed: int = 0, n: int | None = None) -> SuiteReport:

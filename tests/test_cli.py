@@ -200,6 +200,17 @@ class TestCurveLocusCommands:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "sample size" in err
 
+    @pytest.mark.parametrize("args,message", [
+        (["verify", "all", "--n", "65"], "sample size 65 is outside 0..64"),
+        (["verify", "construction", "--n", "65"], "sample size 65 is outside 0..64"),
+        (["verify", "construction", "--n", "-1"], "sample size -1 is outside 0..64"),
+        (["verify", "translation", "--n", "129"], "sample size 129 is outside 0..128"),
+    ])
+    def test_refused_count_names_the_given_n(self, args, message, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.strip().endswith(message)
+
     def test_locus_param(self, capsys):
         code, out, _ = run_cli(["locus", "param", "--vertex", "A", "--t", "1/3"], capsys)
         assert code == 0
@@ -334,6 +345,8 @@ class TestRender:
         ("0 0 1e400 0 0 1", "no finite float"),
         ("0 0 -1e400 0 0 1", "no finite float"),
         ("0 0 1/0 0 0 1", "zero denominator"),
+        # exactly a triangle, but every float vertex underflows to the origin
+        ("0 0 1e-400 0 0 1e-400", "zero area in floating point"),
     ])
     def test_unrepresentable_placement(self, placement, reason, capsys):
         code, out, err = run_cli(["render", "locus", "--placement", placement], capsys)

@@ -149,6 +149,20 @@ class TestLineIntersection:
         assert len(pts) == 2
         assert all(VERTEX_A_CONIC.contains(p) for p in pts)
 
+    def test_extension_request_decided_by_value(self):
+        # the same conic written on the tower (2,) needs the same extension
+        wide = Conic(tuple(tuple(x.in_tower((2,)) for x in row) for row in VERTEX_A_CONIC.m))
+        assert wide == VERTEX_A_CONIC
+        for conic in (VERTEX_A_CONIC, wide):
+            with pytest.raises(NotASquare) as err:
+                intersect_line(conic, BaryLine(0, 1, -1))
+            assert err.value.radicand == 2
+        # a line with a sqrt(2) coordinate brings sqrt(2) into the field
+        target = point("[1,1+sqrt(2),1-sqrt(2)]")
+        pts = intersect_line(VERTEX_A_CONIC, join(B, target))
+        assert len(pts) == 2
+        assert any(p == B for p in pts) and any(p == target for p in pts)
+
     def test_no_real_intersection(self):
         # the line through A parallel to BC misses the vertex conic
         assert intersect_line(VERTEX_A_CONIC, BaryLine(0, 1, 1)) == []

@@ -357,6 +357,32 @@ class TestFactorBudget:
             fe(n).sqrt()
         assert err.value.radicand is None
 
+    def test_tower_radicands_tried_before_factoring(self):
+        # p has 89 bits, so factoring 3*p^2 or 2*p^2 is past the budget, but
+        # each is p^2 times a radicand of its tower
+        p = 2 ** 89 - 1
+        root = p * R2 + p * R3
+        assert (root * root).sqrt() == root
+        assert fe(2 * p * p).in_tower((2,)).sqrt() == p * R2
+
+    def test_sqrt_extending_searches_once(self, monkeypatch):
+        from ceviangeo import field
+
+        search, depth, outermost = field._root, [0], []
+
+        def counted(a, radicands):
+            if not depth[0]:
+                outermost.append(a)
+            depth[0] += 1
+            try:
+                return search(a, radicands)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(field, "_root", counted)
+        assert sqrt_extending(5 + 2 * R6) == R2 + R3
+        assert len(outermost) == 1
+
 
 # ---------------------------------------------------------------------------
 # differential tests: the integer-vector representation against sympy,
@@ -473,8 +499,17 @@ class TestDifferential:
             assert _sym_equal(_sym(inv) * _sym(a), 1)
 
     @settings(max_examples=60, deadline=None)
-    @given(field_elements(towers=((), (2,), (3,), (5,))), st.sampled_from(RADICANDS))
-    def test_sqrt_and_sqrt_extending(self, a, k):
+    @given(
+        field_elements(towers=((), (2,), (3,), (5,), (2, 3), (2, 5), (3, 5))),
+        st.sampled_from(RADICANDS),
+        field_elements(towers=((2,),), coeffs=small_q),
+    )
+    def test_sqrt_and_sqrt_extending(self, a, k, b):
+        # a depth-1 root that adjoins a radicand: 3*b^2 has its root on (2, 3),
+        # and small coefficients keep any factoring inside the budget
+        ext = sqrt_extending(b * b * 3)
+        assert ext.sign() >= 0 and _reduced_ok(ext)
+        assert _sym_equal(_sym(ext), sympy.Abs(_sym(b)) * sympy.sqrt(3))
         square = a * a
         root = square.sqrt()
         assert root == (a if a.sign() >= 0 else -a)
