@@ -11,8 +11,11 @@ limit table at their exceptional points), the group law, the torsion group,
 and seeded samplers used by the verification suites.  The cubic is the
 coordinate sum of the transfer map's center (``maps.transfer_center_coords``),
 and ``w_to_bary`` leaves the Weierstrass model in one step, by the closed
-form of the chain ``w_to_nf`` then ``nf_to_bary``; ``bary_to_w`` still walks
-the chain, so the round trip cross-checks the two.
+form of the chain ``w_to_nf`` then ``nf_to_bary`` written through the slope
+v/u of the line to (0, 0); ``bary_to_w`` still walks the chain, so the round
+trip cross-checks the two.  Under ``w_to_bary``, P -> +-P + T for the six
+rational torsion points T are the triangle's symmetries together with
+isotomic conjugation; the ``curve`` suite checks that table.
 
 Shifting u by 2 puts the Weierstrass model in the minimal form
 v^2 = u^3 - 15u + 22 (Cremona label 36a2), whose Mordell-Weil rank over Q
@@ -25,10 +28,14 @@ V^2 = U^3 + 12U^2 - 12U under u = U/2, v = (V/4)*sqrt(2) (Silverman, The
 Arithmetic of Elliptic Curves, GTM 106, section X.2).  The map is a group
 homomorphism, so ``k*P`` for such a point runs double-and-add on the twist
 over Q and lifts the result once onto the tower with sqrt(2); both curves
-share one chord-tangent formula.  Group-law results are built without
-evaluating the cubic (only ``WPoint(...)`` and ``WPoint.of`` check it); the
-``curve`` suite's entries "generator multiples lie on the curve" and
-"twist multiples equal chord-tangent multiples up to 24" check them.
+share one chord-tangent formula.  ``WPoint.__add__`` translates such a
+point by a finite rational torsion point in closed form over Q (see
+``_translate``) and leaves every other sum to the chord-tangent law.
+Group-law results are built without evaluating the cubic (only
+``WPoint(...)`` and ``WPoint.of`` check it); the ``curve`` suite's entries
+"generator multiples lie on the curve", "twist multiples equal chord-tangent
+multiples up to 24" and "torsion translations equal the chord-tangent sum"
+check them.
 """
 
 from __future__ import annotations
@@ -37,8 +44,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
-from .field import FieldElement, fe, sqrt_extending, ZERO
+from .field import FieldElement, fe, sqrt_extending, ZERO, _make, _reduced
 from .plane import A, BaryPoint, _integral
 from . import maps as _maps
 
@@ -157,6 +165,11 @@ class WPoint:
             return other
         if other.is_infinity():
             return self
+        s = _translate(self, other)
+        if s is None:
+            s = _translate(other, self)
+        if s is not None:
+            return s
         return _wpoint(_chord_tangent(_A2, _A4, (self.u, self.v), (other.u, other.v)))
 
     def __sub__(self, other: WPoint) -> WPoint:
@@ -201,9 +214,10 @@ def _wpoint(coords) -> WPoint:
     return w
 
 
-def _to_twist(p: WPoint):
-    """(U, V) = (2u, 2*sqrt(2)*v) over Q when p is finite with rational u and
-    v a nonzero rational multiple of sqrt(2), else None."""
+def _twist_rationals(p: WPoint):
+    """Integers (a, d, b, e) with u = a/d and v = (b/e)*sqrt(2) when p is
+    finite with rational u and v a nonzero rational multiple of sqrt(2): the
+    image of a twist point, which has infinite order.  Else None."""
     if p.is_infinity():
         return None
     u, v = p.u, p.v
@@ -211,7 +225,59 @@ def _to_twist(p: WPoint):
         return None
     if u.tower not in ((), _TWIST_TOWER) or not u.is_rational():
         return None
-    return 2 * u.minimal(), fe(Fraction(4 * v.num[1], v.den))
+    return u.num[0], u.den, v.num[1], v.den
+
+
+def _to_twist(p: WPoint):
+    """(U, V) = (2u, 2*sqrt(2)*v) over Q when p lies on the twist image, else
+    None."""
+    q = _twist_rationals(p)
+    if q is None:
+        return None
+    a, d, b, e = q
+    return fe(Fraction(2 * a, d)), fe(Fraction(4 * b, e))
+
+
+def _translate(p: WPoint, t: WPoint):
+    """p + t in closed form when p lies on the twist image and t is a finite
+    rational torsion point written over Q, else None.  With v = r*sqrt(2):
+    p + (0, 0) = (-3/u, 3v/u^2), again on the twist image; p + (1, 2e) is the
+    chord of slope (v - 2e)/(u - 1), which the curve equation reduces to
+    ((u^2 + 10u - 3 - 4er*sqrt(2))/(u - 1)^2,
+     (2e(u^3 + 15u^2 + 3u - 3) - 4(3u + 1)r*sqrt(2))/(u - 1)^3);
+    and p + (-3, 6e) = (p + (0, 0)) + (1, 2e).  The result lies on the tower
+    with sqrt(2), as the chord-tangent sum does."""
+    tu = t.u
+    if tu is None or tu.tower or t.v.tower or tu.den != 1 or tu.num[0] not in (0, 1, -3):
+        return None
+    q = _twist_rationals(p)
+    if q is None:
+        return None
+    a, d, b, e = q
+    if tu.num[0] != 1:
+        # p + (0, 0) in lowest terms: a/d and b/e are, so -3d/a and 3b/e
+        # cancel only by 3, and 3b/e times d^2/a^2 only crosswise
+        g = gcd(3, a) if a > 0 else -gcd(3, a)
+        g0 = gcd(3, e)
+        b, e, aa, dd = 3 * b // g0, e // g0, a * a, d * d
+        g1, g2 = gcd(b, aa), gcd(dd, e)
+        a, d, b, e = -3 * d // g, a // g, (b // g1) * (dd // g2), (e // g2) * (aa // g1)
+        if tu.num[0] == 0:
+            return _wpoint((_make(_TWIST_TOWER, (a, 0), d), _make(_TWIST_TOWER, (0, b), e)))
+    sign = 1 if t.v.num[0] > 0 else -1
+    # on the twist image e divides d^2 up to a small factor, so cancelling
+    # their gcd first keeps the products (and the final gcds) short
+    h = gcd(d * d, e)
+    e, dd, m = e // h, d * d // h, a - d
+    u = _reduced(
+        _TWIST_TOWER, (e * (a * a + 10 * a * d - 3 * d * d), -4 * sign * b * dd), e * m * m)
+    v = _reduced(
+        _TWIST_TOWER,
+        (2 * sign * e * (a * a * a + 15 * a * a * d + 3 * a * d * d - 3 * d * d * d),
+         -4 * (3 * a + d) * b * dd),
+        e * m * m * m,
+    )
+    return _wpoint((u, v))
 
 
 def _from_twist(coords) -> WPoint:
@@ -500,13 +566,17 @@ def w_to_bary(w: WPoint) -> BaryPoint:
     """Total map from the Weierstrass model to the projective cubic, using
     the documented limits at the exceptional points of the chain.  Elsewhere
     it is the composite of ``w_to_nf`` and ``nf_to_bary`` in closed form, the
-    absolute coordinates ((u-1)/(u+3), (v+2u)/(u(u+3)), (2u-v)/(u(u+3)))."""
+    absolute coordinates ((u-1)/(u+3), (v+2u)/(u(u+3)), (2u-v)/(u(u+3))),
+    computed through the slope s = v/u as ((u-1)/(u+3), (s+2)/(u+3),
+    (2-s)/(u+3)): two inverses and no product with the larger u(u+3).
+    u = 0 and u = -3 occur only at points of the limit table."""
     for wp, bary in _TORSION_BARY_LIMITS:
         if w == wp:
             return bary
     u, v = w.u, w.v
-    inv = (u * (u + 3)).inverse()
-    return BaryPoint((u - 1) * u * inv, (v + 2 * u) * inv, (2 * u - v) * inv)
+    slope = v * u.inverse()
+    inv = (u + 3).inverse()
+    return BaryPoint((u - 1) * inv, (slope + 2) * inv, (2 - slope) * inv)
 
 
 def bary_to_w(p: BaryPoint) -> WPoint:

@@ -738,7 +738,7 @@ class _Parser:
                 value = value * rhs
             else:
                 if rhs.is_zero():
-                    raise ZeroDivisionError("division by zero in expression")
+                    raise ExpressionError("division by zero in expression")
                 value = value / rhs
         return value
 

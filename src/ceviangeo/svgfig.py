@@ -64,8 +64,12 @@ class Placement:
         except OverflowError:
             raise DegeneratePlacement("a placement coordinate has no finite float") from None
         ax, ay, bx, by, cx, cy = self._floats
-        if (bx - ax) * (cy - ay) - (cx - ax) * (by - ay) == 0:
+        area2 = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+        if area2 == 0:
             raise DegeneratePlacement("the placed triangle has zero area in floating point")
+        spans = (area2, max(ax, bx, cx) - min(ax, bx, cx), max(ay, by, cy) - min(ay, by, cy))
+        if not all(map(math.isfinite, spans)):
+            raise DegeneratePlacement("the placed triangle's extent overflows a float")
 
     @classmethod
     def default(cls) -> Placement:

@@ -409,6 +409,27 @@ def verify_translation_consequences(seed: int = 0, n: int = 10) -> SuiteReport:
     return report
 
 
+# P -> P + T on the cubic under w_to_bary, for T in rational_torsion() order:
+# whether isotomic conjugation (yz : xz : xy) comes first, then the new
+# coordinate order as indices into (x, y, z); P -> -P swaps y and z
+_TORSION_SYMMETRIES = (
+    (False, (0, 1, 2)),  # O: the identity
+    (True, (0, 1, 2)),  # (0, 0)
+    (False, (2, 0, 1)),  # (1, 2): (z, x, y)
+    (False, (1, 2, 0)),  # (1, -2): (y, z, x)
+    (True, (2, 0, 1)),  # (-3, 6) = (0, 0) + (1, 2)
+    (True, (1, 2, 0)),  # (-3, -6) = (0, 0) + (1, -2)
+)
+_NEGATION_SYMMETRY = (False, (0, 2, 1))
+
+
+def _triangle_symmetry(p: BaryPoint, symmetry) -> BaryPoint:
+    iso, order = symmetry
+    x, y, z = p.coords
+    c = (y * z, x * z, x * y) if iso else (x, y, z)
+    return BaryPoint(*(c[i] for i in order))
+
+
 def verify_curve(seed: int = 0, n: int = 20) -> SuiteReport:
     """Curve arithmetic: invariants, named multiples, torsion structure,
     the discriminant identity, the birational chain, the intersection with
@@ -444,6 +465,21 @@ def verify_curve(seed: int = 0, n: int = 20) -> SuiteReport:
         "twist multiples equal chord-tangent multiples up to 24",
         lambda: all(k * gen == curve_mod.chord_tangent_multiple(gen, k) for k in range(1, 25)),
     )
+
+    def translations_match_chords():
+        # WPoint.__add__ translates a twist-image point by a rational torsion
+        # point in closed form; the chord-tangent sum is the reference
+        k = random.Random(seed + 5).randint(2, 12)
+        out = []
+        for p in (k * gen, -k * gen):
+            for t in curve_mod.rational_torsion()[1:]:
+                for a, b in ((p, t), (t, p)):
+                    chord = curve_mod._chord_tangent(
+                        curve_mod._A2, curve_mod._A4, (a.u, a.v), (b.u, b.v))
+                    out.append(a + b == curve_mod._wpoint(chord))
+        return tuple(out)
+
+    report.check("torsion translations equal the chord-tangent sum", translations_match_chords)
     census = curve_mod.torsion_order_census()
     report.add("torsion order census {1:1, 2:3, 3:2, 6:6}", census == {1: 1, 2: 3, 3: 2, 6: 6})
     report.check("torsion closes under addition",
@@ -488,6 +524,17 @@ def verify_curve(seed: int = 0, n: int = 20) -> SuiteReport:
             BaryPoint(1, -1, 0),
         ],
     )
+
+    def torsion_symmetries():
+        p = random.Random(seed + 6).randint(1, 12) * gen
+        base = curve_mod.w_to_bary(p)
+        out = []
+        for q, image in ((p, base), (-p, _triangle_symmetry(base, _NEGATION_SYMMETRY))):
+            for t, symmetry in zip(curve_mod.rational_torsion(), _TORSION_SYMMETRIES):
+                out.append(curve_mod.w_to_bary(q + t) == _triangle_symmetry(image, symmetry))
+        return tuple(out)
+
+    report.check("rational torsion acts by the triangle's symmetries", torsion_symmetries)
 
     def median_correspondence():
         mt = curve_mod.median_torsion_bary()

@@ -102,6 +102,17 @@ def test_degenerate_compute_input_exits_2(args, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["compute", "[1/0,1,2]", "H"],
+    ["compute", "[1,1/(2-2),2]"],
+    ["locus", "param", "--vertex", "A", "--t", "1/0"],
+], ids=" ".join)
+def test_division_by_zero_in_an_expression_exits_2(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "division by zero" in err
+
+
 def test_readme_library_example(capsys):
     """Run the README's Python block; each print line's trailing comment is
     the line it prints."""
@@ -352,6 +363,16 @@ class TestRender:
         code, out, err = run_cli(["render", "locus", "--placement", placement], capsys)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and reason in err
+
+    @pytest.mark.parametrize("placement", [
+        "-1.7e308 0 1.7e308 0 0 1.7e308",
+        # the float area is finite, but the x extent 3.4e308 is not
+        "0 0 1.7e308 0 -1.7e308 1e-300",
+    ])
+    def test_placement_with_an_infinite_extent(self, placement, capsys):
+        code, out, err = run_cli(["render", "conics", f"--placement={placement}"], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "overflows a float" in err
 
     def test_stdout_output(self, capsys):
         code, out, _ = run_cli(["render", "special"], capsys)

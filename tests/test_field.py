@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ceviangeo.field import (
+    ExpressionError,
     FieldElement,
     NegativeRadicand,
     NotASquare,
@@ -44,6 +45,10 @@ class TestArithmetic:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             fe(1) / fe(0)
+
+    def test_division_by_zero_in_an_expression(self):
+        with pytest.raises(ExpressionError, match="division by zero"):
+            parse_element("1/(2-2)")
 
     def test_tower_mismatch(self):
         with pytest.raises(TowerMismatch):

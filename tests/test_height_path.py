@@ -15,17 +15,21 @@ from pathlib import Path
 import pytest
 
 import ceviangeo.curve as curve_mod
+import ceviangeo.verify as verify_mod
 from ceviangeo.cli import main
 from ceviangeo.curve import (
     GENERATOR,
     MULTIPLE_BOUND,
     WPoint,
     chord_tangent_multiple,
+    nf_to_bary,
     on_translation_locus,
     rational_torsion,
     sample_translation_points,
+    torsion_points,
     translation_cubic,
     w_to_bary,
+    w_to_nf,
 )
 from ceviangeo.field import FieldElement
 from ceviangeo.maps import classify_transfer, transfer_center_formula
@@ -184,3 +188,147 @@ class TestMultipleBound:
             curve_mod.generator_multiple(MULTIPLE_BOUND + 1)
         assert (MULTIPLE_BOUND + 2) * GENERATOR == chord_tangent_multiple(
             GENERATOR, MULTIPLE_BOUND + 2)
+
+
+PINNED = [tuple(item) for item in EXPECTED["curve"]["by_cost"]]
+
+
+def generic_sum(p: WPoint, q: WPoint) -> WPoint:
+    return curve_mod._wpoint(curve_mod._chord_tangent(
+        curve_mod._A2, curve_mod._A4, (p.u, p.v), (q.u, q.v)))
+
+
+@pytest.fixture
+def chord_calls(monkeypatch):
+    """The argument pairs of every _chord_tangent call on the curve itself."""
+    calls = []
+    chord = curve_mod._chord_tangent
+
+    def counting(a2, a4, p, q):
+        if a2 is curve_mod._A2:
+            calls.append((p, q))
+        return chord(a2, a4, p, q)
+
+    monkeypatch.setattr(curve_mod, "_chord_tangent", counting)
+    return calls
+
+
+class TestTorsionTranslation:
+    def test_pinned_sums_equal_the_generic_chord_exactly(self):
+        # the T = O inputs are excluded from the fast path by definition
+        torsion = rational_torsion()
+        assert len(PINNED) == 360
+        multiples = {k: k * GENERATOR for k in {k for k, _ in PINNED}}
+        checked = 0
+        for k, ti in PINNED:
+            t = torsion[ti]
+            if t.is_infinity():
+                continue
+            for p in (multiples[k], -multiples[k]):
+                want = exact(generic_sum(p, t))
+                assert exact(p + t) == want, (k, ti)
+                assert exact(t + p) == want, (k, ti)
+                checked += 1
+        assert checked == 600
+
+    def test_generic_chord_is_exact_in_either_order(self):
+        # so one generic reference serves both operand orders above
+        torsion = rational_torsion()
+        for k, ti in PINNED[::24]:
+            if ti == 0:
+                continue
+            p = k * GENERATOR
+            assert exact(generic_sum(p, torsion[ti])) == exact(generic_sum(torsion[ti], p))
+
+    @pytest.mark.parametrize("k", [1, -1, 2, -5, 13])
+    def test_small_multiples_take_the_closed_form(self, k, chord_calls):
+        # |k| = 1 keeps u on the rational tower (); the sum is on (2,)
+        p = k * GENERATOR
+        chord_calls.clear()
+        sums = [(p + t, t + p) for t in rational_torsion()[1:]]
+        assert chord_calls == []
+        for (left, right), t in zip(sums, rational_torsion()[1:]):
+            assert exact(left) == exact(right) == exact(generic_sum(p, t))
+            assert left.u.tower == left.v.tower == (2,)
+
+    def test_sums_off_the_fast_path_take_the_chord(self, chord_calls):
+        torsion = torsion_points()
+        cases = [
+            (torsion[2], torsion[4]),  # torsion plus torsion
+            (torsion[1], torsion[5]),
+            (GENERATOR, torsion[6]),  # sqrt(3) torsion points
+            (torsion[8], 3 * GENERATOR),
+            # two points off the twist image: a depth-1 u
+            (GENERATOR + torsion[2], 2 * GENERATOR + torsion[3]),
+            (GENERATOR + torsion[2], torsion[1]),
+            # a twist-image point plus a twist-image point
+            (GENERATOR, 2 * GENERATOR),
+        ]
+        for p, q in cases:
+            chord_calls.clear()
+            s = p + q
+            assert len(chord_calls) == 1
+            assert exact(s) == exact(generic_sum(p, q))
+
+
+class TestSlopeForm:
+    def test_depth_one_points_equal_the_chain_exactly(self):
+        torsion = rational_torsion()
+        points = [k * GENERATOR + torsion[ti] for k, ti in PINNED[::9] if ti >= 2]
+        points += [k * GENERATOR + t for k in (1, -2, 3) for t in torsion[2:]]
+        assert len(points) > 40
+        for w in points:
+            assert not w.u.is_rational()
+            got, want = w_to_bary(w), nf_to_bary(w_to_nf(w))
+            assert [(c.tower, c.num, c.den) for c in got.coords] == [
+                (c.tower, c.num, c.den) for c in want.coords]
+
+    def test_sqrt3_torsion_points_equal_the_chain_exactly(self):
+        for w in torsion_points()[6:]:
+            got, want = w_to_bary(w), nf_to_bary(w_to_nf(w))
+            assert [(c.tower, c.num, c.den) for c in got.coords] == [
+                (c.tower, c.num, c.den) for c in want.coords]
+
+
+class TestTorsionEntries:
+    NAMES = ("torsion translations equal the chord-tangent sum",
+             "rational torsion acts by the triangle's symmetries")
+
+    def failed(self, seed=0):
+        report = run_suite("curve", seed=seed, n=2)
+        names = [r.name for r in report.results]
+        assert all(name in names for name in self.NAMES)
+        return [r.name for r in report.results if not r.passed]
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_entries_pass(self, seed):
+        assert self.failed(seed) == []
+
+    @pytest.mark.parametrize("index,symmetry", [
+        (2, (False, (1, 2, 0))),  # (1, 2) given the order of (1, -2)
+        (5, (True, (2, 0, 1))),  # (-3, -6) given the order of (-3, 6)
+        (1, (False, (0, 1, 2))),  # (0, 0) without the isotomic conjugation
+    ])
+    def test_a_wrong_symmetry_fails_exactly_its_entry(self, index, symmetry, monkeypatch):
+        table = list(verify_mod._TORSION_SYMMETRIES)
+        table[index] = symmetry
+        monkeypatch.setattr(verify_mod, "_TORSION_SYMMETRIES", tuple(table))
+        assert self.failed() == [self.NAMES[1]]
+
+    def test_a_wrong_negation_fails_exactly_the_symmetry_entry(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "_NEGATION_SYMMETRY", (False, (0, 1, 2)))
+        assert self.failed() == [self.NAMES[1]]
+
+    def test_a_wrong_sign_fails_the_cross_check(self, monkeypatch):
+        translate = curve_mod._translate
+
+        def other_sign(p, t):
+            # the closed form for -t in place of t: p - t is a curve point
+            # too, so only the comparisons can see the flipped sign
+            s = translate(p, t)
+            return s if s is None or t.v.is_zero() else translate(p, -t)
+
+        monkeypatch.setattr(curve_mod, "_translate", other_sign)
+        failed = self.failed()
+        assert self.NAMES[0] in failed
+        assert "generator multiples lie on the curve" not in failed
