@@ -90,8 +90,8 @@ _TWIST_A4 = fe(-12)
 # coordinates of k*G have about 0.7*k^2 bits, 3.5 k digits at k = 128
 MULTIPLE_BOUND = 128
 # the largest sample sample_translation_points draws: its multiple range
-# widens with n, so coordinate heights grow with n^2 (n = 128 takes about
-# 0.8 s, n = 256 about 9 s)
+# widens with n, so coordinate heights grow with n^2 (1500 bits at n = 128,
+# 4753 at n = 256), and with them the time of the suites using the sample
 SAMPLE_BOUND = 128
 
 
@@ -610,7 +610,10 @@ def check_sample_size(n: int) -> None:
 def sample_translation_points(n: int, seed: int = 0) -> list[BaryPoint]:
     """n distinct valid base points on the translation locus over the tower
     with sqrt(2), built as small signed multiples of the generator plus
-    rational torsion (so coordinate heights stay moderate)."""
+    rational torsion (so coordinate heights stay moderate).  Each (k, T) is
+    drawn once, and distinct draws give distinct points, as G has infinite
+    order and ``w_to_bary`` is injective; k != 0 keeps draws off its limit
+    table."""
     check_sample_size(n)
     rng = random.Random(seed)
     torsion = rational_torsion()
@@ -624,14 +627,7 @@ def sample_translation_points(n: int, seed: int = 0) -> list[BaryPoint]:
             span += 1
             continue
         tried.add((k, ti))
-        w = k * GENERATOR + torsion[ti]
-        try:
-            p = w_to_bary(w)
-        except MapUndefined:
-            continue
-        if not _maps.is_valid_point(p, off_medians=True):
-            continue
-        if any(p == q for q in out):
-            continue
-        out.append(p)
+        p = w_to_bary(k * GENERATOR + torsion[ti])
+        if _maps.is_valid_point(p, off_medians=True):
+            out.append(p)
     return out

@@ -50,8 +50,8 @@ class NotASquare(FieldError):
         self.radicand = radicand
 
 
-class ExpressionError(FieldError):
-    """Malformed field-element expression."""
+class ExpressionError(FieldError, ValueError):
+    """Malformed field-element expression or point literal."""
 
 
 class FactorBudgetExceeded(FieldError):
@@ -689,10 +689,12 @@ def sqrt_extending(a: FieldElement) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# text grammar: integer, p/q, sqrt(n), + - * /, parentheses
+# text grammar: integer, p/q, sqrt(n), + - * /, parentheses (at most
+# MAX_NESTING deep) and point literals [e1,e2,e3]
 
+MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(\d+|sqrt|[()+\-*/])")
+_TOKEN = re.compile(r"\s*(\d+|sqrt|[()+\-*/\[\],])\s*")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -707,9 +709,10 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -720,6 +723,10 @@ class _Parser:
             raise ExpressionError(f"expected {expected!r}, found {tok!r}")
         self.pos += 1
         return tok
+
+    def end(self) -> None:
+        if self.peek() is not None:
+            raise ExpressionError(f"trailing input {self.tokens[self.pos:]!r}")
 
     def expr(self) -> FieldElement:
         value = self.term()
@@ -743,20 +750,22 @@ class _Parser:
         return value
 
     def unary(self) -> FieldElement:
-        if self.peek() == "-":
-            self.take()
-            return -self.unary()
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.primary()
+        negate = False
+        while self.peek() in ("+", "-"):
+            negate ^= self.take() == "-"
+        value = self.primary()
+        return -value if negate else value
 
     def primary(self) -> FieldElement:
         tok = self.peek()
         if tok == "(":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExpressionError(f"parentheses nested deeper than {MAX_NESTING}")
             value = self.expr()
             self.take(")")
+            self.depth -= 1
             return value
         if tok == "sqrt":
             self.take()
@@ -773,11 +782,22 @@ class _Parser:
 
 
 def parse_element(text: str) -> FieldElement:
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     value = parser.expr()
-    if parser.peek() is not None:
-        raise ExpressionError(f"trailing input {parser.tokens[parser.pos:]!r}")
+    parser.end()
     return value
+
+
+def parse_triple(text: str) -> tuple[FieldElement, FieldElement, FieldElement]:
+    """The three entries of a point literal '[e1,e2,e3]'."""
+    parser = _Parser(text)
+    parser.take("[")
+    entries = []
+    for sep in (",", ",", "]"):
+        entries.append(parser.expr())
+        parser.take(sep)
+    parser.end()
+    return tuple(entries)
 
 
 def format_element(a: FieldElement) -> str:

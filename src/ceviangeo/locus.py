@@ -82,11 +82,9 @@ class DegenerateInscribed(LocusError):
     pass
 
 
-_PERMUTE = {
-    "A": lambda p: p,
-    "B": lambda p: (p[2], p[0], p[1]),
-    "C": lambda p: (p[1], p[2], p[0]),
-}
+# the cyclic permutation carrying the vertex-A locus to each vertex's: entry
+# i of a permuted triple is entry _PERMUTE[vertex][i] of the original
+_PERMUTE = {"A": (0, 1, 2), "B": (2, 0, 1), "C": (1, 2, 0)}
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ class VertexLocus:
         if t == 0 or t == 1 or t == -1:
             raise ExcludedParameter(f"parameter {t} lands on an excluded point")
         base = (1 + t, 1 - t, t * (1 + t))
-        return BaryPoint(*_PERMUTE[self.vertex](base))
+        return BaryPoint(*(base[i] for i in _PERMUTE[self.vertex]))
 
 
 def vertex_locus(vertex: str) -> VertexLocus:
@@ -117,11 +115,10 @@ def vertex_locus(vertex: str) -> VertexLocus:
         (half, ZERO, half),
         (half, half, ZERO),
     )
-    perm = _PERMUTE[vertex]
+    idx = _PERMUTE[vertex]
     # conjugate the quadratic form by the inverse of the point permutation
-    idx = {"A": (0, 1, 2), "B": (2, 0, 1), "C": (1, 2, 0)}[vertex]
-    m = tuple(tuple(base_m[idx[i]][idx[j]] for j in range(3)) for i in range(3))
-    excluded = tuple(BaryPoint(*perm(p.coords)) for p in (B, C, E0, F0))
+    m = tuple(tuple(base_m[i][j] for j in idx) for i in idx)
+    excluded = tuple(BaryPoint(*(p[i] for i in idx)) for p in (B, C, E0, F0))
     return VertexLocus(vertex, Conic(m), excluded)
 
 
@@ -443,12 +440,8 @@ def admissible_vertex_samples(frame: ConstructionFrame, n: int, seed: int = 0) -
             break
         if p2 == frame.p:
             continue
-        try:
-            cfg2 = derive_configuration(p2)
-        except Exception:
-            continue
-        if cfg2.u is None:
-            continue
+        # the sampler returns valid points off the medians, so cfg2.u exists
+        cfg2 = derive_configuration(p2)
         pull = map_from_triangles((cfg2.h, cfg2.u, cfg2.p), (frame.h, frame.u, frame.p))
         a1 = pull.apply(A)
         if not frame.conic.contains(a1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .field import FieldElement, fe, ZERO, format_element, parse_element
+from .field import FieldElement, fe, ZERO, format_element, parse_triple
 from .linalg import det3
 
 
@@ -153,28 +153,8 @@ def point(value) -> BaryPoint:
     if isinstance(value, BaryPoint):
         return value
     if isinstance(value, str):
-        body = value.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError(f"point literal must look like [e1,e2,e3]: {value!r}")
-        parts = _split_literal(body[1:-1])
-        if len(parts) != 3:
-            raise ValueError(f"point literal needs three entries: {value!r}")
-        return BaryPoint(*(parse_element(p) for p in parts))
+        return BaryPoint(*parse_triple(value))
     return BaryPoint(*value)
-
-
-def _split_literal(body: str) -> list[str]:
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
-    parts.append(body[start:])
-    return [p for p in parts if p.strip()]
 
 
 def point_to_literal(p: BaryPoint) -> str:

@@ -88,6 +88,8 @@ class Placement:
 
 
 def _fmt(v: float) -> str:
+    if not math.isfinite(v):
+        raise DegeneratePlacement("a figure coordinate overflows a float")
     return format(v, ".12g")
 
 
@@ -175,16 +177,14 @@ def _conic_path(c: Conic, base: BaryPoint, placement: Placement, steps: int = 96
                 span: float = 1e3) -> str:
     pieces: list[list[tuple[float, float]]] = [[]]
     for p in conic_sweep(c, base, steps):
-        if p is None:
-            if pieces[-1]:
-                pieces.append([])
-            continue
-        x, y = placement.place(p.coords)
-        if abs(x) > span or abs(y) > span:
-            if pieces[-1]:
-                pieces.append([])
-            continue
-        pieces[-1].append((x, y))
+        if p is not None:
+            x, y = placement.place(p.coords)
+            # nan, from an overflow in place, fails both tests
+            if abs(x) <= span and abs(y) <= span:
+                pieces[-1].append((x, y))
+                continue
+        if pieces[-1]:
+            pieces.append([])
     parts = []
     for piece in pieces:
         if len(piece) < 2:

@@ -1,10 +1,14 @@
+import contextlib
+import hashlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+from ceviangeo import cli
 from ceviangeo.field import FieldElement, fe
-from ceviangeo.plane import A, B, C, BaryPoint, point
+from ceviangeo.plane import A, B, C, BaryPoint, point, point_to_literal
 from ceviangeo.curve import (
     GENERATOR,
     SAMPLE_BOUND,
@@ -294,6 +298,22 @@ class TestSampler:
     def test_samples_live_over_sqrt2(self):
         for p in sample_translation_points(10, seed=2):
             assert all(c.minimal().tower in ((), (2,)) for c in p.coords)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_full_sample_is_pairwise_distinct(self, seed):
+        pts = sample_translation_points(SAMPLE_BOUND, seed=seed)
+        assert len({point_to_literal(p) for p in pts}) == SAMPLE_BOUND
+
+    @pytest.mark.parametrize("n,seed,expected", [
+        (128, 0, "64aa694adafe89de"),
+        (64, 7, "9e406d740296ca87"),
+        (10, 1, "b103d6045dfe7069"),
+    ])
+    def test_cli_sample_output_pinned(self, n, seed, expected):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["curve", "sample", "--n", str(n), "--seed", str(seed)]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == expected
 
     def test_sample_size_bounded(self):
         assert sample_translation_points(0) == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ceviangeo.field import (
+    MAX_NESTING,
     ExpressionError,
     FieldElement,
     NegativeRadicand,
@@ -18,6 +19,7 @@ from ceviangeo.field import (
     fe,
     format_element,
     parse_element,
+    parse_triple,
     sqrt_extending,
     squarefree_decompose,
 )
@@ -245,6 +247,34 @@ class TestSerialization:
         for bad in ("1+", "sqrt(x)", "(1+2", "1**2", ""):
             with pytest.raises(ExpressionError):
                 parse_element(bad)
+
+    def test_expression_error_is_a_value_error(self):
+        assert issubclass(ExpressionError, ValueError)
+
+    def test_nesting_bound(self):
+        def nested(depth):
+            return "(" * depth + "2" + ")" * depth
+
+        assert parse_element(nested(MAX_NESTING)) == 2
+        for depth in (MAX_NESTING + 1, 1200):
+            with pytest.raises(ExpressionError, match="nested deeper"):
+                parse_element(nested(depth))
+
+    def test_sign_runs_read_without_recursion(self):
+        assert parse_element("-" * 1500 + "3") == 3
+        assert parse_element("-" * 1501 + "3") == -3
+        assert parse_element("2-+-" + "+" * 2000 + "1") == 3
+
+    def test_whitespace_around_tokens(self):
+        assert parse_element(" 1 + sqrt( 2 ) / 3 ") == 1 + R2 / 3
+        assert parse_triple(" [ 1 ,2, 3 ] ") == (1, 2, 3)
+
+    def test_triple_takes_exactly_three_entries(self):
+        assert parse_triple("[1,1+sqrt(2),(1-sqrt(2))]") == (1, 1 + R2, 1 - R2)
+        for bad in ("[1,,2,3]", "[1,2,3,]", "[,1,2,3]", "[1,2]", "[1,2,3,4]", "1,2,3",
+                    "[1,2,3", "[1,2,3]]", "[1,2,3]x", "[(1,2),3]", "[]", ""):
+            with pytest.raises(ExpressionError):
+                parse_triple(bad)
 
     def test_parse_sqrt_normalizes(self):
         assert parse_element("sqrt(8)") == 2 * R2

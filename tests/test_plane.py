@@ -164,6 +164,12 @@ class TestCanonical:
         p = point("[1,1+sqrt(2),1-sqrt(2)]")
         assert point(point_to_literal(p)) == p
 
+    def test_literal_grammar(self):
+        assert point(" [ 6 ,3, 2 ] ") == BaryPoint(6, 3, 2)
+        for bad in ("[1,,2,3]", "[1,2,3,]", "[1,2]", "(1,2,3)"):
+            with pytest.raises(ValueError):
+                point(bad)
+
     def test_zero_triple_rejected(self):
         with pytest.raises(ValueError):
             BaryPoint(0, 0, 0)

@@ -309,3 +309,12 @@ def test_sweep_field_operations_do_not_grow_with_steps(monkeypatch, d):
 def test_placement_refuses_unrepresentable_coordinates(coords):
     with pytest.raises(svgfig.DegeneratePlacement):
         svgfig.Placement(coords)
+
+
+@pytest.mark.parametrize("coords", ["-5e307 0 5e307 0 0 1", "0 -5e307 1 5e307 0 0"])
+@pytest.mark.parametrize("figure", sorted(svgfig.FIGURES))
+def test_overflowing_swept_points_leave_the_path(figure, coords):
+    # every check of Placement passes, but placing a swept point with a
+    # weight outside [0, 1] overflows, and inf - inf is nan
+    svg = svgfig.render_figure(figure, svgfig.Placement(coords.split()))
+    assert "nan" not in svg and "inf" not in svg
