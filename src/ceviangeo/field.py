@@ -17,6 +17,7 @@ radicands of the requested tower before it factors anything, and ``sqrt`` and
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd, isqrt, lcm, prod
@@ -56,6 +57,16 @@ class ExpressionError(FieldError, ValueError):
 
 class FactorBudgetExceeded(FieldError):
     """An integer to factor has a part too large for proven factoring."""
+
+
+class DigitLimitExceeded(FieldError, ValueError):
+    """An integer has more decimal digits than the interpreter converts
+    between text and int (``sys.get_int_max_str_digits()``, 4300 by default)."""
+
+
+def _digit_limit(what: str) -> DigitLimitExceeded:
+    return DigitLimitExceeded(
+        f"{what} past the {sys.get_int_max_str_digits()}-digit limit for decimal integers")
 
 
 # ---------------------------------------------------------------------------
@@ -774,10 +785,18 @@ class _Parser:
             if not inner.isdigit():
                 raise ExpressionError("sqrt takes a nonnegative integer")
             self.take(")")
-            return FieldElement.root(int(inner))
+            try:
+                n = int(inner)
+            except ValueError:
+                raise _digit_limit(f"a radicand of {len(inner)} digits is") from None
+            return FieldElement.root(n)
         if tok is not None and tok.isdigit():
             self.take()
-            return FieldElement.from_rational(int(tok))
+            try:
+                n = int(tok)
+            except ValueError:
+                raise _digit_limit(f"an integer of {len(tok)} digits is") from None
+            return FieldElement.from_rational(n)
         raise ExpressionError(f"unexpected token {tok!r}")
 
 
@@ -807,7 +826,8 @@ def format_element(a: FieldElement) -> str:
     part, then one term per nonzero radicand in increasing order, each
     ``c*sqrt(d)`` with ``c`` in lowest terms, ``sqrt(d)`` when ``c`` is 1 and
     a leading sign only where it is negative.  The terms come from the
-    integer ``num``/``den`` with one gcd each, not from ``coeffs``.
+    integer ``num``/``den`` with one gcd each, not from ``coeffs``.  An
+    integer too long to write in decimal raises DigitLimitExceeded.
     """
     m = a.minimal()
     num, den = m.num, m.den
@@ -818,17 +838,20 @@ def format_element(a: FieldElement) -> str:
     if not terms:
         return "0"
     parts = []
-    for n, rad in terms:
-        g = gcd(n, den)
-        top, bot = abs(n) // g, den // g
-        mag = str(top) if bot == 1 else f"{top}/{bot}"
-        if rad == 1:
-            body = mag
-        elif mag == "1":
-            body = f"sqrt({rad})"
-        else:
-            body = f"{mag}*sqrt({rad})"
-        parts.append(("-" if n < 0 else ("+" if parts else "")) + body)
+    try:
+        for n, rad in terms:
+            g = gcd(n, den)
+            top, bot = abs(n) // g, den // g
+            mag = str(top) if bot == 1 else f"{top}/{bot}"
+            if rad == 1:
+                body = mag
+            elif mag == "1":
+                body = f"sqrt({rad})"
+            else:
+                body = f"{mag}*sqrt({rad})"
+            parts.append(("-" if n < 0 else ("+" if parts else "")) + body)
+    except ValueError:
+        raise _digit_limit("the result has an integer") from None
     return "".join(parts)
 
 

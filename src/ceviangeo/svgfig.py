@@ -5,21 +5,27 @@ square roots are ever taken): from a base point of the conic, each line in a
 grid of directions meets the conic once more, at a point that is a closed
 form in the sweep parameter (see ``conic_sweep``).  The sweep lifts its
 per-conic coefficients once to integer numerator vectors on one tower, so
-each swept point costs integer arithmetic only, and it returns every point
-in absolute barycentrics (summing to 1): ``_conic_path`` places them as they
-are with ``Placement.place``, while ``Placement.locate`` normalizes any other
-point first.  Coordinates become decimal only at the output boundary, at
-twelve significant digits, each read from its minimal tower.  Paths
-are reserved for conics; segments and markers use line, circle and text
-elements, so a figure's conic count equals its path count.
+each swept point costs integer arithmetic only, and every point is in
+absolute barycentrics (summing to 1).  ``_conic_path`` places each point
+straight from its unreduced numerator vectors and common denominator; the
+exact ``BaryPoint`` is built only when a caller reads it from the sweep.
+Coordinates become floats through one conversion, ``_float``, which embeds
+each value's coefficients into its minimal tower and divides them as
+integers: integer true division is correctly rounded, so every
+representation of a value gives the same float, and the decimals are
+written at twelve significant digits.  Paths are reserved for conics;
+segments and markers use line, circle and text elements, so a figure's
+conic count equals its path count.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 
-from .field import FieldElement, _canonical_of, _directions, _reduced, _vinverse, _vmul
+from .field import _canonical_of, _directions, _embedding, _reduced, _vinverse, _vmul
 from .plane import A, B, C, G, BaryPoint, point
 from .conics import Conic
 from . import conics as conics_mod
@@ -31,13 +37,32 @@ class DegeneratePlacement(Exception):
     pass
 
 
-def _fe_float(x: FieldElement) -> float:
-    # integer true division is correctly rounded, like Fraction.__float__
-    m = x.minimal()
-    num, den = m.num, m.den
+@lru_cache(maxsize=None)
+def _float_terms(tower: tuple[int, ...], target: tuple[int, ...]):
+    """The irrational terms of a value on ``tower`` as ``minimal()`` writes
+    them on ``target``, in the order of ``target``'s basis: (index i on
+    ``tower``, p, q, multiplier, root) with coefficient num[i]*p/(q*den) on
+    the basis vector multiplier*root."""
+    dirs = _directions(target)
+    src = {rad: (i, p, q) for i, rad, j, p, q in _embedding(tower, target) if j is not None}
+    return tuple((*src[rad], mult, math.sqrt(rad)) for rad, (_, mult) in dirs.items())
+
+
+def _float(tower: tuple[int, ...], num: tuple[int, ...], den: int) -> float:
+    """The float of num/den on ``tower``'s basis, in or out of lowest terms.
+
+    Each coefficient is embedded into the minimal tower of the value and
+    divided as integers, which is correctly rounded, so every representation
+    of one value gives the same float.  A negative ``den`` is flipped first:
+    0/-d would be -0.0."""
+    if den < 0:
+        num = tuple(-x for x in num)
+        den = -den
     value = num[0] / den
-    for rad, (i, mult) in _directions(m.tower).items():
-        value += num[i] / den * mult * math.sqrt(rad)
+    if tower:
+        present = tuple(rad for rad, (i, _) in _directions(tower).items() if num[i])
+        for i, p, q, mult, root in _float_terms(tower, _canonical_of(present)):
+            value += num[i] * p / (q * den) * mult * root
     return value
 
 
@@ -80,11 +105,11 @@ class Placement:
 
     def place(self, coords) -> tuple[float, float]:
         """The position of a point given in absolute barycentrics (summing to 1)."""
-        wa, wb, wc = (_fe_float(c) for c in coords)
+        return self._at(*(_float(x.tower, x.num, x.den) for x in coords))
+
+    def _at(self, wa: float, wb: float, wc: float) -> tuple[float, float]:
         ax, ay, bx, by, cx, cy = self._floats
-        x = wa * ax + wb * bx + wc * cx
-        y = wa * ay + wb * by + wc * cy
-        return x, y
+        return wa * ax + wb * bx + wc * cx, wa * ay + wb * by + wc * cy
 
 
 def _fmt(v: float) -> str:
@@ -102,7 +127,32 @@ def _lift(values) -> tuple[tuple[int, ...], int, list[tuple[int, ...]]]:
     return tower, den, [tuple(v * (den // x.den) for v in x.num) for x in values]
 
 
-def conic_sweep(c: Conic, base: BaryPoint, steps: int = 96) -> list[BaryPoint | None]:
+class _Sweep(Sequence):
+    """The points of one sweep as it computes them: each None, or the
+    integer numerator vectors of the three coordinates over one common
+    denominator on ``tower``, in or out of lowest terms.  Reading a point
+    reduces it to a ``BaryPoint``."""
+
+    __slots__ = ("tower", "vectors")
+
+    def __init__(self, tower: tuple[int, ...], vectors: list):
+        self.tower = tower
+        self.vectors = vectors
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        entry = self.vectors[i]
+        if entry is None:
+            return None
+        nums, den = entry
+        return BaryPoint(*(_reduced(self.tower, v, den) for v in nums))
+
+
+def conic_sweep(c: Conic, base: BaryPoint, steps: int = 96) -> Sequence[BaryPoint | None]:
     """Exact points sweeping the conic once: the second intersection of the
     line through a base point of the conic in every direction.  None marks a
     direction where the point escapes to infinity (hyperbola branch gap).
@@ -120,18 +170,22 @@ def conic_sweep(c: Conic, base: BaryPoint, steps: int = 96) -> list[BaryPoint | 
     common denominator D, so each direction costs integer arithmetic only:
     with Q = D*qd and L = -2*D*bd, the point is
     (B_i*Q + D*d_i*L) / (D*Q), divided through by Q with one conjugate-norm
-    product and reduced once per coordinate.  Q = 0 is an asymptotic
-    direction (None) and L = 0 the tangent at the base, where the sweep
-    returns bn itself.  Since bn sums to 1 and d to 0, every point is
-    returned in absolute coordinates, summing to 1: callers may place it
-    without normalizing.
+    product.  Q = 0 is an asymptotic direction (None) and L = 0 the tangent
+    at the base, where the sweep returns bn itself.  Since bn sums to 1 and
+    d to 0, every point is in absolute coordinates, summing to 1: callers
+    may place it without normalizing.
+
+    The points are returned as a sequence of those unreduced vectors:
+    ``_conic_path`` places them as they are, and a point is reduced to
+    lowest terms, as a ``BaryPoint``, only when it is read.  The path's
+    floats are those of the reduced points: ``_float`` gives every
+    representation of a value the same float.
     """
     if steps < 1:
         raise ValueError(f"sweep needs at least one step, got {steps}")
     if not c.contains(base):
         raise ValueError("sweep base must lie on the conic")
-    bn = BaryPoint(*base.normalized())
-    b0, b1, b2 = bn.coords
+    b0, b1, b2 = base.normalized()
     m = c.m
     ce = [row[0] - row[1] for row in m]  # C e
     cf = [row[1] - row[2] for row in m]  # C f
@@ -139,9 +193,10 @@ def conic_sweep(c: Conic, base: BaryPoint, steps: int = 96) -> list[BaryPoint | 
     be = b0 * ce[0] + b1 * ce[1] + b2 * ce[2]
     bf = b0 * cf[0] + b1 * cf[1] + b2 * cf[2]
     tower, den, (Qee, Qef, Qff, Be, Bf, *bs) = _lift((qee, qef, qff, be, bf, b0, b1, b2))
+    tangent = (tuple(bs), den)
     s = steps
     ss, s2 = s * s, 2 * s
-    out: list[BaryPoint | None] = []
+    out: list = []
     # chart 0: d = (s, n-s, -n) for n = -s, -s+2, ..., s; chart 1:
     # d = (n, s-n, -s) for n = s-2, s-4, ..., -s
     for chart, q_ss, q_nn, b_s, b_n, ns in (
@@ -159,26 +214,28 @@ def conic_sweep(c: Conic, base: BaryPoint, steps: int = 96) -> list[BaryPoint | 
             lam = tuple(-2 * (s * x + n * y) for x, y in b_terms)
             if not any(lam):
                 # tangent direction at the base point: the sweep returns there
-                out.append(bn)
+                out.append(tangent)
                 continue
             # 1/Q = acc/norm, so point_i = (norm*B_i + D*d_i*L*acc) / (D*norm)
             acc, norm = _vinverse(tower, q)
             dla = tuple(den * x for x in _vmul(tower, lam, acc))
             d0, d2 = (s, -n) if chart == 0 else (n, -s)
-            dn = den * norm
-            out.append(BaryPoint(*(
-                _reduced(tower, tuple(norm * b + d * x for b, x in zip(bi, dla)), dn)
+            out.append((tuple(
+                tuple(norm * b + d * x for b, x in zip(bi, dla))
                 for bi, d in zip(bs, (d0, -d0 - d2, d2))
-            )))
-    return out
+            ), den * norm))
+    return _Sweep(tower, out)
 
 
 def _conic_path(c: Conic, base: BaryPoint, placement: Placement, steps: int = 96,
                 span: float = 1e3) -> str:
+    sweep = conic_sweep(c, base, steps)
+    tower, at = sweep.tower, placement._at
     pieces: list[list[tuple[float, float]]] = [[]]
-    for p in conic_sweep(c, base, steps):
-        if p is not None:
-            x, y = placement.place(p.coords)
+    for entry in sweep.vectors:
+        if entry is not None:
+            (wa, wb, wc), den = entry
+            x, y = at(_float(tower, wa, den), _float(tower, wb, den), _float(tower, wc, den))
             # nan, from an overflow in place, fails both tests
             if abs(x) <= span and abs(y) <= span:
                 pieces[-1].append((x, y))

@@ -3,8 +3,8 @@
 Every call runs ``cli.main`` in-process with stdout and stderr redirected.
 For each one: the exit code is 0, 1 or 2; 1 (a verification failure) comes
 only from ``verify``; nothing escapes ``main`` and stderr holds no
-traceback; a refusal (exit 2) writes exactly one stderr line; and an SVG
-holds no ``nan`` or ``inf``.
+traceback or remedy meant for Python programmers; a refusal (exit 2) writes
+exactly one stderr line; and an SVG holds no ``nan`` or ``inf``.
 Hypothesis draws only argument lists that argparse accepts (options take
 their value after ``=``, so a leading minus stays a value), so every
 refusal comes from the program.  The inputs lean on what has broken before:
@@ -30,7 +30,8 @@ BIG_PRIME = 2 ** 64 + 13
 DEEP = "(" * 1200 + "1" + ")" * 1200
 
 
-def check_contract(argv: list[str]) -> int:
+def check_contract(argv: list[str]) -> tuple[int, str]:
+    """The exit code and the stderr text of one call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -38,11 +39,12 @@ def check_contract(argv: list[str]) -> int:
     assert code in (0, 1, 2), (argv, code)
     assert code != 1 or argv[0] == "verify", (argv, text)
     assert "Traceback" not in text, (argv, text)
+    assert "set_int_max_str_digits" not in text, (argv, text)
     if code == 2:
         assert len(text.splitlines()) == 1, (argv, text)
     if argv[0] == "render":
         assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), argv
-    return code
+    return code, text
 
 
 def nested(text: str, depth: int) -> str:
@@ -131,4 +133,16 @@ def test_drawn_commands_keep_the_contract(argv):
     (["curve", "multiple", "--k=129"], 2),
 ], ids=lambda v: " ".join(v)[:60] if isinstance(v, list) else str(v))
 def test_pinned_cases(argv, code):
-    assert check_contract(argv) == code
+    assert check_contract(argv)[0] == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", f"[{'9' * 4300},1,2]", "H"],
+    ["compute", f"[{'9' * 4301},1,2]", "H"],
+    ["compute", f"[{'9' * 2000},1,2]", "all"],
+    ["compute", f"[sqrt({'4' * 4301}),1,2]", "H"],
+], ids=["output-4300", "input-4301", "output-2000-all", "radicand-4301"])
+def test_digit_limit_refusal_names_the_limit(argv):
+    # the input is refused as it is read, the output as it is written
+    code, err = check_contract(argv)
+    assert code == 2 and "4300-digit limit" in err, err

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ceviangeo.field import (
     MAX_NESTING,
+    DigitLimitExceeded,
     ExpressionError,
     FieldElement,
     NegativeRadicand,
@@ -279,6 +280,18 @@ class TestSerialization:
     def test_parse_sqrt_normalizes(self):
         assert parse_element("sqrt(8)") == 2 * R2
         assert parse_element("sqrt(12)") == 2 * R3
+
+    def test_integers_past_the_digit_limit_are_typed_errors(self):
+        # Python converts at most 4300 decimal digits between text and int
+        assert parse_element("9" * 4300) == 10 ** 4300 - 1
+        for text in ("9" * 4301, f"sqrt({'4' * 4301})", f"1+2*{'7' * 5000}"):
+            with pytest.raises(DigitLimitExceeded, match="4300-digit limit"):
+                parse_element(text)
+        assert format_element(fe(10 ** 4299)) == "1" + "0" * 4299
+        for a in (fe(10 ** 4300), fe(Fraction(1, 10 ** 4300)), 1 + 10 ** 4300 * R2):
+            with pytest.raises(DigitLimitExceeded, match="4300-digit limit"):
+                format_element(a)
+        assert issubclass(DigitLimitExceeded, ValueError)
 
 
 class TestFactorization:

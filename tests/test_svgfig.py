@@ -9,21 +9,24 @@ asymptotic direction and the tangent at the base.
 
 ``generic_path`` is the path string as it was drawn before the sweep ran on
 integer vectors: the generic sweep, each point located through
-``Placement.locate`` (which normalizes it).  ``svgfig._conic_path`` must
-give the same string on the same conics, over hypothesis-drawn placements
-too, and the sweep's count of field operations must not grow with its step
-count.
+``Placement.locate`` (which normalizes it).  ``svgfig._conic_path``, which
+places the sweep's unreduced vectors, must give the same string on the same
+conics, over hypothesis-drawn placements too; ``svgfig._float`` must give
+the float of the reduced element on its minimal tower, bit for bit; and
+neither the sweep's nor the path's count of field operations may grow with
+the step count.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ceviangeo import svgfig
 from ceviangeo.conics import Conic
-from ceviangeo.field import FieldElement, fe
+from ceviangeo.field import FieldElement, _directions, _reduced, fe
 from ceviangeo.plane import A, B, G, BaryPoint
 
 
@@ -221,7 +224,9 @@ PLACEMENTS = [
 
 @pytest.mark.parametrize("name", sorted(svgfig.FIGURES))
 def test_figure_paths_match_generic_route(monkeypatch, name):
-    for c, base, steps in figure_sweeps(monkeypatch, name):
+    sweeps = figure_sweeps(monkeypatch, name)
+    assert sweeps
+    for c, base, steps in sweeps:
         sweep = generic_sweep(c, base, steps)
         for placement in PLACEMENTS:
             want = generic_path(c, base, placement, steps, sweep)
@@ -274,10 +279,13 @@ def test_place_of_normalized_is_locate():
             assert placement.place(p.normalized()) == placement.locate(p)
 
 
-FIELD_OPS = ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "inverse")
+# minimal() is counted too: a path that read each swept point through it
+# would grow with the step count
+FIELD_OPS = ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "inverse", "minimal")
 
 
-def field_op_count(monkeypatch, c: Conic, base: BaryPoint, steps: int) -> int:
+def field_op_count(monkeypatch, draw) -> int:
+    """The number of FieldElement operations that ``draw()`` calls."""
     calls = [0]
     with monkeypatch.context() as patch:
         for name in FIELD_OPS:
@@ -288,17 +296,67 @@ def field_op_count(monkeypatch, c: Conic, base: BaryPoint, steps: int) -> int:
                 return original(*args)
 
             patch.setattr(FieldElement, name, counted)
-        svgfig.conic_sweep(c, base, steps)
+        draw()
     return calls[0]
+
+
+def figure_sweep_of_depth(monkeypatch, d: int) -> tuple[Conic, BaryPoint, int]:
+    return next(sweep for name in sorted(svgfig.FIGURES)
+                for sweep in figure_sweeps(monkeypatch, name) if depth(sweep[0]) == d)
 
 
 @pytest.mark.parametrize("d", [0, 1])
 def test_sweep_field_operations_do_not_grow_with_steps(monkeypatch, d):
-    c, base, _ = next(sweep for name in sorted(svgfig.FIGURES)
-                      for sweep in figure_sweeps(monkeypatch, name) if depth(sweep[0]) == d)
-    few = field_op_count(monkeypatch, c, base, 8)
+    c, base, _ = figure_sweep_of_depth(monkeypatch, d)
+    few = field_op_count(monkeypatch, lambda: svgfig.conic_sweep(c, base, 8))
     assert few > 0
-    assert field_op_count(monkeypatch, c, base, 192) == few
+    assert field_op_count(monkeypatch, lambda: svgfig.conic_sweep(c, base, 192)) == few
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_path_field_operations_do_not_grow_with_steps(monkeypatch, d):
+    # the path places the sweep's integer vectors: no field arithmetic per point
+    c, base, _ = figure_sweep_of_depth(monkeypatch, d)
+    placement = PLACEMENTS[2]
+    few = field_op_count(monkeypatch, lambda: svgfig._conic_path(c, base, placement, 8))
+    assert few > 0
+    assert field_op_count(monkeypatch, lambda: svgfig._conic_path(c, base, placement, 64)) == few
+
+
+def reference_float(x: FieldElement) -> float:
+    """The float conversion as it was before ``_float``: read from the
+    minimal tower, one correctly rounded division per coefficient."""
+    m = x.minimal()
+    num, den = m.num, m.den
+    value = num[0] / den
+    for rad, (i, mult) in _directions(m.tower).items():
+        value += num[i] / den * mult * math.sqrt(rad)
+    return value
+
+
+FLOAT_TOWERS = [(), (2,), (2, 3), (6, 15)]
+ENTRIES = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10 ** 40, 10 ** 40))
+DENS = st.integers(-10 ** 30, 10 ** 30).filter(bool)
+
+
+@st.composite
+def vectors(draw):
+    tower = draw(st.sampled_from(FLOAT_TOWERS))
+    num = tuple(draw(st.lists(ENTRIES, min_size=1 << len(tower), max_size=1 << len(tower))))
+    return tower, num, draw(st.one_of(st.sampled_from([1, -1, 6, -6, 9, -30]), DENS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors())
+@example(((6, 15), (0, 0, 0, 1), 1))  # sqrt(6)*sqrt(15) = 3*sqrt(10)
+@example(((6, 15), (0, 0, 0, -7), -3))
+@example(((6, 15), (0, 0, 5, 4), 7))  # sqrt(15) and sqrt(10): the tower (6, 10)
+@example(((2, 3), (0, 0, 0, 0), -5))  # 0/-5 reduces to 0, not -0.0
+@example(((), (0,), -1))
+def test_float_is_the_float_of_the_reduced_element(vector):
+    tower, num, den = vector
+    got, want = svgfig._float(tower, num, den), reference_float(_reduced(tower, num, den))
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), vector
 
 
 @pytest.mark.parametrize("coords", [
