@@ -48,35 +48,26 @@ def cmd_compute(args) -> int:
         print(f"unknown names: {bad}; choose from {COMPUTE_NAMES}", file=sys.stderr)
         return 2
     cfg = derive_configuration(p)
-    transfer = None
-    out = {}
-    median_only = {"V": cfg.v, "Z": cfg.z, "U": cfg.u}
-    simple = {
-        "P'": cfg.p_iso,
-        "Q": cfg.q,
-        "Q'": cfg.q_iso,
-        "H": cfg.h,
-        "O": cfg.o,
-        "O'": cfg.o_iso,
+    # the nine points, with None for V, Z and U on a median
+    points = {
+        "P'": cfg.p_iso, "Q": cfg.q, "Q'": cfg.q_iso, "H": cfg.h, "O": cfg.o,
+        "O'": cfg.o_iso, "V": cfg.v, "Z": cfg.z, "U": cfg.u,
     }
+    # S is the classification center, defined on the medians too; the
+    # meet-based cfg.s is not read here
+    if "S" in names or "M" in names:
+        transfer = classify_transfer(cfg.p)
+    out = {}
     for name in names:
-        if name in simple:
-            out[name] = _point_json(simple[name])
-        elif name == "S":
-            # the classification center, defined on the medians too; the
-            # meet-based cfg.s is not read here
-            transfer = transfer or classify_transfer(cfg.p)
-            out["S"] = _point_json(transfer.center)
-        elif name in median_only:
-            value = median_only[name]
+        if name in points:
+            value = points[name]
             if value is None:
-                print(
-                    f"{name} is undefined: the point lies on a median", file=sys.stderr
-                )
+                print(f"{name} is undefined: the point lies on a median", file=sys.stderr)
                 return 2
             out[name] = _point_json(value)
+        elif name == "S":
+            out["S"] = _point_json(transfer.center)
         elif name == "M":
-            transfer = transfer or classify_transfer(cfg.p)
             entry = {"kind": transfer.kind, "center": _point_json(transfer.center)}
             if transfer.ratio is not None:
                 entry["ratio"] = format_element(transfer.ratio)

@@ -83,8 +83,7 @@ class Conic:
         return (m[0][0], m[0][1], m[0][2], m[1][1], m[1][2], m[2][2])
 
     def evaluate(self, p: BaryPoint) -> FieldElement:
-        v = matvec3(self.m, p.coords)
-        return sum((a * b for a, b in zip(p.coords, v)), ZERO)
+        return self.pair(p, p)
 
     def contains(self, p: BaryPoint) -> bool:
         return self.evaluate(p).is_zero()

@@ -601,12 +601,6 @@ def median_torsion_bary() -> list[BaryPoint]:
     ]
 
 
-def check_sample_size(n: int) -> None:
-    """Raise SampleTooLarge unless 0 <= n <= SAMPLE_BOUND."""
-    if not 0 <= n <= SAMPLE_BOUND:
-        raise SampleTooLarge(f"sample size {n} is outside 0..{SAMPLE_BOUND}")
-
-
 def sample_translation_points(n: int, seed: int = 0) -> list[BaryPoint]:
     """n distinct valid base points on the translation locus over the tower
     with sqrt(2), built as small signed multiples of the generator plus
@@ -614,7 +608,8 @@ def sample_translation_points(n: int, seed: int = 0) -> list[BaryPoint]:
     drawn once, and distinct draws give distinct points, as G has infinite
     order and ``w_to_bary`` is injective; k != 0 keeps draws off its limit
     table."""
-    check_sample_size(n)
+    if not 0 <= n <= SAMPLE_BOUND:
+        raise SampleTooLarge(f"sample size {n} is outside 0..{SAMPLE_BOUND}")
     rng = random.Random(seed)
     torsion = rational_torsion()
     out: list[BaryPoint] = []

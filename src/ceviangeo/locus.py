@@ -13,8 +13,10 @@ locus through affine maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field import FieldElement, fe, ZERO, ONE
+from .linalg import det3
 from .plane import (
     A,
     B,
@@ -36,7 +38,6 @@ from .maps import (
     AffineMap,
     Configuration,
     cevian_traces,
-    classify_transfer,
     complement,
     anticomplement,
     derive_configuration,
@@ -131,8 +132,7 @@ def orthocenter_vertex(p: BaryPoint) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class VertexConditionProfile:
+class VertexConditionProfile(NamedTuple):
     """The four equivalent characterizations of an orthocenter at vertex A."""
 
     orthocenter_at_a: bool
@@ -140,16 +140,8 @@ class VertexConditionProfile:
     f3_on_q_e0_line: bool
     e3_on_q_f0_line: bool
 
-    def as_tuple(self):
-        return (
-            self.orthocenter_at_a,
-            self.parallelogram_afqe,
-            self.f3_on_q_e0_line,
-            self.e3_on_q_f0_line,
-        )
-
     def all_equal(self) -> bool:
-        return len(set(self.as_tuple())) == 1
+        return len(set(self)) == 1
 
 
 def _four_collinear(p1, p2, p3, p4) -> bool:
@@ -168,9 +160,8 @@ def vertex_condition_profile(p: BaryPoint) -> VertexConditionProfile:
     _, e, f = cevian_traces(p)
     _, e3, f3 = cevian_traces(cfg.p_iso)
     an, en, fn, qn = (x.normalized() for x in (A, e, f, cfg.q))
-    para = all(fn[i] - an[i] == qn[i] - en[i] for i in range(3)) and all(
-        en[i] - an[i] == qn[i] - fn[i] for i in range(3)
-    )
+    # AFQE is a parallelogram when F - A = Q - E, which is also E - A = Q - F
+    para = all(fn[i] - an[i] == qn[i] - en[i] for i in range(3))
     return VertexConditionProfile(
         orthocenter_at_a=cfg.h == A,
         parallelogram_afqe=para,
@@ -280,7 +271,7 @@ def _tangency_point(conic: Conic, line: BaryLine) -> BaryPoint:
 def construction_frame(p: BaryPoint) -> ConstructionFrame:
     """Build the scaffold from a translation point off the medians."""
     validate_point(p, off_medians=True)
-    if not classify_transfer(p).is_translation():
+    if not _curve.on_translation_locus(p):
         raise NotTranslation(f"{p} is not a translation point")
     cfg = derive_configuration(p)
     conic = cfg.cevian_conic
@@ -294,8 +285,7 @@ def construction_frame(p: BaryPoint) -> ConstructionFrame:
     axis = join(G, cfg.z)
 
     def side(x: BaryPoint) -> int:
-        s = sum((axis.coords[i] * x.normalized()[i] for i in range(3)), ZERO)
-        return s.sign()
+        return sum((a * b for a, b in zip(axis.coords, x.normalized())), ZERO).sign()
 
     target = side(cfg.q_iso)
     if side(pts[0]) == target:
@@ -372,8 +362,9 @@ def inscribed_triangle(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoi
     b1, c1 = pts
     if midpoint(b1, c1) != d0:
         raise ConstructionError("intersection chord is not bisected as expected")
-    # fix the labeling so orientation 1 is the orientation-preserving one
-    if map_from_triangles((a1, b1, c1), (A, B, C)).det().sign() < 0:
+    # fix the labeling so orientation 1 is the orientation-preserving one; the
+    # map onto the reference triangle has determinant 1/det of these vertices
+    if det3(tuple(q.normalized() for q in (a1, b1, c1))).sign() < 0:
         b1, c1 = c1, b1
     return b1, c1
 

@@ -186,14 +186,7 @@ def cevian_traces(p: BaryPoint) -> tuple[BaryPoint, BaryPoint, BaryPoint]:
 
 def map_from_triangles(src, dst) -> AffineMap:
     """The unique affine map sending the first triangle onto the second."""
-    cols_src = []
-    cols_dst = []
-    for p in src:
-        cols_src.append(p.normalized())
-    for p in dst:
-        cols_dst.append(p.normalized())
-    s = AffineMap.from_columns(cols_src)
-    d = AffineMap.from_columns(cols_dst)
+    s, d = (AffineMap.from_columns([p.normalized() for p in tri]) for tri in (src, dst))
     if s.det().is_zero() or d.det().is_zero():
         raise DegenerateTriangle("triangle vertices are collinear")
     return (d @ s.inverse()).normalized()
@@ -233,9 +226,7 @@ def validate_point(p: BaryPoint, off_medians: bool = False) -> None:
 def is_valid_point(p: BaryPoint, off_medians: bool = False) -> bool:
     try:
         validate_point(p, off_medians=off_medians)
-    except MapError:
-        return False
-    except InfinitePointArgument:
+    except (MapError, InfinitePointArgument):
         return False
     return True
 

@@ -63,8 +63,6 @@ class _Triple:
     __slots__ = ("coords",)
 
     def __init__(self, *coords):
-        if len(coords) == 1:
-            coords = tuple(coords[0])
         object.__setattr__(self, "coords", _triple(coords))
 
     def __setattr__(self, name, value):

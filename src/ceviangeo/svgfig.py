@@ -21,11 +21,13 @@ conic count equals its path count.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import _canonical_of, _directions, _embedding, _reduced, _vinverse, _vmul
+from .field import _canonical_of, _digit_limit, _directions, _embedding, _reduced, _vinverse, _vmul
 from .plane import A, B, C, G, BaryPoint, point
 from .conics import Conic
 from . import conics as conics_mod
@@ -35,6 +37,11 @@ from . import maps as maps_mod
 
 class DegeneratePlacement(Exception):
     pass
+
+
+# a swept conic point farther than this from the origin, on either axis,
+# is left out of its path
+_SPAN = 1e3
 
 
 @lru_cache(maxsize=None)
@@ -76,13 +83,17 @@ class Placement:
             raise DegeneratePlacement("a placement coordinate has a zero denominator") from None
         except OverflowError:  # a float infinity
             raise DegeneratePlacement("a placement coordinate has no finite float") from None
+        except ValueError:
+            # the longest integer in the text; Fraction reads "1_000" as 1000
+            runs = re.findall(r"\d+", " ".join(map(str, coords)).replace("_", ""))
+            digits = max(map(len, runs), default=0)
+            if digits > sys.get_int_max_str_digits():
+                raise _digit_limit(f"a placement integer of {digits} digits is") from None
+            raise
         if len(vals) != 6:
             raise DegeneratePlacement("placement needs six coordinates")
-        self.ax, self.ay, self.bx, self.by, self.cx, self.cy = vals
-        area2 = (self.bx - self.ax) * (self.cy - self.ay) - (self.cx - self.ax) * (
-            self.by - self.ay
-        )
-        if area2 == 0:
+        ax, ay, bx, by, cx, cy = vals
+        if (bx - ax) * (cy - ay) - (cx - ax) * (by - ay) == 0:
             raise DegeneratePlacement("the three placed vertices are collinear")
         try:
             self._floats = tuple(float(v) for v in vals)
@@ -143,8 +154,6 @@ class _Sweep(Sequence):
         return len(self.vectors)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
         entry = self.vectors[i]
         if entry is None:
             return None
@@ -227,8 +236,7 @@ def conic_sweep(c: Conic, base: BaryPoint, steps: int = 96) -> Sequence[BaryPoin
     return _Sweep(tower, out)
 
 
-def _conic_path(c: Conic, base: BaryPoint, placement: Placement, steps: int = 96,
-                span: float = 1e3) -> str:
+def _conic_path(c: Conic, base: BaryPoint, placement: Placement, steps: int = 96) -> str:
     sweep = conic_sweep(c, base, steps)
     tower, at = sweep.tower, placement._at
     pieces: list[list[tuple[float, float]]] = [[]]
@@ -237,7 +245,7 @@ def _conic_path(c: Conic, base: BaryPoint, placement: Placement, steps: int = 96
             (wa, wb, wc), den = entry
             x, y = at(_float(tower, wa, den), _float(tower, wb, den), _float(tower, wc, den))
             # nan, from an overflow in place, fails both tests
-            if abs(x) <= span and abs(y) <= span:
+            if abs(x) <= _SPAN and abs(y) <= _SPAN:
                 pieces[-1].append((x, y))
                 continue
         if pieces[-1]:

@@ -146,3 +146,11 @@ def test_digit_limit_refusal_names_the_limit(argv):
     # the input is refused as it is read, the output as it is written
     code, err = check_contract(argv)
     assert code == 2 and "4300-digit limit" in err, err
+
+
+@pytest.mark.parametrize("coordinate", ["9" * 4301, "9_" * 4400 + "9", "0." + "0" * 4400 + "1"],
+                         ids=["integer-4301", "underscored-4401", "decimal-4401"])
+def test_overlong_placement_coordinate_names_the_limit(coordinate):
+    # Fraction(str) let Python's own remedy through
+    code, err = check_contract(["render", "conics", f"--placement={coordinate} 0 1 0 0 1"])
+    assert code == 2 and "4300-digit limit" in err, err

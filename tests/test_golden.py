@@ -65,3 +65,16 @@ def test_svg_figure(figure):
         got.append(digest(svgfig.render_figure(figure, placement)))
     mismatched = [i for i, (a, b) in enumerate(zip(got, expected)) if a != b]
     assert len(got) == len(expected) and not mismatched, mismatched
+
+
+# sha256[:16] of `verify all --json` stdout: (seed, digest, bytes); a change
+# that adds or renames a verify entry re-pins these
+VERIFY_ALL = [(0, "365c22fe139c4087", 10739), (7, "2af15f7eac9b974d", 10802)]
+
+
+@pytest.mark.parametrize("seed,expected,size", VERIFY_ALL)
+def test_verify_all_json(seed, expected, size):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "all", "--json", "--seed", str(seed)]) == 0
+    assert (digest(out.getvalue()), len(out.getvalue().encode("utf-8"))) == (expected, size)

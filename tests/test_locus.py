@@ -94,9 +94,9 @@ class TestVertexLocus:
 
     def test_profile_equivalence(self):
         on = vertex_condition_profile(point([6, 3, 2]))
-        assert on.as_tuple() == (True, True, True, True)
+        assert tuple(on) == (True, True, True, True)
         off = vertex_condition_profile(point([1, 2, 3]))
-        assert off.as_tuple() == (False, False, False, False)
+        assert tuple(off) == (False, False, False, False)
 
     def test_tangents(self):
         vl = vertex_locus("A")

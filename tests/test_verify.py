@@ -246,3 +246,59 @@ def test_run_suite_refuses_a_count_outside_the_bound(monkeypatch, name, n):
 @pytest.mark.parametrize("name,n", [("curve", 128), ("vertex-locus", 128), ("equivalences", 0)])
 def test_run_suite_accepts_the_bound(name, n):
     assert run_suite(name, seed=0, n=n).passed
+
+
+def test_centroid_cevian_center_and_v_are_collinear():
+    # translation_condition_profile catches PlaneError only: G, the center Z
+    # of the cevian conic and V = (P x Q) x (P' x Q') are collinear for every
+    # base point, so displacement_ratio(G, Z, Z, V) never raises NotCollinear
+    import sympy
+
+    from ceviangeo.maps import derive_configuration
+    from ceviangeo.plane import BaryPoint, point
+
+    x, y, z = sympy.symbols("x y z")
+    p = sympy.Matrix([x, y, z])
+    p_iso = sympy.Matrix([y * z, x * z, x * y])
+    q = sympy.Matrix([x * (y + z), y * (x + z), z * (x + y)])
+    q_iso = sympy.Matrix([y + z, x + z, x + y])
+    # the cevian conic is the isotomic image of the line through P' and the
+    # isotomic conjugate of Q
+    l, m, n = p_iso.cross(sympy.Matrix([q[1] * q[2], q[0] * q[2], q[0] * q[1]]))
+    center = sympy.Matrix([[0, n, m], [n, 0, l], [m, l, 0]]).adjugate() * sympy.ones(3, 1)
+    v = p.cross(q).cross(p_iso.cross(q_iso))
+    assert sympy.expand(sympy.Matrix.hstack(sympy.ones(3, 1), center, v).det()) == 0
+    cfg = derive_configuration(point([1, 2, 3]))
+    at = {x: 1, y: 2, z: 3}
+    assert cfg.z == BaryPoint(*(int(c) for c in center.subs(at)))
+    assert cfg.v == BaryPoint(*(int(c) for c in v.subs(at)))
+
+
+def test_translation_profile_lets_unexpected_errors_through(monkeypatch):
+    import ceviangeo.verify as verify_mod
+
+    def broken(*args):
+        raise ZeroDivisionError("patched")
+
+    # an error other than an undefined ratio fails every entry, off the
+    # locus too, instead of reading as a False condition there
+    monkeypatch.setattr(verify_mod, "displacement_ratio", broken)
+    results = run_suite("translation", seed=0, n=2).results
+    off = [r for r in results if r.name.startswith("off-locus ")]
+    assert len(off) == 2
+    assert all(not r.passed and r.detail.startswith("ZeroDivisionError") for r in off)
+
+
+def test_curve_invariant_entries_fail_alone(monkeypatch):
+    import ceviangeo.curve as curve_mod
+
+    names = [r.name for r in run_suite("curve").results]
+
+    def broken():
+        raise RuntimeError("patched")
+
+    monkeypatch.setattr(curve_mod, "curve_invariants", broken)
+    report = run_suite("curve")
+    assert [r.name for r in report.results] == names
+    assert [r.name for r in report.results if not r.passed] == [
+        "j invariant is 54000", "c4 is 720", "discriminant is 6912"]
