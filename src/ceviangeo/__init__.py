@@ -10,6 +10,7 @@ locus geometrically.
 """
 
 from .field import (
+    CeviangeoError,
     FieldElement,
     NotASquare,
     TowerDepthExceeded,

@@ -12,9 +12,9 @@ import functools
 import json
 import sys
 
-from .field import FieldError, fe, format_element
-from .plane import BaryPoint, PlaneError, point
-from .maps import MapError, classify_transfer, derive_configuration
+from .field import CeviangeoError, fe, format_element
+from .plane import BaryPoint, point
+from .maps import classify_transfer, derive_configuration
 from .conics import Conic
 from . import curve as curve_mod
 from . import locus as locus_mod
@@ -215,8 +215,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FieldError, PlaneError, MapError, curve_mod.CurveError, ValueError, KeyError,
-            svgfig.DegeneratePlacement, locus_mod.LocusError) as exc:
+    except (CeviangeoError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

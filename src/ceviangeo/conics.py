@@ -12,7 +12,7 @@ the nine-point conic), which ``verify`` keeps as cross-checks.
 
 from __future__ import annotations
 
-from .field import FieldElement, fe, ZERO, ONE, canonical_tower, sqrt_extending
+from .field import CeviangeoError, FieldElement, fe, ZERO, ONE, canonical_tower, sqrt_extending
 from .linalg import adjugate3, det3, matmul3, matvec3, nullspace, proportional, transpose3
 from .maps import isotom_complement, validate_point
 from .plane import (
@@ -22,11 +22,12 @@ from .plane import (
     LINE_AT_INFINITY,
     BaryLine,
     BaryPoint,
+    _cross,
     midpoint,
 )
 
 
-class ConicError(Exception):
+class ConicError(CeviangeoError):
     pass
 
 
@@ -156,11 +157,7 @@ def _span_points(line: BaryLine) -> tuple[BaryPoint, BaryPoint]:
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
             a, b = candidates[i], candidates[j]
-            cross_zero = all(
-                (a[(k + 1) % 3] * b[(k + 2) % 3] - a[(k + 2) % 3] * b[(k + 1) % 3]).is_zero()
-                for k in range(3)
-            )
-            if not cross_zero:
+            if not all(x.is_zero() for x in _cross(a, b)):
                 return BaryPoint(*a), BaryPoint(*b)
     raise ValueError("degenerate line")
 

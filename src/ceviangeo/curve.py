@@ -46,12 +46,12 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .field import FieldElement, fe, sqrt_extending, ZERO, _make, _reduced
+from .field import CeviangeoError, FieldElement, fe, sqrt_extending, ZERO, _make, _reduced
 from .plane import A, BaryPoint, _integral
 from . import maps as _maps
 
 
-class CurveError(Exception):
+class CurveError(CeviangeoError):
     pass
 
 

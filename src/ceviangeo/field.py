@@ -23,7 +23,12 @@ from functools import lru_cache, total_ordering
 from math import gcd, isqrt, lcm, prod
 
 
-class FieldError(Exception):
+class CeviangeoError(Exception):
+    """Base class for every error the package raises on bad input or an
+    undefined construction; the CLI answers it with exit code 2."""
+
+
+class FieldError(CeviangeoError):
     """Base class for errors raised by this module."""
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .field import FieldElement, fe, ZERO, ONE
+from .field import CeviangeoError, FieldElement, fe, ZERO, ONE
 from .linalg import det3
 from .plane import (
     A,
@@ -59,7 +59,7 @@ from .conics import (
 from . import curve as _curve
 
 
-class LocusError(Exception):
+class LocusError(CeviangeoError):
     pass
 
 
@@ -355,8 +355,7 @@ def inscribed_triangle(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoi
     other = reflected_conic(frame, a1)
     if other.contains(a1):
         raise DegenerateInscribed(f"{a1} lies on its own reflected conic")
-    pts = [q for q in intersect_shared_infinity(frame.conic, other, extend=True)
-           if not q.is_infinite()]
+    pts = intersect_shared_infinity(frame.conic, other, extend=True)
     if len(pts) != 2:
         raise NoIntersection("conic and reflected conic share no two ordinary points")
     b1, c1 = pts

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import FieldElement, fe, ZERO, ONE
+from .field import CeviangeoError, FieldElement, fe, ZERO, ONE
 from .linalg import adjugate3, det3, matmul3, matvec3, proportional, vecmat3
 from .plane import (
     A,
@@ -34,7 +34,7 @@ from .plane import (
 )
 
 
-class MapError(Exception):
+class MapError(CeviangeoError):
     pass
 
 

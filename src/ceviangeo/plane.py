@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from math import lcm
 
-from .field import FieldElement, fe, ZERO, format_element, parse_triple
+from .field import CeviangeoError, FieldElement, fe, ZERO, format_element, parse_triple
 from .linalg import det3
 
 
-class PlaneError(Exception):
+class PlaneError(CeviangeoError):
     """Base class for incidence-level errors."""
 
 

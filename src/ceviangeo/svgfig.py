@@ -27,7 +27,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import _canonical_of, _digit_limit, _directions, _embedding, _reduced, _vinverse, _vmul
+from .field import (CeviangeoError, _canonical_of, _digit_limit, _directions, _embedding, _reduced,
+                    _vinverse, _vmul)
 from .plane import A, B, C, G, BaryPoint, point
 from .conics import Conic
 from . import conics as conics_mod
@@ -35,7 +36,7 @@ from . import locus as locus_mod
 from . import maps as maps_mod
 
 
-class DegeneratePlacement(Exception):
+class DegeneratePlacement(CeviangeoError):
     pass
 
 
@@ -73,11 +74,21 @@ def _float(tower: tuple[int, ...], num: tuple[int, ...], den: int) -> float:
     return value
 
 
+# a decimal literal's exponent as Fraction reads it
+_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)[\d_]*(?:\.[\d_]*)?e([-+]?\d+(?:_\d+)*)\s*", re.I)
+
+
 class Placement:
     """Cartesian positions for the reference triangle's vertices."""
 
     def __init__(self, coords):
         try:
+            # Fraction builds 10**exponent exactly, which takes seconds for an
+            # exponent in the millions: refuse one past the digit limit first
+            for c in coords:
+                m = _EXPONENT.fullmatch(c) if isinstance(c, str) else None
+                if m and 0 < sys.get_int_max_str_digits() < abs(int(m[1])):
+                    raise _digit_limit(f"a placement exponent of {int(m[1])} makes an integer")
             vals = [Fraction(c) for c in coords]
         except ZeroDivisionError:
             raise DegeneratePlacement("a placement coordinate has a zero denominator") from None

@@ -39,6 +39,7 @@ from .maps import (
     complement,
     derive_configuration,
     is_valid_point,
+    isotomic,
     orthocenter_matches_definition,
 )
 from .conics import (
@@ -83,14 +84,16 @@ class SuiteReport:
     def add(self, name: str, passed: bool, detail: str = ""):
         self.results.append(CheckResult(name, bool(passed), detail))
 
+    def fail(self, name: str, exc: Exception):
+        self.add(name, False, f"{type(exc).__name__}: {exc}")
+
     def check(self, name: str, fn):
         """Run a predicate, recording exceptions as failures.  A tuple
         result passes when all its entries do and is the detail otherwise."""
         try:
             value = fn()
         except Exception as exc:  # failures are data, not crashes
-            self.add(name, False, f"{type(exc).__name__}: {exc}")
-            return
+            return self.fail(name, exc)
         if isinstance(value, tuple):
             self.add(name, all(value), "" if all(value) else repr(value))
         else:
@@ -151,20 +154,11 @@ def verify_equivalences(seed: int = 0, n: int = 20) -> SuiteReport:
     rng = random.Random(seed)
     vl = locus_mod.vertex_locus("A")
     for t in _locus_parameters(rng, max(1, min(10, n))):
-        p = vl.point_at(t)
-        prof = locus_mod.vertex_condition_profile(p)
-        report.add(
-            f"on-conic t={t}",
-            prof.all_equal() and prof.orthocenter_at_a,
-            "" if prof.all_equal() else point_to_literal(p),
-        )
+        report.check(f"on-conic t={t}",
+                     lambda: locus_mod.vertex_condition_profile(vl.point_at(t)))
     for p in random_valid_points(n, seed + 1):
-        prof = locus_mod.vertex_condition_profile(p)
-        report.add(
-            f"generic {point_to_literal(p)}",
-            prof.all_equal(),
-            repr(tuple(prof)) if not prof.all_equal() else "",
-        )
+        report.check(f"generic {point_to_literal(p)}",
+                     lambda: locus_mod.vertex_condition_profile(p).all_equal())
     return report
 
 
@@ -175,10 +169,10 @@ def verify_vertex_locus(seed: int = 0, n: int = 20) -> SuiteReport:
     rng = random.Random(seed)
     for vertex in ("A", "B", "C"):
         vl = locus_mod.vertex_locus(vertex)
-        bad = next((t for t in _locus_parameters(rng, n)
-                    if locus_mod.orthocenter_vertex(vl.point_at(t)) != vertex), None)
-        report.add(f"orthocenter at {vertex} on {n} conic points", bad is None,
-                   "" if bad is None else f"t={bad}")
+        params = _locus_parameters(rng, n)
+        report.check(f"orthocenter at {vertex} on {n} conic points",
+                     lambda: all(locus_mod.orthocenter_vertex(vl.point_at(t)) == vertex
+                                 for t in params))
     vl = locus_mod.vertex_locus("A")
     report.check(
         "tangent at B is the anticomplement of line CA",
@@ -242,11 +236,7 @@ def verify_special(seed: int = 0, n: int = 0) -> SuiteReport:
     doubled = locus_mod.doubled_anticomplementary_line()
     for sign in (1, -1):
         tag = "+" if sign > 0 else "-"
-        try:
-            cfg = locus_mod.special_configuration(sign)
-        except Exception as exc:
-            report.add(f"variant {tag} construction", False, str(exc))
-            continue
+        cfg = locus_mod.special_configuration(sign)
         d = cevian_traces(cfg.p)[0]
         d3 = cevian_traces(cfg.p_iso)[0]
 
@@ -387,13 +377,8 @@ def _translation_flags(cfg, on_locus: bool) -> tuple[bool, ...]:
 def verify_translation_consequences(seed: int = 0, n: int = 10) -> SuiteReport:
     report = SuiteReport("consequences")
     for p in curve_mod.sample_translation_points(n, seed=seed):
-        cfg = derive_configuration(p)
-        prof = translation_consequence_profile(cfg)
-        report.add(
-            f"consequences at {point_to_literal(p)[:48]}",
-            all(prof),
-            repr(prof) if not all(prof) else "",
-        )
+        report.check(f"consequences at {point_to_literal(p)[:48]}",
+                     lambda: translation_consequence_profile(derive_configuration(p)))
     return report
 
 
@@ -413,8 +398,7 @@ _NEGATION_SYMMETRY = (False, (0, 2, 1))
 
 def _triangle_symmetry(p: BaryPoint, symmetry) -> BaryPoint:
     iso, order = symmetry
-    x, y, z = p.coords
-    c = (y * z, x * z, x * y) if iso else (x, y, z)
+    c = (isotomic(p) if iso else p).coords
     return BaryPoint(*(c[i] for i in order))
 
 
@@ -620,11 +604,7 @@ def verify_construction(seed: int = 0, n: int = 5) -> SuiteReport:
     """The inscribed-triangle construction on the canonical frame."""
     _check_count("construction", n)
     report = SuiteReport("construction")
-    try:
-        frame = locus_mod.canonical_frame()
-    except Exception as exc:
-        report.add("canonical frame construction", False, str(exc))
-        return report
+    frame = locus_mod.canonical_frame()
     report.add("canonical frame construction", True)
     report.check("frame identities", lambda: frame_profile(frame))
     report.check(
@@ -707,12 +687,17 @@ def _check_count(name: str, n: int) -> None:
 
 
 def run_suite(name: str, seed: int = 0, n: int | None = None) -> SuiteReport:
+    """Run one suite; an exception escaping it is the suite's one failing entry."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    if n is None:
-        return SUITES[name](seed=seed)
-    _check_count(name, n)
-    return SUITES[name](seed=seed, n=n)
+    if n is not None:
+        _check_count(name, n)
+    try:
+        return SUITES[name](seed=seed) if n is None else SUITES[name](seed=seed, n=n)
+    except Exception as exc:  # failures are data, not crashes
+        report = SuiteReport(name)
+        report.fail("suite ran to completion", exc)
+        return report
 
 
 def run_all(seed: int = 0, n: int | None = None) -> list[SuiteReport]:

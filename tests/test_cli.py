@@ -113,6 +113,35 @@ def test_division_by_zero_in_an_expression_exits_2(args, capsys):
     assert len(err.splitlines()) == 1 and "division by zero" in err
 
 
+def test_every_package_exception_has_the_common_root():
+    import importlib
+    import pkgutil
+
+    import ceviangeo
+    from ceviangeo.field import CeviangeoError
+
+    modules = [importlib.import_module(f"ceviangeo.{info.name}")
+               for info in pkgutil.iter_modules(ceviangeo.__path__)]
+    defined = {obj.__name__: obj for mod in modules for obj in vars(mod).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == mod.__name__}
+    assert {"FieldError", "PlaneError", "MapError", "ConicError", "CurveError", "LocusError",
+            "DegeneratePlacement", "DigitLimitExceeded"} <= defined.keys()
+    assert [n for n, c in defined.items() if not issubclass(c, CeviangeoError)] == []
+
+
+def test_conic_error_in_compute_exits_2(monkeypatch, capsys):
+    from ceviangeo.conics import DegenerateConic
+
+    def broken(p):
+        raise DegenerateConic("injected")
+
+    monkeypatch.setattr(cli, "derive_configuration", broken)
+    code, out, err = run_cli(["compute", "[6,3,2]", "H"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: injected\n"
+
+
 def test_readme_library_example(capsys):
     """Run the README's Python block; each print line's trailing comment is
     the line it prints."""

@@ -18,6 +18,7 @@ triangle overflows, out-of-range counts) are not repeated.
 
 import contextlib
 import io
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,3 +155,12 @@ def test_overlong_placement_coordinate_names_the_limit(coordinate):
     # Fraction(str) let Python's own remedy through
     code, err = check_contract(["render", "conics", f"--placement={coordinate} 0 1 0 0 1"])
     assert code == 2 and "4300-digit limit" in err, err
+
+
+@pytest.mark.parametrize("coordinate", ["1e40000000", "1e-40000000", "1e4301"])
+def test_placement_exponent_past_the_limit_is_refused_fast(coordinate):
+    # Fraction builds 10**exponent exactly: 1e10000000 alone takes seconds
+    start = time.perf_counter()
+    code, err = check_contract(["render", "conics", f"--placement={coordinate} 0 1 0 0 1"])
+    assert code == 2 and "4300-digit limit" in err and "exponent" in err, err
+    assert time.perf_counter() - start < 1.0

@@ -27,6 +27,16 @@ class TestPlumbing:
             "results": [{"name": "ok", "passed": True}],
         }
 
+    def test_suite_that_raises_is_one_failing_entry(self, monkeypatch):
+        def broken(seed, n=0):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setitem(SUITES, "curve", broken)
+        report = run_suite("curve", n=2)
+        assert report.to_dict() == {"suite": "curve", "passed": False, "results": [
+            {"name": "suite ran to completion", "passed": False,
+             "detail": "ZeroDivisionError: injected"}]}
+
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
             run_suite("nope")
@@ -302,3 +312,57 @@ def test_curve_invariant_entries_fail_alone(monkeypatch):
     assert [r.name for r in report.results] == names
     assert [r.name for r in report.results if not r.passed] == [
         "j invariant is 54000", "c4 is 720", "discriminant is 6912"]
+
+
+def _raising(true):
+    def broken(*args):
+        raise ZeroDivisionError("injected")
+    return broken
+
+
+def _sheared_orthocenter(true):
+    from ceviangeo.plane import BaryPoint
+
+    def wrong(p):
+        # (x : y+x : z) of the true orthocenter
+        x, y, z = true(p).coords
+        return BaryPoint(x, y + x, z)
+    return wrong
+
+
+def _shifted_center(true):
+    def wrong(p):
+        a, b, c = true(p)
+        return a, b, c + a
+    return wrong
+
+
+INJECTED_FAULTS = {
+    "raising transfer map": [("maps", "transfer_map", _raising)],
+    "sheared orthocenter": [("maps", "orthocenter", _sheared_orthocenter),
+                            ("locus", "orthocenter", _sheared_orthocenter)],
+    "shifted transfer center": [("maps", "transfer_center_coords", _shifted_center)],
+}
+
+
+@pytest.mark.parametrize("patches", INJECTED_FAULTS.values(), ids=list(INJECTED_FAULTS))
+def test_injected_fault_fails_entries_of_a_full_report(monkeypatch, capsys, patches):
+    import importlib
+    import json
+
+    from ceviangeo import cli
+
+    for module, name, fault in patches:
+        mod = importlib.import_module(f"ceviangeo.{module}")
+        monkeypatch.setattr(mod, name, fault(getattr(mod, name)))
+    code = cli.main(["verify", "all", "--json", "--n", "2"])
+    out, err = capsys.readouterr()
+    reports = json.loads(out)
+    assert code == 1 and err == ""
+    assert [r["suite"] for r in reports] == list(SUITES)
+    entries = [e for r in reports for e in r["results"]]
+    assert any(not e["passed"] for e in entries)
+    # a suite that raised is its one failing entry
+    for r in reports:
+        names = [e["name"] for e in r["results"]]
+        assert "suite ran to completion" not in names or len(names) == 1, r
