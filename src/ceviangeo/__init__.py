@@ -37,12 +37,10 @@ from .maps import (
     AffineMap,
     Configuration,
     MClassification,
-    classify_map,
     classify_transfer,
     complement,
     anticomplement,
     derive_configuration,
-    eta_reflection,
     isotom_complement,
     isotomic,
     transfer_map,
@@ -60,10 +58,7 @@ from .conics import (
 )
 from .curve import (
     GENERATOR,
-    NFPoint,
-    NormalFormCurve,
     WPoint,
-    j_invariant,
     on_translation_locus,
     sample_translation_points,
     torsion_points,

@@ -6,14 +6,14 @@ coordinates it becomes the normal form (3x+1)y^2 + (3x+1)(x-1)y + x^2-x = 0,
 a member of the family E_a with parameter a = 3; completing the square and a
 Moebius change of variable carry it to the Weierstrass model
 v^2 = u(u^2 + 6u - 3), where the chord-tangent group law lives.  This module
-implements the models, the birational maps between them (with the explicit
-limit table at their exceptional points), the group law, the torsion group,
-and seeded samplers used by the verification suites.  The cubic is the
-coordinate sum of the transfer map's center (``maps.transfer_center_coords``),
-and ``w_to_bary`` leaves the Weierstrass model in one step, by the closed
-form of the chain ``w_to_nf`` then ``nf_to_bary`` written through the slope
-v/u of the line to (0, 0); ``bary_to_w`` still walks the chain, so the round
-trip cross-checks the two.  Under ``w_to_bary``, P -> +-P + T for the six
+implements the cubic, the Weierstrass model and the map ``w_to_bary`` between
+them (with the explicit limit table at its exceptional points), the group
+law, the torsion group, and the seeded sampler used by the verification
+suites.  The cubic is the coordinate sum of the transfer map's center
+(``maps.transfer_center_coords``).  ``w_to_bary`` is the closed form, written
+through the slope v/u of the line to (0, 0), of the chain through the normal
+form; the chain, the normal-form family and the torsion addition table are
+cross-checks in ``verify``.  Under ``w_to_bary``, P -> +-P + T for the six
 rational torsion points T are the triangle's symmetries together with
 isotomic conjugation; the ``curve`` suite checks that table.
 
@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .field import CeviangeoError, FieldElement, fe, sqrt_extending, ZERO, _make, _reduced
+from .field import CeviangeoError, FieldElement, fe, ZERO, _make, _reduced
 from .plane import A, BaryPoint, _integral
 from . import maps as _maps
 
@@ -74,7 +74,8 @@ class MultipleTooLarge(CurveError):
 
 class SampleTooLarge(CurveError):
     """A sample larger than SAMPLE_BOUND, or of negative size, was
-    requested: of translation points, or per invariant of a verify suite."""
+    requested: of translation points, or per invariant of a verify suite; or
+    more points of a normal-form member than its x values give."""
 
 
 # Weierstrass coefficients of v^2 = u^3 + 6u^2 - 3u
@@ -336,10 +337,6 @@ def curve_invariants() -> dict[str, Fraction]:
     }
 
 
-def j_invariant() -> Fraction:
-    return curve_invariants()["j"]
-
-
 def rational_torsion() -> list[WPoint]:
     """The six torsion points with rational coordinates."""
     return [
@@ -381,106 +378,6 @@ def torsion_order_census() -> dict[int, int]:
     return census
 
 
-def torsion_addition_table() -> list[list[int]]:
-    """The 12x12 group table of the torsion points, as indices into
-    torsion_points(); raises if the set were not closed under addition."""
-    pts = torsion_points()
-    table = []
-    for p in pts:
-        row = []
-        for q in pts:
-            s = p + q
-            index = next((i for i, t in enumerate(pts) if t == s), None)
-            if index is None:
-                raise CurveError(f"{p} + {q} is not among the torsion points")
-            row.append(index)
-        table.append(row)
-    return table
-
-
-def is_torsion(p: WPoint) -> bool:
-    return any(p == t for t in _torsion_group())
-
-
-# ---------------------------------------------------------------------------
-# the normal-form family and the barycentric cubic
-
-
-def _nf_residual(a, x, y) -> FieldElement:
-    """The left side of the member with parameter a, evaluated at (x, y)."""
-    lead = a * x + 1
-    return lead * y * y + lead * (x - 1) * y + x * x - x
-
-
-def _nf_y_discriminant(a, x) -> FieldElement:
-    """Discriminant in y of the member with parameter a at a given x."""
-    lead = a * x + 1
-    return lead * lead * (x - 1) * (x - 1) - 4 * lead * (x * x - x)
-
-
-class NormalFormCurve:
-    """The family (a*x+1)y^2 + (a*x+1)(x-1)y + x^2 - x = 0.
-
-    Points of the member with parameter a, read as absolute barycentric
-    coordinates (x, y, 1-x-y), are exactly the base points whose transfer
-    map is a homothety with ratio 4/(a+1); parameters 3, 0, -1 and 9 are
-    excluded.
-    """
-
-    EXCLUDED = (3, 0, -1, 9)
-
-    def __init__(self, a):
-        a = fe(a)
-        if any(a == bad for bad in self.EXCLUDED):
-            raise BadParameter(f"parameter {a} is excluded")
-        self.a = a
-
-    def residual(self, x, y) -> FieldElement:
-        return _nf_residual(self.a, fe(x), fe(y))
-
-    def contains(self, x, y) -> bool:
-        return self.residual(x, y).is_zero()
-
-    def y_discriminant(self, x) -> FieldElement:
-        """Discriminant of the defining equation in y at a given x."""
-        return _nf_y_discriminant(self.a, fe(x))
-
-    def points_at(self, x) -> list[tuple[FieldElement, FieldElement]]:
-        """The (up to two) real curve points above x, adjoining one square
-        root when necessary."""
-        x = fe(x)
-        lead = self.a * x + 1
-        if lead.is_zero():
-            return []
-        disc = self.y_discriminant(x)
-        if disc.sign() < 0:
-            return []
-        root = sqrt_extending(disc)
-        xr = x.in_tower(root.tower)
-        out = []
-        for sgn in (1, -1):
-            y = (-(self.a * xr + 1) * (xr - 1) + sgn * root) / (2 * (self.a * xr + 1))
-            out.append((xr, y))
-        if root.is_zero():
-            out = out[:1]
-        return out
-
-    def sample(self, n: int, seed: int = 0) -> list[tuple[FieldElement, FieldElement]]:
-        """n seeded points with rational x, each over a tower of depth <= 1."""
-        rng = random.Random(seed)
-        out = []
-        seen = set()
-        while len(out) < n:
-            x = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-            if x in seen or x in (0, 1):
-                continue
-            seen.add(x)
-            for pt in self.points_at(x):
-                if len(out) < n and not pt[1].is_zero():
-                    out.append(pt)
-        return out
-
-
 def translation_cubic(p: BaryPoint) -> FieldElement:
     """The projective cubic x(y+z)^2 + y(x+z)^2 + z(x+y)^2 whose zero locus
     is the translation locus: the coordinate sum of the transfer map's
@@ -489,67 +386,8 @@ def translation_cubic(p: BaryPoint) -> FieldElement:
     return a + b + c
 
 
-def translation_y_discriminant(x) -> FieldElement:
-    """Discriminant in y of the translation normal form at a given x."""
-    return _nf_y_discriminant(3, fe(x))
-
-
 def on_translation_locus(p: BaryPoint) -> bool:
     return translation_cubic(_integral(p)).is_zero()
-
-
-@dataclass(frozen=True)
-class NFPoint:
-    """An affine point (x, y) of the translation-locus normal form."""
-
-    x: FieldElement
-    y: FieldElement
-
-    def __post_init__(self):
-        if not _nf_residual(3, self.x, self.y).is_zero():
-            raise OffCurve(f"({self.x}, {self.y}) is not on the normal-form curve")
-
-    @classmethod
-    def of(cls, x, y) -> NFPoint:
-        return cls(fe(x), fe(y))
-
-
-def bary_to_nf(p: BaryPoint) -> NFPoint:
-    if not on_translation_locus(p):
-        raise OffCurve(f"{p} is not on the translation locus")
-    if p.is_infinite():
-        raise MapUndefined("infinite points have no absolute coordinates")
-    x, y, _ = p.normalized()
-    return NFPoint(x, y)
-
-
-def nf_to_bary(p: NFPoint) -> BaryPoint:
-    return BaryPoint(p.x, p.y, 1 - p.x - p.y)
-
-
-def nf_to_w(p: NFPoint) -> WPoint:
-    """Complete the square (Y = (3x+1)(2y+x-1), with Y^2 equal to the
-    discriminant (x-1)(3x+1)(3x^2-6x-1)) and move the quartic to the
-    Weierstrass model by u = (3x+1)/(1-x), v = Y(u+3)^2/8."""
-    if p.x == 1:
-        raise MapUndefined("x=1 corresponds to the point at infinity")
-    big_y = (3 * p.x + 1) * (2 * p.y + p.x - 1)
-    u = (3 * p.x + 1) / (1 - p.x)
-    v = big_y * (u + 3) ** 2 / 8
-    return WPoint(u, v)
-
-
-def w_to_nf(w: WPoint) -> NFPoint:
-    if w.is_infinity():
-        raise MapUndefined("the base point maps to the vertex (1:0:0)")
-    if w.u == -3:
-        raise MapUndefined("u=-3 corresponds to an infinite barycentric point")
-    if w.u.is_zero():
-        raise MapUndefined("u=0 corresponds to an infinite barycentric point")
-    x = (w.u - 1) / (w.u + 3)
-    big_y = 8 * w.v / (w.u + 3) ** 2
-    y = (big_y / (3 * x + 1) - (x - 1)) / 2
-    return NFPoint(x, y)
 
 
 # limits of the birational chain at its exceptional torsion points,
@@ -565,7 +403,8 @@ _TORSION_BARY_LIMITS = (
 def w_to_bary(w: WPoint) -> BaryPoint:
     """Total map from the Weierstrass model to the projective cubic, using
     the documented limits at the exceptional points of the chain.  Elsewhere
-    it is the composite of ``w_to_nf`` and ``nf_to_bary`` in closed form, the
+    it is the composite of ``verify.w_to_nf`` and ``verify.nf_to_bary`` in
+    closed form, the
     absolute coordinates ((u-1)/(u+3), (v+2u)/(u(u+3)), (2u-v)/(u(u+3))),
     computed through the slope s = v/u as ((u-1)/(u+3), (s+2)/(u+3),
     (2-s)/(u+3)): two inverses and no product with the larger u(u+3).
@@ -577,28 +416,6 @@ def w_to_bary(w: WPoint) -> BaryPoint:
     slope = v * u.inverse()
     inv = (u + 3).inverse()
     return BaryPoint((u - 1) * inv, (slope + 2) * inv, (2 - slope) * inv)
-
-
-def bary_to_w(p: BaryPoint) -> WPoint:
-    for wp, bary in _TORSION_BARY_LIMITS:
-        if p == bary:
-            return wp
-    return nf_to_w(bary_to_nf(p))
-
-
-def median_torsion_bary() -> list[BaryPoint]:
-    """The six translation-locus points on the medians, in conjugate pairs."""
-    r3 = FieldElement.root(3)
-    lo = fe(-2) + r3
-    hi = fe(-2) - r3
-    return [
-        BaryPoint(1, lo, lo),
-        BaryPoint(1, hi, hi),
-        BaryPoint(lo, 1, lo),
-        BaryPoint(hi, 1, hi),
-        BaryPoint(lo, lo, 1),
-        BaryPoint(hi, hi, 1),
-    ]
 
 
 def sample_translation_points(n: int, seed: int = 0) -> list[BaryPoint]:

@@ -860,22 +860,6 @@ def format_element(a: FieldElement) -> str:
     return "".join(parts)
 
 
-def element_to_json(a: FieldElement) -> dict:
-    m = a.minimal()
-    den = m.den
-    coeffs = []
-    for n in m.num:
-        g = gcd(n, den)
-        coeffs.append([str(n // g), str(den // g)])
-    return {"tower": list(m.tower), "coeffs": coeffs}
-
-
-def element_from_json(data: dict) -> FieldElement:
-    tower = tuple(int(d) for d in data["tower"])
-    coeffs = [Fraction(int(n), int(d)) for n, d in data["coeffs"]]
-    return FieldElement(tower, coeffs)
-
-
 fe = FieldElement.coerce
 ZERO = FieldElement.from_rational(0)
 ONE = FieldElement.from_rational(1)

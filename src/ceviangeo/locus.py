@@ -13,7 +13,6 @@ locus through affine maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .field import CeviangeoError, FieldElement, fe, ZERO, ONE
 from .linalg import det3
@@ -21,7 +20,6 @@ from .plane import (
     A,
     B,
     C,
-    D0,
     E0,
     F0,
     G,
@@ -34,12 +32,8 @@ from .plane import (
     midpoint,
 )
 from .maps import (
-    ANTICOMPLEMENT,
     AffineMap,
     Configuration,
-    cevian_traces,
-    complement,
-    anticomplement,
     derive_configuration,
     map_from_triangles,
     orthocenter,
@@ -132,44 +126,6 @@ def orthocenter_vertex(p: BaryPoint) -> str | None:
     return None
 
 
-class VertexConditionProfile(NamedTuple):
-    """The four equivalent characterizations of an orthocenter at vertex A."""
-
-    orthocenter_at_a: bool
-    parallelogram_afqe: bool
-    f3_on_q_e0_line: bool
-    e3_on_q_f0_line: bool
-
-    def all_equal(self) -> bool:
-        return len(set(self)) == 1
-
-
-def _four_collinear(p1, p2, p3, p4) -> bool:
-    pts = [p1, p2, p3, p4]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if pts[i] != pts[j]:
-                line = join(pts[i], pts[j])
-                return all(line.contains(q) for q in pts)
-    return True
-
-
-def vertex_condition_profile(p: BaryPoint) -> VertexConditionProfile:
-    """Evaluate the four orthocenter-at-A conditions exactly."""
-    cfg = derive_configuration(p)
-    _, e, f = cevian_traces(p)
-    _, e3, f3 = cevian_traces(cfg.p_iso)
-    an, en, fn, qn = (x.normalized() for x in (A, e, f, cfg.q))
-    # AFQE is a parallelogram when F - A = Q - E, which is also E - A = Q - F
-    para = all(fn[i] - an[i] == qn[i] - en[i] for i in range(3))
-    return VertexConditionProfile(
-        orthocenter_at_a=cfg.h == A,
-        parallelogram_afqe=para,
-        f3_on_q_e0_line=_four_collinear(f3, cfg.q, E0, complement(e3)),
-        e3_on_q_f0_line=_four_collinear(e3, cfg.q, F0, complement(f3)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the special configuration
 
@@ -182,47 +138,10 @@ def special_point(sign: int = 1) -> BaryPoint:
     return BaryPoint(ONE, 1 + s, 1 - s)
 
 
-def doubled_anticomplementary_line() -> BaryLine:
-    """The image of sideline BC under the anticomplement map applied twice:
-    the line parallel to BC through the reflection of A in the centroid-side
-    midpoint."""
-    bc = BaryLine(1, 0, 0)
-    return ANTICOMPLEMENT.apply_line(ANTICOMPLEMENT.apply_line(bc))
-
-
 def special_configuration(sign: int = 1) -> Configuration:
     """The full derived configuration of the special point; the ``special``
     verification suite checks its defining relations."""
     return derive_configuration(special_point(sign))
-
-
-def equilateral_metric_checks(sign: int = 1) -> dict[str, bool]:
-    """Exact squared-distance checks in the Cartesian embedding with
-    A=(0,sqrt(3)), B=(-1,0), C=(1,0), an equilateral triangle of side 2."""
-    r3 = FieldElement.root(3)
-
-    def cart(p: BaryPoint):
-        pn = p.normalized()
-        return (pn[2] - pn[1], r3 * pn[0])
-
-    def dist2(p, q):
-        pu, pv = cart(p)
-        qu, qv = cart(q)
-        return (pu - qu) ** 2 + (pv - qv) ** 2
-
-    cfg = special_configuration(sign)
-    d = cevian_traces(cfg.p)[0]
-    f3 = cevian_traces(cfg.p_iso)[2]
-    a_tilde = anticomplement(A)
-    return {
-        "side_ab_sq_is_4": dist2(A, B) == 4,
-        "side_bc_sq_is_4": dist2(B, C) == 4,
-        "side_ca_sq_is_4": dist2(C, A) == 4,
-        "d0_d_sq_is_2": dist2(D0, d) == 2,
-        "a_q_sq_is_2": dist2(A, cfg.q) == 2,
-        "b_f3_sq_is_2": dist2(B, f3) == 2,
-        "p_iso_reflected_a_sq_is_8": dist2(cfg.p_iso, a_tilde) == 8,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -418,31 +337,6 @@ def reconstruct_point(frame: ConstructionFrame, a1: BaryPoint, orientation: int 
         raise ValueError("orientation must be 1 or 2")
     amap = map_from_triangles((a1, b1, c1), (A, B, C))
     return amap.apply(frame.p)
-
-
-def admissible_vertex_samples(frame: ConstructionFrame, n: int, seed: int = 0) -> list[BaryPoint]:
-    """n admissible vertices on the frame conic over a depth-2 tower, pulled
-    back from translation-locus samples through the parallelogram map."""
-    out: list[BaryPoint] = []
-    batch = max(2 * n, 6)
-    for p2 in _curve.sample_translation_points(batch, seed=seed):
-        if len(out) >= n:
-            break
-        if p2 == frame.p:
-            continue
-        # the sampler returns valid points off the medians, so cfg2.u exists
-        cfg2 = derive_configuration(p2)
-        pull = map_from_triangles((cfg2.h, cfg2.u, cfg2.p), (frame.h, frame.u, frame.p))
-        a1 = pull.apply(A)
-        if not frame.conic.contains(a1):
-            raise ConstructionError("pullback vertex left the frame conic")
-        if any(a1 == prev for prev in out):
-            continue
-        if admissible(frame, a1):
-            out.append(a1)
-    if len(out) < n:
-        raise LocusError(f"could only build {len(out)} admissible samples")
-    return out
 
 
 def canonical_frame() -> ConstructionFrame:

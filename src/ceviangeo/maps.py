@@ -2,36 +2,21 @@
 
 Covers the complement and isotomic maps, cevian triangles and the affine
 maps carrying the reference triangle onto them, the generalized orthocenter
-and circumcenter, the transfer map (the homothety or translation taking the
-circumconic to the inconic) and its classification, and the affine
-reflection that swaps a point with its isotomic conjugate.  The orthocenter,
+and circumcenter, and the transfer map (the homothety or translation taking
+the circumconic to the inconic) and its classification.  The orthocenter,
 the named conics, the transfer map and its classification are closed forms
 in the base point; their defining constructions (for the transfer map, the
 composition of the cevian maps through the anticomplement) are cross-checks
-in ``verify.construction_profile``.  ``classify_map`` reads the kind, ratio
-and center off any homothety or translation matrix.
+in ``verify.construction_profile``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import CeviangeoError, FieldElement, fe, ZERO, ONE
+from .field import CeviangeoError, FieldElement, fe, ZERO
 from .linalg import adjugate3, det3, matmul3, matvec3, proportional, vecmat3
-from .plane import (
-    A,
-    B,
-    C,
-    G,
-    BaryLine,
-    BaryPoint,
-    InfinitePointArgument,
-    _integral,
-    infinite_point_of,
-    is_parallel,
-    join,
-    meet,
-)
+from .plane import G, BaryLine, BaryPoint, InfinitePointArgument, _integral, join, meet
 
 
 class MapError(CeviangeoError):
@@ -63,10 +48,6 @@ class DegenerateTriangle(MapError):
 
 
 class NotHomothetyOrTranslation(MapError):
-    pass
-
-
-class DegenerateAxisOrDirection(MapError):
     pass
 
 
@@ -113,14 +94,9 @@ class AffineMap:
             raise DegenerateTriangle("map is not invertible")
         return AffineMap(adjugate3(self.rows))
 
-    def column_sums(self):
-        return tuple(
-            sum((self.rows[i][j] for i in range(3)), ZERO) for j in range(3)
-        )
-
     def normalized(self) -> AffineMap:
         """Rescale so every column sums to one."""
-        sums = self.column_sums()
+        sums = tuple(sum((self.rows[i][j] for i in range(3)), ZERO) for j in range(3))
         if sums[0].is_zero() or sums[0] != sums[1] or sums[1] != sums[2]:
             raise MapError("matrix does not fix the infinite line")
         inv = sums[0].inverse()
@@ -316,31 +292,6 @@ def classify_transfer(p: BaryPoint) -> MClassification:
     return MClassification("homothety", -4 * x * y * z / ((x + y) * (x + z) * (y + z)), s)
 
 
-def classify_map(m: AffineMap) -> MClassification:
-    """Read the linear part of a homothety or translation off its matrix."""
-    n = m.rows
-    v1 = (ONE, -ONE, ZERO)
-    v2 = (ZERO, ONE, -ONE)
-    w1 = matvec3(n, v1)
-    w2 = matvec3(n, v2)
-    k1 = w1[0]
-    if w1[1] != -k1 or not w1[2].is_zero():
-        raise NotHomothetyOrTranslation(f"linear part is not scalar: {m}")
-    k2 = w2[1]
-    if w2[2] != -k2 or not w2[0].is_zero():
-        raise NotHomothetyOrTranslation(f"linear part is not scalar: {m}")
-    if k1 != k2:
-        raise NotHomothetyOrTranslation(f"linear part has two eigenvalues: {m}")
-    k = k1
-    col = (n[0][0] - k, n[1][0], n[2][0])
-    if all(c.is_zero() for c in col):
-        raise NotHomothetyOrTranslation("transfer map is the identity")
-    center = BaryPoint(*col)
-    if k == 1:
-        return MClassification("translation", None, center)
-    return MClassification("homothety", k, center)
-
-
 def transfer_center_coords(p: BaryPoint) -> tuple[FieldElement, FieldElement, FieldElement]:
     """The coordinates (x(y+z)^2, y(x+z)^2, z(x+y)^2) of the transfer map's
     center.  Their sum is the translation cubic; all three vanish only at
@@ -415,46 +366,3 @@ def derive_configuration(p: BaryPoint) -> Configuration:
         circumconic=circumconic,
         inconic=inconic,
     )
-
-
-def orthocenter_matches_definition(cfg: Configuration) -> bool:
-    """Independent check of the orthocenter: the line from each vertex to h
-    is parallel to the line from q to the corresponding cevian trace.
-    Pairs where either line degenerates are skipped."""
-    traces = cevian_traces(cfg.p)
-    checked = 0
-    for vertex, trace in zip((A, B, C), traces):
-        if cfg.h == vertex or cfg.q == trace:
-            continue
-        l1 = join(cfg.h, vertex)
-        l2 = join(cfg.q, trace)
-        if not is_parallel(l1, l2):
-            return False
-        checked += 1
-    return checked > 0
-
-
-def reflection_fixing(axis_a: BaryPoint, axis_b: BaryPoint, direction: BaryPoint) -> AffineMap:
-    """The affine reflection fixing the line through the two axis points and
-    moving points parallel to the given infinite direction."""
-    if not direction.is_infinite():
-        raise DegenerateAxisOrDirection("direction must be an infinite point")
-    axis = join(axis_a, axis_b)
-    if axis.contains(direction):
-        raise DegenerateAxisOrDirection("direction lies on the axis")
-    cols = (axis_a.normalized(), axis_b.normalized(), direction.coords)
-    basis = AffineMap.from_columns(cols)
-    if basis.det().is_zero():
-        raise DegenerateAxisOrDirection("degenerate axis")
-    flip = AffineMap(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
-    return (basis @ flip @ basis.inverse()).normalized()
-
-
-def eta_reflection(cfg: Configuration) -> AffineMap:
-    """The affine reflection fixing line G v and moving points parallel to
-    the line joining p and its isotomic conjugate; it swaps p with p_iso and
-    q with q_iso."""
-    if cfg.v is None:
-        raise OnMedian("the axis point v is undefined on a median")
-    direction = infinite_point_of(join(cfg.p, cfg.p_iso))
-    return reflection_fixing(G, cfg.v, direction)

@@ -3,6 +3,10 @@
 Each suite returns a report with one pass/fail entry per invariant and a
 serialized counterexample on failure; the CLI exposes them and the
 acceptance tests replay them.  All sampling is seeded and exact.
+
+It also holds the cross-check helpers: second routes to the library's
+closed forms (such as the normal-form chain behind ``curve.w_to_bary``),
+profiles of equivalent conditions, and samplers that feed only a suite.
 """
 
 from __future__ import annotations
@@ -10,13 +14,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
+from typing import NamedTuple
 
-from .field import FieldElement, fe, ZERO
+from .field import FieldElement, fe, sqrt_extending, ZERO
 from .plane import (
     A,
     B,
     C,
     D0,
+    E0,
+    F0,
     G,
     BaryLine,
     BaryPoint,
@@ -25,6 +33,7 @@ from .plane import (
     centroid,
     collinear,
     displacement_ratio,
+    is_parallel,
     join,
     midpoint,
     point_to_literal,
@@ -33,16 +42,19 @@ from .plane import (
 from .maps import (
     ANTICOMPLEMENT,
     AffineMap,
+    MClassification,
+    NotHomothetyOrTranslation,
+    anticomplement,
     cevian_traces,
-    classify_map,
     classify_transfer,
     complement,
     derive_configuration,
     is_valid_point,
     isotomic,
-    orthocenter_matches_definition,
+    map_from_triangles,
 )
 from .conics import (
+    ConstructionError,
     affine_type,
     circumconic_of_line,
     conic_center,
@@ -82,7 +94,14 @@ class SuiteReport:
         return all(r.passed for r in self.results)
 
     def add(self, name: str, passed: bool, detail: str = ""):
-        self.results.append(CheckResult(name, bool(passed), detail))
+        """Record one entry.  Names are unique within a report: a name
+        already taken gets the suffix " (2)", " (3)", and so on."""
+        taken = {r.name for r in self.results}
+        unique, k = name, 1
+        while unique in taken:
+            k += 1
+            unique = f"{name} ({k})"
+        self.results.append(CheckResult(unique, bool(passed), detail))
 
     def fail(self, name: str, exc: Exception):
         self.add(name, False, f"{type(exc).__name__}: {exc}")
@@ -145,6 +164,45 @@ def _locus_parameters(rng: random.Random, count: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
+# the vertex-orthocenter conditions
+
+
+class VertexConditionProfile(NamedTuple):
+    """The four equivalent characterizations of an orthocenter at vertex A."""
+
+    orthocenter_at_a: bool
+    parallelogram_afqe: bool
+    f3_on_q_e0_line: bool
+    e3_on_q_f0_line: bool
+
+    def all_equal(self) -> bool:
+        return len(set(self)) == 1
+
+
+def _four_collinear(p1, p2, p3, p4) -> bool:
+    pts = [p1, p2, p3, p4]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if pts[i] != pts[j]:
+                line = join(pts[i], pts[j])
+                return all(line.contains(q) for q in pts)
+    return True
+
+
+def vertex_condition_profile(p: BaryPoint) -> VertexConditionProfile:
+    """Evaluate the four orthocenter-at-A conditions exactly."""
+    cfg = derive_configuration(p)
+    _, e, f = cevian_traces(p)
+    _, e3, f3 = cevian_traces(cfg.p_iso)
+    an, en, fn, qn = (x.normalized() for x in (A, e, f, cfg.q))
+    # AFQE is a parallelogram when F - A = Q - E, which is also E - A = Q - F
+    para = all(fn[i] - an[i] == qn[i] - en[i] for i in range(3))
+    return VertexConditionProfile(
+        orthocenter_at_a=cfg.h == A,
+        parallelogram_afqe=para,
+        f3_on_q_e0_line=_four_collinear(f3, cfg.q, E0, complement(e3)),
+        e3_on_q_f0_line=_four_collinear(e3, cfg.q, F0, complement(f3)),
+    )
 
 
 def verify_equivalences(seed: int = 0, n: int = 20) -> SuiteReport:
@@ -155,10 +213,10 @@ def verify_equivalences(seed: int = 0, n: int = 20) -> SuiteReport:
     vl = locus_mod.vertex_locus("A")
     for t in _locus_parameters(rng, max(1, min(10, n))):
         report.check(f"on-conic t={t}",
-                     lambda: locus_mod.vertex_condition_profile(vl.point_at(t)))
+                     lambda: vertex_condition_profile(vl.point_at(t)))
     for p in random_valid_points(n, seed + 1):
         report.check(f"generic {point_to_literal(p)}",
-                     lambda: locus_mod.vertex_condition_profile(p).all_equal())
+                     lambda: vertex_condition_profile(p).all_equal())
     return report
 
 
@@ -229,53 +287,89 @@ def verify_vertex_locus(seed: int = 0, n: int = 20) -> SuiteReport:
     return report
 
 
+def doubled_anticomplementary_line() -> BaryLine:
+    """The image of sideline BC under the anticomplement map applied twice:
+    the line parallel to BC through the reflection of A in the centroid-side
+    midpoint."""
+    bc = BaryLine(1, 0, 0)
+    return ANTICOMPLEMENT.apply_line(ANTICOMPLEMENT.apply_line(bc))
+
+
+def equilateral_metric_checks():
+    """(name, check) pairs: exact squared-distance checks of a special
+    configuration in the Cartesian embedding with A=(0,sqrt(3)), B=(-1,0),
+    C=(1,0), an equilateral triangle of side 2."""
+    r3 = FieldElement.root(3)
+
+    def cart(p: BaryPoint):
+        pn = p.normalized()
+        return (pn[2] - pn[1], r3 * pn[0])
+
+    def dist2(p, q):
+        pu, pv = cart(p)
+        qu, qv = cart(q)
+        return (pu - qu) ** 2 + (pv - qv) ** 2
+
+    return (
+        ("side_ab_sq_is_4", lambda cfg: dist2(A, B) == 4),
+        ("side_bc_sq_is_4", lambda cfg: dist2(B, C) == 4),
+        ("side_ca_sq_is_4", lambda cfg: dist2(C, A) == 4),
+        ("d0_d_sq_is_2", lambda cfg: dist2(D0, cevian_traces(cfg.p)[0]) == 2),
+        ("a_q_sq_is_2", lambda cfg: dist2(A, cfg.q) == 2),
+        ("b_f3_sq_is_2", lambda cfg: dist2(B, cevian_traces(cfg.p_iso)[2]) == 2),
+        ("p_iso_reflected_a_sq_is_8", lambda cfg: dist2(cfg.p_iso, anticomplement(A)) == 8),
+    )
+
+
 def verify_special(seed: int = 0, n: int = 0) -> SuiteReport:
     """The two special translation points: every stated relation, plus the
     equilateral-embedding distance checks."""
     report = SuiteReport("special")
-    doubled = locus_mod.doubled_anticomplementary_line()
-    for sign in (1, -1):
-        tag = "+" if sign > 0 else "-"
-        cfg = locus_mod.special_configuration(sign)
-        d = cevian_traces(cfg.p)[0]
-        d3 = cevian_traces(cfg.p_iso)[0]
+    doubled = doubled_anticomplementary_line()
 
-        def trace_offset():
-            dn, d0n, cn = d.normalized(), D0.normalized(), C.normalized()
-            return all((dn[i] - d0n[i]) ** 2 == 2 * (cn[i] - d0n[i]) ** 2 for i in range(3))
+    def trace_offset(cfg):
+        dn = cevian_traces(cfg.p)[0].normalized()
+        d0n, cn = D0.normalized(), C.normalized()
+        return all((dn[i] - d0n[i]) ** 2 == 2 * (cn[i] - d0n[i]) ** 2 for i in range(3))
 
-        def axis_line_meets_special_points():
-            pts = intersect_line(cfg.circumconic, BaryLine(-2, 1, 1))
-            return len(pts) == 2 and all(
-                any(p == locus_mod.special_point(s) for s in (1, -1)) for p in pts
-            )
-
-        checks = (
-            ("orthocenter is A", lambda: cfg.h == A),
-            ("circumcenter is the midpoint of BC", lambda: cfg.o == D0),
-            ("signed ratio of iso displacement is -3",
-             lambda: signed_ratio(cfg.o, cfg.p_iso, cfg.p) == -3),
-            ("circumconic is the isotomic image of the doubled anticomplementary line",
-             lambda: doubled == BaryLine(2, 1, 1)
-             and cfg.circumconic == circumconic_of_line(doubled)),
-            ("transfer map is a translation",
-             lambda: classify_map(cfg.transfer).is_translation()),
-            ("d3 is the midpoint of the segment to the isotomic point",
-             lambda: d3 == midpoint(A, cfg.p_iso)),
-            ("base point is the centroid of o, d, q", lambda: centroid(cfg.o, d, cfg.q) == cfg.p),
-            ("image of d3 is the midpoint of o and d",
-             lambda: cfg.t_p.apply(d3) == midpoint(cfg.o, d)),
-            ("squared trace offset doubles the squared half-side", trace_offset),
-            ("o and its reflection lie on the iso line",
-             lambda: collinear(cfg.o, cfg.p, cfg.p_iso)
-             and collinear(cfg.o_iso, cfg.p, cfg.p_iso)),
-            ("the axis-parallel line meets the circumconic in the two special points",
-             axis_line_meets_special_points),
+    def axis_line_meets_special_points(cfg):
+        pts = intersect_line(cfg.circumconic, BaryLine(-2, 1, 1))
+        return len(pts) == 2 and all(
+            any(p == locus_mod.special_point(s) for s in (1, -1)) for p in pts
         )
+
+    checks = (
+        ("orthocenter is A", lambda cfg: cfg.h == A),
+        ("circumcenter is the midpoint of BC", lambda cfg: cfg.o == D0),
+        ("signed ratio of iso displacement is -3",
+         lambda cfg: signed_ratio(cfg.o, cfg.p_iso, cfg.p) == -3),
+        ("circumconic is the isotomic image of the doubled anticomplementary line",
+         lambda cfg: doubled == BaryLine(2, 1, 1)
+         and cfg.circumconic == circumconic_of_line(doubled)),
+        ("transfer map is a translation",
+         lambda cfg: classify_map(cfg.transfer).is_translation()),
+        ("d3 is the midpoint of the segment to the isotomic point",
+         lambda cfg: cevian_traces(cfg.p_iso)[0] == midpoint(A, cfg.p_iso)),
+        ("base point is the centroid of o, d, q",
+         lambda cfg: centroid(cfg.o, cevian_traces(cfg.p)[0], cfg.q) == cfg.p),
+        ("image of d3 is the midpoint of o and d",
+         lambda cfg: cfg.t_p.apply(cevian_traces(cfg.p_iso)[0])
+         == midpoint(cfg.o, cevian_traces(cfg.p)[0])),
+        ("squared trace offset doubles the squared half-side", trace_offset),
+        ("o and its reflection lie on the iso line",
+         lambda cfg: collinear(cfg.o, cfg.p, cfg.p_iso)
+         and collinear(cfg.o_iso, cfg.p, cfg.p_iso)),
+        ("the axis-parallel line meets the circumconic in the two special points",
+         axis_line_meets_special_points),
+    )
+    # each variant is derived once, inside the first entry that reads it
+    configs = {sign: cache(partial(locus_mod.special_configuration, sign)) for sign in (1, -1)}
+    for sign, cfg in configs.items():
+        tag = "+" if sign > 0 else "-"
         for name, fn in checks:
-            report.check(f"variant {tag}: {name}", fn)
-    for name, ok in locus_mod.equilateral_metric_checks(1).items():
-        report.add(f"equilateral embedding: {name}", ok)
+            report.check(f"variant {tag}: {name}", lambda: fn(cfg()))
+    for name, fn in equilateral_metric_checks():
+        report.check(f"equilateral embedding: {name}", lambda: fn(configs[1]()))
     return report
 
 
@@ -306,6 +400,47 @@ def translation_consequence_profile(cfg) -> tuple[bool, ...]:
     )
     c5 = tangent_at(cfg.cevian_conic, cfg.h) == join(cfg.o, cfg.h)
     return (c1, c2, c3, c4, c5)
+
+
+def classify_map(m: AffineMap) -> MClassification:
+    """Read the linear part of a homothety or translation off its matrix:
+    the second route to ``maps.classify_transfer``."""
+    n = m.rows
+    # the images of the infinite points (1 : -1 : 0) and (0 : 1 : -1)
+    w1 = tuple(r[0] - r[1] for r in n)
+    w2 = tuple(r[1] - r[2] for r in n)
+    k = w1[0]
+    if w1[1] != -k or not w1[2].is_zero():
+        raise NotHomothetyOrTranslation(f"linear part is not scalar: {m}")
+    k2 = w2[1]
+    if w2[2] != -k2 or not w2[0].is_zero():
+        raise NotHomothetyOrTranslation(f"linear part is not scalar: {m}")
+    if k != k2:
+        raise NotHomothetyOrTranslation(f"linear part has two eigenvalues: {m}")
+    col = (n[0][0] - k, n[1][0], n[2][0])
+    if all(c.is_zero() for c in col):
+        raise NotHomothetyOrTranslation("transfer map is the identity")
+    center = BaryPoint(*col)
+    if k == 1:
+        return MClassification("translation", None, center)
+    return MClassification("homothety", k, center)
+
+
+def orthocenter_matches_definition(cfg) -> bool:
+    """Independent check of the orthocenter: the line from each vertex to h
+    is parallel to the line from q to the corresponding cevian trace.
+    Pairs where either line degenerates are skipped."""
+    traces = cevian_traces(cfg.p)
+    checked = 0
+    for vertex, trace in zip((A, B, C), traces):
+        if cfg.h == vertex or cfg.q == trace:
+            continue
+        l1 = join(cfg.h, vertex)
+        l2 = join(cfg.q, trace)
+        if not is_parallel(l1, l2):
+            return False
+        checked += 1
+    return checked > 0
 
 
 def composed_transfer(t_p: AffineMap, t_p_iso: AffineMap) -> AffineMap:
@@ -348,20 +483,16 @@ def verify_translation_criteria(seed: int = 0, n: int = 10) -> SuiteReport:
     hold exactly on the locus; at each point the closed forms also match
     their defining constructions."""
     report = SuiteReport("translation")
-    on_points = curve_mod.sample_translation_points(n, seed=seed)
-    off_points = random_valid_points(n, seed + 1, off_locus=True)
-    for p in on_points:
-        cfg = derive_configuration(p)
-        report.check(f"on-locus {point_to_literal(p)[:48]}",
-                     lambda: _translation_flags(cfg, on_locus=True))
-        report.check(f"constructions on-locus {point_to_literal(p)[:48]}",
-                     lambda: construction_profile(cfg))
-    for p in off_points:
-        cfg = derive_configuration(p)
-        report.check(f"off-locus {point_to_literal(p)}",
-                     lambda: _translation_flags(cfg, on_locus=False))
-        report.check(f"constructions off-locus {point_to_literal(p)}",
-                     lambda: construction_profile(cfg))
+    samples = [(p, True, point_to_literal(p)[:48])
+               for p in curve_mod.sample_translation_points(n, seed=seed)]
+    samples += [(p, False, point_to_literal(p))
+                for p in random_valid_points(n, seed + 1, off_locus=True)]
+    for p, on_locus, label in samples:
+        # one derivation per point, made inside the first entry that reads it
+        cfg = cache(partial(derive_configuration, p))
+        side = "on-locus" if on_locus else "off-locus"
+        report.check(f"{side} {label}", lambda: _translation_flags(cfg(), on_locus))
+        report.check(f"constructions {side} {label}", lambda: construction_profile(cfg()))
     return report
 
 
@@ -380,6 +511,198 @@ def verify_translation_consequences(seed: int = 0, n: int = 10) -> SuiteReport:
         report.check(f"consequences at {point_to_literal(p)[:48]}",
                      lambda: translation_consequence_profile(derive_configuration(p)))
     return report
+
+
+# ---------------------------------------------------------------------------
+# the torsion table, and the normal-form chain behind ``curve.w_to_bary``
+
+
+def torsion_addition_table() -> list[list[int]]:
+    """The 12x12 group table of the torsion points, as indices into
+    curve.torsion_points(); raises if the set were not closed under addition."""
+    pts = curve_mod.torsion_points()
+    table = []
+    for p in pts:
+        row = []
+        for q in pts:
+            s = p + q
+            index = next((i for i, t in enumerate(pts) if t == s), None)
+            if index is None:
+                raise curve_mod.CurveError(f"{p} + {q} is not among the torsion points")
+            row.append(index)
+        table.append(row)
+    return table
+
+
+def is_torsion(p: curve_mod.WPoint) -> bool:
+    return any(p == t for t in curve_mod._torsion_group())
+
+
+def _nf_residual(a, x, y) -> FieldElement:
+    """The left side of the member with parameter a, evaluated at (x, y)."""
+    lead = a * x + 1
+    return lead * y * y + lead * (x - 1) * y + x * x - x
+
+
+def _nf_y_discriminant(a, x) -> FieldElement:
+    """Discriminant in y of the member with parameter a at a given x."""
+    lead = a * x + 1
+    return lead * lead * (x - 1) * (x - 1) - 4 * lead * (x * x - x)
+
+
+@cache
+def _x_pool_size() -> int:
+    """How many values x = p/q NormalFormCurve.sample can draw."""
+    return len({Fraction(p, q) for p in range(-40, 41) for q in range(1, 13)} - {0, 1})
+
+
+class NormalFormCurve:
+    """The family (a*x+1)y^2 + (a*x+1)(x-1)y + x^2 - x = 0.
+
+    Points of the member with parameter a, read as absolute barycentric
+    coordinates (x, y, 1-x-y), are exactly the base points whose transfer
+    map is a homothety with ratio 4/(a+1); parameters 3, 0, -1 and 9 are
+    excluded.
+    """
+
+    EXCLUDED = (3, 0, -1, 9)
+
+    def __init__(self, a):
+        a = fe(a)
+        if any(a == bad for bad in self.EXCLUDED):
+            raise curve_mod.BadParameter(f"parameter {a} is excluded")
+        self.a = a
+
+    def residual(self, x, y) -> FieldElement:
+        return _nf_residual(self.a, fe(x), fe(y))
+
+    def contains(self, x, y) -> bool:
+        return self.residual(x, y).is_zero()
+
+    def y_discriminant(self, x) -> FieldElement:
+        """Discriminant of the defining equation in y at a given x."""
+        return _nf_y_discriminant(self.a, fe(x))
+
+    def points_at(self, x) -> list[tuple[FieldElement, FieldElement]]:
+        """The (up to two) real curve points above x, adjoining one square
+        root when necessary."""
+        x = fe(x)
+        lead = self.a * x + 1
+        if lead.is_zero():
+            return []
+        disc = self.y_discriminant(x)
+        if disc.sign() < 0:
+            return []
+        root = sqrt_extending(disc)
+        xr = x.in_tower(root.tower)
+        out = []
+        for sgn in (1, -1):
+            y = (-(self.a * xr + 1) * (xr - 1) + sgn * root) / (2 * (self.a * xr + 1))
+            out.append((xr, y))
+        if root.is_zero():
+            out = out[:1]
+        return out
+
+    def sample(self, n: int, seed: int = 0) -> list[tuple[FieldElement, FieldElement]]:
+        """n seeded points with rational x, each over a tower of depth <= 1.
+        Raises curve.SampleTooLarge once every x of the pool has been drawn
+        and the points above them number fewer than n."""
+        rng = random.Random(seed)
+        out = []
+        seen = set()
+        while len(out) < n:
+            if len(seen) == _x_pool_size():
+                raise curve_mod.SampleTooLarge(
+                    f"the {len(seen)} values of x give {len(out)} points, fewer than {n}")
+            x = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+            if x in seen or x in (0, 1):
+                continue
+            seen.add(x)
+            for pt in self.points_at(x):
+                if len(out) < n and not pt[1].is_zero():
+                    out.append(pt)
+        return out
+
+
+def translation_y_discriminant(x) -> FieldElement:
+    """Discriminant in y of the translation normal form at a given x."""
+    return _nf_y_discriminant(3, fe(x))
+
+
+@dataclass(frozen=True)
+class NFPoint:
+    """An affine point (x, y) of the translation-locus normal form."""
+
+    x: FieldElement
+    y: FieldElement
+
+    def __post_init__(self):
+        if not _nf_residual(3, self.x, self.y).is_zero():
+            raise curve_mod.OffCurve(f"({self.x}, {self.y}) is not on the normal-form curve")
+
+    @classmethod
+    def of(cls, x, y) -> NFPoint:
+        return cls(fe(x), fe(y))
+
+
+def bary_to_nf(p: BaryPoint) -> NFPoint:
+    if not curve_mod.on_translation_locus(p):
+        raise curve_mod.OffCurve(f"{p} is not on the translation locus")
+    if p.is_infinite():
+        raise curve_mod.MapUndefined("infinite points have no absolute coordinates")
+    x, y, _ = p.normalized()
+    return NFPoint(x, y)
+
+
+def nf_to_bary(p: NFPoint) -> BaryPoint:
+    return BaryPoint(p.x, p.y, 1 - p.x - p.y)
+
+
+def nf_to_w(p: NFPoint) -> curve_mod.WPoint:
+    """Complete the square (Y = (3x+1)(2y+x-1), with Y^2 equal to the
+    discriminant (x-1)(3x+1)(3x^2-6x-1)) and move the quartic to the
+    Weierstrass model by u = (3x+1)/(1-x), v = Y(u+3)^2/8."""
+    if p.x == 1:
+        raise curve_mod.MapUndefined("x=1 corresponds to the point at infinity")
+    big_y = (3 * p.x + 1) * (2 * p.y + p.x - 1)
+    u = (3 * p.x + 1) / (1 - p.x)
+    v = big_y * (u + 3) ** 2 / 8
+    return curve_mod.WPoint(u, v)
+
+
+def w_to_nf(w: curve_mod.WPoint) -> NFPoint:
+    if w.is_infinity():
+        raise curve_mod.MapUndefined("the base point maps to the vertex (1:0:0)")
+    if w.u == -3:
+        raise curve_mod.MapUndefined("u=-3 corresponds to an infinite barycentric point")
+    if w.u.is_zero():
+        raise curve_mod.MapUndefined("u=0 corresponds to an infinite barycentric point")
+    x = (w.u - 1) / (w.u + 3)
+    big_y = 8 * w.v / (w.u + 3) ** 2
+    y = (big_y / (3 * x + 1) - (x - 1)) / 2
+    return NFPoint(x, y)
+
+
+def bary_to_w(p: BaryPoint) -> curve_mod.WPoint:
+    for wp, bary in curve_mod._TORSION_BARY_LIMITS:
+        if p == bary:
+            return wp
+    return nf_to_w(bary_to_nf(p))
+
+
+def median_torsion_bary() -> list[BaryPoint]:
+    """The six translation-locus points on the medians, in conjugate pairs."""
+    r3 = FieldElement.root(3)
+    lo = fe(-2) + r3
+    hi = fe(-2) - r3
+    return [
+        BaryPoint(1, lo, lo),
+        BaryPoint(1, hi, hi),
+        BaryPoint(lo, 1, lo),
+        BaryPoint(hi, 1, hi),
+        BaryPoint(lo, lo, 1),
+        BaryPoint(hi, hi, 1),
+    ]
 
 
 # P -> P + T on the cubic under w_to_bary, for T in rational_torsion() order:
@@ -454,10 +777,10 @@ def verify_curve(seed: int = 0, n: int = 20) -> SuiteReport:
     report.check("torsion order census {1:1, 2:3, 3:2, 6:6}",
                  lambda: curve_mod.torsion_order_census() == {1: 1, 2: 3, 3: 2, 6: 6})
     report.check("torsion closes under addition",
-                 lambda: bool(curve_mod.torsion_addition_table()))
+                 lambda: bool(torsion_addition_table()))
     report.check(
         "generator multiples up to 24 avoid the torsion group",
-        lambda: all(not curve_mod.is_torsion(k * gen) for k in range(1, 25)),
+        lambda: all(not is_torsion(k * gen) for k in range(1, 25)),
     )
 
     def disc_identity():
@@ -469,7 +792,7 @@ def verify_curve(seed: int = 0, n: int = 20) -> SuiteReport:
             seen.add(x)
             x_fe = fe(x)
             target = (x_fe - 1) * (3 * x_fe + 1) * (3 * x_fe * x_fe - 6 * x_fe - 1)
-            if curve_mod.translation_y_discriminant(x_fe) != target:
+            if translation_y_discriminant(x_fe) != target:
                 return False
         return True
 
@@ -477,7 +800,7 @@ def verify_curve(seed: int = 0, n: int = 20) -> SuiteReport:
 
     report.check(
         "birational chain round-trips on samples",
-        lambda: all(curve_mod.w_to_bary(curve_mod.bary_to_w(p)) == p
+        lambda: all(curve_mod.w_to_bary(bary_to_w(p)) == p
                     for p in curve_mod.sample_translation_points(8, seed=seed + 2)),
     )
     report.check(
@@ -505,7 +828,7 @@ def verify_curve(seed: int = 0, n: int = 20) -> SuiteReport:
     report.check("rational torsion acts by the triangle's symmetries", torsion_symmetries)
 
     def median_correspondence():
-        mt = curve_mod.median_torsion_bary()
+        mt = median_torsion_bary()
         images = [curve_mod.w_to_bary(t) for t in curve_mod.torsion_points()[6:]]
         return all(any(i == m for m in mt) for i in images) and all(
             any(i == m for i in images) for m in mt
@@ -558,7 +881,7 @@ def verify_curve(seed: int = 0, n: int = 20) -> SuiteReport:
 
     for a in (2, 5, -3):
         def homothety_law(a=a):
-            nf = curve_mod.NormalFormCurve(fe(a))
+            nf = NormalFormCurve(fe(a))
             want = fe(4) / (fe(a) + 1)
             found = 0
             attempt = 0
@@ -600,31 +923,49 @@ def frame_profile(frame) -> tuple[bool, ...]:
     )
 
 
+def admissible_vertex_samples(frame, n: int, seed: int = 0) -> list[BaryPoint]:
+    """n admissible vertices on the frame conic over a depth-2 tower, pulled
+    back from translation-locus samples through the parallelogram map."""
+    out: list[BaryPoint] = []
+    batch = max(2 * n, 6)
+    for p2 in curve_mod.sample_translation_points(batch, seed=seed):
+        if len(out) >= n:
+            break
+        if p2 == frame.p:
+            continue
+        # the sampler returns valid points off the medians, so cfg2.u exists
+        cfg2 = derive_configuration(p2)
+        pull = map_from_triangles((cfg2.h, cfg2.u, cfg2.p), (frame.h, frame.u, frame.p))
+        a1 = pull.apply(A)
+        if not frame.conic.contains(a1):
+            raise ConstructionError("pullback vertex left the frame conic")
+        if any(a1 == prev for prev in out):
+            continue
+        if locus_mod.admissible(frame, a1):
+            out.append(a1)
+    if len(out) < n:
+        raise locus_mod.LocusError(f"could only build {len(out)} admissible samples")
+    return out
+
+
 def verify_construction(seed: int = 0, n: int = 5) -> SuiteReport:
     """The inscribed-triangle construction on the canonical frame."""
     _check_count("construction", n)
     report = SuiteReport("construction")
-    frame = locus_mod.canonical_frame()
-    report.add("canonical frame construction", True)
-    report.check("frame identities", lambda: frame_profile(frame))
-    report.check(
-        "projectivity cycles u -> z -> v -> u",
-        lambda: locus_mod.half_turn_projectivity(frame, frame.u) == frame.z
-        and locus_mod.half_turn_projectivity(frame, frame.z) == frame.v
-        and locus_mod.half_turn_projectivity(frame, frame.v) == frame.u,
-    )
 
-    def cycle_order_three():
+    def projectivity_cycles(frame):
+        return (locus_mod.half_turn_projectivity(frame, frame.u) == frame.z
+                and locus_mod.half_turn_projectivity(frame, frame.z) == frame.v
+                and locus_mod.half_turn_projectivity(frame, frame.v) == frame.u)
+
+    def cycle_order_three(frame):
         y0 = midpoint(frame.g, frame.z)
         y = y0
         for _ in range(3):
             y = locus_mod.half_turn_projectivity(frame, y)
         return y == y0
 
-    report.check("projectivity has order three on a fourth axis point", cycle_order_three)
-    report.check("frame conic is a hyperbola", lambda: affine_type(frame.conic) == "hyperbola")
-
-    def asymptote_identity():
+    def asymptote_identity(frame):
         for (mid, inf) in ((frame.e_mid, frame.asymptote_points[0]),
                            (frame.f_mid, frame.asymptote_points[1])):
             line = join(frame.z, mid)
@@ -633,23 +974,12 @@ def verify_construction(seed: int = 0, n: int = 5) -> SuiteReport:
                 return False
         return True
 
-    report.check("lines from the center to the secant midpoints are the asymptotes",
-                 asymptote_identity)
-
-    def reconstructs_reference():
+    def reconstructs_reference(frame):
         b1, c1 = locus_mod.inscribed_triangle(frame, A)
         return (b1 == B and c1 == C) or (b1 == C and c1 == B)
 
-    report.check("inscribed triangle at A reconstructs the reference triangle",
-                 reconstructs_reference)
-    report.check("A is admissible", lambda: locus_mod.admissible(frame, A))
-    report.check("q is not admissible", lambda: not locus_mod.admissible(frame, frame.q))
-    report.check("q_iso is not admissible", lambda: not locus_mod.admissible(frame, frame.q_iso))
-    report.check("p_iso is not admissible", lambda: not locus_mod.admissible(frame, frame.p_iso))
-    report.check("e is not admissible", lambda: not locus_mod.admissible(frame, frame.e))
-
-    def reconstruction_lands_on_locus():
-        samples = locus_mod.admissible_vertex_samples(frame, n, seed=seed)
+    def reconstruction_lands_on_locus(frame):
+        samples = admissible_vertex_samples(frame, n, seed=seed)
         for a1 in samples:
             for orientation in (1, 2):
                 p = locus_mod.reconstruct_point(frame, a1, orientation)
@@ -659,10 +989,30 @@ def verify_construction(seed: int = 0, n: int = 5) -> SuiteReport:
                     return False
         return True
 
-    report.check(
-        f"{n} admissible samples reconstruct translation points",
-        reconstruction_lands_on_locus,
+    checks = (
+        ("canonical frame construction", lambda frame: True),
+        ("frame identities", frame_profile),
+        ("projectivity cycles u -> z -> v -> u", projectivity_cycles),
+        ("projectivity has order three on a fourth axis point", cycle_order_three),
+        ("frame conic is a hyperbola", lambda frame: affine_type(frame.conic) == "hyperbola"),
+        ("lines from the center to the secant midpoints are the asymptotes",
+         asymptote_identity),
+        ("inscribed triangle at A reconstructs the reference triangle",
+         reconstructs_reference),
+        ("A is admissible", lambda frame: locus_mod.admissible(frame, A)),
+        ("q is not admissible", lambda frame: not locus_mod.admissible(frame, frame.q)),
+        ("q_iso is not admissible",
+         lambda frame: not locus_mod.admissible(frame, frame.q_iso)),
+        ("p_iso is not admissible",
+         lambda frame: not locus_mod.admissible(frame, frame.p_iso)),
+        ("e is not admissible", lambda frame: not locus_mod.admissible(frame, frame.e)),
+        (f"{n} admissible samples reconstruct translation points",
+         reconstruction_lands_on_locus),
     )
+    # the frame is built once, inside the first entry that reads it
+    frame = cache(locus_mod.canonical_frame)
+    for name, fn in checks:
+        report.check(name, lambda: fn(frame()))
     return report
 
 

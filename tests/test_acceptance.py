@@ -76,7 +76,7 @@ class TestAcceptance:
 
     def test_criterion_curve_arithmetic(self):
         checks = []
-        checks.append(curve_mod.j_invariant() == 54000)
+        checks.append(curve_mod.curve_invariants()["j"] == 54000)
         gen = curve_mod.GENERATOR
         checks.append(2 * gen == curve_mod.WPoint.of(fe("1/2"), R2 / 4))
         checks.append(4 * gen == curve_mod.WPoint.of(fe("169/8"), fe("-2483/32") * R2))
@@ -85,11 +85,11 @@ class TestAcceptance:
         checks.append(
             all(any(p + q == t for t in torsion) for p in torsion for q in torsion)
         )
-        checks.append(all(not curve_mod.is_torsion(n * gen) for n in range(1, 25)))
+        checks.append(all(not verify_mod.is_torsion(n * gen) for n in range(1, 25)))
         xs = [Fraction(k, 7) for k in range(-10, 10)]
         checks.append(
             all(
-                curve_mod.translation_y_discriminant(fe(x))
+                verify_mod.translation_y_discriminant(fe(x))
                 == (fe(x) - 1) * (3 * fe(x) + 1) * (3 * fe(x) ** 2 - 6 * fe(x) - 1)
                 for x in xs
             )
@@ -133,7 +133,7 @@ class TestAcceptance:
         ok = True
         detail = ""
         for a in (2, 5, -3):
-            curve = curve_mod.NormalFormCurve(fe(a))
+            curve = verify_mod.NormalFormCurve(fe(a))
             want = fe(4) / (fe(a) + 1)
             found = 0
             attempt = 0

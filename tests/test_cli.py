@@ -341,12 +341,6 @@ class TestSerializationRoundTrip:
             p = point(text)
             assert point(point_to_literal(p)) == p
 
-    def test_field_json(self):
-        from ceviangeo.field import element_from_json, element_to_json
-
-        x = parse_element("5/8-7/3*sqrt(6)")
-        assert element_from_json(json.loads(json.dumps(element_to_json(x)))) == x
-
 
 class TestRender:
     def test_locus_svg(self, tmp_path, capsys):

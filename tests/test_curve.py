@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ceviangeo import cli
-from ceviangeo.field import FieldElement, fe
+from ceviangeo.field import FieldElement, fe, format_element
 from ceviangeo.plane import A, B, C, BaryPoint, point, point_to_literal
 from ceviangeo.curve import (
     GENERATOR,
@@ -15,26 +15,28 @@ from ceviangeo.curve import (
     SampleTooLarge,
     BadParameter,
     MapUndefined,
-    NFPoint,
-    NormalFormCurve,
     OffCurve,
     WPoint,
-    bary_to_nf,
-    bary_to_w,
     curve_invariants,
-    is_torsion,
-    j_invariant,
-    median_torsion_bary,
-    nf_to_bary,
-    nf_to_w,
     on_translation_locus,
     rational_torsion,
     sample_translation_points,
     torsion_order_census,
     torsion_points,
     translation_cubic,
-    translation_y_discriminant,
     w_to_bary,
+)
+from ceviangeo.verify import (
+    NFPoint,
+    NormalFormCurve,
+    bary_to_nf,
+    bary_to_w,
+    is_torsion,
+    median_torsion_bary,
+    nf_to_bary,
+    nf_to_w,
+    torsion_addition_table,
+    translation_y_discriminant,
     w_to_nf,
 )
 
@@ -44,8 +46,8 @@ R3 = FieldElement.root(3)
 
 class TestInvariants:
     def test_j(self):
-        assert j_invariant() == 54000
-        assert j_invariant() == 2 ** 4 * 3 ** 3 * 5 ** 3
+        assert curve_invariants()["j"] == 54000
+        assert curve_invariants()["j"] == 2 ** 4 * 3 ** 3 * 5 ** 3
 
     def test_c4_c6_disc(self):
         inv = curve_invariants()
@@ -122,8 +124,6 @@ class TestTorsion:
         assert is_torsion(torsion_points()[7])
 
     def test_addition_table_structure(self):
-        from ceviangeo.curve import torsion_addition_table
-
         table = torsion_addition_table()
         assert len(table) == 12
         # commutative Latin square with the identity in row 0
@@ -139,7 +139,7 @@ class TestTorsion:
         # five points cannot be closed under addition in a group of order 12
         monkeypatch.setattr(curve_mod, "torsion_points", lambda: rational_torsion()[:5])
         with pytest.raises(curve_mod.CurveError):
-            curve_mod.torsion_addition_table()
+            torsion_addition_table()
 
     def test_minimal_model_shift(self):
         import sympy
@@ -357,3 +357,24 @@ class TestNormalFormFamily:
             assert cls.ratio == fe("2/3")
             found += 1
         assert found >= 3
+
+    def test_sample_keeps_its_draws(self):
+        points = NormalFormCurve(2).sample(4, seed=3)
+        assert [(format_element(x), format_element(y)) for x, y in points] == [
+            ("-1", "1-sqrt(3)"), ("-1", "1+sqrt(3)"),
+            ("29/3", "-13/3+1/183*sqrt(490867)"), ("29/3", "-13/3-1/183*sqrt(490867)")]
+
+    def test_sample_past_the_x_pool_is_refused(self):
+        # the 599 values p/q with |p| <= 40 and q <= 12 give 1014 points for
+        # a = 2; a sampler that draws forever fails here by the time limit
+        import subprocess
+        import sys
+
+        code = ("from ceviangeo.verify import NormalFormCurve\n"
+                "curve = NormalFormCurve(2)\n"
+                "assert len(curve.sample(1014)) == 1014\n"
+                "curve.sample(1015)\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=10)
+        assert result.stderr.strip().splitlines()[-1].startswith(
+            "ceviangeo.curve.SampleTooLarge: the 599 values of x give 1014 points"), result.stderr

@@ -14,8 +14,6 @@ from ceviangeo.field import (
     NotASquare,
     TowerMismatch,
     canonical_tower,
-    element_from_json,
-    element_to_json,
     factorize,
     fe,
     format_element,
@@ -233,14 +231,6 @@ class TestSerialization:
         ]
         for x in samples:
             assert parse_element(format_element(x)) == x
-
-    def test_json_roundtrip(self):
-        x = 1 + R2 / 3 - 5 * R6
-        assert element_from_json(element_to_json(x)) == x
-
-    def test_json_uses_decimal_strings(self):
-        data = element_to_json(fe(10) ** 30)
-        assert data["coeffs"][0][0] == str(10 ** 30)
 
     def test_parse_errors(self):
         from ceviangeo.field import ExpressionError
@@ -576,12 +566,6 @@ class TestDifferential:
         back = parse_element(text)
         assert back == a and hash(back) == hash(a)
         assert _sym_equal(sympy.sympify(text), _sym(a))
-        data = element_to_json(a)
-        assert data["tower"] == list(a.minimal().tower)
-        assert data["coeffs"] == [
-            [str(c.numerator), str(c.denominator)] for c in a.minimal().coeffs
-        ]
-        assert element_from_json(data) == a
 
     @settings(max_examples=80, deadline=None)
     @given(small_q | big_q, small_q | big_q)
@@ -670,14 +654,6 @@ def _format_oracle(a: FieldElement) -> str:
     return "".join(parts)
 
 
-def _json_oracle(a: FieldElement) -> dict:
-    m = a.minimal()
-    return {
-        "tower": list(m.tower),
-        "coeffs": [[str(c.numerator), str(c.denominator)] for c in m.coeffs],
-    }
-
-
 # (2, 6), (6, 10), (6, 15) and (10, 15) have a product radicand that is not
 # squarefree, so their last basis vector is 2*sqrt(3), 2*sqrt(15), 3*sqrt(10)
 # or 5*sqrt(6) and the printed coefficient is the stored one times that multiplier
@@ -692,7 +668,6 @@ class TestIntegerFormatter:
                           coeffs=st.one_of(edge_q, edge_q, small_q, big_q)))
     def test_matches_fraction_oracle(self, a):
         assert format_element(a) == _format_oracle(a)
-        assert element_to_json(a) == _json_oracle(a)
 
     def test_multiplier_edge_cases(self):
         half = Fraction(1, 2)
@@ -710,5 +685,4 @@ class TestIntegerFormatter:
                              "sqrt(3)", "2*sqrt(6)", "0"]
         for a, text in zip(cases, texts):
             assert text == _format_oracle(a)
-            assert element_to_json(a) == _json_oracle(a)
             assert parse_element(text) == a

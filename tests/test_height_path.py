@@ -22,19 +22,17 @@ from ceviangeo.curve import (
     MULTIPLE_BOUND,
     WPoint,
     chord_tangent_multiple,
-    nf_to_bary,
     on_translation_locus,
     rational_torsion,
     sample_translation_points,
     torsion_points,
     translation_cubic,
     w_to_bary,
-    w_to_nf,
 )
 from ceviangeo.field import FieldElement
 from ceviangeo.maps import classify_transfer, transfer_center_formula
 from ceviangeo.plane import BaryPoint, _integral, point, point_to_literal
-from ceviangeo.verify import run_suite
+from ceviangeo.verify import nf_to_bary, run_suite, w_to_nf
 
 EXPECTED = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "expected.json").read_text()

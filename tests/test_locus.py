@@ -21,7 +21,13 @@ from ceviangeo.plane import (
 from ceviangeo.maps import classify_transfer
 from ceviangeo.conics import affine_type, intersect_line, tangent_at
 from ceviangeo.curve import on_translation_locus, sample_translation_points
-from ceviangeo.verify import frame_profile
+from ceviangeo.verify import (
+    admissible_vertex_samples,
+    equilateral_metric_checks,
+    frame_profile,
+    median_torsion_bary,
+    vertex_condition_profile,
+)
 from ceviangeo.locus import (
     DegenerateInscribed,
     ExcludedParameter,
@@ -29,17 +35,14 @@ from ceviangeo.locus import (
     NotOnConic,
     NotTranslation,
     admissible,
-    admissible_vertex_samples,
     canonical_frame,
     construction_frame,
-    equilateral_metric_checks,
     half_turn_projectivity,
     inscribed_triangle,
     orthocenter_vertex,
     reconstruct_point,
     special_configuration,
     special_point,
-    vertex_condition_profile,
     vertex_locus,
 )
 
@@ -124,8 +127,9 @@ class TestSpecialConfiguration:
 
     def test_equilateral_metrics(self):
         for sign in (1, -1):
-            checks = equilateral_metric_checks(sign)
-            assert all(checks.values()), checks
+            cfg = special_configuration(sign)
+            failed = [name for name, check in equilateral_metric_checks() if not check(cfg)]
+            assert failed == []
 
 
 @pytest.fixture(scope="module")
@@ -246,8 +250,6 @@ class TestInscribed:
 
 
 def _torsion_barycentric():
-    from ceviangeo.curve import median_torsion_bary
-
     return [A, B, C, BaryPoint(0, 1, -1), BaryPoint(1, 0, -1), BaryPoint(1, -1, 0)] + list(
         median_torsion_bary()
     )

@@ -33,17 +33,16 @@ from ceviangeo.maps import (
     classify_transfer,
     complement,
     derive_configuration,
-    eta_reflection,
     is_valid_point,
     isotom_complement,
     isotomic,
     map_from_triangles,
     orthocenter,
-    orthocenter_matches_definition,
     transfer_center_formula,
     transfer_map,
     validate_point,
 )
+from ceviangeo.verify import orthocenter_matches_definition
 
 R2 = FieldElement.root(2)
 # the complement as a matrix, up to scale: column j is the midpoint of the
@@ -290,32 +289,6 @@ class TestClassification:
             p = random_valid(rng)
             s = transfer_center_formula(p)
             assert s.is_infinite() == on_translation_locus(p)
-
-
-class TestEtaReflection:
-    def test_swaps_isotomic_pair(self):
-        cfg = derive_configuration(point([6, 3, 2]))
-        eta = eta_reflection(cfg)
-        assert eta.apply(cfg.p) == cfg.p_iso
-        assert eta.apply(cfg.q) == cfg.q_iso
-        assert (eta @ eta) == AffineMap.identity()
-
-    def test_swaps_circumcenters_for_special_point(self):
-        cfg = derive_configuration(point("[1,1+sqrt(2),1-sqrt(2)]"))
-        eta = eta_reflection(cfg)
-        assert eta.apply(cfg.o) == cfg.o_iso
-
-    def test_fixes_axis(self):
-        cfg = derive_configuration(point([6, 3, 2]))
-        eta = eta_reflection(cfg)
-        assert eta.apply(G) == G
-        assert eta.apply(cfg.v) == cfg.v
-        assert eta.apply(midpoint(G, cfg.v)) == midpoint(G, cfg.v)
-
-    def test_median_error(self):
-        cfg = derive_configuration(G)
-        with pytest.raises(OnMedian):
-            eta_reflection(cfg)
 
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "expected.json"

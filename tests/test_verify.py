@@ -27,6 +27,13 @@ class TestPlumbing:
             "results": [{"name": "ok", "passed": True}],
         }
 
+    def test_repeated_names_get_a_suffix(self):
+        report = SuiteReport("demo")
+        for passed in (True, False, True):
+            report.add("x", passed)
+        report.add("x (2)", True)
+        assert [r.name for r in report.results] == ["x", "x (2)", "x (3)", "x (2) (2)"]
+
     def test_suite_that_raises_is_one_failing_entry(self, monkeypatch):
         def broken(seed, n=0):
             raise ZeroDivisionError("injected")
@@ -320,11 +327,11 @@ def _raising(true):
     return broken
 
 
-def _sheared_orthocenter(true):
+def _sheared(true):
     from ceviangeo.plane import BaryPoint
 
     def wrong(p):
-        # (x : y+x : z) of the true orthocenter
+        # (x : y+x : z) of the true point
         x, y, z = true(p).coords
         return BaryPoint(x, y + x, z)
     return wrong
@@ -337,32 +344,106 @@ def _shifted_center(true):
     return wrong
 
 
+def _transposed(true):
+    from ceviangeo.maps import AffineMap
+
+    return lambda p: AffineMap(tuple(zip(*true(p).rows)))
+
+
+def _y_z_swapped(true):
+    from ceviangeo.plane import BaryPoint
+
+    def wrong(w):
+        x, y, z = true(w).coords
+        return BaryPoint(x, z, y)
+    return wrong
+
+
+def _never_a_vertex(true):
+    return lambda p: None
+
+
+def _ratio_negated(true):
+    from dataclasses import replace
+
+    def wrong(p):
+        c = true(p)
+        return c if c.ratio is None else replace(c, ratio=-c.ratio)
+    return wrong
+
+
+DERIVED_POINT_SUITES = ["equivalences", "special", "translation", "consequences", "construction"]
+
+# (module, function, fault, suites that must report a failing entry)
 INJECTED_FAULTS = {
-    "raising transfer map": [("maps", "transfer_map", _raising)],
-    "sheared orthocenter": [("maps", "orthocenter", _sheared_orthocenter),
-                            ("locus", "orthocenter", _sheared_orthocenter)],
-    "shifted transfer center": [("maps", "transfer_center_coords", _shifted_center)],
+    "raising transfer map": ("maps", "transfer_map", _raising, DERIVED_POINT_SUITES),
+    "sheared orthocenter": ("maps", "orthocenter", _sheared,
+                            ["equivalences", "vertex-locus", "special", "translation",
+                             "consequences", "construction"]),
+    "shifted transfer center": ("maps", "transfer_center_coords", _shifted_center,
+                                ["translation", "curve", "construction"]),
+    "transposed transfer map": ("maps", "transfer_map", _transposed,
+                                ["special", "translation"]),
+    "w_to_bary with y and z swapped": ("curve", "w_to_bary", _y_z_swapped, ["curve"]),
+    "orthocenter never at a vertex": ("locus", "orthocenter_vertex", _never_a_vertex,
+                                      ["vertex-locus"]),
+    "classify_transfer ratio negated": ("maps", "classify_transfer", _ratio_negated,
+                                        ["translation", "curve"]),
+    "sheared isotomcomplement": ("maps", "isotom_complement", _sheared, DERIVED_POINT_SUITES),
 }
 
 
-@pytest.mark.parametrize("patches", INJECTED_FAULTS.values(), ids=list(INJECTED_FAULTS))
-def test_injected_fault_fails_entries_of_a_full_report(monkeypatch, capsys, patches):
+def _patch_everywhere(monkeypatch, module, name, fault):
+    """Replace a package function in every module namespace that binds it:
+    a name imported by name, such as ``verify.classify_transfer``, is a
+    binding of its own."""
     import importlib
+    import pkgutil
+
+    import ceviangeo
+
+    original = getattr(importlib.import_module(f"ceviangeo.{module}"), name)
+    wrong = fault(original)
+    namespaces = [ceviangeo] + [importlib.import_module(f"ceviangeo.{info.name}")
+                                for info in pkgutil.iter_modules(ceviangeo.__path__)]
+    for ns in namespaces:
+        for attr, value in list(vars(ns).items()):
+            if value is original:
+                monkeypatch.setattr(ns, attr, wrong)
+
+
+@pytest.mark.parametrize("fault", INJECTED_FAULTS.values(), ids=list(INJECTED_FAULTS))
+def test_injected_fault_fails_entries_of_a_full_report(monkeypatch, capsys, fault):
     import json
 
     from ceviangeo import cli
 
-    for module, name, fault in patches:
-        mod = importlib.import_module(f"ceviangeo.{module}")
-        monkeypatch.setattr(mod, name, fault(getattr(mod, name)))
+    module, name, wrong, must_fail = fault
+    _patch_everywhere(monkeypatch, module, name, wrong)
     code = cli.main(["verify", "all", "--json", "--n", "2"])
     out, err = capsys.readouterr()
     reports = json.loads(out)
     assert code == 1 and err == ""
     assert [r["suite"] for r in reports] == list(SUITES)
-    entries = [e for r in reports for e in r["results"]]
-    assert any(not e["passed"] for e in entries)
+    failing = {r["suite"] for r in reports if any(not e["passed"] for e in r["results"])}
+    assert set(must_fail) <= failing, failing
     # a suite that raised is its one failing entry
     for r in reports:
         names = [e["name"] for e in r["results"]]
         assert "suite ran to completion" not in names or len(names) == 1, r
+
+
+@pytest.mark.parametrize("name,count", [("translation", 8), ("special", 29), ("construction", 13)])
+def test_a_configuration_that_raises_fails_each_entry(monkeypatch, name, count):
+    import ceviangeo.maps as maps_mod
+
+    monkeypatch.setattr(maps_mod, "transfer_map", _raising(maps_mod.transfer_map))
+    results = run_suite(name, seed=0, n=2).results
+    assert len(results) == count
+    assert all(not r.passed and r.detail == "ZeroDivisionError: injected" for r in results)
+
+
+def test_entry_names_are_unique_within_a_suite():
+    # at seed 0 two sample points share their first 48 characters
+    names = [r.name for r in run_suite("consequences", seed=0, n=32).results]
+    assert len(set(names)) == len(names)
