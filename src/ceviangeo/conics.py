@@ -1,18 +1,17 @@
 """Projective conics as exact symmetric coefficient arrays.
 
 Provides construction through five points, centers, polarity, tangency,
-line intersection (with tower-extension requests when the discriminant is
-not a square), the shared-points-at-infinity conic-conic intersection via
-the radical line of the pencil, and the named conics of the derived-point
-dictionary: the cevian conic, the circumconic, the inconic and the
-nine-point conic of a quadrangle.  The first three are closed forms, at the
-scale of their defining constructions (the five-point fit and the image of
-the nine-point conic), which ``verify`` keeps as cross-checks.
+line intersection (adjoining the square root of the discriminant when it is
+not a square), and the named conics of the derived-point dictionary: the
+cevian conic, the circumconic, the inconic and the nine-point conic of a
+quadrangle.  The first three are closed forms, at the scale of their
+defining constructions (the five-point fit and the image of the nine-point
+conic), which ``verify`` keeps as cross-checks.
 """
 
 from __future__ import annotations
 
-from .field import CeviangeoError, FieldElement, fe, ZERO, ONE, canonical_tower, sqrt_extending
+from .field import CeviangeoError, FieldElement, fe, ZERO, ONE, sqrt_extending
 from .linalg import adjugate3, det3, matmul3, matvec3, nullspace, proportional, transpose3
 from .maps import isotom_complement, validate_point
 from .plane import (
@@ -40,14 +39,6 @@ class DegenerateConic(ConicError):
 
 
 class PointNotOnConic(ConicError):
-    pass
-
-
-class NotSharedInfinity(ConicError):
-    pass
-
-
-class IdenticalConics(ConicError):
     pass
 
 
@@ -169,14 +160,11 @@ def _line_restriction(c: Conic, line: BaryLine):
     return p0, p1, c.evaluate(p1), c.pair(p0, p1), c.evaluate(p0)
 
 
-def intersect_line(c: Conic, line: BaryLine, extend: bool = False) -> list[BaryPoint]:
+def intersect_line(c: Conic, line: BaryLine) -> list[BaryPoint]:
     """Ordinary and infinite intersection points of a line with a conic.
 
     Returns 0, 1 (tangency) or 2 points.  When the points exist only over a
-    quadratic extension of the field of the conic's entries and the line's
-    coordinates (decided by their values, not by the towers they are written
-    on), raises NotASquare carrying the radicand one may adjoin, unless
-    ``extend`` is set, in which case the extension is adjoined automatically
+    quadratic extension, the square root of the discriminant is adjoined
     (TowerDepthExceeded past depth 2).
     """
     p0, p1, a, b, cc = _line_restriction(c, line)
@@ -195,12 +183,7 @@ def intersect_line(c: Conic, line: BaryLine, extend: bool = False) -> list[BaryP
     if sgn == 0:
         t = -b / a
         return [BaryPoint(*(x + t * y for x, y in zip(p0.coords, p1.coords)))]
-    if extend:
-        r = sqrt_extending(disc)
-    else:
-        values = [x for row in c.m for x in row] + list(line.coords)
-        field = canonical_tower([d for x in values for d in x.minimal().tower])
-        r = disc.in_tower(field).sqrt()
+    r = sqrt_extending(disc)
     out = []
     for t in ((-b + r) / a, (-b - r) / a):
         out.append(BaryPoint(*(x + t * y for x, y in zip(p0.coords, p1.coords))))
@@ -232,68 +215,6 @@ def conic_image(c: Conic, mapping) -> Conic:
     """The image conic under an affine map, by congruence with the inverse."""
     finv = adjugate3(mapping.rows)
     return Conic(matmul3(transpose3(finv), matmul3(c.m, finv)))
-
-
-def reflect_conic(c: Conic, center: BaryPoint) -> Conic:
-    """The image of the conic under the half-turn about an ordinary point."""
-    cn = center.normalized()
-    # half-turn matrix 2*center*ones^T - identity; it is its own inverse
-    half_turn = tuple(
-        tuple(2 * cn[i] - (ONE if i == j else ZERO) for j in range(3)) for i in range(3)
-    )
-    return Conic(matmul3(transpose3(half_turn), matmul3(c.m, half_turn)))
-
-
-def radical_line(c1: Conic, c2: Conic) -> BaryLine | None:
-    """The line carrying the ordinary intersections of two conics that meet
-    the infinite line in the same points.
-
-    Scaling the second conic so the forms agree on the infinite line makes
-    the difference factor as (x+y+z) times a line, whose coefficients sit on
-    the diagonal of the symmetrized product.  Returns None when that line is
-    the infinite line itself or vanishes (no ordinary intersection)."""
-    a1, b1, cc1 = infinity_restriction(c1)
-    a2, b2, cc2 = infinity_restriction(c2)
-    if not (
-        (a1 * b2 - a2 * b1).is_zero()
-        and (a1 * cc2 - a2 * cc1).is_zero()
-        and (b1 * cc2 - b2 * cc1).is_zero()
-    ):
-        raise NotSharedInfinity("conics have different infinite points")
-    for num, den in ((a1, a2), (b1, b2), (cc1, cc2)):
-        if not den.is_zero():
-            mu = num / den
-            break
-    else:
-        raise NotSharedInfinity("second conic is degenerate on the infinite line")
-    diff = tuple(
-        tuple(c1.m[i][j] - mu * c2.m[i][j] for j in range(3)) for i in range(3)
-    )
-    if all(x.is_zero() for r in diff for x in r):
-        raise IdenticalConics("the conics coincide")
-    radical = tuple(diff[i][i] for i in range(3))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if 2 * diff[i][j] != radical[i] + radical[j]:
-                raise NotSharedInfinity(
-                    "pencil difference is not a line pair with the infinite line"
-                )
-    if all(x.is_zero() for x in radical):
-        return None
-    line = BaryLine(*radical)
-    if line == LINE_AT_INFINITY:
-        return None
-    return line
-
-
-def intersect_shared_infinity(c1: Conic, c2: Conic, extend: bool = False) -> list[BaryPoint]:
-    """Ordinary intersection points of two conics meeting the infinite line
-    in the same two points, via the radical line of their pencil."""
-    line = radical_line(c1, c2)
-    if line is None:
-        return []
-    points = intersect_line(c1, line, extend=extend)
-    return [p for p in points if not p.is_infinite()]
 
 
 def is_interior(c: Conic, p: BaryPoint) -> bool:

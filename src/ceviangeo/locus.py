@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import CeviangeoError, FieldElement, fe, ZERO, ONE
-from .linalg import det3
+from .linalg import det3, matvec3
 from .plane import (
     A,
     B,
@@ -39,17 +39,7 @@ from .maps import (
     orthocenter,
     validate_point,
 )
-from .conics import (
-    Conic,
-    ConstructionError,
-    IdenticalConics,
-    _line_restriction,
-    affine_type,
-    intersect_line,
-    intersect_shared_infinity,
-    radical_line,
-    reflect_conic,
-)
+from .conics import Conic, ConstructionError, _line_restriction, affine_type, intersect_line
 from . import curve as _curve
 
 
@@ -181,7 +171,7 @@ class ConstructionFrame:
 
 
 def _tangency_point(conic: Conic, line: BaryLine) -> BaryPoint:
-    pts = intersect_line(conic, line, extend=True)
+    pts = intersect_line(conic, line)
     if len(pts) != 1:
         raise ConstructionError("expected a tangent line")
     return pts[0]
@@ -198,7 +188,7 @@ def construction_frame(p: BaryPoint) -> ConstructionFrame:
         raise ConstructionError("cevian conic of a translation point must be a hyperbola")
     direction = infinite_point_of(join(cfg.p, cfg.p_iso))
     secant = join(G, direction)
-    pts = intersect_line(conic, secant, extend=True)
+    pts = intersect_line(conic, secant)
     if len(pts) != 2:
         raise ConstructionError("secant through g must cut the conic twice")
     axis = join(G, cfg.z)
@@ -258,27 +248,40 @@ def centroid_complement(frame: ConstructionFrame, x: BaryPoint) -> BaryPoint:
     return affine_combination([(frame.g, fe(3) / 2), (x, fe(-1) / 2)])
 
 
-def reflected_conic(frame: ConstructionFrame, a1: BaryPoint) -> Conic:
-    return reflect_conic(frame.conic, centroid_complement(frame, a1))
+def _chord(frame: ConstructionFrame, a1: BaryPoint) -> BaryLine | None:
+    """The chord of the frame's conic bisected at the complement m of a1:
+    the line through m parallel to the polar of m.  The conic minus its
+    half-turn image about m is (x+y+z)(L.X) with L = 4(Cm - (m.Cm)(1,1,1)),
+    so the chord carries every ordinary common point of the two conics.
+    None when m is the conic's center, where the image is the conic itself."""
+    m = centroid_complement(frame, a1).normalized()
+    cm = matvec3(frame.conic.m, m)
+    k = sum((x * y for x, y in zip(m, cm)), ZERO)
+    coords = tuple(4 * (x - k) for x in cm)
+    if all(x.is_zero() for x in coords):
+        return None
+    return BaryLine(*coords)
 
 
 def inscribed_triangle(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoint, BaryPoint]:
     """The unique triangle inscribed in the frame's conic with vertex a1 and
-    centroid g: the other two vertices are the ordinary intersections of the
-    conic with its reflection through the complement of a1."""
+    centroid g: the other two vertices are the ordinary ends of the chord
+    bisected at the complement of a1, which the conic shares with its
+    half-turn image about that point."""
     if a1.is_infinite():
         raise NotOnConic("vertex must be an ordinary point")
     if not frame.conic.contains(a1):
         raise NotOnConic(f"{a1} is not on the frame conic")
-    d0 = centroid_complement(frame, a1)
-    other = reflected_conic(frame, a1)
-    if other.contains(a1):
+    line = _chord(frame, a1)
+    # a1 is ordinary and on the conic, so it lies on the half-turn image
+    # exactly when it lies on the chord
+    if line is None or line.contains(a1):
         raise DegenerateInscribed(f"{a1} lies on its own reflected conic")
-    pts = intersect_shared_infinity(frame.conic, other, extend=True)
+    pts = [p for p in intersect_line(frame.conic, line) if not p.is_infinite()]
     if len(pts) != 2:
         raise NoIntersection("conic and reflected conic share no two ordinary points")
     b1, c1 = pts
-    if midpoint(b1, c1) != d0:
+    if midpoint(b1, c1) != centroid_complement(frame, a1):
         raise ConstructionError("intersection chord is not bisected as expected")
     # fix the labeling so orientation 1 is the orientation-preserving one; the
     # map onto the reference triangle has determinant 1/det of these vertices
@@ -288,22 +291,16 @@ def inscribed_triangle(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoi
 
 
 def admissible(frame: ConstructionFrame, a1: BaryPoint) -> bool:
-    """Whether a1 admits an inscribed triangle: the conic and the reflected
-    conic must meet in two distinct real ordinary points and a1 must not lie
-    on the reflected conic.  Decided by the sign of the discriminant of the
-    radical-line intersection, never by square roots."""
+    """Whether a1 admits an inscribed triangle: the chord bisected at the
+    complement of a1 must exist, miss a1 and cut the conic in two distinct
+    real ordinary points.  Decided by the sign of the discriminant of the
+    chord's intersection with the conic, never by square roots."""
     if not frame.conic.contains(a1):
         raise NotOnConic(f"{a1} is not on the frame conic")
     if a1.is_infinite():
         return False
-    other = reflected_conic(frame, a1)
-    if other.contains(a1):
-        return False
-    try:
-        line = radical_line(frame.conic, other)
-    except IdenticalConics:
-        return False
-    if line is None:
+    line = _chord(frame, a1)
+    if line is None or line.contains(a1):
         return False
     p0, p1, a, b, c = _line_restriction(frame.conic, line)
     s0 = p0.coordinate_sum()

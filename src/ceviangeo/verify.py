@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import NamedTuple
 
-from .field import FieldElement, fe, sqrt_extending, ZERO
+from .field import FieldElement, fe, sqrt_extending, ZERO, ONE
+from .linalg import matmul3, transpose3
 from .plane import (
     A,
     B,
@@ -54,6 +55,7 @@ from .maps import (
     map_from_triangles,
 )
 from .conics import (
+    Conic,
     ConstructionError,
     affine_type,
     circumconic_of_line,
@@ -106,17 +108,21 @@ class SuiteReport:
     def fail(self, name: str, exc: Exception):
         self.add(name, False, f"{type(exc).__name__}: {exc}")
 
-    def check(self, name: str, fn):
+    def check(self, name: str, fn, at: str = ""):
         """Run a predicate, recording exceptions as failures.  A tuple
-        result passes when all its entries do and is the detail otherwise."""
+        result passes when all its entries do and is the detail otherwise.
+        A failing entry's detail ends with " at <at>" when ``at`` is given,
+        so a point cut short in the name is still in the report whole."""
         try:
             value = fn()
         except Exception as exc:  # failures are data, not crashes
-            return self.fail(name, exc)
-        if isinstance(value, tuple):
-            self.add(name, all(value), "" if all(value) else repr(value))
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
         else:
-            self.add(name, bool(value))
+            passed = all(value) if isinstance(value, tuple) else bool(value)
+            detail = "" if passed or not isinstance(value, tuple) else repr(value)
+        if at and not passed:
+            detail = f"{detail} at {at}".lstrip()
+        self.add(name, passed, detail)
 
     def to_dict(self):
         return {
@@ -483,16 +489,16 @@ def verify_translation_criteria(seed: int = 0, n: int = 10) -> SuiteReport:
     hold exactly on the locus; at each point the closed forms also match
     their defining constructions."""
     report = SuiteReport("translation")
-    samples = [(p, True, point_to_literal(p)[:48])
-               for p in curve_mod.sample_translation_points(n, seed=seed)]
-    samples += [(p, False, point_to_literal(p))
-                for p in random_valid_points(n, seed + 1, off_locus=True)]
-    for p, on_locus, label in samples:
+    samples = [(p, True) for p in curve_mod.sample_translation_points(n, seed=seed)]
+    samples += [(p, False) for p in random_valid_points(n, seed + 1, off_locus=True)]
+    for p, on_locus in samples:
         # one derivation per point, made inside the first entry that reads it
         cfg = cache(partial(derive_configuration, p))
-        side = "on-locus" if on_locus else "off-locus"
-        report.check(f"{side} {label}", lambda: _translation_flags(cfg(), on_locus))
-        report.check(f"constructions {side} {label}", lambda: construction_profile(cfg()))
+        literal = point_to_literal(p)
+        # an on-locus name cuts the point short; a failing entry carries it whole
+        name = f"on-locus {literal[:48]}" if on_locus else f"off-locus {literal}"
+        report.check(name, lambda: _translation_flags(cfg(), on_locus), literal)
+        report.check(f"constructions {name}", lambda: construction_profile(cfg()), literal)
     return report
 
 
@@ -508,8 +514,9 @@ def _translation_flags(cfg, on_locus: bool) -> tuple[bool, ...]:
 def verify_translation_consequences(seed: int = 0, n: int = 10) -> SuiteReport:
     report = SuiteReport("consequences")
     for p in curve_mod.sample_translation_points(n, seed=seed):
-        report.check(f"consequences at {point_to_literal(p)[:48]}",
-                     lambda: translation_consequence_profile(derive_configuration(p)))
+        literal = point_to_literal(p)
+        report.check(f"consequences at {literal[:48]}",
+                     lambda: translation_consequence_profile(derive_configuration(p)), literal)
     return report
 
 
@@ -923,6 +930,28 @@ def frame_profile(frame) -> tuple[bool, ...]:
     )
 
 
+def reflect_conic(c: Conic, center: BaryPoint) -> Conic:
+    """The image of the conic under the half-turn about an ordinary point."""
+    cn = center.normalized()
+    # half-turn matrix 2*center*ones^T - identity; it is its own inverse
+    half_turn = tuple(
+        tuple(2 * cn[i] - (ONE if i == j else ZERO) for j in range(3)) for i in range(3)
+    )
+    return Conic(matmul3(transpose3(half_turn), matmul3(c.m, half_turn)))
+
+
+def chord_matches_reflection(frame, a1: BaryPoint) -> bool:
+    """``locus._chord`` against its definition: the frame conic minus its
+    half-turn image about the complement of a1 is (x+y+z) times the chord
+    as a quadratic form, entry by entry (both zero at the conic's center)."""
+    c = frame.conic.m
+    r = reflect_conic(frame.conic, locus_mod.centroid_complement(frame, a1)).m
+    line = locus_mod._chord(frame, a1)
+    chord = line.coords if line is not None else (ZERO, ZERO, ZERO)
+    return all(2 * (c[i][j] - r[i][j]) == chord[i] + chord[j]
+               for i in range(3) for j in range(3))
+
+
 def admissible_vertex_samples(frame, n: int, seed: int = 0) -> list[BaryPoint]:
     """n admissible vertices on the frame conic over a depth-2 tower, pulled
     back from translation-locus samples through the parallelogram map."""
@@ -969,7 +998,7 @@ def verify_construction(seed: int = 0, n: int = 5) -> SuiteReport:
         for (mid, inf) in ((frame.e_mid, frame.asymptote_points[0]),
                            (frame.f_mid, frame.asymptote_points[1])):
             line = join(frame.z, mid)
-            pts = intersect_line(frame.conic, line, extend=True)
+            pts = intersect_line(frame.conic, line)
             if len(pts) != 1 or not pts[0].is_infinite() or pts[0] != inf:
                 return False
         return True
@@ -978,9 +1007,12 @@ def verify_construction(seed: int = 0, n: int = 5) -> SuiteReport:
         b1, c1 = locus_mod.inscribed_triangle(frame, A)
         return (b1 == B and c1 == C) or (b1 == C and c1 == B)
 
+    def orientations_at_a(frame):
+        return (locus_mod.reconstruct_point(frame, A, 1) == frame.p
+                and locus_mod.reconstruct_point(frame, A, 2) == locus_mod.special_point(-1))
+
     def reconstruction_lands_on_locus(frame):
-        samples = admissible_vertex_samples(frame, n, seed=seed)
-        for a1 in samples:
+        for a1 in samples():
             for orientation in (1, 2):
                 p = locus_mod.reconstruct_point(frame, a1, orientation)
                 if not curve_mod.on_translation_locus(p):
@@ -999,6 +1031,8 @@ def verify_construction(seed: int = 0, n: int = 5) -> SuiteReport:
          asymptote_identity),
         ("inscribed triangle at A reconstructs the reference triangle",
          reconstructs_reference),
+        ("orientation 1 at A gives back p, orientation 2 the other special point",
+         orientations_at_a),
         ("A is admissible", lambda frame: locus_mod.admissible(frame, A)),
         ("q is not admissible", lambda frame: not locus_mod.admissible(frame, frame.q)),
         ("q_iso is not admissible",
@@ -1008,9 +1042,13 @@ def verify_construction(seed: int = 0, n: int = 5) -> SuiteReport:
         ("e is not admissible", lambda frame: not locus_mod.admissible(frame, frame.e)),
         (f"{n} admissible samples reconstruct translation points",
          reconstruction_lands_on_locus),
+        ("the inscribed chord is the common chord of the conic and its half-turn image",
+         lambda frame: all(chord_matches_reflection(frame, a1) for a1 in [A] + samples())),
     )
-    # the frame is built once, inside the first entry that reads it
+    # the frame and the samples are built once, inside the first entry that
+    # reads them
     frame = cache(locus_mod.canonical_frame)
+    samples = cache(lambda: admissible_vertex_samples(frame(), n, seed=seed))
     for name, fn in checks:
         report.check(name, lambda: fn(frame()))
     return report

@@ -13,6 +13,7 @@ from ceviangeo.plane import (
     G,
     BaryLine,
     BaryPoint,
+    affine_combination,
     join,
     midpoint,
     point,
@@ -23,6 +24,7 @@ from ceviangeo.conics import affine_type, intersect_line, tangent_at
 from ceviangeo.curve import on_translation_locus, sample_translation_points
 from ceviangeo.verify import (
     admissible_vertex_samples,
+    chord_matches_reflection,
     equilateral_metric_checks,
     frame_profile,
     median_torsion_bary,
@@ -30,6 +32,7 @@ from ceviangeo.verify import (
 )
 from ceviangeo.locus import (
     DegenerateInscribed,
+    _chord,
     ExcludedParameter,
     NoIntersection,
     NotOnConic,
@@ -182,7 +185,7 @@ class TestConstructionFrame:
             (frame.f_mid, frame.asymptote_points[1]),
         ):
             line = join(frame.z, mid)
-            pts = intersect_line(frame.conic, line, extend=True)
+            pts = intersect_line(frame.conic, line)
             assert pts == [inf]
 
 
@@ -249,6 +252,34 @@ class TestInscribed:
         assert frame_profile(frame2) == (True,) * 8
 
 
+def _finite_sweep(frame, steps):
+    from ceviangeo.svgfig import conic_sweep
+
+    return [p for p in conic_sweep(frame.conic, frame.h, steps)
+            if p is not None and not p.is_infinite()]
+
+
+class TestChord:
+    """The closed-form chord against the conic and its half-turn image."""
+
+    def test_matches_reflection_on_the_sweep(self, frame):
+        points = _finite_sweep(frame, 64)
+        assert len(points) > 50
+        assert all(chord_matches_reflection(frame, p) for p in points)
+
+    def test_matches_reflection_on_another_frame(self):
+        frame2 = construction_frame(sample_translation_points(3, seed=13)[1])
+        points = _finite_sweep(frame2, 16) + [A, frame2.q, frame2.p_iso]
+        assert all(chord_matches_reflection(frame2, p) for p in points)
+
+    def test_none_only_at_the_center(self, frame):
+        # the complement of a1 is the center z exactly when a1 = 3g - 2z
+        center_vertex = affine_combination([(frame.g, 3), (frame.z, -2)])
+        assert _chord(frame, center_vertex) is None
+        assert chord_matches_reflection(frame, center_vertex)
+        assert _chord(frame, A) is not None
+
+
 def _torsion_barycentric():
     return [A, B, C, BaryPoint(0, 1, -1), BaryPoint(1, 0, -1), BaryPoint(1, -1, 0)] + list(
         median_torsion_bary()
@@ -282,7 +313,8 @@ class TestArcStructure:
         # (together with the two asymptote directions these cut the
         # admissible set into six open arcs)
         from ceviangeo.svgfig import conic_sweep
-        from ceviangeo.locus import reflected_conic
+        from ceviangeo.locus import centroid_complement
+        from ceviangeo.verify import reflect_conic
 
         sweep = conic_sweep(frame.conic, frame.h, steps=64)
         flags = []
@@ -301,7 +333,7 @@ class TestArcStructure:
         assert len(long_false) == 2
         for start, _, _ in point_false:
             p = sweep[start]
-            assert reflected_conic(frame, p).contains(p)
+            assert reflect_conic(frame.conic, centroid_complement(frame, p)).contains(p)
 
 
 def test_frame_needs_no_linear_solver(monkeypatch):

@@ -171,8 +171,9 @@ def test_translation_cross_check_entries_can_fail(monkeypatch):
     results = run_suite("translation", seed=0, n=2).results
     cross = [r for r in results if r.name.startswith("constructions ")]
     assert len(cross) == 4
-    assert all(not r.passed and r.detail == repr((True, True, False, True, True, True))
-               for r in cross)
+    # an on-locus entry's detail goes on with " at <point>"
+    want = repr((True, True, False, True, True, True))
+    assert all(not r.passed and r.detail.partition(" at ")[0] == want for r in cross)
 
 
 def test_translation_entries_fail_on_a_non_scalar_transfer(monkeypatch):
@@ -205,7 +206,12 @@ def test_translation_entry_reports_the_failing_condition(monkeypatch):
     results = run_suite("translation", seed=0, n=2).results
     on = [r for r in results if r.name.startswith("on-locus ")]
     off = [r for r in results if r.name.startswith("off-locus ")]
-    assert all(not r.passed and r.detail == repr((False,) * 6 + (True,)) for r in on)
+    assert len(on) == 2
+    for r in on:
+        # the name cuts the point short; the detail goes on with all of it
+        flags, _, literal = r.detail.partition(" at ")
+        assert not r.passed and flags == repr((False,) * 6 + (True,))
+        assert literal.startswith(r.name.removeprefix("on-locus "))
     assert all(r.passed for r in off)
 
 
@@ -363,6 +369,31 @@ def _never_a_vertex(true):
     return lambda p: None
 
 
+def _vertices_swapped(true):
+    def wrong(frame, a1):
+        b1, c1 = true(frame, a1)
+        return c1, b1
+    return wrong
+
+
+def _orientation_ignored(true):
+    return lambda frame, a1, orientation=1: true(frame, a1, 1)
+
+
+def _projected_from_q(true):
+    from dataclasses import replace
+
+    return lambda frame, y: true(replace(frame, p=frame.q), y)
+
+
+def _polar_of_complement(true):
+    from ceviangeo.conics import polar
+    from ceviangeo.locus import centroid_complement
+
+    # the chord's direction without its shift by m.Cm: the polar of m
+    return lambda frame, a1: polar(frame.conic, centroid_complement(frame, a1))
+
+
 def _ratio_negated(true):
     from dataclasses import replace
 
@@ -390,6 +421,14 @@ INJECTED_FAULTS = {
     "classify_transfer ratio negated": ("maps", "classify_transfer", _ratio_negated,
                                         ["translation", "curve"]),
     "sheared isotomcomplement": ("maps", "isotom_complement", _sheared, DERIVED_POINT_SUITES),
+    "inscribed vertices swapped": ("locus", "inscribed_triangle", _vertices_swapped,
+                                   ["construction"]),
+    "reconstruction ignores orientation": ("locus", "reconstruct_point", _orientation_ignored,
+                                           ["construction"]),
+    "projectivity projects from q": ("locus", "half_turn_projectivity", _projected_from_q,
+                                     ["construction"]),
+    "chord is the polar of the complement": ("locus", "_chord", _polar_of_complement,
+                                             ["construction"]),
 }
 
 
@@ -433,14 +472,31 @@ def test_injected_fault_fails_entries_of_a_full_report(monkeypatch, capsys, faul
         assert "suite ran to completion" not in names or len(names) == 1, r
 
 
-@pytest.mark.parametrize("name,count", [("translation", 8), ("special", 29), ("construction", 13)])
+@pytest.mark.parametrize("name,count", [("translation", 8), ("special", 29), ("construction", 15)])
 def test_a_configuration_that_raises_fails_each_entry(monkeypatch, name, count):
     import ceviangeo.maps as maps_mod
 
     monkeypatch.setattr(maps_mod, "transfer_map", _raising(maps_mod.transfer_map))
     results = run_suite(name, seed=0, n=2).results
     assert len(results) == count
-    assert all(not r.passed and r.detail == "ZeroDivisionError: injected" for r in results)
+    # an on-locus entry's detail goes on with the point it failed at
+    assert all(not r.passed and r.detail.startswith("ZeroDivisionError: injected")
+               for r in results)
+
+
+def test_a_failing_entry_names_its_whole_point(monkeypatch):
+    import ceviangeo.maps as maps_mod
+    from ceviangeo.curve import sample_translation_points
+    from ceviangeo.plane import point
+
+    monkeypatch.setattr(maps_mod, "transfer_map", _raising(maps_mod.transfer_map))
+    results = run_suite("consequences", seed=0, n=32).results
+    samples = sample_translation_points(32, seed=0)
+    assert len(results) == len(samples) == 32
+    for r, p in zip(results, samples):
+        assert not r.passed
+        detail, _, literal = r.detail.rpartition(" at ")
+        assert detail == "ZeroDivisionError: injected" and point(literal) == p
 
 
 def test_entry_names_are_unique_within_a_suite():
