@@ -7,14 +7,17 @@ pair of base points on the line through the centroid parallel to a side
 realizes both a vertex orthocenter and a translation transfer map; from any
 translation point one builds a parallelogram-plus-hyperbola frame in which
 inscribed triangles with a fixed centroid reconstruct the whole translation
-locus through affine maps.
+locus through affine maps.  Each chord of that construction is bisected at a
+known point (the secant e f at g, each inscribed side at the complement of
+the opposite vertex), so its ends come in closed form and no line is
+intersected with the conic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import CeviangeoError, FieldElement, fe, ZERO, ONE
+from .field import CeviangeoError, FieldElement, fe, sqrt_extending, ZERO, ONE
 from .linalg import det3, matvec3
 from .plane import (
     A,
@@ -29,7 +32,6 @@ from .plane import (
     infinite_point_of,
     join,
     meet,
-    midpoint,
 )
 from .maps import (
     AffineMap,
@@ -39,7 +41,7 @@ from .maps import (
     orthocenter,
     validate_point,
 )
-from .conics import Conic, ConstructionError, _line_restriction, affine_type, intersect_line
+from .conics import Conic, ConstructionError
 from . import curve as _curve
 
 
@@ -142,10 +144,10 @@ def special_configuration(sign: int = 1) -> Configuration:
 class ConstructionFrame:
     """The parallelogram-and-hyperbola scaffold built from a translation
     point: parallelogram h-u-p-v with center z, the distinguished point g,
-    the midpoints q, q_iso and o of three sides, the reflected points o_iso
-    and p_iso, the conic through p, q, h, q_iso, p_iso (a hyperbola), the
-    secant points e, f of the line through g parallel to p p_iso, their
-    midpoints toward g, and the infinite points of the two asymptotes."""
+    the midpoints q, q_iso and o of three sides, the reflected point p_iso,
+    the conic through p, q, h, q_iso, p_iso (a hyperbola), and the ends e, f
+    of its chord bisected at g parallel to p p_iso, e on q_iso's side of the
+    axis g z."""
 
     h: BaryPoint
     u: BaryPoint
@@ -156,25 +158,34 @@ class ConstructionFrame:
     o: BaryPoint
     q: BaryPoint
     q_iso: BaryPoint
-    o_iso: BaryPoint
     p_iso: BaryPoint
     conic: Conic
     e: BaryPoint
     f: BaryPoint
-    e_mid: BaryPoint
-    f_mid: BaryPoint
-    asymptote_points: tuple[BaryPoint, BaryPoint]
     t_p: AffineMap
 
     def axis(self) -> BaryLine:
         return join(self.g, self.z)
 
 
-def _tangency_point(conic: Conic, line: BaryLine) -> BaryPoint:
-    pts = intersect_line(conic, line)
-    if len(pts) != 1:
-        raise ConstructionError("expected a tangent line")
-    return pts[0]
+def _bisected_chord(conic: Conic, m: BaryPoint, d: BaryPoint):
+    """The chord of the conic bisected at the ordinary point m, in the
+    direction of an infinite point d conjugate to m.  On the line m + t*d
+    (m normalized) the conic's form is Q(m) + t^2*Q(d), so the chord's ends
+    are m +- sqrt(r)*d with r = -Q(m)/Q(d); they are real, distinct and
+    ordinary exactly when r > 0.  Returns (m normalized, r), or None when
+    Q(d) = 0."""
+    mn = BaryPoint(*m.normalized())
+    qd = conic.evaluate(d)
+    if qd.is_zero():
+        return None
+    return mn, -conic.evaluate(mn) / qd
+
+
+def _chord_ends(mn: BaryPoint, r: FieldElement, d: BaryPoint) -> tuple[BaryPoint, BaryPoint]:
+    """The points mn + sqrt(r)*d and mn - sqrt(r)*d, adjoining sqrt(r)."""
+    s = sqrt_extending(r)
+    return tuple(BaryPoint(*(x + k * y for x, y in zip(mn.coords, d.coords))) for k in (s, -s))
 
 
 def construction_frame(p: BaryPoint) -> ConstructionFrame:
@@ -184,13 +195,12 @@ def construction_frame(p: BaryPoint) -> ConstructionFrame:
         raise NotTranslation(f"{p} is not a translation point")
     cfg = derive_configuration(p)
     conic = cfg.cevian_conic
-    if affine_type(conic) != "hyperbola":
-        raise ConstructionError("cevian conic of a translation point must be a hyperbola")
+    # g bisects the secant parallel to p p_iso: its direction is conjugate to g
     direction = infinite_point_of(join(cfg.p, cfg.p_iso))
-    secant = join(G, direction)
-    pts = intersect_line(conic, secant)
-    if len(pts) != 2:
+    chord = _bisected_chord(conic, G, direction)
+    if chord is None or chord[1].sign() <= 0:
         raise ConstructionError("secant through g must cut the conic twice")
+    pts = _chord_ends(*chord, direction)
     axis = join(G, cfg.z)
 
     def side(x: BaryPoint) -> int:
@@ -203,12 +213,6 @@ def construction_frame(p: BaryPoint) -> ConstructionFrame:
         f, e = pts
     if side(e) != target or side(f) == target:
         raise ConstructionError("secant points do not separate across the axis")
-    e_mid = midpoint(e, G)
-    f_mid = midpoint(G, f)
-    a_inf = _tangency_point(conic, join(cfg.z, e_mid))
-    b_inf = _tangency_point(conic, join(cfg.z, f_mid))
-    if not (a_inf.is_infinite() and b_inf.is_infinite()):
-        raise ConstructionError("asymptote tangency points must be infinite")
     return ConstructionFrame(
         h=cfg.h,
         u=cfg.u,
@@ -219,14 +223,10 @@ def construction_frame(p: BaryPoint) -> ConstructionFrame:
         o=cfg.o,
         q=cfg.q,
         q_iso=cfg.q_iso,
-        o_iso=cfg.o_iso,
         p_iso=cfg.p_iso,
         conic=conic,
         e=e,
         f=f,
-        e_mid=e_mid,
-        f_mid=f_mid,
-        asymptote_points=(a_inf, b_inf),
         t_p=cfg.t_p,
     )
 
@@ -265,9 +265,9 @@ def _chord(frame: ConstructionFrame, a1: BaryPoint) -> BaryLine | None:
 
 def inscribed_triangle(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoint, BaryPoint]:
     """The unique triangle inscribed in the frame's conic with vertex a1 and
-    centroid g: the other two vertices are the ordinary ends of the chord
-    bisected at the complement of a1, which the conic shares with its
-    half-turn image about that point."""
+    centroid g: the other two vertices are the ends D0 +- sqrt(r)*d of the
+    chord bisected at the complement D0 of a1, which the conic shares with
+    its half-turn image about D0."""
     if a1.is_infinite():
         raise NotOnConic("vertex must be an ordinary point")
     if not frame.conic.contains(a1):
@@ -277,12 +277,11 @@ def inscribed_triangle(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoi
     # exactly when it lies on the chord
     if line is None or line.contains(a1):
         raise DegenerateInscribed(f"{a1} lies on its own reflected conic")
-    pts = [p for p in intersect_line(frame.conic, line) if not p.is_infinite()]
-    if len(pts) != 2:
+    d = infinite_point_of(line)
+    chord = _bisected_chord(frame.conic, centroid_complement(frame, a1), d)
+    if chord is None or chord[1].sign() <= 0:
         raise NoIntersection("conic and reflected conic share no two ordinary points")
-    b1, c1 = pts
-    if midpoint(b1, c1) != centroid_complement(frame, a1):
-        raise ConstructionError("intersection chord is not bisected as expected")
+    b1, c1 = _chord_ends(*chord, d)
     # fix the labeling so orientation 1 is the orientation-preserving one; the
     # map onto the reference triangle has determinant 1/det of these vertices
     if det3(tuple(q.normalized() for q in (a1, b1, c1))).sign() < 0:
@@ -293,8 +292,7 @@ def inscribed_triangle(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoi
 def admissible(frame: ConstructionFrame, a1: BaryPoint) -> bool:
     """Whether a1 admits an inscribed triangle: the chord bisected at the
     complement of a1 must exist, miss a1 and cut the conic in two distinct
-    real ordinary points.  Decided by the sign of the discriminant of the
-    chord's intersection with the conic, never by square roots."""
+    real ordinary points.  Decided by the sign of r, never by square roots."""
     if not frame.conic.contains(a1):
         raise NotOnConic(f"{a1} is not on the frame conic")
     if a1.is_infinite():
@@ -302,25 +300,8 @@ def admissible(frame: ConstructionFrame, a1: BaryPoint) -> bool:
     line = _chord(frame, a1)
     if line is None or line.contains(a1):
         return False
-    p0, p1, a, b, c = _line_restriction(frame.conic, line)
-    s0 = p0.coordinate_sum()
-    s1 = p1.coordinate_sum()
-    if a.is_zero():
-        # p1 is one intersection point; the other sits at t = -c/(2b)
-        if b.is_zero() or s1.is_zero():
-            return False
-        t = -c / (2 * b)
-        return not (s0 + t * s1).is_zero()
-    disc = b * b - a * c
-    if disc.sign() <= 0:
-        return False
-    if s1.is_zero():
-        # the line's infinite point is p1 itself, which is off the conic,
-        # so both intersection points are ordinary
-        return True
-    t_inf = -s0 / s1
-    at_inf = a * t_inf * t_inf + 2 * b * t_inf + c
-    return not at_inf.is_zero()
+    chord = _bisected_chord(frame.conic, centroid_complement(frame, a1), infinite_point_of(line))
+    return chord is not None and chord[1].sign() > 0
 
 
 def reconstruct_point(frame: ConstructionFrame, a1: BaryPoint, orientation: int = 1) -> BaryPoint:

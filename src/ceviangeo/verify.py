@@ -51,8 +51,10 @@ from .maps import (
     complement,
     derive_configuration,
     is_valid_point,
+    isotom_complement,
     isotomic,
     map_from_triangles,
+    orthocenter,
 )
 from .conics import (
     Conic,
@@ -197,17 +199,18 @@ def _four_collinear(p1, p2, p3, p4) -> bool:
 
 def vertex_condition_profile(p: BaryPoint) -> VertexConditionProfile:
     """Evaluate the four orthocenter-at-A conditions exactly."""
-    cfg = derive_configuration(p)
+    h = orthocenter(p)  # validates p first
+    q = isotom_complement(p)
     _, e, f = cevian_traces(p)
-    _, e3, f3 = cevian_traces(cfg.p_iso)
-    an, en, fn, qn = (x.normalized() for x in (A, e, f, cfg.q))
+    _, e3, f3 = cevian_traces(isotomic(p))
+    an, en, fn, qn = (x.normalized() for x in (A, e, f, q))
     # AFQE is a parallelogram when F - A = Q - E, which is also E - A = Q - F
     para = all(fn[i] - an[i] == qn[i] - en[i] for i in range(3))
     return VertexConditionProfile(
-        orthocenter_at_a=cfg.h == A,
+        orthocenter_at_a=h == A,
         parallelogram_afqe=para,
-        f3_on_q_e0_line=_four_collinear(f3, cfg.q, E0, complement(e3)),
-        e3_on_q_f0_line=_four_collinear(e3, cfg.q, F0, complement(f3)),
+        f3_on_q_e0_line=_four_collinear(f3, q, E0, complement(e3)),
+        e3_on_q_f0_line=_four_collinear(e3, q, F0, complement(f3)),
     )
 
 
@@ -913,9 +916,10 @@ def frame_profile(frame) -> tuple[bool, ...]:
     no other entry reads, so changing one member fails one entry: z is the
     center of the parallelogram h-u-p-v, whose fourth vertex v = h + p - u;
     q, q_iso and o are the midpoints of its sides p v, h u and u p; g is the
-    centroid of h, u and p (where the diagonal u v meets the line h o) and
-    bisects the secant e f; the conic is the five-point fit through p, q, h,
-    q_iso and p_iso."""
+    centroid of h, u and p (where the diagonal u v meets the line h o); e
+    and f lie on the conic and g is their midpoint, which holds exactly when
+    the secant's direction is conjugate to g; the conic is the five-point fit
+    through p, q, h, q_iso and p_iso."""
     h, u, p = frame.h, frame.u, frame.p
     fourth = affine_combination([(h, 1), (p, 1), (u, -1)])
     return (
@@ -925,7 +929,8 @@ def frame_profile(frame) -> tuple[bool, ...]:
         frame.q_iso == midpoint(h, u),
         frame.o == midpoint(u, p),
         frame.g == centroid(h, u, p),
-        frame.g == midpoint(frame.e, frame.f),
+        (frame.conic.contains(frame.e) and frame.conic.contains(frame.f)
+         and frame.g == midpoint(frame.e, frame.f)),
         frame.conic == conic_through(p, frame.q, h, frame.q_iso, frame.p_iso),
     )
 
@@ -995,13 +1000,14 @@ def verify_construction(seed: int = 0, n: int = 5) -> SuiteReport:
         return y == y0
 
     def asymptote_identity(frame):
-        for (mid, inf) in ((frame.e_mid, frame.asymptote_points[0]),
-                           (frame.f_mid, frame.asymptote_points[1])):
-            line = join(frame.z, mid)
-            pts = intersect_line(frame.conic, line)
-            if len(pts) != 1 or not pts[0].is_infinite() or pts[0] != inf:
+        # each line meets the conic once, at one of its two infinite points
+        points = []
+        for mid in (midpoint(frame.e, frame.g), midpoint(frame.g, frame.f)):
+            pts = intersect_line(frame.conic, join(frame.z, mid))
+            if len(pts) != 1 or not pts[0].is_infinite():
                 return False
-        return True
+            points += pts
+        return points[0] != points[1]
 
     def reconstructs_reference(frame):
         b1, c1 = locus_mod.inscribed_triangle(frame, A)

@@ -13,14 +13,17 @@ from ceviangeo.plane import (
     G,
     BaryLine,
     BaryPoint,
+    LINE_AT_INFINITY,
     affine_combination,
+    infinite_point_of,
     join,
     midpoint,
     point,
     signed_ratio,
 )
 from ceviangeo.maps import classify_transfer
-from ceviangeo.conics import affine_type, intersect_line, tangent_at
+from ceviangeo.conics import _line_restriction, affine_type, intersect_line, tangent_at
+from ceviangeo.field import TowerDepthExceeded
 from ceviangeo.curve import on_translation_locus, sample_translation_points
 from ceviangeo.verify import (
     admissible_vertex_samples,
@@ -175,18 +178,19 @@ class TestConstructionFrame:
         assert y == y0
 
     def test_asymptote_points_infinite_on_conic(self, frame):
-        for v in frame.asymptote_points:
+        points = intersect_line(frame.conic, LINE_AT_INFINITY)
+        assert len(points) == 2
+        for v in points:
             assert v.is_infinite()
             assert frame.conic.contains(v)
 
     def test_asymptote_lines_tangent_at_infinity(self, frame):
-        for mid, inf in (
-            (frame.e_mid, frame.asymptote_points[0]),
-            (frame.f_mid, frame.asymptote_points[1]),
-        ):
-            line = join(frame.z, mid)
-            pts = intersect_line(frame.conic, line)
-            assert pts == [inf]
+        # the lines from z through the midpoints of g e and g f meet the
+        # conic only at its two infinite points, one each
+        first, second = intersect_line(frame.conic, LINE_AT_INFINITY)
+        pts = [intersect_line(frame.conic, join(frame.z, mid))
+               for mid in (midpoint(frame.e, frame.g), midpoint(frame.g, frame.f))]
+        assert pts in ([[first], [second]], [[second], [first]])
 
 
 class TestInscribed:
@@ -221,7 +225,7 @@ class TestInscribed:
         assert not admissible(frame, frame.q_iso)
         assert not admissible(frame, frame.p_iso)
         assert not admissible(frame, frame.e)
-        assert not admissible(frame, frame.asymptote_points[0])
+        assert not admissible(frame, intersect_line(frame.conic, LINE_AT_INFINITY)[0])
 
     def test_reconstruct_identity_orientation(self, frame):
         assert reconstruct_point(frame, A, 1) == frame.p
@@ -267,8 +271,7 @@ class TestChord:
         assert len(points) > 50
         assert all(chord_matches_reflection(frame, p) for p in points)
 
-    def test_matches_reflection_on_another_frame(self):
-        frame2 = construction_frame(sample_translation_points(3, seed=13)[1])
+    def test_matches_reflection_on_another_frame(self, frame2):
         points = _finite_sweep(frame2, 16) + [A, frame2.q, frame2.p_iso]
         assert all(chord_matches_reflection(frame2, p) for p in points)
 
@@ -278,6 +281,57 @@ class TestChord:
         assert _chord(frame, center_vertex) is None
         assert chord_matches_reflection(frame, center_vertex)
         assert _chord(frame, A) is not None
+
+
+def _generic_chord(frame, a1):
+    """The inscribed chord by the generic route: whether it misses a1 and
+    meets the conic in two distinct real ordinary points (by the
+    discriminant of its restriction, and its infinite point off the conic),
+    and its ordinary intersection points from ``intersect_line``, None where
+    a depth-2 tower cannot hold them."""
+    line = _chord(frame, a1)
+    if line is None or line.contains(a1):
+        return False, []
+    _, _, a, b, c = _line_restriction(frame.conic, line)
+    two = (b * b - a * c).sign() > 0 and not frame.conic.contains(infinite_point_of(line))
+    try:
+        points = [p for p in intersect_line(frame.conic, line) if not p.is_infinite()]
+    except TowerDepthExceeded:
+        points = None
+    return two, points
+
+
+@pytest.fixture(scope="module")
+def frame2():
+    return construction_frame(sample_translation_points(3, seed=13)[1])
+
+
+class TestClosedForm:
+    """The chords' closed form against intersecting the line with the conic."""
+
+    @pytest.mark.parametrize("which", ["frame", "frame2"])
+    def test_inscribed_chord_matches_the_generic_route(self, request, which):
+        frame = request.getfixturevalue(which)
+        points = _finite_sweep(frame, 64) + [A, frame.q, frame.q_iso, frame.p_iso,
+                                              frame.e, frame.f]
+        represented = 0
+        for a1 in points:
+            two, ends = _generic_chord(frame, a1)
+            assert admissible(frame, a1) == two
+            if ends is None:
+                continue
+            represented += 1
+            assert two == (len(ends) == 2)
+            if two:
+                b1, c1 = inscribed_triangle(frame, a1)
+                assert (b1, c1) in ((ends[0], ends[1]), (ends[1], ends[0]))
+        assert represented >= 10
+
+    @pytest.mark.parametrize("which", ["frame", "frame2"])
+    def test_secant_ends_match_intersect_line(self, request, which):
+        frame = request.getfixturevalue(which)
+        ends = intersect_line(frame.conic, join(frame.g, frame.e))
+        assert ends in ([frame.e, frame.f], [frame.f, frame.e])
 
 
 def _torsion_barycentric():
@@ -348,3 +402,27 @@ def test_frame_needs_no_linear_solver(monkeypatch):
     monkeypatch.setattr(conics_mod, "nullspace", refuse)
     frame = canonical_frame()
     assert frame.conic.contains(frame.p) and frame.conic.contains(frame.q)
+
+
+def test_construction_intersects_no_line_with_the_conic(monkeypatch):
+    import importlib
+    import pkgutil
+
+    import ceviangeo
+    import ceviangeo.conics as conics_mod
+
+    original = conics_mod.intersect_line
+
+    def refuse(c, line):
+        raise AssertionError("the construction ran intersect_line")
+
+    for info in pkgutil.iter_modules(ceviangeo.__path__):
+        ns = importlib.import_module(f"ceviangeo.{info.name}")
+        for attr, value in list(vars(ns).items()):
+            if value is original:
+                monkeypatch.setattr(ns, attr, refuse)
+    monkeypatch.setattr(ceviangeo, "intersect_line", refuse)
+    frame = canonical_frame()
+    assert inscribed_triangle(frame, A) == (B, C)
+    samples = admissible_vertex_samples(frame, 3, seed=0)
+    assert len(samples) == 3 and all(admissible(frame, a1) for a1 in samples)

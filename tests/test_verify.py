@@ -121,7 +121,7 @@ FRAME_SWAPS = (
     (4, {"o": "g"}),
     (5, {"g": "z", "e": "h", "f": "p"}),
     (6, {"e": "f"}),
-    (7, {"p_iso": "o_iso"}),
+    (7, {"p_iso": "z"}),
 )
 
 
@@ -403,11 +403,22 @@ def _ratio_negated(true):
     return wrong
 
 
+def _radicand_scaled(factor):
+    def fault(true):
+        def wrong(conic, m, d):
+            chord = true(conic, m, d)
+            return chord if chord is None else (chord[0], factor * chord[1])
+        return wrong
+    return fault
+
+
 DERIVED_POINT_SUITES = ["equivalences", "special", "translation", "consequences", "construction"]
 
 # (module, function, fault, suites that must report a failing entry)
 INJECTED_FAULTS = {
-    "raising transfer map": ("maps", "transfer_map", _raising, DERIVED_POINT_SUITES),
+    # equivalences reads h, q and p_iso in closed form, never the transfer map
+    "raising transfer map": ("maps", "transfer_map", _raising,
+                             ["special", "translation", "consequences", "construction"]),
     "sheared orthocenter": ("maps", "orthocenter", _sheared,
                             ["equivalences", "vertex-locus", "special", "translation",
                              "consequences", "construction"]),
@@ -421,6 +432,9 @@ INJECTED_FAULTS = {
     "classify_transfer ratio negated": ("maps", "classify_transfer", _ratio_negated,
                                         ["translation", "curve"]),
     "sheared isotomcomplement": ("maps", "isotom_complement", _sheared, DERIVED_POINT_SUITES),
+    "sheared isotomic": ("maps", "isotomic", _sheared,
+                         ["equivalences", "special", "translation", "consequences", "curve",
+                          "construction"]),
     "inscribed vertices swapped": ("locus", "inscribed_triangle", _vertices_swapped,
                                    ["construction"]),
     "reconstruction ignores orientation": ("locus", "reconstruct_point", _orientation_ignored,
@@ -429,6 +443,12 @@ INJECTED_FAULTS = {
                                      ["construction"]),
     "chord is the polar of the complement": ("locus", "_chord", _polar_of_complement,
                                              ["construction"]),
+    # chord ends twice as far from the midpoint
+    "bisected chord radicand times 4": ("locus", "_bisected_chord", _radicand_scaled(4),
+                                        ["construction"]),
+    # the frame's secant no longer cuts the conic
+    "bisected chord radicand negated": ("locus", "_bisected_chord", _radicand_scaled(-1),
+                                        ["construction"]),
 }
 
 
@@ -470,6 +490,22 @@ def test_injected_fault_fails_entries_of_a_full_report(monkeypatch, capsys, faul
     for r in reports:
         names = [e["name"] for e in r["results"]]
         assert "suite ran to completion" not in names or len(names) == 1, r
+
+
+def test_bisected_chord_faults_fail_the_frame_entries(monkeypatch):
+    import ceviangeo.locus as locus_mod
+
+    true = locus_mod._bisected_chord
+    asymptotes = "lines from the center to the secant midpoints are the asymptotes"
+    monkeypatch.setattr(locus_mod, "_bisected_chord", _radicand_scaled(4)(true))
+    failing = [r.name for r in run_suite("construction", seed=0, n=2).results if not r.passed]
+    assert {"frame identities", asymptotes} <= set(failing)
+    # a negative radicand leaves the secant without ends: the frame raises
+    monkeypatch.setattr(locus_mod, "_bisected_chord", _radicand_scaled(-1)(true))
+    results = run_suite("construction", seed=0, n=2).results
+    assert len(results) == 15
+    assert all(not r.passed and r.detail.startswith("ConstructionError: secant through g")
+               for r in results)
 
 
 @pytest.mark.parametrize("name,count", [("translation", 8), ("special", 29), ("construction", 15)])
