@@ -5,7 +5,12 @@ squarefree integer radicands d > 1.  It is stored as integer numerators
 ``num`` over one positive common denominator ``den`` on the basis
 {1, sqrt(d1), sqrt(d2), sqrt(d1*d2)} (truncated to the tower depth), kept in
 lowest terms: ``gcd(den, *num) == 1``.  The representation is therefore
-unique within a tower, and equality there is a tuple comparison.  Every
+unique within a tower, and equality there is a tuple comparison.
+Operators on two elements of one tower need no re-embedding, and depths 0
+and 1 have closed-form kernels: rationals add and multiply by Henrici's
+cross-cancelling gcds, and over Q(sqrt(d)) the product is
+(a0*b0 + d*a1*b1, a0*b1 + a1*b0) and the inverse is the conjugate
+(a0, -a1) over the norm a0^2 - d*a1^2.  Every
 radicand maps to the positive real root, so elements carry a decidable sign;
 equality and order are decided exactly, with no floating point anywhere in
 this module.  Square roots come from one search by value: it finds the
@@ -21,6 +26,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd, isqrt, lcm, prod
+from operator import neg
 
 
 class CeviangeoError(Exception):
@@ -256,6 +262,10 @@ def _product_table(tower: tuple[int, ...]):
 def _vmul(tower: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if not tower:
         return (a[0] * b[0],)
+    if len(tower) == 1:
+        a0, a1 = a
+        b0, b1 = b
+        return (a0 * b0 + tower[0] * a1 * b1, a0 * b1 + a1 * b0)
     table = _product_table(tower)
     out = [0] * len(a)
     for i, x in enumerate(a):
@@ -295,6 +305,9 @@ def _vinverse(tower: tuple[int, ...], num: tuple[int, ...]) -> tuple[tuple[int, 
     numerator vector: 1/num = acc/norm.  Multiply by one Galois conjugate per
     radicand until the product is rational; the norm is nonzero because each
     sqrt(d) is irrational over the rest of the tower."""
+    if len(tower) == 1:
+        a0, a1 = num
+        return (a0, -a1), a0 * a0 - tower[0] * a1 * a1
     acc = None
     for bit in range(len(tower)):
         conj = tuple(-c if i >> bit & 1 else c for i, c in enumerate(num))
@@ -306,12 +319,20 @@ def _vinverse(tower: tuple[int, ...], num: tuple[int, ...]) -> tuple[tuple[int, 
 def _add(tower, an, da, bn, db) -> FieldElement:
     """an/da + bn/db, reducing only by gcd(da, db) (Henrici)."""
     g = gcd(da, db)
+    if not tower:
+        (a,), (b,) = an, bn
+        if g == 1:
+            return _make((), (a * db + b * da,), da * db)
+        s = da // g
+        n = a * (db // g) + b * s
+        g2 = gcd(g, n)
+        if g2 == 1:
+            return _make((), (n,), s * db)
+        return _make((), (n // g2,), s * (db // g2))
     if g == 1:
-        if not tower:
-            return _make(tower, (an[0] * db + bn[0] * da,), da * db)
         return _make(tower, tuple(x * db + y * da for x, y in zip(an, bn)), da * db)
     s, t = da // g, db // g
-    num = (an[0] * t + bn[0] * s,) if not tower else tuple(x * t + y * s for x, y in zip(an, bn))
+    num = tuple(x * t + y * s for x, y in zip(an, bn))
     g2 = gcd(g, *num)
     if g2 == 1:
         return _make(tower, num, s * db)
@@ -341,7 +362,7 @@ def _scale(x: FieldElement, n: int, d: int) -> FieldElement:
 def _reduced(tower, num, den) -> FieldElement:
     """num/den with den != 0, brought to lowest terms with den > 0."""
     if den < 0:
-        num = tuple(-x for x in num)
+        num = tuple(map(neg, num))
         den = -den
     g = gcd(den, *num)
     if g != 1:
@@ -486,23 +507,28 @@ class FieldElement:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        try:
-            a, b = self._pair(other)
-        except TypeError:
-            return NotImplemented
+        a, b = self, other
+        if b.__class__ is not FieldElement or b.tower != a.tower:
+            try:
+                a, b = self._pair(other)
+            except TypeError:
+                return NotImplemented
         return _add(a.tower, a.num, a.den, b.num, b.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.tower, tuple(-c for c in self.num), self.den)
+        return _make(self.tower, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
-        try:
-            a, b = self._pair(other)
-        except TypeError:
-            return NotImplemented
-        return _add(a.tower, a.num, a.den, tuple(-y for y in b.num), b.den)
+        a, b = self, other
+        if b.__class__ is not FieldElement or b.tower != a.tower:
+            try:
+                a, b = self._pair(other)
+            except TypeError:
+                return NotImplemented
+        bn = b.num
+        return _add(a.tower, a.num, a.den, tuple(map(neg, bn)) if a.tower else (-bn[0],), b.den)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -517,7 +543,7 @@ class FieldElement:
             return _scale(self, other.num[0], other.den)
         if not self.tower:
             return _scale(other, self.num[0], self.den)
-        a, b = self._pair(other)
+        a, b = (self, other) if other.tower == self.tower else self._pair(other)
         # a rational value scales the other operand, cancelling crosswise
         if not any(b.num[1:]):
             return _scale(a, b.num[0], b.den)
@@ -567,6 +593,8 @@ class FieldElement:
         return _vsign(self.tower, self.num)
 
     def __eq__(self, other):
+        if other.__class__ is FieldElement and other.tower == self.tower:
+            return self.den == other.den and self.num == other.num
         if isinstance(other, (FieldElement, int, Fraction)):
             try:
                 a, b = self._pair(other)
@@ -612,20 +640,22 @@ class FieldElement:
         return root.in_tower(self.tower)
 
 
-_new = object.__new__
-_set_tower = FieldElement.tower.__set__
-_set_num = FieldElement.num.__set__
-_set_den = FieldElement.den.__set__
-_set_minimal = FieldElement._minimal.__set__
+class _Blank:
+    """FieldElement's slot layout without its ``__setattr__`` guard."""
+
+    __slots__ = FieldElement.__slots__
 
 
 def _make(tower, num, den) -> FieldElement:
-    """Internal constructor: ``num``/``den`` must already be in lowest terms."""
-    x = _new(FieldElement)
-    _set_tower(x, tower)
-    _set_num(x, num)
-    _set_den(x, den)
-    _set_minimal(x, None)
+    """Internal constructor: ``num``/``den`` must already be in lowest terms.
+    Plain slot stores on a ``_Blank``, then the object becomes a
+    FieldElement, which shares its layout."""
+    x = _Blank()
+    x.tower = tower
+    x.num = num
+    x.den = den
+    x._minimal = None
+    x.__class__ = FieldElement
     return x
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import CeviangeoError, FieldElement, fe, sqrt_extending, ZERO, ONE
+from .field import (CeviangeoError, FieldElement, TowerDepthExceeded, TowerMismatch, fe,
+                    sqrt_extending, ZERO, ONE)
 from .linalg import det3, matvec3
 from .plane import (
     A,
@@ -183,9 +184,14 @@ def _bisected_chord(conic: Conic, m: BaryPoint, d: BaryPoint):
 
 
 def _chord_ends(mn: BaryPoint, r: FieldElement, d: BaryPoint) -> tuple[BaryPoint, BaryPoint]:
-    """The points mn + sqrt(r)*d and mn - sqrt(r)*d, adjoining sqrt(r)."""
+    """The points mn + sqrt(r)*d and mn - sqrt(r)*d, adjoining sqrt(r).
+    Raises TowerDepthExceeded when sqrt(r) or the points need a tower deeper
+    than 2."""
     s = sqrt_extending(r)
-    return tuple(BaryPoint(*(x + k * y for x, y in zip(mn.coords, d.coords))) for k in (s, -s))
+    try:
+        return tuple(BaryPoint(*(x + k * y for x, y in zip(mn.coords, d.coords))) for k in (s, -s))
+    except TowerMismatch as exc:
+        raise TowerDepthExceeded(str(exc)) from exc
 
 
 def construction_frame(p: BaryPoint) -> ConstructionFrame:
@@ -290,9 +296,11 @@ def inscribed_triangle(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoi
 
 
 def admissible(frame: ConstructionFrame, a1: BaryPoint) -> bool:
-    """Whether a1 admits an inscribed triangle: the chord bisected at the
-    complement of a1 must exist, miss a1 and cut the conic in two distinct
-    real ordinary points.  Decided by the sign of r, never by square roots."""
+    """Whether a1 has a real inscribed chord: the chord bisected at the
+    complement of a1 exists, misses a1 and cuts the conic in two distinct
+    real ordinary points, that is r > 0.  Decided by the sign of r, never by
+    square roots, so ``inscribed_triangle`` can still raise
+    TowerDepthExceeded when the chord's ends need a tower deeper than 2."""
     if not frame.conic.contains(a1):
         raise NotOnConic(f"{a1} is not on the frame conic")
     if a1.is_infinite():

@@ -625,6 +625,104 @@ class TestDifferential:
         assert parse_element(format_element(b)) == b
 
 
+# one tower on both sides, then the mixed pairs that need an embedding
+ORACLE_TOWER_PAIRS = (((), ()), ((2,), (2,)), ((3,), (3,)), ((2, 3), (2, 3)),
+                      ((2,), (3,)), ((), (2, 3)), ((2,), (2, 3)))
+PLAIN_OPERANDS = (0, 3, Fraction(-5, 7))
+
+
+def _oracle_operands(tower, rng):
+    """Zero, a rational value and an element with every coefficient nonzero,
+    all written on ``tower``."""
+    n = 1 << len(tower)
+
+    def q():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 12))
+
+    return [FieldElement(tower, [0] * n), FieldElement(tower, [q()] + [0] * (n - 1)),
+            FieldElement(tower, [q() for _ in range(n)])]
+
+
+def _sym_any(x):
+    if isinstance(x, FieldElement):
+        return _sym(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+class TestOperatorOracle:
+    """Every operator against sympy on depths 0, 1 and 2, the mixed tower
+    pairs and plain int and Fraction operands on either side, checking the
+    value and the lowest-terms invariant of each result."""
+
+    def _check(self, a, b):
+        sa, sb = _sym_any(a), _sym_any(b)
+        # (result, m, want) asks result * m == want, so quotients are checked
+        # without rationalizing a denominator
+        got = [(a + b, 1, sa + sb), (a - b, 1, sa - sb), (a * b, 1, sa * sb)]
+        if sb != 0:
+            got.append((a / b, sb, sa))
+        for x, sx in ((a, sa), (b, sb)):
+            if isinstance(x, FieldElement):
+                got.append((-x, 1, -sx))
+                if sx != 0:
+                    got.append((x.inverse(), sx, 1))
+        towers = {x.tower for x in (a, b) if isinstance(x, FieldElement)}
+        for r, m, want in got:
+            assert isinstance(r, FieldElement) and _reduced_ok(r)
+            assert _sym_equal(_sym(r) * m, want)
+            if len(towers) == 1:
+                assert r.tower in towers
+        equal = _sym_equal(sa, sb)
+        assert (a == b) is equal and (b == a) is equal and (a != b) is not equal
+
+    def test_operators_against_sympy(self):
+        rng = random.Random(19)
+        for ta, tb in ORACLE_TOWER_PAIRS:
+            left, right = _oracle_operands(ta, rng), _oracle_operands(tb, rng)
+            for a in left:
+                for b in right:
+                    self._check(a, b)
+                    if ta != tb:
+                        self._check(b, a)
+        for tower in ((), (2,), (3,), (2, 3)):
+            # the same numerators over different denominators
+            halves, thirds = (FieldElement(tower, [Fraction(1, k)] * (1 << len(tower)))
+                              for k in (2, 3))
+            self._check(halves, thirds)
+            for a in _oracle_operands(tower, rng):
+                for b in PLAIN_OPERANDS:
+                    self._check(a, b)
+                    self._check(b, a)
+
+
+class TestImmutability:
+    """Assigning to an existing or a new attribute raises AttributeError."""
+
+    def _objects(self):
+        from ceviangeo.conics import Conic
+        from ceviangeo.maps import AffineMap
+        from ceviangeo.plane import BaryLine, BaryPoint
+
+        one = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        return [FieldElement((2,), (1, Fraction(1, 2))),  # built by __init__
+                R2 * R3 + 1,  # built by an operator, through _make
+                fe(3) - fe(Fraction(1, 2)),
+                BaryPoint(1, 2, 3), BaryLine(1, -1, 0), Conic(one), AffineMap(one)]
+
+    def test_attributes_cannot_be_set(self):
+        for x in self._objects():
+            for name in [*getattr(type(x), "__slots__", ()), "coords", "new_attribute"]:
+                with pytest.raises(AttributeError):
+                    setattr(x, name, 0)
+
+    def test_operator_results_are_field_elements(self):
+        x = R2 * R3 + 1
+        assert type(x) is FieldElement and x.num == (1, 0, 0, 1) and x.den == 1
+        with pytest.raises(AttributeError):
+            x.num = (2, 0, 0, 1)
+        assert x.num == (1, 0, 0, 1)
+
+
 # ---------------------------------------------------------------------------
 # the integer formatter against the Fraction-based one it replaced
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ceviangeo.field import FieldElement, fe
+from ceviangeo.field import FieldElement, fe, parse_triple
 from ceviangeo.plane import (
     A,
     B,
@@ -226,6 +226,22 @@ class TestInscribed:
         assert not admissible(frame, frame.p_iso)
         assert not admissible(frame, frame.e)
         assert not admissible(frame, intersect_line(frame.conic, LINE_AT_INFINITY)[0])
+
+    def test_admissible_chord_ends_can_need_a_deeper_tower(self, frame):
+        # admissible decides r > 0 only, so the chord ends can need a tower
+        # deeper than 2: on the 64-step sweep from e, sqrt(r) at index 0 lies
+        # in no depth-2 tower, and at index 96 it is over Q(sqrt(3), sqrt(22))
+        # while the chord's direction is over Q(sqrt(2), sqrt(3))
+        from ceviangeo.svgfig import conic_sweep
+
+        sweep = conic_sweep(frame.conic, frame.e, steps=64)
+        deep = BaryPoint(*parse_triple(
+            "[1,-5-7/2*sqrt(2)-3*sqrt(3)-2*sqrt(6),-5+7/2*sqrt(2)-3*sqrt(3)+2*sqrt(6)]"))
+        assert sweep[96] == deep
+        for a1 in (sweep[0], deep):
+            assert admissible(frame, a1)
+            with pytest.raises(TowerDepthExceeded):
+                inscribed_triangle(frame, a1)
 
     def test_reconstruct_identity_orientation(self, frame):
         assert reconstruct_point(frame, A, 1) == frame.p
