@@ -16,12 +16,16 @@ from .field import CeviangeoError, fe, format_element
 from .plane import BaryPoint, point
 from .maps import classify_transfer, derive_configuration
 from .conics import Conic
-from . import curve as curve_mod
-from . import locus as locus_mod
-from . import svgfig
-from .verify import SUITES, run_all, run_suite
 
 COMPUTE_NAMES = ("P'", "Q", "Q'", "H", "O", "O'", "V", "Z", "U", "S", "M", "conics")
+# The parser's choices, kept here so that building it imports no module that
+# only another command runs: `compute` loads field, linalg, plane, maps,
+# conics and this module alone.  tests/test_cli.py pins them to
+# sorted(verify.SUITES), sorted(svgfig.FIGURES) and curve.MULTIPLE_BOUND.
+SUITE_NAMES = ("consequences", "construction", "curve", "equivalences", "special",
+               "translation", "vertex-locus")
+FIGURE_NAMES = ("conics", "construction", "locus", "special")
+MULTIPLE_BOUND = 128
 
 
 def _point_json(p: BaryPoint) -> list[str]:
@@ -32,7 +36,7 @@ def _conic_json(c: Conic) -> list[str]:
     return [format_element(x) for x in c.upper()]
 
 
-def _wpoint_json(w: curve_mod.WPoint):
+def _wpoint_json(w):
     if w.is_infinity():
         return "infinity"
     return [format_element(w.u), format_element(w.v)]
@@ -85,6 +89,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all, run_suite
+
     if args.suite == "all":
         reports = run_all(seed=args.seed, n=args.n)
     else:
@@ -105,6 +111,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    from . import curve as curve_mod
+
     if args.action == "invariants":
         inv = curve_mod.curve_invariants()
         print(json.dumps({k: str(v) for k, v in inv.items()}, sort_keys=True))
@@ -129,6 +137,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_locus(args) -> int:
+    from . import locus as locus_mod
+
     if args.action == "param":
         vl = locus_mod.vertex_locus(args.vertex)
         t = fe(args.t)
@@ -142,6 +152,8 @@ def cmd_locus(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import svgfig
+
     placement = None
     if args.placement:
         parts = [s for s in args.placement.replace(",", " ").split() if s]
@@ -170,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p_verify.add_argument("suite", choices=[*SUITE_NAMES, "all"])
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--n", type=int, default=None, help="sample count per invariant")
     p_verify.add_argument("--json", action="store_true")
@@ -179,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser("curve", help="curve arithmetic queries")
     p_curve.add_argument("action", choices=("invariants", "torsion", "multiple", "sample"))
     p_curve.add_argument("--k", type=int, default=1,
-                         help=f"multiple of the generator, |k| <= {curve_mod.MULTIPLE_BOUND}")
+                         help=f"multiple of the generator, |k| <= {MULTIPLE_BOUND}")
     p_curve.add_argument("--n", type=int, default=5)
     p_curve.add_argument("--seed", type=int, default=0)
     p_curve.set_defaults(func=cmd_curve)
@@ -192,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_locus.set_defaults(func=cmd_locus)
 
     p_render = sub.add_parser("render", help="emit an SVG figure")
-    p_render.add_argument("figure", choices=sorted(svgfig.FIGURES))
+    p_render.add_argument("figure", choices=FIGURE_NAMES)
     p_render.add_argument("--out", help="output path (default stdout)")
     p_render.add_argument(
         "--placement",

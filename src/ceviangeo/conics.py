@@ -64,6 +64,9 @@ class Conic:
     def __setattr__(self, name, value):
         raise AttributeError("Conic is immutable")
 
+    def __reduce__(self):
+        return Conic, (self.m,)
+
     @classmethod
     def from_upper(cls, six) -> Conic:
         """Build from the upper triangle (m00, m01, m02, m11, m12, m22)."""

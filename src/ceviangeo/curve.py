@@ -41,7 +41,6 @@ check them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -130,18 +129,36 @@ def _double_and_add(a2, a4, p, n: int):
     return acc
 
 
-@dataclass(frozen=True)
 class WPoint:
-    """A point of v^2 = u(u^2+6u-3), or the point at infinity."""
+    """A point of v^2 = u(u^2+6u-3), or the point at infinity.
 
-    u: FieldElement | None
-    v: FieldElement | None
+    ``u`` and ``v`` are FieldElements, or both None at infinity.  Not a
+    tuple: ``3 * P`` is the group law, never a repeated sequence.
+    """
 
-    def __post_init__(self):
-        if (self.u is None) != (self.v is None):
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: FieldElement | None, v: FieldElement | None):
+        if (u is None) != (v is None):
             raise ValueError("both coordinates or neither")
-        if self.u is not None and _rhs(self.u) != self.v * self.v:
-            raise OffCurve(f"({self.u}, {self.v}) is not on the curve")
+        if u is not None and _rhs(u) != v * v:
+            raise OffCurve(f"({u}, {v}) is not on the curve")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WPoint is immutable")
+
+    def __reduce__(self):
+        return WPoint, (self.u, self.v)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.u, self.v) == (other.u, other.v)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.u, self.v))
 
     @classmethod
     def infinity(cls) -> WPoint:
@@ -207,7 +224,7 @@ class WPoint:
 
 def _wpoint(coords) -> WPoint:
     """Internal constructor for group-law results, which lie on the curve by
-    construction: skips the cubic evaluation of ``WPoint.__post_init__``."""
+    construction: skips the cubic evaluation of ``WPoint.__init__``."""
     w = object.__new__(WPoint)
     u, v = (None, None) if coords is None else coords
     object.__setattr__(w, "u", u)

@@ -399,6 +399,11 @@ class FieldElement:
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
+    def __reduce__(self):
+        # the default slot-state restore would go through __setattr__; the
+        # _minimal cache is left behind
+        return _make, (self.tower, self.num, self.den)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coordinates on the tower's basis, as Fractions."""

@@ -15,7 +15,7 @@ intersected with the conic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .field import (CeviangeoError, FieldElement, TowerDepthExceeded, TowerMismatch, fe,
                     sqrt_extending, ZERO, ONE)
@@ -35,7 +35,6 @@ from .plane import (
     meet,
 )
 from .maps import (
-    AffineMap,
     Configuration,
     derive_configuration,
     map_from_triangles,
@@ -75,14 +74,11 @@ class DegenerateInscribed(LocusError):
 _PERMUTE = {"A": (0, 1, 2), "B": (2, 0, 1), "C": (1, 2, 0)}
 
 
-@dataclass(frozen=True)
-class VertexLocus:
-    """The conic of base points whose orthocenter is the given vertex,
-    together with the four excluded points on it."""
+class VertexLocus(namedtuple("VertexLocus", "vertex conic excluded")):
+    """The conic of base points whose orthocenter is the given vertex
+    ('A', 'B' or 'C'), together with the four excluded points on it."""
 
-    vertex: str
-    conic: Conic
-    excluded: tuple[BaryPoint, BaryPoint, BaryPoint, BaryPoint]
+    __slots__ = ()
 
     def point_at(self, t) -> BaryPoint:
         """Rational parametrization by the pencil of lines through the first
@@ -141,29 +137,16 @@ def special_configuration(sign: int = 1) -> Configuration:
 # the inscribed-triangle construction
 
 
-@dataclass(frozen=True)
-class ConstructionFrame:
+class ConstructionFrame(namedtuple("ConstructionFrame",
+                                   "h u p v z g o q q_iso p_iso conic e f t_p")):
     """The parallelogram-and-hyperbola scaffold built from a translation
     point: parallelogram h-u-p-v with center z, the distinguished point g,
     the midpoints q, q_iso and o of three sides, the reflected point p_iso,
     the conic through p, q, h, q_iso, p_iso (a hyperbola), and the ends e, f
     of its chord bisected at g parallel to p p_iso, e on q_iso's side of the
-    axis g z."""
+    axis g z; ``t_p`` is the AffineMap onto the cevian triangle of p."""
 
-    h: BaryPoint
-    u: BaryPoint
-    p: BaryPoint
-    v: BaryPoint
-    z: BaryPoint
-    g: BaryPoint
-    o: BaryPoint
-    q: BaryPoint
-    q_iso: BaryPoint
-    p_iso: BaryPoint
-    conic: Conic
-    e: BaryPoint
-    f: BaryPoint
-    t_p: AffineMap
+    __slots__ = ()
 
     def axis(self) -> BaryLine:
         return join(self.g, self.z)

@@ -12,7 +12,7 @@ in ``verify.construction_profile``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .field import CeviangeoError, FieldElement, fe, ZERO
 from .linalg import adjugate3, det3, matmul3, matvec3, proportional, vecmat3
@@ -68,6 +68,9 @@ class AffineMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineMap is immutable")
+
+    def __reduce__(self):
+        return AffineMap, (self.rows,)
 
     @classmethod
     def from_columns(cls, cols) -> AffineMap:
@@ -207,8 +210,7 @@ def is_valid_point(p: BaryPoint, off_medians: bool = False) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MClassification:
+class MClassification(namedtuple("MClassification", "kind ratio center")):
     """Shape of the transfer map: a translation or a homothety.
 
     For a homothety ``center`` is the ordinary fixed point and ``ratio`` the
@@ -216,39 +218,40 @@ class MClassification:
     infinite point in the direction of translation.
     """
 
-    kind: str
-    ratio: FieldElement | None
-    center: BaryPoint
+    __slots__ = ()
 
     def is_translation(self) -> bool:
         return self.kind == "translation"
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Every derived point, map and conic attached to a base point.
+class Configuration(namedtuple("Configuration", (
+    "p",
+    "p_iso",  # isotomic conjugate of p
+    "q",  # isotomcomplement of p; center of the inconic
+    "q_iso",  # isotomcomplement of p_iso, i.e. the complement of p
+    "h",  # generalized orthocenter
+    "o",  # generalized circumcenter; the complement of h
+    "o_iso",  # generalized circumcenter for p_iso
+    "v",  # meet of lines p q and p_iso q_iso
+    "z",  # center of the cevian conic
+    "u",  # anticomplement of z
+    "s",  # center of the transfer map, as a line intersection
+    "t_p",  # reference triangle -> cevian triangle of p
+    "t_p_iso",  # reference triangle -> cevian triangle of p_iso
+    "transfer",  # t_p o anticomplement o t_p_iso
+    "cevian_conic",  # conic through the triangle, p and q
+    "circumconic",  # conic through the triangle centered at o
+    "inconic",  # conic with center q tangent to the sides
+))):
+    """Every derived point, map and conic attached to a base point: the
+    points are BaryPoints, t_p, t_p_iso and transfer AffineMaps, and the
+    three conics Conics.
 
     Median-dependent members (v, z, u, s and the cevian-conic center data)
     are None when the base point lies on a median of the reference triangle.
     """
 
-    p: BaryPoint
-    p_iso: BaryPoint  # isotomic conjugate of p
-    q: BaryPoint  # isotomcomplement of p; center of the inconic
-    q_iso: BaryPoint  # isotomcomplement of p_iso, i.e. the complement of p
-    h: BaryPoint  # generalized orthocenter
-    o: BaryPoint  # generalized circumcenter; the complement of h
-    o_iso: BaryPoint  # generalized circumcenter for p_iso
-    v: BaryPoint | None  # meet of lines p q and p_iso q_iso
-    z: BaryPoint | None  # center of the cevian conic
-    u: BaryPoint | None  # anticomplement of z
-    s: BaryPoint | None  # center of the transfer map, as a line intersection
-    t_p: AffineMap  # reference triangle -> cevian triangle of p
-    t_p_iso: AffineMap  # reference triangle -> cevian triangle of p_iso
-    transfer: AffineMap  # t_p o anticomplement o t_p_iso
-    cevian_conic: object | None  # conic through the triangle, p and q
-    circumconic: object  # conic through the triangle centered at o
-    inconic: object  # conic with center q tangent to the sides
+    __slots__ = ()
 
 
 def transfer_map(p: BaryPoint) -> AffineMap:

@@ -68,6 +68,9 @@ class _Triple:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return type(self), self.coords
+
     def __iter__(self):
         return iter(self.coords)
 

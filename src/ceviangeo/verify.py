@@ -12,10 +12,9 @@ profiles of equivalent conditions, and samplers that feed only a suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
-from typing import NamedTuple
 
 from .field import FieldElement, fe, sqrt_extending, ZERO, ONE
 from .linalg import matmul3, transpose3
@@ -75,11 +74,8 @@ from . import curve as curve_mod
 from . import locus as locus_mod
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
+    __slots__ = ()
 
     def to_dict(self):
         out = {"name": self.name, "passed": self.passed}
@@ -88,10 +84,22 @@ class CheckResult:
         return out
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    results: list[CheckResult] = field(default_factory=list)
+    """The entries of one suite run, in order; ``add`` and ``check`` append."""
+
+    __slots__ = ("suite", "results")
+
+    def __init__(self, suite: str, results: list[CheckResult] | None = None):
+        self.suite = suite
+        self.results = [] if results is None else results
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.suite, self.results) == (other.suite, other.results)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"SuiteReport(suite={self.suite!r}, results={self.results!r})"
 
     @property
     def passed(self) -> bool:
@@ -175,13 +183,12 @@ def _locus_parameters(rng: random.Random, count: int) -> list[Fraction]:
 # the vertex-orthocenter conditions
 
 
-class VertexConditionProfile(NamedTuple):
-    """The four equivalent characterizations of an orthocenter at vertex A."""
+class VertexConditionProfile(namedtuple("VertexConditionProfile", (
+        "orthocenter_at_a", "parallelogram_afqe", "f3_on_q_e0_line", "e3_on_q_f0_line"))):
+    """The four equivalent characterizations of an orthocenter at vertex A,
+    each a bool."""
 
-    orthocenter_at_a: bool
-    parallelogram_afqe: bool
-    f3_on_q_e0_line: bool
-    e3_on_q_f0_line: bool
+    __slots__ = ()
 
     def all_equal(self) -> bool:
         return len(set(self)) == 1
@@ -639,16 +646,34 @@ def translation_y_discriminant(x) -> FieldElement:
     return _nf_y_discriminant(3, fe(x))
 
 
-@dataclass(frozen=True)
 class NFPoint:
-    """An affine point (x, y) of the translation-locus normal form."""
+    """An affine point (x, y) of the translation-locus normal form, with
+    FieldElement coordinates."""
 
-    x: FieldElement
-    y: FieldElement
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if not _nf_residual(3, self.x, self.y).is_zero():
-            raise curve_mod.OffCurve(f"({self.x}, {self.y}) is not on the normal-form curve")
+    def __init__(self, x: FieldElement, y: FieldElement):
+        if not _nf_residual(3, x, y).is_zero():
+            raise curve_mod.OffCurve(f"({x}, {y}) is not on the normal-form curve")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NFPoint is immutable")
+
+    def __reduce__(self):
+        return NFPoint, (self.x, self.y)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) == (other.x, other.y)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+    def __repr__(self):
+        return f"NFPoint(x={self.x!r}, y={self.y!r})"
 
     @classmethod
     def of(cls, x, y) -> NFPoint:

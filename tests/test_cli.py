@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -281,6 +282,14 @@ REUSE_CALLS = (
 )
 
 
+def test_parser_choices_match_the_modules_that_define_them():
+    from ceviangeo import curve, verify
+
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+    assert cli.FIGURE_NAMES == tuple(sorted(svgfig.FIGURES))
+    assert cli.MULTIPLE_BOUND == curve.MULTIPLE_BOUND
+
+
 class TestParserReuse:
     def test_reused_parser_matches_a_fresh_one(self, capsys):
         reused = [run_any(args, capsys) for args in REUSE_CALLS + REUSE_CALLS]
@@ -404,6 +413,26 @@ class TestRender:
 
 
 class TestConsoleEntry:
+    @pytest.mark.parametrize("args", [
+        ["compute", "[6,3,2]", "all", "--json"],
+        ["verify", "special", "--n", "1"],
+        ["curve", "invariants"],
+        ["curve", "multiple", "--k", "3"],
+        ["curve", "sample", "--n", "2"],
+        ["locus", "param"],
+        ["locus", "check"],
+        ["render", "conics"],
+    ], ids=" ".join)
+    def test_fresh_process_matches_in_process(self, args, capsys):
+        """Each command's handler imports its modules itself; a cold process
+        is the only place an import missing there shows."""
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-S", "-m", "ceviangeo.cli", *args],
+                                capture_output=True, text=True, timeout=60,
+                                env={**os.environ, "PYTHONPATH": package_root})
+        code, out, _ = run_cli(args, capsys)
+        assert (result.returncode, result.stdout) == (code, out), result.stderr
+
     def test_installed_script(self):
         result = subprocess.run(
             [sys.executable, "-m", "ceviangeo.cli", "compute", "[6,3,2]", "H", "--json"],

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 from fractions import Fraction
 
@@ -696,24 +698,54 @@ class TestOperatorOracle:
 
 
 class TestImmutability:
-    """Assigning to an existing or a new attribute raises AttributeError."""
+    """Assigning to an existing or a new attribute raises AttributeError, and
+    copies and pickles are equal values that refuse assignment too."""
 
     def _objects(self):
         from ceviangeo.conics import Conic
+        from ceviangeo.curve import GENERATOR, WPoint
         from ceviangeo.maps import AffineMap
-        from ceviangeo.plane import BaryLine, BaryPoint
+        from ceviangeo.plane import BaryLine, BaryPoint, point
+        from ceviangeo.verify import NFPoint
 
         one = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         return [FieldElement((2,), (1, Fraction(1, 2))),  # built by __init__
                 R2 * R3 + 1,  # built by an operator, through _make
                 fe(3) - fe(Fraction(1, 2)),
-                BaryPoint(1, 2, 3), BaryLine(1, -1, 0), Conic(one), AffineMap(one)]
+                FieldElement.root(2) + 1,
+                BaryPoint(1, 2, 3), BaryLine(1, -1, 0), point("[6,3,2]"), Conic(one),
+                AffineMap(one), GENERATOR, WPoint.infinity(), NFPoint.of(0, 0)]
 
     def test_attributes_cannot_be_set(self):
         for x in self._objects():
             for name in [*getattr(type(x), "__slots__", ()), "coords", "new_attribute"]:
                 with pytest.raises(AttributeError):
                     setattr(x, name, 0)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_equal_and_immutable(self, clone):
+        for x in self._objects():
+            if isinstance(x, FieldElement):
+                x.minimal()  # fill the cache, which a copy leaves behind
+            y = clone(x)
+            assert type(y) is type(x) and y == x
+            if isinstance(x, FieldElement):
+                assert (y.tower, y.num, y.den) == (x.tower, x.num, x.den)
+                assert y._minimal is None
+            for name in [*type(x).__slots__, "new_attribute"]:
+                with pytest.raises(AttributeError):
+                    setattr(y, name, 0)
+
+    def test_records_pickle(self):
+        from ceviangeo.maps import classify_transfer, derive_configuration
+        from ceviangeo.plane import point
+
+        p = point("[1,1+sqrt(2),1-sqrt(2)]")
+        for x in (derive_configuration(p), classify_transfer(p)):
+            y = pickle.loads(pickle.dumps(x))
+            assert type(y) is type(x) and y == x
 
     def test_operator_results_are_field_elements(self):
         x = R2 * R3 + 1

@@ -34,3 +34,19 @@ def test_tracer_finds_every_name_it_reads():
     metrics = tracer.layer_metrics(1)
     assert metrics["linalg.nullspace.calls"] == 0
     assert metrics["conics.nine_point_conic.calls"] == 0
+
+
+def test_lazy_exports_follow_the_tracer_patch_and_restore():
+    import ceviangeo
+    import ceviangeo.verify as verify_mod
+
+    original = verify_mod.run_suite
+    tracer = load_tracer().Tracer(0)
+    tracer.install()
+    try:
+        # the package stores no lazy name: each read sees the patched binding
+        assert ceviangeo.run_suite is verify_mod.run_suite is not original
+    finally:
+        tracer.uninstall()
+    assert ceviangeo.run_suite is ceviangeo.verify.run_suite is original
+    assert "run_suite" not in vars(ceviangeo)

@@ -98,15 +98,13 @@ CROSS_CHECK_SWAPS = (
 
 @pytest.mark.parametrize("index,member,source", CROSS_CHECK_SWAPS)
 def test_construction_profile_entry_can_fail(index, member, source):
-    from dataclasses import replace
-
     from ceviangeo.maps import derive_configuration
     from ceviangeo.plane import point
     from ceviangeo.verify import construction_profile
 
     cfg = derive_configuration(point([1, 2, 3]))
     assert construction_profile(cfg) == (True,) * 6
-    broken = construction_profile(replace(cfg, **{member: getattr(cfg, source)}))
+    broken = construction_profile(cfg._replace(**{member: getattr(cfg, source)}))
     assert broken == tuple(i != index for i in range(6))
 
 
@@ -134,23 +132,19 @@ def frame():
 
 @pytest.mark.parametrize("index,swap", FRAME_SWAPS)
 def test_frame_profile_entry_can_fail(frame, index, swap):
-    from dataclasses import replace
-
     from ceviangeo.verify import frame_profile
 
     assert frame_profile(frame) == (True,) * 8
-    broken = frame_profile(replace(frame, **{m: getattr(frame, s) for m, s in swap.items()}))
+    broken = frame_profile(frame._replace(**{m: getattr(frame, s) for m, s in swap.items()}))
     assert broken == tuple(i != index for i in range(8))
 
 
 def test_frame_identities_entry_can_fail(monkeypatch):
-    from dataclasses import replace
-
     import ceviangeo.locus as locus_mod
 
     canonical = locus_mod.canonical_frame
     monkeypatch.setattr(locus_mod, "canonical_frame",
-                        lambda: replace(canonical(), q=canonical().e))
+                        lambda: canonical()._replace(q=canonical().e))
     results = run_suite("construction", seed=0, n=1).results
     assert [r.name for r in results[:2]] == ["canonical frame construction", "frame identities"]
     entry = results[1]
@@ -158,15 +152,13 @@ def test_frame_identities_entry_can_fail(monkeypatch):
 
 
 def test_translation_cross_check_entries_can_fail(monkeypatch):
-    from dataclasses import replace
-
     import ceviangeo.verify as verify_mod
 
     derive = verify_mod.derive_configuration
     monkeypatch.setattr(
         verify_mod,
         "derive_configuration",
-        lambda p: replace(derive(p), circumconic=derive(p).inconic),
+        lambda p: derive(p)._replace(circumconic=derive(p).inconic),
     )
     results = run_suite("translation", seed=0, n=2).results
     cross = [r for r in results if r.name.startswith("constructions ")]
@@ -177,8 +169,6 @@ def test_translation_cross_check_entries_can_fail(monkeypatch):
 
 
 def test_translation_entries_fail_on_a_non_scalar_transfer(monkeypatch):
-    from dataclasses import replace
-
     import ceviangeo.verify as verify_mod
 
     # the cevian map of p is neither a homothety nor a translation, so
@@ -187,7 +177,7 @@ def test_translation_entries_fail_on_a_non_scalar_transfer(monkeypatch):
     monkeypatch.setattr(
         verify_mod,
         "derive_configuration",
-        lambda p: replace(derive(p), transfer=derive(p).t_p),
+        lambda p: derive(p)._replace(transfer=derive(p).t_p),
     )
     results = run_suite("translation", seed=0, n=2).results
     entries = [r for r in results if r.name.startswith(("on-locus ", "off-locus "))]
@@ -381,9 +371,7 @@ def _orientation_ignored(true):
 
 
 def _projected_from_q(true):
-    from dataclasses import replace
-
-    return lambda frame, y: true(replace(frame, p=frame.q), y)
+    return lambda frame, y: true(frame._replace(p=frame.q), y)
 
 
 def _polar_of_complement(true):
@@ -395,11 +383,9 @@ def _polar_of_complement(true):
 
 
 def _ratio_negated(true):
-    from dataclasses import replace
-
     def wrong(p):
         c = true(p)
-        return c if c.ratio is None else replace(c, ratio=-c.ratio)
+        return c if c.ratio is None else c._replace(ratio=-c.ratio)
     return wrong
 
 
