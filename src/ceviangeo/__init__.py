@@ -31,12 +31,10 @@ from .plane import (
     G,
     BaryLine,
     BaryPoint,
-    collinear,
     join,
     meet,
     midpoint,
     point,
-    signed_ratio,
 )
 from .maps import (
     AffineMap,
@@ -57,9 +55,7 @@ from .conics import (
     inconic,
     intersect_line,
     nine_point_conic,
-    polar,
     steiner_circumellipse,
-    tangent_at,
 )
 
 # each lazy export and the submodule that defines it
@@ -75,12 +71,11 @@ _LAZY = {
 __all__ = [
     "CeviangeoError", "FieldElement", "NotASquare", "TowerDepthExceeded", "fe",
     "format_element", "parse_element", "sqrt_extending",
-    "A", "B", "C", "G", "BaryLine", "BaryPoint", "collinear", "join", "meet", "midpoint",
-    "point", "signed_ratio",
+    "A", "B", "C", "G", "BaryLine", "BaryPoint", "join", "meet", "midpoint", "point",
     "AffineMap", "Configuration", "MClassification", "classify_transfer", "complement",
     "anticomplement", "derive_configuration", "isotom_complement", "isotomic", "transfer_map",
     "Conic", "conic_center", "conic_through", "inconic", "intersect_line", "nine_point_conic",
-    "polar", "steiner_circumellipse", "tangent_at",
+    "steiner_circumellipse",
     *_LAZY,
 ]
 

@@ -1,18 +1,20 @@
 """Projective conics as exact symmetric coefficient arrays.
 
-Provides construction through five points, centers, polarity, tangency,
+Provides the conic type with its center, and the named conics of the
+derived-point dictionary: the cevian conic, the circumconic and the inconic,
+closed forms at the scale of their defining constructions (the five-point
+fit and the image of the nine-point conic), which ``verify`` keeps as
+cross-checks.  The five-point fit, the nine-point conic of a quadrangle and
 line intersection (adjoining the square root of the discriminant when it is
-not a square), and the named conics of the derived-point dictionary: the
-cevian conic, the circumconic, the inconic and the nine-point conic of a
-quadrangle.  The first three are closed forms, at the scale of their
-defining constructions (the five-point fit and the image of the nine-point
-conic), which ``verify`` keeps as cross-checks.
+not a square) are here too, though only ``verify`` runs them: the benchmark
+tracer reads them by module.  Polarity, tangency, affine type, images under
+affine maps and the interior test are ``verify``'s.
 """
 
 from __future__ import annotations
 
 from .field import CeviangeoError, FieldElement, fe, ZERO, ONE, sqrt_extending
-from .linalg import adjugate3, det3, matmul3, matvec3, nullspace, proportional, transpose3
+from .linalg import adjugate3, det3, matvec3, nullspace, proportional
 from .maps import isotom_complement, validate_point
 from .plane import (
     A,
@@ -35,10 +37,6 @@ class DegenerateConfiguration(ConicError):
 
 
 class DegenerateConic(ConicError):
-    pass
-
-
-class PointNotOnConic(ConicError):
     pass
 
 
@@ -129,19 +127,6 @@ def conic_center(c: Conic) -> BaryPoint:
     return BaryPoint(*coords)
 
 
-def polar(c: Conic, p: BaryPoint) -> BaryLine:
-    coords = matvec3(c.m, p.coords)
-    if all(x.is_zero() for x in coords):
-        raise DegenerateConic(f"{p} is a singular point of the conic")
-    return BaryLine(*coords)
-
-
-def tangent_at(c: Conic, p: BaryPoint) -> BaryLine:
-    if not c.contains(p):
-        raise PointNotOnConic(f"{p} is not on the conic")
-    return polar(c, p)
-
-
 def _span_points(line: BaryLine) -> tuple[BaryPoint, BaryPoint]:
     l0, l1, l2 = line.coords
     candidates = []
@@ -191,44 +176,6 @@ def intersect_line(c: Conic, line: BaryLine) -> list[BaryPoint]:
     for t in ((-b + r) / a, (-b - r) / a):
         out.append(BaryPoint(*(x + t * y for x, y in zip(p0.coords, p1.coords))))
     return out
-
-
-def infinity_restriction(c: Conic) -> tuple[FieldElement, FieldElement, FieldElement]:
-    """The binary quadratic form of the conic on the infinite line, on the
-    basis (1,-1,0), (0,1,-1)."""
-    v1 = BaryPoint(1, -1, 0)
-    v2 = BaryPoint(0, 1, -1)
-    return (c.evaluate(v1), c.pair(v1, v2), c.evaluate(v2))
-
-
-def affine_type(c: Conic) -> str:
-    """'ellipse', 'parabola' or 'hyperbola' by the number of real infinite points."""
-    if c.is_degenerate():
-        raise DegenerateConic("affine type needs a nondegenerate conic")
-    a, b, cc = infinity_restriction(c)
-    sgn = (b * b - a * cc).sign()
-    if sgn > 0:
-        return "hyperbola"
-    if sgn == 0:
-        return "parabola"
-    return "ellipse"
-
-
-def conic_image(c: Conic, mapping) -> Conic:
-    """The image conic under an affine map, by congruence with the inverse."""
-    finv = adjugate3(mapping.rows)
-    return Conic(matmul3(transpose3(finv), matmul3(c.m, finv)))
-
-
-def is_interior(c: Conic, p: BaryPoint) -> bool:
-    """Sign test relative to the center: true when the quadratic form has
-    the same sign at p as at the center of the conic."""
-    center = conic_center(c)
-    sc = c.evaluate(center).sign() * center.coordinate_sum().sign() ** 2
-    sp = c.evaluate(p).sign()
-    if sc == 0:
-        raise DegenerateConic("center lies on the conic")
-    return sp == sc
 
 
 # ---------------------------------------------------------------------------

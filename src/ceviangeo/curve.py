@@ -58,15 +58,6 @@ class OffCurve(CurveError):
     pass
 
 
-class MapUndefined(CurveError):
-    """The birational chain is not defined at this point; the reason names
-    the exceptional locus."""
-
-
-class BadParameter(CurveError):
-    pass
-
-
 class MultipleTooLarge(CurveError):
     """A multiple of the generator above MULTIPLE_BOUND was requested."""
 
@@ -203,9 +194,6 @@ class WPoint:
             if twisted is not None:
                 return _from_twist(_double_and_add(_TWIST_A2, _TWIST_A4, twisted, n))
         return chord_tangent_multiple(self, n)
-
-    def double(self) -> WPoint:
-        return self + self
 
     def order(self, bound: int = 16) -> int | None:
         """The order of the point in the group, or None if above the bound."""

@@ -1,5 +1,6 @@
-"""Tiny exact linear algebra over field elements: 3x3 kernels, equality up
-to scale and nullspaces."""
+"""Tiny exact linear algebra over field elements: 3x3 determinants,
+adjugates and products, equality up to scale, and the nullspace behind
+``verify``'s five-point conic fits."""
 
 from __future__ import annotations
 
@@ -49,10 +50,6 @@ def matmul3(a, b):
         tuple(sum((a[i][k] * b[k][j] for k in range(3)), ZERO) for j in range(3))
         for i in range(3)
     )
-
-
-def transpose3(m):
-    return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
 
 
 def proportional(a, b) -> bool:

@@ -252,15 +252,10 @@ def _chord(frame: ConstructionFrame, a1: BaryPoint) -> BaryLine | None:
     return BaryLine(*coords)
 
 
-def inscribed_triangle(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoint, BaryPoint]:
-    """The unique triangle inscribed in the frame's conic with vertex a1 and
-    centroid g: the other two vertices are the ends D0 +- sqrt(r)*d of the
-    chord bisected at the complement D0 of a1, which the conic shares with
-    its half-turn image about D0."""
-    if a1.is_infinite():
-        raise NotOnConic("vertex must be an ordinary point")
-    if not frame.conic.contains(a1):
-        raise NotOnConic(f"{a1} is not on the frame conic")
+def _inscribed_chord(frame: ConstructionFrame, a1: BaryPoint):
+    """The inscribed chord of a1, an ordinary point of the conic, as
+    (m normalized, r, d) with real ends m +- sqrt(r)*d; the steps that
+    ``inscribed_triangle`` and ``admissible`` share."""
     line = _chord(frame, a1)
     # a1 is ordinary and on the conic, so it lies on the half-turn image
     # exactly when it lies on the chord
@@ -270,7 +265,19 @@ def inscribed_triangle(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoi
     chord = _bisected_chord(frame.conic, centroid_complement(frame, a1), d)
     if chord is None or chord[1].sign() <= 0:
         raise NoIntersection("conic and reflected conic share no two ordinary points")
-    b1, c1 = _chord_ends(*chord, d)
+    return (*chord, d)
+
+
+def inscribed_triangle(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoint, BaryPoint]:
+    """The unique triangle inscribed in the frame's conic with vertex a1 and
+    centroid g: the other two vertices are the ends D0 +- sqrt(r)*d of the
+    chord bisected at the complement D0 of a1, which the conic shares with
+    its half-turn image about D0."""
+    if a1.is_infinite():
+        raise NotOnConic("vertex must be an ordinary point")
+    if not frame.conic.contains(a1):
+        raise NotOnConic(f"{a1} is not on the frame conic")
+    b1, c1 = _chord_ends(*_inscribed_chord(frame, a1))
     # fix the labeling so orientation 1 is the orientation-preserving one; the
     # map onto the reference triangle has determinant 1/det of these vertices
     if det3(tuple(q.normalized() for q in (a1, b1, c1))).sign() < 0:
@@ -288,11 +295,11 @@ def admissible(frame: ConstructionFrame, a1: BaryPoint) -> bool:
         raise NotOnConic(f"{a1} is not on the frame conic")
     if a1.is_infinite():
         return False
-    line = _chord(frame, a1)
-    if line is None or line.contains(a1):
+    try:
+        _inscribed_chord(frame, a1)
+    except (DegenerateInscribed, NoIntersection):
         return False
-    chord = _bisected_chord(frame.conic, centroid_complement(frame, a1), infinite_point_of(line))
-    return chord is not None and chord[1].sign() > 0
+    return True
 
 
 def reconstruct_point(frame: ConstructionFrame, a1: BaryPoint, orientation: int = 1) -> BaryPoint:

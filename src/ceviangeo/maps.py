@@ -47,10 +47,6 @@ class DegenerateTriangle(MapError):
     pass
 
 
-class NotHomothetyOrTranslation(MapError):
-    pass
-
-
 class AffineMap:
     """A 3x3 coefficient array acting linearly on barycentric triples.
 
@@ -75,10 +71,6 @@ class AffineMap:
     @classmethod
     def from_columns(cls, cols) -> AffineMap:
         return cls(tuple(zip(*cols)))
-
-    @classmethod
-    def identity(cls) -> AffineMap:
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def apply(self, p: BaryPoint) -> BaryPoint:
         return BaryPoint(*matvec3(self.rows, p.coords))
@@ -119,9 +111,6 @@ class AffineMap:
 
     def __repr__(self):
         return f"AffineMap({self.rows!r})"
-
-
-ANTICOMPLEMENT = AffineMap.from_columns(((-1, 1, 1), (1, -1, 1), (1, 1, -1)))
 
 
 def complement(p: BaryPoint) -> BaryPoint:

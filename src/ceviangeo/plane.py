@@ -4,6 +4,9 @@ The reference triangle is fixed: A=(1:0:0), B=(0:1:0), C=(0:0:1) with
 centroid G=(1:1:1).  A point is ordinary when its coordinate sum is nonzero;
 the line at infinity is x+y+z=0.  Triples are considered up to nonzero
 scale, and the canonical form divides by the first nonzero entry.
+
+Parallelism, collinearity and displacement ratios, which only check a
+construction, are in ``verify``.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from math import lcm
 
 from .field import CeviangeoError, FieldElement, fe, ZERO, format_element, parse_triple
-from .linalg import det3
 
 
 class PlaneError(CeviangeoError):
@@ -27,14 +29,6 @@ class InfiniteLineArgument(PlaneError):
 
 
 class InfinitePointArgument(PlaneError):
-    pass
-
-
-class NotCollinear(PlaneError):
-    pass
-
-
-class CoincidentBase(PlaneError):
     pass
 
 
@@ -176,58 +170,10 @@ def meet(l1: BaryLine, l2: BaryLine) -> BaryPoint:
     return BaryPoint(*cross)
 
 
-def collinear(p1: BaryPoint, p2: BaryPoint, p3: BaryPoint) -> bool:
-    return det3((p1.coords, p2.coords, p3.coords)).is_zero()
-
-
 def infinite_point_of(line: BaryLine) -> BaryPoint:
     if line.is_infinite_line():
         raise InfiniteLineArgument("the infinite line has no single infinite point")
     return meet(line, LINE_AT_INFINITY)
-
-
-def is_parallel(l1: BaryLine, l2: BaryLine) -> bool:
-    if l1.is_infinite_line() or l2.is_infinite_line():
-        raise InfiniteLineArgument("parallelism needs ordinary lines")
-    if l1 == l2:
-        return True
-    return meet(l1, l2).is_infinite()
-
-
-def _diff(p: BaryPoint, q: BaryPoint):
-    pn, qn = p.normalized(), q.normalized()
-    return tuple(a - b for a, b in zip(pn, qn))
-
-
-def _vector_ratio(num, den):
-    """num = t * den for parallel displacement vectors; returns t."""
-    pivot = None
-    for i in range(3):
-        if not den[i].is_zero():
-            pivot = i
-            break
-    if pivot is None:
-        raise CoincidentBase("zero base displacement")
-    t = num[pivot] / den[pivot]
-    for i in range(3):
-        if num[i] != den[i] * t:
-            raise NotCollinear("displacements are not parallel")
-    return t
-
-
-def signed_ratio(x: BaryPoint, y: BaryPoint, z: BaryPoint) -> FieldElement:
-    """The scalar t with Y - X = t*(Z - X) in absolute coordinates.
-
-    This is the fixed convention used throughout the package: the ratio of
-    the signed displacement XY to the signed displacement XZ along their
-    common line.  Requires ordinary collinear arguments and Z != X.
-    """
-    return _vector_ratio(_diff(y, x), _diff(z, x))
-
-
-def displacement_ratio(a: BaryPoint, b: BaryPoint, c: BaryPoint, d: BaryPoint) -> FieldElement:
-    """(B - A)/(D - C) for parallel segments AB and CD."""
-    return _vector_ratio(_diff(b, a), _diff(d, c))
 
 
 def affine_combination(weighted: list[tuple[BaryPoint, FieldElement]]) -> BaryPoint:
@@ -246,8 +192,3 @@ def affine_combination(weighted: list[tuple[BaryPoint, FieldElement]]) -> BaryPo
 def midpoint(p: BaryPoint, q: BaryPoint) -> BaryPoint:
     half = fe(1) / 2
     return affine_combination([(p, half), (q, half)])
-
-
-def centroid(*points: BaryPoint) -> BaryPoint:
-    w = fe(1) / len(points)
-    return affine_combination([(p, w) for p in points])

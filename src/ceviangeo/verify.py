@@ -7,6 +7,9 @@ acceptance tests replay them.  All sampling is seeded and exact.
 It also holds the cross-check helpers: second routes to the library's
 closed forms (such as the normal-form chain behind ``curve.w_to_bary``),
 profiles of equivalent conditions, and samplers that feed only a suite.
+The tools that rebuild the paper's definitions are here too, since only the
+checks run them: parallelism, collinearity, displacement ratios, polars,
+tangents, affine types, conic images and the interior test.
 """
 
 from __future__ import annotations
@@ -17,33 +20,13 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .field import FieldElement, fe, sqrt_extending, ZERO, ONE
-from .linalg import matmul3, transpose3
-from .plane import (
-    A,
-    B,
-    C,
-    D0,
-    E0,
-    F0,
-    G,
-    BaryLine,
-    BaryPoint,
-    PlaneError,
-    affine_combination,
-    centroid,
-    collinear,
-    displacement_ratio,
-    is_parallel,
-    join,
-    midpoint,
-    point_to_literal,
-    signed_ratio,
-)
+from .linalg import adjugate3, det3, matmul3, matvec3
+from .plane import (A, B, C, D0, E0, F0, G, BaryLine, BaryPoint, InfiniteLineArgument, PlaneError,
+                    affine_combination, join, meet, midpoint, point_to_literal)
 from .maps import (
-    ANTICOMPLEMENT,
     AffineMap,
+    MapError,
     MClassification,
-    NotHomothetyOrTranslation,
     anticomplement,
     cevian_traces,
     classify_transfer,
@@ -57,18 +40,15 @@ from .maps import (
 )
 from .conics import (
     Conic,
+    ConicError,
     ConstructionError,
-    affine_type,
+    DegenerateConic,
     circumconic_of_line,
     conic_center,
-    conic_image,
     conic_through,
     intersect_line,
-    is_interior,
     nine_point_conic,
-    polar,
     steiner_circumellipse,
-    tangent_at,
 )
 from . import curve as curve_mod
 from . import locus as locus_mod
@@ -177,6 +157,146 @@ def _locus_parameters(rng: random.Random, count: int) -> list[Fraction]:
             continue
         params.append(t)
     return params
+
+
+# ---------------------------------------------------------------------------
+# the incidence, ratio and conic tools that rebuild the paper's definitions
+
+
+class NotCollinear(PlaneError):
+    pass
+
+
+class CoincidentBase(PlaneError):
+    pass
+
+
+class NotHomothetyOrTranslation(MapError):
+    pass
+
+
+class PointNotOnConic(ConicError):
+    pass
+
+
+class MapUndefined(curve_mod.CurveError):
+    """The birational chain is not defined at this point; the reason names
+    the exceptional locus."""
+
+
+class BadParameter(curve_mod.CurveError):
+    pass
+
+
+ANTICOMPLEMENT = AffineMap.from_columns(((-1, 1, 1), (1, -1, 1), (1, 1, -1)))
+
+
+def transpose3(m):
+    return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
+
+
+def collinear(p1: BaryPoint, p2: BaryPoint, p3: BaryPoint) -> bool:
+    return det3((p1.coords, p2.coords, p3.coords)).is_zero()
+
+
+def is_parallel(l1: BaryLine, l2: BaryLine) -> bool:
+    if l1.is_infinite_line() or l2.is_infinite_line():
+        raise InfiniteLineArgument("parallelism needs ordinary lines")
+    if l1 == l2:
+        return True
+    return meet(l1, l2).is_infinite()
+
+
+def _diff(p: BaryPoint, q: BaryPoint):
+    pn, qn = p.normalized(), q.normalized()
+    return tuple(a - b for a, b in zip(pn, qn))
+
+
+def _vector_ratio(num, den):
+    """num = t * den for parallel displacement vectors; returns t."""
+    pivot = None
+    for i in range(3):
+        if not den[i].is_zero():
+            pivot = i
+            break
+    if pivot is None:
+        raise CoincidentBase("zero base displacement")
+    t = num[pivot] / den[pivot]
+    for i in range(3):
+        if num[i] != den[i] * t:
+            raise NotCollinear("displacements are not parallel")
+    return t
+
+
+def signed_ratio(x: BaryPoint, y: BaryPoint, z: BaryPoint) -> FieldElement:
+    """The scalar t with Y - X = t*(Z - X) in absolute coordinates.
+
+    This is the fixed convention used throughout the package: the ratio of
+    the signed displacement XY to the signed displacement XZ along their
+    common line.  Requires ordinary collinear arguments and Z != X.
+    """
+    return _vector_ratio(_diff(y, x), _diff(z, x))
+
+
+def displacement_ratio(a: BaryPoint, b: BaryPoint, c: BaryPoint, d: BaryPoint) -> FieldElement:
+    """(B - A)/(D - C) for parallel segments AB and CD."""
+    return _vector_ratio(_diff(b, a), _diff(d, c))
+
+
+def centroid(*points: BaryPoint) -> BaryPoint:
+    w = fe(1) / len(points)
+    return affine_combination([(p, w) for p in points])
+
+
+def polar(c: Conic, p: BaryPoint) -> BaryLine:
+    coords = matvec3(c.m, p.coords)
+    if all(x.is_zero() for x in coords):
+        raise DegenerateConic(f"{p} is a singular point of the conic")
+    return BaryLine(*coords)
+
+
+def tangent_at(c: Conic, p: BaryPoint) -> BaryLine:
+    if not c.contains(p):
+        raise PointNotOnConic(f"{p} is not on the conic")
+    return polar(c, p)
+
+
+def infinity_restriction(c: Conic) -> tuple[FieldElement, FieldElement, FieldElement]:
+    """The binary quadratic form of the conic on the infinite line, on the
+    basis (1,-1,0), (0,1,-1)."""
+    v1 = BaryPoint(1, -1, 0)
+    v2 = BaryPoint(0, 1, -1)
+    return (c.evaluate(v1), c.pair(v1, v2), c.evaluate(v2))
+
+
+def affine_type(c: Conic) -> str:
+    """'ellipse', 'parabola' or 'hyperbola' by the number of real infinite points."""
+    if c.is_degenerate():
+        raise DegenerateConic("affine type needs a nondegenerate conic")
+    a, b, cc = infinity_restriction(c)
+    sgn = (b * b - a * cc).sign()
+    if sgn > 0:
+        return "hyperbola"
+    if sgn == 0:
+        return "parabola"
+    return "ellipse"
+
+
+def conic_image(c: Conic, mapping) -> Conic:
+    """The image conic under an affine map, by congruence with the inverse."""
+    finv = adjugate3(mapping.rows)
+    return Conic(matmul3(transpose3(finv), matmul3(c.m, finv)))
+
+
+def is_interior(c: Conic, p: BaryPoint) -> bool:
+    """Sign test relative to the center: true when the quadratic form has
+    the same sign at p as at the center of the conic."""
+    center = conic_center(c)
+    sc = c.evaluate(center).sign() * center.coordinate_sum().sign() ** 2
+    sp = c.evaluate(p).sign()
+    if sc == 0:
+        raise DegenerateConic("center lies on the conic")
+    return sp == sc
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +707,7 @@ class NormalFormCurve:
     def __init__(self, a):
         a = fe(a)
         if any(a == bad for bad in self.EXCLUDED):
-            raise curve_mod.BadParameter(f"parameter {a} is excluded")
+            raise BadParameter(f"parameter {a} is excluded")
         self.a = a
 
     def residual(self, x, y) -> FieldElement:
@@ -684,7 +804,7 @@ def bary_to_nf(p: BaryPoint) -> NFPoint:
     if not curve_mod.on_translation_locus(p):
         raise curve_mod.OffCurve(f"{p} is not on the translation locus")
     if p.is_infinite():
-        raise curve_mod.MapUndefined("infinite points have no absolute coordinates")
+        raise MapUndefined("infinite points have no absolute coordinates")
     x, y, _ = p.normalized()
     return NFPoint(x, y)
 
@@ -698,7 +818,7 @@ def nf_to_w(p: NFPoint) -> curve_mod.WPoint:
     discriminant (x-1)(3x+1)(3x^2-6x-1)) and move the quartic to the
     Weierstrass model by u = (3x+1)/(1-x), v = Y(u+3)^2/8."""
     if p.x == 1:
-        raise curve_mod.MapUndefined("x=1 corresponds to the point at infinity")
+        raise MapUndefined("x=1 corresponds to the point at infinity")
     big_y = (3 * p.x + 1) * (2 * p.y + p.x - 1)
     u = (3 * p.x + 1) / (1 - p.x)
     v = big_y * (u + 3) ** 2 / 8
@@ -707,11 +827,11 @@ def nf_to_w(p: NFPoint) -> curve_mod.WPoint:
 
 def w_to_nf(w: curve_mod.WPoint) -> NFPoint:
     if w.is_infinity():
-        raise curve_mod.MapUndefined("the base point maps to the vertex (1:0:0)")
+        raise MapUndefined("the base point maps to the vertex (1:0:0)")
     if w.u == -3:
-        raise curve_mod.MapUndefined("u=-3 corresponds to an infinite barycentric point")
+        raise MapUndefined("u=-3 corresponds to an infinite barycentric point")
     if w.u.is_zero():
-        raise curve_mod.MapUndefined("u=0 corresponds to an infinite barycentric point")
+        raise MapUndefined("u=0 corresponds to an infinite barycentric point")
     x = (w.u - 1) / (w.u + 3)
     big_y = 8 * w.v / (w.u + 3) ** 2
     y = (big_y / (3 * x + 1) - (x - 1)) / 2
@@ -963,11 +1083,12 @@ def frame_profile(frame) -> tuple[bool, ...]:
 def reflect_conic(c: Conic, center: BaryPoint) -> Conic:
     """The image of the conic under the half-turn about an ordinary point."""
     cn = center.normalized()
-    # half-turn matrix 2*center*ones^T - identity; it is its own inverse
+    # half-turn matrix 2*center*ones^T - identity: it is its own inverse and
+    # has determinant 1, so it is its own adjugate
     half_turn = tuple(
         tuple(2 * cn[i] - (ONE if i == j else ZERO) for j in range(3)) for i in range(3)
     )
-    return Conic(matmul3(transpose3(half_turn), matmul3(c.m, half_turn)))
+    return conic_image(c, AffineMap(half_turn))
 
 
 def chord_matches_reflection(frame, a1: BaryPoint) -> bool:

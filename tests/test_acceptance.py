@@ -16,13 +16,13 @@ from ceviangeo.plane import (
     BaryLine,
     BaryPoint,
     point,
-    signed_ratio,
 )
 from ceviangeo.maps import classify_transfer
-from ceviangeo.conics import conic_center, polar, tangent_at
+from ceviangeo.conics import conic_center
 from ceviangeo import curve as curve_mod
 from ceviangeo import locus as locus_mod
 from ceviangeo import verify as verify_mod
+from ceviangeo.verify import polar, signed_ratio, tangent_at
 
 R2 = FieldElement.root(2)
 

@@ -30,19 +30,21 @@ from ceviangeo.maps import (
 from ceviangeo.conics import (
     Conic,
     DegenerateConfiguration,
-    PointNotOnConic,
-    affine_type,
     conic_center,
-    conic_image,
     conic_through,
     circumconic_for,
     inconic,
     intersect_line,
-    is_interior,
     nine_point_conic,
     circumconic_of_line,
-    polar,
     steiner_circumellipse,
+)
+from ceviangeo.verify import (
+    PointNotOnConic,
+    affine_type,
+    conic_image,
+    is_interior,
+    polar,
     tangent_at,
 )
 

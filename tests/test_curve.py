@@ -13,8 +13,6 @@ from ceviangeo.curve import (
     GENERATOR,
     SAMPLE_BOUND,
     SampleTooLarge,
-    BadParameter,
-    MapUndefined,
     OffCurve,
     WPoint,
     curve_invariants,
@@ -27,6 +25,8 @@ from ceviangeo.curve import (
     w_to_bary,
 )
 from ceviangeo.verify import (
+    BadParameter,
+    MapUndefined,
     NFPoint,
     NormalFormCurve,
     bary_to_nf,
@@ -78,7 +78,8 @@ class TestGroupLaw:
         assert p + (-p) == inf
 
     def test_two_torsion_doubles_to_identity(self):
-        assert WPoint.of(0, 0).double() == WPoint.infinity()
+        t = WPoint.of(0, 0)
+        assert t + t == WPoint.infinity()
 
     def test_off_curve_rejected(self):
         with pytest.raises(OffCurve):

@@ -1,11 +1,14 @@
-"""The package's imports: every name a module imports is used, and each
-command loads only the modules it runs.
+"""The package's imports: every name a module imports is used, each
+command loads only the modules it runs, and the library modules define only
+what the library runs.
 
 No linter runs on this project, so a stdlib check parses each module
 under ``src/ceviangeo`` (``__init__`` re-exports by design) and looks for
 each imported name among the names the module reads, annotations included.
 The import surface is read from ``sys.modules`` in fresh interpreters, and
 the package's lazy exports are checked against the eager ones they stand for.
+A reachability scan over the same parse trees finds public definitions
+outside ``verify`` that only ``verify`` reaches.
 """
 
 import ast
@@ -41,6 +44,99 @@ def _names_imported(tree: ast.AST) -> set[str]:
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(_names_imported(tree) - _names_read(tree)) == []
+
+
+# -- the library boundary: what only verify reaches belongs in verify --------
+
+# (module, name) -> why the library runs it though no other module calls it
+ROOTS = {
+    ("plane", "point"): "the README's library example",
+    ("plane", "point_to_literal"): "the README's library example",
+    ("maps", "derive_configuration"): "the README's library example",
+    ("maps", "classify_transfer"): "the README's library example",
+    ("curve", "GENERATOR"): "the README's library example",
+    ("curve", "sample_translation_points"): "the README's library example",
+    ("field", "CeviangeoError"): "the README's root of every package error",
+    ("field", "FieldElement"): "the README documents its sqrt() and in_tower",
+    ("field", "sqrt_extending"): "the README documents its tower rule",
+    ("locus", "half_turn_projectivity"): "the paper's construction",
+    ("locus", "admissible"): "the paper's construction",
+    ("locus", "inscribed_triangle"): "the paper's construction",
+    ("locus", "reconstruct_point"): "the paper's construction",
+    ("conics", "conic_through"): "read by module in perfbench/tracer.py, until ROADMAP item 1",
+    ("conics", "nine_point_conic"): "read by module in perfbench/tracer.py, until ROADMAP item 1",
+    ("conics", "intersect_line"): "read by module in perfbench/tracer.py, until ROADMAP item 1",
+    ("linalg", "nullspace"): "read by module in perfbench/tracer.py, until ROADMAP item 1",
+}
+# every definition of these modules is a root: they are the program's entry points
+ENTRY_MODULES = ("cli", "svgfig")
+
+
+def _references(module: str, tree: ast.Module):
+    """The top-level definitions of a module (functions, classes and
+    assigned names), each with the (module, name) pairs its body reads, and
+    the pairs read by the module's other top-level statements."""
+    submodules, imported = {}, {}
+    for node in ast.walk(tree):  # handler-local imports included
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:
+                    submodules[local] = alias.name
+                else:
+                    imported[local] = (node.module, alias.name)
+    defs, loose = {}, []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defs[stmt.name] = stmt
+        elif isinstance(stmt, ast.Assign):
+            defs.update({t.id: stmt for t in stmt.targets if isinstance(t, ast.Name)})
+        elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            loose.append(stmt)
+
+    def reads(node) -> set[tuple[str, str]]:
+        out = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and n.id in defs:
+                out.add((module, n.id))
+            elif isinstance(n, ast.Name) and n.id in imported:
+                out.add(imported[n.id])
+            elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                  and n.value.id in submodules):
+                out.add((submodules[n.value.id], n.attr))
+        return out
+
+    edges = {(module, name): reads(node) for name, node in defs.items()}
+    public = {(module, name) for name, node in defs.items()
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_")}
+    return edges, public, set().union(*map(reads, loose))
+
+
+def verify_only_definitions(src: Path = SRC) -> list[str]:
+    """Public functions and classes outside ``verify`` that no module but
+    ``verify`` reaches, directly or through a reached definition."""
+    edges, public, todo = {}, set(), set(ROOTS)
+    for path in src.glob("*.py"):
+        if path.stem in ("__init__", "verify"):
+            continue
+        module_edges, module_public, loose = _references(
+            path.stem, ast.parse(path.read_text(encoding="utf-8")))
+        edges.update(module_edges)
+        public |= module_public
+        todo |= loose
+        if path.stem in ENTRY_MODULES:
+            todo |= set(module_edges)
+    reached = set()
+    while todo:
+        node = todo.pop()
+        if node not in reached:
+            reached.add(node)
+            todo |= edges.get(node, set())
+    return sorted(f"{m}.{n}" for m, n in public - reached)
+
+
+def test_library_modules_define_only_what_the_library_runs():
+    assert verify_only_definitions() == []
 
 
 # -- the import surface, measured in fresh interpreters ----------------------

@@ -19,18 +19,20 @@ from ceviangeo.plane import (
     join,
     midpoint,
     point,
-    signed_ratio,
 )
 from ceviangeo.maps import classify_transfer
-from ceviangeo.conics import _line_restriction, affine_type, intersect_line, tangent_at
+from ceviangeo.conics import _line_restriction, intersect_line
 from ceviangeo.field import TowerDepthExceeded
 from ceviangeo.curve import on_translation_locus, sample_translation_points
 from ceviangeo.verify import (
     admissible_vertex_samples,
+    affine_type,
     chord_matches_reflection,
     equilateral_metric_checks,
     frame_profile,
     median_torsion_bary,
+    signed_ratio,
+    tangent_at,
     vertex_condition_profile,
 )
 from ceviangeo.locus import (

@@ -13,23 +13,25 @@ from ceviangeo.plane import (
     LINE_AT_INFINITY,
     BaryLine,
     BaryPoint,
-    CoincidentBase,
     IdenticalArguments,
     InfiniteLineArgument,
     InfinitePointArgument,
-    NotCollinear,
     WeightsSumNotOne,
     affine_combination,
-    centroid,
-    collinear,
-    displacement_ratio,
     infinite_point_of,
-    is_parallel,
     join,
     meet,
     midpoint,
     point,
     point_to_literal,
+)
+from ceviangeo.verify import (
+    CoincidentBase,
+    NotCollinear,
+    centroid,
+    collinear,
+    displacement_ratio,
+    is_parallel,
     signed_ratio,
 )
 

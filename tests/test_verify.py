@@ -375,8 +375,8 @@ def _projected_from_q(true):
 
 
 def _polar_of_complement(true):
-    from ceviangeo.conics import polar
     from ceviangeo.locus import centroid_complement
+    from ceviangeo.verify import polar
 
     # the chord's direction without its shift by m.Cm: the polar of m
     return lambda frame, a1: polar(frame.conic, centroid_complement(frame, a1))
@@ -396,6 +396,32 @@ def _radicand_scaled(factor):
             return chord if chord is None else (chord[0], factor * chord[1])
         return wrong
     return fault
+
+
+def _conic_shifted(shift):
+    """A named conic with its upper triangle (m00, m01, m02, m11, m12, m22)
+    replaced by ``shift`` of the true one."""
+    def fault(true):
+        from ceviangeo.conics import Conic
+
+        return lambda *args: Conic.from_upper(shift(true(*args).upper()))
+    return fault
+
+
+def _m01_plus_one(upper):
+    return (upper[0], upper[1] + 1) + upper[2:]
+
+
+def _m22_plus_m00(upper):
+    return upper[:5] + (upper[5] + upper[0],)
+
+
+def _plus_one(true):
+    return lambda p: true(p) + 1
+
+
+def _negated(true):
+    return lambda *args: not true(*args)
 
 
 DERIVED_POINT_SUITES = ["equivalences", "special", "translation", "consequences", "construction"]
@@ -435,6 +461,21 @@ INJECTED_FAULTS = {
     # the frame's secant no longer cuts the conic
     "bisected chord radicand negated": ("locus", "_bisected_chord", _radicand_scaled(-1),
                                         ["construction"]),
+    "sheared complement": ("maps", "complement", _sheared, DERIVED_POINT_SUITES),
+    "transposed cevian map": ("maps", "cevian_map", _transposed,
+                              ["special", "translation", "consequences", "construction"]),
+    "inconic m22 plus m00": ("conics", "inconic", _conic_shifted(_m22_plus_m00), ["translation"]),
+    "circumconic m01 plus one": ("conics", "circumconic_for", _conic_shifted(_m01_plus_one),
+                                 ["special", "translation"]),
+    "isotomic image of a line m01 plus one": ("conics", "circumconic_of_line",
+                                              _conic_shifted(_m01_plus_one),
+                                              ["special", "translation", "consequences",
+                                               "construction"]),
+    "sheared conic center": ("conics", "conic_center", _sheared,
+                             ["vertex-locus", "translation", "consequences", "construction"]),
+    "translation cubic plus one": ("curve", "translation_cubic", _plus_one,
+                                   ["curve", "construction"]),
+    "admissible negated": ("locus", "admissible", _negated, ["construction"]),
 }
 
 
