@@ -155,11 +155,11 @@ def cmd_render(args) -> int:
     from . import svgfig
 
     placement = None
-    if args.placement:
+    if args.placement is not None:
         parts = [s for s in args.placement.replace(",", " ").split() if s]
         placement = svgfig.Placement(parts)
     svg = svgfig.render_figure(args.figure, placement)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(svg)
     else:

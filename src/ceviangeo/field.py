@@ -768,10 +768,16 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def found(self) -> str:
+        """The next token, quoted, or the end of input, for a refusal."""
+        tok = self.peek()
+        return "the end of input" if tok is None else repr(tok)
+
     def take(self, expected=None):
         tok = self.peek()
         if tok is None or (expected is not None and tok != expected):
-            raise ExpressionError(f"expected {expected!r}, found {tok!r}")
+            want = "a token" if expected is None else repr(expected)
+            raise ExpressionError(f"expected {want}, found {self.found()}")
         self.pos += 1
         return tok
 
@@ -821,9 +827,10 @@ class _Parser:
         if tok == "sqrt":
             self.take()
             self.take("(")
-            inner = self.take()
-            if not inner.isdigit():
-                raise ExpressionError("sqrt takes a nonnegative integer")
+            inner = self.peek()
+            if inner is None or not inner.isdigit():
+                raise ExpressionError(f"sqrt takes a nonnegative integer, found {self.found()}")
+            self.take()
             self.take(")")
             try:
                 n = int(inner)
@@ -837,7 +844,7 @@ class _Parser:
             except ValueError:
                 raise _digit_limit(f"an integer of {len(tok)} digits is") from None
             return FieldElement.from_rational(n)
-        raise ExpressionError(f"unexpected token {tok!r}")
+        raise ExpressionError(f"expected a number, 'sqrt' or '(', found {self.found()}")
 
 
 def parse_element(text: str) -> FieldElement:

@@ -6,14 +6,18 @@ grid of directions meets the conic once more, at a point that is a closed
 form in the sweep parameter (see ``conic_sweep``).  The sweep lifts its
 per-conic coefficients once to integer numerator vectors on one tower, so
 each swept point costs integer arithmetic only, and every point is in
-absolute barycentrics (summing to 1).  ``_conic_path`` places each point
-straight from its unreduced numerator vectors and common denominator; the
-exact ``BaryPoint`` is built only when a caller reads it from the sweep.
+absolute barycentrics (summing to 1).  At tower depths 0 and 1, where every
+figure's conics lie, that arithmetic runs as closed forms on plain integers
+and integer pairs; depth 2 runs it as a loop over numerator vectors.
+``_conic_path`` places each point straight from its unreduced numerator
+vectors and common denominator; the exact ``BaryPoint`` is built only when a
+caller reads it from the sweep.
 Coordinates become floats through one conversion, ``_float``, which embeds
 each value's coefficients into its minimal tower and divides them as
-integers: integer true division is correctly rounded, so every
-representation of a value gives the same float, and the decimals are
-written at twelve significant digits.  Paths are reserved for conics;
+integers (at depth 1 in closed form): integer true division is correctly
+rounded, so every representation of a value gives the same float, and the
+decimals are written at twelve significant digits, byte for byte the same
+on every run.  Paths are reserved for conics;
 segments and markers use line, circle and text elements, so a figure's
 conic count equals its path count.
 """
@@ -26,6 +30,7 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
+from operator import neg
 
 from .field import (CeviangeoError, _canonical_of, _digit_limit, _directions, _embedding, _reduced,
                     _vinverse, _vmul)
@@ -64,10 +69,14 @@ def _float(tower: tuple[int, ...], num: tuple[int, ...], den: int) -> float:
     of one value gives the same float.  A negative ``den`` is flipped first:
     0/-d would be -0.0."""
     if den < 0:
-        num = tuple(-x for x in num)
+        num = tuple(map(neg, num))
         den = -den
     value = num[0] / den
-    if tower:
+    if len(tower) == 1:
+        # the minimal tower is (d,), or () when num[1] is 0
+        if num[1]:
+            value += num[1] / den * math.sqrt(tower[0])
+    elif tower:
         present = tuple(rad for rad, (i, _) in _directions(tower).items() if num[i])
         for i, p, q, mult, root in _float_terms(tower, _canonical_of(present)):
             value += num[i] * p / (q * den) * mult * root
@@ -191,9 +200,12 @@ def conic_sweep(c: Conic, base: BaryPoint, steps: int = 96) -> Sequence[BaryPoin
     with Q = D*qd and L = -2*D*bd, the point is
     (B_i*Q + D*d_i*L) / (D*Q), divided through by Q with one conjugate-norm
     product.  Q = 0 is an asymptotic direction (None) and L = 0 the tangent
-    at the base, where the sweep returns bn itself.  Since bn sums to 1 and
-    d to 0, every point is in absolute coordinates, summing to 1: callers
-    may place it without normalizing.
+    at the base, where the sweep returns bn itself.  At tower depth 0 this
+    arithmetic runs as a closed form on plain integers and at depth 1 on
+    integer pairs (Q = q + q1*sqrt(r) has norm q^2 - r*q1^2 and conjugate
+    q - q1*sqrt(r)); depth 2 runs it as a loop over numerator vectors.
+    Since bn sums to 1 and d to 0, every point is in absolute coordinates,
+    summing to 1: callers may place it without normalizing.
 
     The points are returned as a sequence of those unreduced vectors:
     ``_conic_path`` places them as they are, and a point is reduced to
@@ -215,35 +227,78 @@ def conic_sweep(c: Conic, base: BaryPoint, steps: int = 96) -> Sequence[BaryPoin
     tower, den, (Qee, Qef, Qff, Be, Bf, *bs) = _lift((qee, qef, qff, be, bf, b0, b1, b2))
     tangent = (tuple(bs), den)
     s = steps
-    ss, s2 = s * s, 2 * s
+    ss, s2, m2 = s * s, 2 * s, -2 * den
     out: list = []
+    # per direction: Q = 0 is asymptotic (None); D*L = 0 is the tangent at
+    # the base, where the sweep returns there; otherwise 1/Q = acc/norm and
+    # point_i = (norm*B_i + d_i*D*L*acc) / (D*norm)
     # chart 0: d = (s, n-s, -n) for n = -s, -s+2, ..., s; chart 1:
     # d = (n, s-n, -s) for n = s-2, s-4, ..., -s
     for chart, q_ss, q_nn, b_s, b_n, ns in (
         (0, Qee, Qff, Be, Bf, range(-s, s + 1, 2)),
         (1, Qff, Qee, Bf, Be, range(s - 2, -s - 1, -2)),
     ):
-        q_terms = tuple(zip(q_ss, Qef, q_nn))
-        b_terms = tuple(zip(b_s, b_n))
-        for n in ns:
-            sn, nn = s2 * n, n * n
-            q = tuple(ss * x + sn * y + nn * z for x, y, z in q_terms)
-            if not any(q):
-                out.append(None)  # asymptotic direction
-                continue
-            lam = tuple(-2 * (s * x + n * y) for x, y in b_terms)
-            if not any(lam):
-                # tangent direction at the base point: the sweep returns there
-                out.append(tangent)
-                continue
-            # 1/Q = acc/norm, so point_i = (norm*B_i + D*d_i*L*acc) / (D*norm)
-            acc, norm = _vinverse(tower, q)
-            dla = tuple(den * x for x in _vmul(tower, lam, acc))
-            d0, d2 = (s, -n) if chart == 0 else (n, -s)
-            out.append((tuple(
-                tuple(norm * b + d * x for b, x in zip(bi, dla))
-                for bi, d in zip(bs, (d0, -d0 - d2, d2))
-            ), den * norm))
+        if not tower:
+            # acc = 1 and norm = Q
+            (qa,), (qb,), (qc,), (ba,), (bb,) = q_ss, Qef, q_nn, b_s, b_n
+            (p0,), (p1,), (p2,) = bs
+            qa, qb, ba = ss * qa, s2 * qb, s * ba
+            for n in ns:
+                q = qa + n * (qb + n * qc)
+                if not q:
+                    out.append(None)
+                    continue
+                dl = m2 * (ba + n * bb)
+                if not dl:
+                    out.append(tangent)
+                    continue
+                d0, d2 = (s, -n) if chart == 0 else (n, -s)
+                out.append((((q * p0 + d0 * dl,), (q * p1 - (d0 + d2) * dl,),
+                             (q * p2 + d2 * dl,)), den * q))
+        elif len(tower) == 1:
+            # Q = q + q1*sqrt(r): acc = q - q1*sqrt(r) and norm = q^2 - r*q1^2
+            (r,) = tower
+            (qa, qa1), (qb, qb1), (qc, qc1) = q_ss, Qef, q_nn
+            (ba, ba1), (bb, bb1) = b_s, b_n
+            (p0, p01), (p1, p11), (p2, p21) = bs
+            qa, qa1, qb, qb1 = ss * qa, ss * qa1, s2 * qb, s2 * qb1
+            ba, ba1 = s * ba, s * ba1
+            for n in ns:
+                q, q1 = qa + n * (qb + n * qc), qa1 + n * (qb1 + n * qc1)
+                if not (q or q1):
+                    out.append(None)
+                    continue
+                dl, dl1 = m2 * (ba + n * bb), m2 * (ba1 + n * bb1)
+                if not (dl or dl1):
+                    out.append(tangent)
+                    continue
+                norm = q * q - r * q1 * q1
+                a, a1 = dl * q - r * dl1 * q1, dl1 * q - dl * q1
+                d0, d2 = (s, -n) if chart == 0 else (n, -s)
+                d1 = -d0 - d2
+                out.append((((norm * p0 + d0 * a, norm * p01 + d0 * a1),
+                             (norm * p1 + d1 * a, norm * p11 + d1 * a1),
+                             (norm * p2 + d2 * a, norm * p21 + d2 * a1)), den * norm))
+        else:
+            q_terms = tuple(zip(q_ss, Qef, q_nn))
+            b_terms = tuple(zip(b_s, b_n))
+            for n in ns:
+                sn, nn = s2 * n, n * n
+                q = tuple(ss * x + sn * y + nn * z for x, y, z in q_terms)
+                if not any(q):
+                    out.append(None)
+                    continue
+                dl = tuple(m2 * (s * x + n * y) for x, y in b_terms)
+                if not any(dl):
+                    out.append(tangent)
+                    continue
+                acc, norm = _vinverse(tower, q)
+                dla = _vmul(tower, dl, acc)
+                d0, d2 = (s, -n) if chart == 0 else (n, -s)
+                out.append((tuple(
+                    tuple(norm * b + d * x for b, x in zip(bi, dla))
+                    for bi, d in zip(bs, (d0, -d0 - d2, d2))
+                ), den * norm))
     return _Sweep(tower, out)
 
 

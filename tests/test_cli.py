@@ -411,6 +411,17 @@ class TestRender:
         assert code == 0
         ET.fromstring(out)
 
+    def test_empty_placement_is_refused(self, capsys):
+        # an empty value was read as no option: the default placement
+        code, out, err = run_cli(["render", "conics", "--placement", ""], capsys)
+        assert (code, out, err) == (2, "", "error: placement needs six coordinates\n")
+
+    def test_empty_out_path_is_refused(self, capsys):
+        # an empty value was read as no option: the SVG went to stdout
+        code, out, err = run_cli(["render", "conics", "--out", ""], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("io error: ") and len(err.splitlines()) == 1
+
 
 class TestConsoleEntry:
     @pytest.mark.parametrize("args", [

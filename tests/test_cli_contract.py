@@ -4,16 +4,18 @@ Every call runs ``cli.main`` in-process with stdout and stderr redirected.
 For each one: the exit code is 0, 1 or 2; 1 (a verification failure) comes
 only from ``verify``; nothing escapes ``main`` and stderr holds no
 traceback or remedy meant for Python programmers; a refusal (exit 2) writes
-exactly one stderr line; and an SVG holds no ``nan`` or ``inf``.
+exactly one stderr line, which never shows Python's ``None``; and an SVG
+holds no ``nan`` or ``inf``.
 Hypothesis draws only argument lists that argparse accepts (options take
 their value after ``=``, so a leading minus stays a value), so every
 refusal comes from the program.  The inputs lean on what has broken before:
 division by zero, integers near the 4300-digit conversion limit, radicands
 above the 64-bit factoring budget, depth-3 towers, deep nesting and long
-sign runs, empty entries, float placements near +-1e308, and out-of-range
-counts.  Each case found by hand is pinned below, whatever hypothesis draws;
-those pinned in ``test_cli.py`` already (division by zero, placements whose
-triangle overflows, out-of-range counts) are not repeated.
+sign runs, empty entries, literals cut short, float placements near
++-1e308, and out-of-range counts.  Each case found by hand is pinned below,
+whatever hypothesis draws; those pinned in ``test_cli.py`` already (division
+by zero, placements whose triangle overflows, out-of-range counts) are not
+repeated.
 """
 
 import contextlib
@@ -43,6 +45,7 @@ def check_contract(argv: list[str]) -> tuple[int, str]:
     assert "set_int_max_str_digits" not in text, (argv, text)
     if code == 2:
         assert len(text.splitlines()) == 1, (argv, text)
+        assert "None" not in text, (argv, text)
     if argv[0] == "render":
         assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), argv
     return code, text
@@ -73,6 +76,9 @@ literals = st.one_of(
     # wrong entry counts, empty entries and stray whitespace
     st.lists(st.sampled_from(["", " ", "1", "sqrt(2)", " 2 "]), min_size=1, max_size=5).map(
         lambda es: "[" + ",".join(es) + "]"),
+    # cut short: the parser meets the end of input
+    st.sampled_from(["[1,2,3]", "[sqrt(2),(-1),3/4]"]).flatmap(
+        lambda lit: st.integers(0, len(lit) - 1).map(lambda k: lit[:k])),
 )
 floats = st.one_of(
     st.sampled_from([0.0, 1.0, -1.0, 1e308, -1e308, 5e307, -5e307, 1.7e308, 1e-308]).map(repr),
@@ -135,6 +141,16 @@ def test_drawn_commands_keep_the_contract(argv):
 ], ids=lambda v: " ".join(v)[:60] if isinstance(v, list) else str(v))
 def test_pinned_cases(argv, code):
     assert check_contract(argv)[0] == code
+
+
+@pytest.mark.parametrize("literal,message", [
+    ("[sqrt(", "sqrt takes a nonnegative integer, found the end of input"),
+    ("[1,2,", "expected a number, 'sqrt' or '(', found the end of input"),
+    ("[1,2", "expected ',', found the end of input"),
+])
+def test_refusal_at_the_end_of_input_names_it(literal, message):
+    # each printed Python's None for the missing token
+    assert check_contract(["compute", literal, "all"]) == (2, f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

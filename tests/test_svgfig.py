@@ -4,8 +4,9 @@
 evaluates the conic at d, pairs the normalized base with d and moves by
 lam = -2*bd/qd.  ``svgfig.conic_sweep`` must give the same list, point for
 point and value for value, on every figure's conics, on seeded conics over
-towers of depth 0 to 2, and on conics built so that the grid meets an
-asymptotic direction and the tangent at the base.
+towers of depth 0 to 2 (at depth 1 over sqrt(2), sqrt(3) and sqrt(5), since
+depths 0 and 1 run their own closed forms), and on conics built so that the
+grid meets an asymptotic direction and the tangent at the base.
 
 ``generic_path`` is the path string as it was drawn before the sweep ran on
 integer vectors: the generic sweep, each point located through
@@ -99,6 +100,15 @@ def test_figure_conics_cover_depths_zero_and_one(monkeypatch):
 
 R2, R3 = FieldElement.root(2), FieldElement.root(3)
 BASIS = {0: [fe(1)], 1: [fe(1), R2], 2: [fe(1), R2, R3, R2 * R3]}
+# depth 1 past sqrt(2): a sweep or float kernel that hard-coded the
+# radicand 2 would still match on BASIS[1]
+BASIS[(3,)] = [fe(1), R3]
+BASIS[(5,)] = [fe(1), FieldElement.root(5)]
+
+
+def key_depth(d) -> int:
+    """The tower depth of a BASIS key: a depth, or a tower."""
+    return d if isinstance(d, int) else len(d)
 
 
 def random_element(rng: random.Random, d: int) -> FieldElement:
@@ -123,13 +133,15 @@ def seeded_conic(seed: int, d: int) -> tuple[Conic, BaryPoint]:
             return c, base
 
 
-@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("d", [0, 1, 2, (3,), (5,)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("steps", [1, 2, 7, 24])
 def test_seeded_conics_match_generic_route(seed, d, steps):
-    c, base = seeded_conic(100 * d + seed, d)
-    assert c.contains(base) and depth(c) == d
-    assert_matches_generic(c, base, steps)
+    c, base = seeded_conic(100 * key_depth(d) + seed, d)
+    assert c.contains(base) and depth(c) == key_depth(d)
+    got = assert_matches_generic(c, base, steps)
+    if not isinstance(d, int):
+        assert got.tower == d
 
 
 # base A; e = (1,-1,0) is asymptotic (chart 0 at t = 0) and the tangent at A
@@ -238,7 +250,7 @@ def test_figure_paths_match_generic_route(monkeypatch, name):
 BASIS[(6, 15)] = [FieldElement((6, 15), [int(i == j) for j in range(4)]) for i in range(4)]
 
 
-@pytest.mark.parametrize("d", [0, 1, 2, (6, 15)])
+@pytest.mark.parametrize("d", [0, 1, 2, (6, 15), (3,), (5,)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_seeded_paths_match_generic_route(seed, d):
     c, base = seeded_conic(1000 + seed, d)
@@ -334,7 +346,7 @@ def reference_float(x: FieldElement) -> float:
     return value
 
 
-FLOAT_TOWERS = [(), (2,), (2, 3), (6, 15)]
+FLOAT_TOWERS = [(), (2,), (3,), (5,), (2, 3), (6, 15)]
 ENTRIES = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10 ** 40, 10 ** 40))
 DENS = st.integers(-10 ** 30, 10 ** 30).filter(bool)
 
