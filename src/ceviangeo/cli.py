@@ -45,12 +45,12 @@ def _wpoint_json(w):
 def cmd_compute(args) -> int:
     p = point(args.point)
     names = args.names or list(COMPUTE_NAMES)
-    if any(n == "all" for n in names):
-        names = list(COMPUTE_NAMES)
-    bad = [n for n in names if n not in COMPUTE_NAMES]
+    bad = [n for n in names if n != "all" and n not in COMPUTE_NAMES]
     if bad:
         print(f"unknown names: {bad}; choose from {COMPUTE_NAMES}", file=sys.stderr)
         return 2
+    if "all" in names:
+        names = list(COMPUTE_NAMES)
     cfg = derive_configuration(p)
     # the nine points, with None for V, Z and U on a median
     points = {

@@ -13,8 +13,8 @@ affine maps and the interior test are ``verify``'s.
 
 from __future__ import annotations
 
-from .field import CeviangeoError, FieldElement, fe, ZERO, ONE, sqrt_extending
-from .linalg import adjugate3, det3, matvec3, nullspace, proportional
+from .field import CeviangeoError, FieldElement, _Frozen, fe, ZERO, ONE, sqrt_extending
+from .linalg import _matrix3, adjugate3, det3, matvec3, nullspace, proportional
 from .maps import isotom_complement, validate_point
 from .plane import (
     A,
@@ -44,13 +44,13 @@ class ConstructionError(ConicError):
     """A postcondition of a conic construction failed."""
 
 
-class Conic:
+class Conic(_Frozen):
     """A conic x^T m x = 0 for a symmetric matrix m, up to scale."""
 
     __slots__ = ("m",)
 
     def __init__(self, rows):
-        m = tuple(tuple(fe(x) for x in r) for r in rows)
+        m = _matrix3(rows)
         for i in range(3):
             for j in range(i):
                 if m[i][j] != m[j][i]:
@@ -58,12 +58,6 @@ class Conic:
         if all(x.is_zero() for r in m for x in r):
             raise ValueError("zero conic matrix")
         object.__setattr__(self, "m", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Conic is immutable")
-
-    def __reduce__(self):
-        return Conic, (self.m,)
 
     @classmethod
     def from_upper(cls, six) -> Conic:
@@ -95,9 +89,6 @@ class Conic:
         if not isinstance(other, Conic):
             return NotImplemented
         return proportional(self.upper(), other.upper())
-
-    def __hash__(self):
-        raise TypeError("Conic is unhashable")
 
     def __repr__(self):
         return f"Conic{self.upper()!r}"

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .field import CeviangeoError, FieldElement, fe, ZERO, _make, _reduced
+from .field import CeviangeoError, FieldElement, fe, ZERO, _Frozen, _make, _reduced
 from .plane import A, BaryPoint, _integral
 from . import maps as _maps
 
@@ -71,12 +71,12 @@ class SampleTooLarge(CurveError):
 # Weierstrass coefficients of v^2 = u^3 + 6u^2 - 3u
 _A2 = fe(6)
 _A4 = fe(-3)
-# its quadratic twist by 2, V^2 = U^3 + 12U^2 - 12U, with u = U/2 and
-# v = (V/4)*sqrt(2); the twist's rational torsion is {O, (0, 0)} (Nagell-Lutz),
-# so a point with v != 0 on its image has no torsion
+# its quadratic twist by 2, V^2 = U^3 + 2*a2*U^2 + 4*a4*U = U^3 + 12U^2 - 12U,
+# with u = U/2 and v = (V/4)*sqrt(2); the twist's rational torsion is
+# {O, (0, 0)} (Nagell-Lutz), so a point with v != 0 on its image has no torsion
 _TWIST_TOWER = (2,)
-_TWIST_A2 = fe(12)
-_TWIST_A4 = fe(-12)
+_TWIST_A2 = 2 * _A2
+_TWIST_A4 = 4 * _A4
 # the largest |k| whose multiple of the generator the CLI prints: the
 # coordinates of k*G have about 0.7*k^2 bits, 3.5 k digits at k = 128
 MULTIPLE_BOUND = 128
@@ -87,7 +87,7 @@ SAMPLE_BOUND = 128
 
 
 def _rhs(u: FieldElement) -> FieldElement:
-    return u * (u * u + 6 * u - 3)
+    return u * (u * u + _A2 * u + _A4)
 
 
 def _chord_tangent(a2, a4, p, q):
@@ -120,7 +120,7 @@ def _double_and_add(a2, a4, p, n: int):
     return acc
 
 
-class WPoint:
+class WPoint(_Frozen):
     """A point of v^2 = u(u^2+6u-3), or the point at infinity.
 
     ``u`` and ``v`` are FieldElements, or both None at infinity.  Not a
@@ -136,12 +136,6 @@ class WPoint:
             raise OffCurve(f"({u}, {v}) is not on the curve")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WPoint is immutable")
-
-    def __reduce__(self):
-        return WPoint, (self.u, self.v)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -322,7 +316,7 @@ def generator_multiple(k: int) -> WPoint:
 def curve_invariants() -> dict[str, Fraction]:
     """Standard invariants b2, b4, b6, b8, c4, c6, disc and j of the curve."""
     a1 = a3 = a6 = Fraction(0)
-    a2, a4 = Fraction(6), Fraction(-3)
+    a2, a4 = _A2.as_fraction(), _A4.as_fraction()
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -342,16 +336,13 @@ def curve_invariants() -> dict[str, Fraction]:
     }
 
 
+_RATIONAL_TORSION = (WPoint.infinity(), WPoint.of(0, 0), WPoint.of(1, 2), WPoint.of(1, -2),
+                     WPoint.of(-3, 6), WPoint.of(-3, -6))
+
+
 def rational_torsion() -> list[WPoint]:
-    """The six torsion points with rational coordinates."""
-    return [
-        WPoint.infinity(),
-        WPoint.of(0, 0),
-        WPoint.of(1, 2),
-        WPoint.of(1, -2),
-        WPoint.of(-3, 6),
-        WPoint.of(-3, -6),
-    ]
+    """The six torsion points with rational coordinates, as a fresh list."""
+    return list(_RATIONAL_TORSION)
 
 
 @cache
@@ -367,7 +358,7 @@ def _torsion_group() -> tuple[WPoint, ...]:
         v = fe(12) + 6 * sgn * r3
         extra.append(WPoint(u, v))
         extra.append(WPoint(u, -v))
-    return tuple(rational_torsion() + extra)
+    return _RATIONAL_TORSION + tuple(extra)
 
 
 def torsion_points() -> list[WPoint]:
@@ -395,13 +386,13 @@ def on_translation_locus(p: BaryPoint) -> bool:
     return translation_cubic(_integral(p)).is_zero()
 
 
-# limits of the birational chain at its exceptional torsion points,
-# computed by expanding the chain along a local parameter
+# limits of the birational chain at its exceptional torsion points O, (0, 0),
+# (-3, 6) and (-3, -6), computed by expanding the chain along a local parameter
 _TORSION_BARY_LIMITS = (
-    (WPoint.infinity(), A),
-    (WPoint.of(0, 0), BaryPoint(0, 1, -1)),
-    (WPoint.of(-3, 6), BaryPoint(1, 0, -1)),
-    (WPoint.of(-3, -6), BaryPoint(1, -1, 0)),
+    (_RATIONAL_TORSION[0], A),
+    (_RATIONAL_TORSION[1], BaryPoint(0, 1, -1)),
+    (_RATIONAL_TORSION[4], BaryPoint(1, 0, -1)),
+    (_RATIONAL_TORSION[5], BaryPoint(1, -1, 0)),
 )
 
 

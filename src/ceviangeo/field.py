@@ -80,6 +80,20 @@ def _digit_limit(what: str) -> DigitLimitExceeded:
         f"{what} past the {sys.get_int_max_str_digits()}-digit limit for decimal integers")
 
 
+class _Frozen:
+    """Immutability for the exact value types: a subclass stores its slots
+    with ``object.__setattr__`` in its constructor, and copies and pickles
+    rebuild through that constructor, one argument per slot."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
+
+
 # ---------------------------------------------------------------------------
 # integer helpers
 
@@ -211,6 +225,18 @@ def canonical_tower(radicands) -> tuple[int, ...]:
 
 
 _canonical_of = lru_cache(maxsize=None)(canonical_tower)
+
+
+def _field_tower(tower) -> tuple[int, ...]:
+    """``tower`` as a tuple, once it is checked to be a field of depth <= 2:
+    at most two distinct squarefree radicands > 1, possibly not canonical."""
+    tower = tuple(tower)
+    if len(tower) > 2:
+        raise TowerMismatch(f"tower {tower} is deeper than 2")
+    if len(set(tower)) != len(tower):
+        raise ValueError(f"tower {tower} repeats a radicand")
+    _canonical_of(tower)
+    return tower
 
 
 @lru_cache(maxsize=None)
@@ -384,24 +410,25 @@ class FieldElement:
     common denominator, with ``gcd(den, *num) == 1``.
     """
 
-    __slots__ = ("tower", "num", "den", "_minimal")
+    __slots__ = ("tower", "num", "den")
 
     def __init__(self, tower: tuple[int, ...], coeffs):
+        tower = _field_tower(tower)
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != 1 << len(tower):
             raise ValueError("coefficient count must be 2**depth")
         den = lcm(*(c.denominator for c in coeffs))
-        object.__setattr__(self, "tower", tuple(tower))
+        object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "num", tuple(c.numerator * (den // c.denominator) for c in coeffs))
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_minimal", None)
 
+    # not a _Frozen: _make's __class__ swap needs _Blank and FieldElement to
+    # share their base class
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
     def __reduce__(self):
-        # the default slot-state restore would go through __setattr__; the
-        # _minimal cache is left behind
+        # the default slot-state restore would go through __setattr__
         return _make, (self.tower, self.num, self.den)
 
     @property
@@ -466,18 +493,12 @@ class FieldElement:
 
     def in_tower(self, tower: tuple[int, ...]) -> FieldElement:
         """Re-express this element on the basis of a containing tower."""
-        return self._embed(tuple(tower))
+        return self._embed(_field_tower(tower))
 
     def minimal(self) -> FieldElement:
-        """Equivalent element over the smallest canonical tower."""
-        cached = self._minimal
-        if cached is not None:
-            return self if cached is True else cached
-        result = self._embed(_canonical_of(self._present()))
-        # True marks an element that is its own minimal form: caching self
-        # would make a reference cycle that only the cyclic collector frees
-        object.__setattr__(self, "_minimal", True if result is self else result)
-        return result
+        """Equivalent element over the smallest canonical tower, recomputed
+        on each call."""
+        return self._embed(_canonical_of(self._present()))
 
     @staticmethod
     def common_tower(a: FieldElement, b: FieldElement) -> tuple[int, ...]:
@@ -659,7 +680,6 @@ def _make(tower, num, den) -> FieldElement:
     x.tower = tower
     x.num = num
     x.den = den
-    x._minimal = None
     x.__class__ = FieldElement
     return x
 

@@ -4,7 +4,16 @@ adjugates and products, equality up to scale, and the nullspace behind
 
 from __future__ import annotations
 
-from .field import FieldElement, ZERO, ONE
+from .field import FieldElement, fe, ZERO, ONE
+
+
+def _matrix3(rows):
+    """A 3x3 matrix of field elements, each entry coerced with ``fe``; any
+    other shape raises ValueError."""
+    m = tuple(tuple(fe(x) for x in r) for r in rows)
+    if len(m) != 3 or any(len(r) != 3 for r in m):
+        raise ValueError("need a 3x3 matrix")
+    return m
 
 
 def det3(m) -> FieldElement:

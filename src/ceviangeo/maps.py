@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .field import CeviangeoError, FieldElement, fe, ZERO
-from .linalg import adjugate3, det3, matmul3, matvec3, proportional, vecmat3
+from .field import CeviangeoError, FieldElement, _Frozen, ZERO
+from .linalg import _matrix3, adjugate3, det3, matmul3, matvec3, proportional, vecmat3
 from .plane import G, BaryLine, BaryPoint, InfinitePointArgument, _integral, join, meet
 
 
@@ -47,7 +47,7 @@ class DegenerateTriangle(MapError):
     pass
 
 
-class AffineMap:
+class AffineMap(_Frozen):
     """A 3x3 coefficient array acting linearly on barycentric triples.
 
     The matrix convention is column j = normalized image of the j-th
@@ -58,15 +58,7 @@ class AffineMap:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        object.__setattr__(
-            self, "rows", tuple(tuple(fe(x) for x in r) for r in rows)
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineMap is immutable")
-
-    def __reduce__(self):
-        return AffineMap, (self.rows,)
+        object.__setattr__(self, "rows", _matrix3(rows))
 
     @classmethod
     def from_columns(cls, cols) -> AffineMap:
@@ -105,9 +97,6 @@ class AffineMap:
         if all(x.is_zero() for x in b):
             return all(x.is_zero() for x in a)
         return proportional(a, b)
-
-    def __hash__(self):
-        raise TypeError("AffineMap is unhashable")
 
     def __repr__(self):
         return f"AffineMap({self.rows!r})"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .field import CeviangeoError, FieldElement, fe, ZERO, format_element, parse_triple
+from .field import CeviangeoError, FieldElement, _Frozen, fe, ZERO, format_element, parse_triple
 
 
 class PlaneError(CeviangeoError):
@@ -53,14 +53,11 @@ def _cross(a, b):
     )
 
 
-class _Triple:
+class _Triple(_Frozen):
     __slots__ = ("coords",)
 
     def __init__(self, *coords):
         object.__setattr__(self, "coords", _triple(coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return type(self), self.coords

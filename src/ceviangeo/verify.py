@@ -64,22 +64,13 @@ class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",)
         return out
 
 
-class SuiteReport:
+class SuiteReport(namedtuple("SuiteReport", "suite results")):
     """The entries of one suite run, in order; ``add`` and ``check`` append."""
 
-    __slots__ = ("suite", "results")
+    __slots__ = ()
 
-    def __init__(self, suite: str, results: list[CheckResult] | None = None):
-        self.suite = suite
-        self.results = [] if results is None else results
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.suite, self.results) == (other.suite, other.results)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"SuiteReport(suite={self.suite!r}, results={self.results!r})"
+    def __new__(cls, suite: str, results: list[CheckResult] | None = None):
+        return super().__new__(cls, suite, [] if results is None else results)
 
     @property
     def passed(self) -> bool:
@@ -766,34 +757,16 @@ def translation_y_discriminant(x) -> FieldElement:
     return _nf_y_discriminant(3, fe(x))
 
 
-class NFPoint:
+class NFPoint(namedtuple("NFPoint", "x y")):
     """An affine point (x, y) of the translation-locus normal form, with
     FieldElement coordinates."""
 
-    __slots__ = ("x", "y")
+    __slots__ = ()
 
-    def __init__(self, x: FieldElement, y: FieldElement):
+    def __new__(cls, x: FieldElement, y: FieldElement):
         if not _nf_residual(3, x, y).is_zero():
             raise curve_mod.OffCurve(f"({x}, {y}) is not on the normal-form curve")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NFPoint is immutable")
-
-    def __reduce__(self):
-        return NFPoint, (self.x, self.y)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x, self.y) == (other.x, other.y)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
-    def __repr__(self):
-        return f"NFPoint(x={self.x!r}, y={self.y!r})"
+        return super().__new__(cls, x, y)
 
     @classmethod
     def of(cls, x, y) -> NFPoint:

@@ -77,6 +77,11 @@ class TestCompute:
         code, _, _ = run_cli(["compute", "[6,3,2]", "W"], capsys)
         assert code == 2
 
+    def test_unknown_name_is_refused_next_to_all(self, capsys):
+        code, out, err = run_cli(["compute", "[1,2,3]", "all", "nope"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("unknown names: ['nope']; choose from")
+
 
 # each degenerate input is refused by validation before any closed form
 # divides by (a+b)(a+c)(b+c)

@@ -79,6 +79,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Conic(((1, 2, 0), (0, 1, 0), (0, 0, 1)))
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 0, 0, 5], [0, 1, 0], [0, 0, 1]],  # an extra entry
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],  # an extra row
+        [[1, 0], [0, 1]],
+    ], ids=["long-row", "four-rows", "2x2"])
+    def test_shape_other_than_3x3_refused(self, rows):
+        with pytest.raises(ValueError, match="3x3"):
+            Conic(rows)
+
 
 class TestPolarity:
     def test_center_of_vertex_conic(self):

@@ -202,6 +202,28 @@ class TestTower:
         with pytest.raises(TowerMismatch):
             canonical_tower([2, 3, 5])
 
+    @pytest.mark.parametrize("tower, error", [
+        ((4,), ValueError),  # not squarefree: sqrt(4) is rational
+        ((-1,), ValueError),  # not > 1: no real sign for sqrt(-1)
+        ((1,), ValueError),
+        ((-2,), ValueError),
+        ((2, 2), ValueError),  # a repeated radicand
+        ((2, 3, 6), TowerMismatch),  # depth 3, though the field has depth 2
+        ((2, 3, 5), TowerMismatch),
+    ])
+    def test_tower_that_is_not_a_field_is_refused(self, tower, error):
+        with pytest.raises(error):
+            FieldElement(tower, (0, 1) + (0,) * ((1 << len(tower)) - 2))
+        with pytest.raises(error):
+            fe(2).in_tower(tower)
+
+    @pytest.mark.parametrize("tower", [(), (2,), (2, 3), (6, 15), (2, 6), (3, 2)])
+    def test_valid_towers_accepted_canonical_or_not(self, tower):
+        x = FieldElement(tower, (1,) + (0,) * ((1 << len(tower)) - 1))
+        assert x == 1 and x.tower == tower
+        y = fe(2).in_tower(tower)
+        assert y == 2 and y.tower == tower
+
     def test_equality_across_representations(self):
         assert R2 * R3 == R6
         assert hash(R2 * R3) == hash(R6)
@@ -218,7 +240,7 @@ class TestTower:
             assert all(ref is not x for ref in gc.get_referents(x))
         wide = (R2 + 1).in_tower((2, 3))
         m = wide.minimal()
-        assert m.tower == (2,) and wide.minimal() is m and m.minimal() is m
+        assert m.tower == (2,) and m.minimal() is m
 
 
 class TestSerialization:
@@ -706,7 +728,7 @@ class TestImmutability:
         from ceviangeo.curve import GENERATOR, WPoint
         from ceviangeo.maps import AffineMap
         from ceviangeo.plane import BaryLine, BaryPoint, point
-        from ceviangeo.verify import NFPoint
+        from ceviangeo.verify import CheckResult, NFPoint, SuiteReport
 
         one = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         return [FieldElement((2,), (1, Fraction(1, 2))),  # built by __init__
@@ -714,7 +736,8 @@ class TestImmutability:
                 fe(3) - fe(Fraction(1, 2)),
                 FieldElement.root(2) + 1,
                 BaryPoint(1, 2, 3), BaryLine(1, -1, 0), point("[6,3,2]"), Conic(one),
-                AffineMap(one), GENERATOR, WPoint.infinity(), NFPoint.of(0, 0)]
+                AffineMap(one), GENERATOR, WPoint.infinity(), NFPoint.of(0, 0),
+                SuiteReport("demo", [CheckResult("a", True), CheckResult("b", False, "x")])]
 
     def test_attributes_cannot_be_set(self):
         for x in self._objects():
@@ -727,16 +750,37 @@ class TestImmutability:
                              ids=["copy", "deepcopy", "pickle"])
     def test_copies_are_equal_and_immutable(self, clone):
         for x in self._objects():
-            if isinstance(x, FieldElement):
-                x.minimal()  # fill the cache, which a copy leaves behind
             y = clone(x)
             assert type(y) is type(x) and y == x
             if isinstance(x, FieldElement):
                 assert (y.tower, y.num, y.den) == (x.tower, x.num, x.den)
-                assert y._minimal is None
             for name in [*type(x).__slots__, "new_attribute"]:
                 with pytest.raises(AttributeError):
                     setattr(y, name, 0)
+
+    def test_equal_values_hash_equal(self):
+        from ceviangeo.curve import GENERATOR, WPoint
+        from ceviangeo.plane import BaryPoint
+        from ceviangeo.verify import NFPoint
+
+        pairs = [(BaryPoint(1, 2, 3), BaryPoint(-2, -4, -6)),
+                 (BaryPoint(1, R2, 1), BaryPoint(R2, 2, R2)),
+                 (GENERATOR, WPoint.of(3, "6*sqrt(2)")),
+                 (GENERATOR, WPoint(fe(3).in_tower((2, 3)), (6 * R2).in_tower((2, 3)))),
+                 (WPoint.infinity(), WPoint.infinity()),
+                 (NFPoint.of(0, 0), NFPoint(fe(0).in_tower((2,)), fe(0)))]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+
+    def test_values_equal_up_to_scale_or_holding_a_list_are_unhashable(self):
+        from ceviangeo.conics import Conic
+        from ceviangeo.maps import AffineMap
+        from ceviangeo.verify import SuiteReport
+
+        one = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        for x in (Conic(one), AffineMap(one), SuiteReport("demo")):
+            with pytest.raises(TypeError):
+                hash(x)
 
     def test_records_pickle(self):
         from ceviangeo.maps import classify_transfer, derive_configuration

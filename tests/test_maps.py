@@ -130,6 +130,15 @@ class TestAffineMaps:
         with pytest.raises(DegenerateTriangle):
             map_from_triangles((A, B, C), (A, B, midpoint(A, B)))
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 2], [3, 4]],
+        [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+    ], ids=["2x2", "long-row", "four-rows"])
+    def test_shape_other_than_3x3_refused(self, rows):
+        with pytest.raises(ValueError, match="3x3"):
+            AffineMap(rows)
+
     def test_composition_inverse(self):
         rng = random.Random(12)
         p = random_valid(rng)
