@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_locus = sub.add_parser("locus", help="vertex-locus queries")
     p_locus.add_argument("action", choices=("param", "check"))
     p_locus.add_argument("--vertex", choices=("A", "B", "C"), default="A")
-    p_locus.add_argument("--t", default="1/3", help="parameter for 'param'")
+    p_locus.add_argument("--t", default="1/3",
+                         help="parameter for 'param'; write a negative one as --t=-1/2")
     p_locus.add_argument("--point", default="[6,3,2]", help="point literal for 'check'")
     p_locus.set_defaults(func=cmd_locus)
 
@@ -208,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--out", help="output path (default stdout)")
     p_render.add_argument(
         "--placement",
-        help="Cartesian vertex coordinates 'ax,ay,bx,by,cx,cy' (exact decimals or fractions)",
+        help="Cartesian vertex coordinates 'ax,ay,bx,by,cx,cy' (exact decimals or fractions); "
+             "when the first is negative, write --placement=-1,0,1,0,0,1",
     )
     p_render.set_defaults(func=cmd_render)
     return parser

@@ -62,10 +62,10 @@ def matmul3(a, b):
 
 
 def proportional(a, b) -> bool:
-    """Whether a = t*b for some scalar t; b must have a nonzero entry."""
+    """Whether a = t*b for some nonzero scalar t; b must have a nonzero entry."""
     pivot = next(i for i, x in enumerate(b) if not x.is_zero())
     t = a[pivot] / b[pivot]
-    return all(x == y * t for x, y in zip(a, b))
+    return not t.is_zero() and all(x == y * t for x, y in zip(a, b))
 
 
 def nullspace(rows: list[list[FieldElement]]) -> list[list[FieldElement]]:

@@ -29,13 +29,13 @@ from .plane import (
     G,
     BaryLine,
     BaryPoint,
-    affine_combination,
     infinite_point_of,
     join,
     meet,
 )
 from .maps import (
     Configuration,
+    complement,
     derive_configuration,
     map_from_triangles,
     orthocenter,
@@ -232,18 +232,13 @@ def half_turn_projectivity(frame: ConstructionFrame, y: BaryPoint) -> BaryPoint:
     return meet(join(frame.p, image), axis)
 
 
-def centroid_complement(frame: ConstructionFrame, x: BaryPoint) -> BaryPoint:
-    """The dilation about the frame's distinguished point with ratio -1/2."""
-    return affine_combination([(frame.g, fe(3) / 2), (x, fe(-1) / 2)])
-
-
 def _chord(frame: ConstructionFrame, a1: BaryPoint) -> BaryLine | None:
-    """The chord of the frame's conic bisected at the complement m of a1:
+    """The chord of the frame's conic bisected at m, the complement of a1:
     the line through m parallel to the polar of m.  The conic minus its
     half-turn image about m is (x+y+z)(L.X) with L = 4(Cm - (m.Cm)(1,1,1)),
     so the chord carries every ordinary common point of the two conics.
     None when m is the conic's center, where the image is the conic itself."""
-    m = centroid_complement(frame, a1).normalized()
+    m = complement(a1).normalized()
     cm = matvec3(frame.conic.m, m)
     k = sum((x * y for x, y in zip(m, cm)), ZERO)
     coords = tuple(4 * (x - k) for x in cm)
@@ -253,16 +248,17 @@ def _chord(frame: ConstructionFrame, a1: BaryPoint) -> BaryLine | None:
 
 
 def _inscribed_chord(frame: ConstructionFrame, a1: BaryPoint):
-    """The inscribed chord of a1, an ordinary point of the conic, as
-    (m normalized, r, d) with real ends m +- sqrt(r)*d; the steps that
-    ``inscribed_triangle`` and ``admissible`` share."""
+    """The inscribed chord of a1, an ordinary point of the conic, bisected
+    at m, the complement of a1: (m normalized, r, d) with real ends
+    m +- sqrt(r)*d.  These are the steps that ``inscribed_triangle`` and
+    ``admissible`` share."""
     line = _chord(frame, a1)
     # a1 is ordinary and on the conic, so it lies on the half-turn image
     # exactly when it lies on the chord
     if line is None or line.contains(a1):
         raise DegenerateInscribed(f"{a1} lies on its own reflected conic")
     d = infinite_point_of(line)
-    chord = _bisected_chord(frame.conic, centroid_complement(frame, a1), d)
+    chord = _bisected_chord(frame.conic, complement(a1), d)
     if chord is None or chord[1].sign() <= 0:
         raise NoIntersection("conic and reflected conic share no two ordinary points")
     return (*chord, d)
@@ -271,7 +267,7 @@ def _inscribed_chord(frame: ConstructionFrame, a1: BaryPoint):
 def inscribed_triangle(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoint, BaryPoint]:
     """The unique triangle inscribed in the frame's conic with vertex a1 and
     centroid g: the other two vertices are the ends D0 +- sqrt(r)*d of the
-    chord bisected at the complement D0 of a1, which the conic shares with
+    chord bisected at D0, the complement of a1, which the conic shares with
     its half-turn image about D0."""
     if a1.is_infinite():
         raise NotOnConic("vertex must be an ordinary point")

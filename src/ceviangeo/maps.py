@@ -258,15 +258,15 @@ def transfer_map(p: BaryPoint) -> AffineMap:
 
 
 def classify_transfer(p: BaryPoint) -> MClassification:
-    """Classify the transfer map of p without building it.  Its center is
-    S = transfer_center_formula(p), whose coordinate sum is D + 4xyz with
+    """Classify the transfer map of p without building it.  Its center S has
+    the coordinates ``transfer_center_coords(p)``, whose sum is D + 4xyz with
     D = (x+y)(x+z)(y+z): when S is infinite the map is a translation in the
     direction S, otherwise a homothety about S with ratio -4xyz/D.  Both are
     evaluated on the point scaled to integral coordinates, so the center is
     S up to a scalar."""
     p = _integral(p)
     validate_point(p)
-    s = transfer_center_formula(p)
+    s = BaryPoint(*transfer_center_coords(p))
     if s.is_infinite():
         return MClassification("translation", None, s)
     x, y, z = p.coords
@@ -279,12 +279,6 @@ def transfer_center_coords(p: BaryPoint) -> tuple[FieldElement, FieldElement, Fi
     the vertices, which lie on it."""
     x, y, z = p.coords
     return (x * (y + z) ** 2, y * (x + z) ** 2, z * (x + y) ** 2)
-
-
-def transfer_center_formula(p: BaryPoint) -> BaryPoint:
-    """Closed-form center of the transfer map, with coordinate sum zero
-    exactly on the translation locus."""
-    return BaryPoint(*transfer_center_coords(p))
 
 
 def orthocenter(p: BaryPoint) -> BaryPoint:

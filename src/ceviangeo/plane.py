@@ -91,6 +91,8 @@ class _Triple(_Frozen):
 class BaryPoint(_Triple):
     """A projective point in barycentric coordinates."""
 
+    __slots__ = ()
+
     def coordinate_sum(self) -> FieldElement:
         x, y, z = self.coords
         return x + y + z
@@ -109,6 +111,8 @@ class BaryPoint(_Triple):
 
 class BaryLine(_Triple):
     """A projective line; incidence is the vanishing dot product."""
+
+    __slots__ = ()
 
     def contains(self, point: BaryPoint) -> bool:
         return sum(

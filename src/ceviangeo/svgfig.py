@@ -29,10 +29,9 @@ import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 from operator import neg
 
-from .field import (CeviangeoError, _canonical_of, _digit_limit, _directions, _embedding, _reduced,
+from .field import (CeviangeoError, _canonical_of, _digit_limit, _directions, _reduced,
                     _vinverse, _vmul)
 from .plane import A, B, C, G, BaryPoint, point
 from .conics import Conic
@@ -50,17 +49,6 @@ class DegeneratePlacement(CeviangeoError):
 _SPAN = 1e3
 
 
-@lru_cache(maxsize=None)
-def _float_terms(tower: tuple[int, ...], target: tuple[int, ...]):
-    """The irrational terms of a value on ``tower`` as ``minimal()`` writes
-    them on ``target``, in the order of ``target``'s basis: (index i on
-    ``tower``, p, q, multiplier, root) with coefficient num[i]*p/(q*den) on
-    the basis vector multiplier*root."""
-    dirs = _directions(target)
-    src = {rad: (i, p, q) for i, rad, j, p, q in _embedding(tower, target) if j is not None}
-    return tuple((*src[rad], mult, math.sqrt(rad)) for rad, (_, mult) in dirs.items())
-
-
 def _float(tower: tuple[int, ...], num: tuple[int, ...], den: int) -> float:
     """The float of num/den on ``tower``'s basis, in or out of lowest terms.
 
@@ -68,18 +56,19 @@ def _float(tower: tuple[int, ...], num: tuple[int, ...], den: int) -> float:
     divided as integers, which is correctly rounded, so every representation
     of one value gives the same float.  A negative ``den`` is flipped first:
     0/-d would be -0.0."""
+    if len(tower) == 2:
+        m = _reduced(tower, num, den).minimal()
+        value = m.num[0] / m.den
+        for rad, (i, mult) in _directions(m.tower).items():
+            value += m.num[i] / m.den * mult * math.sqrt(rad)
+        return value
     if den < 0:
         num = tuple(map(neg, num))
         den = -den
     value = num[0] / den
-    if len(tower) == 1:
-        # the minimal tower is (d,), or () when num[1] is 0
-        if num[1]:
-            value += num[1] / den * math.sqrt(tower[0])
-    elif tower:
-        present = tuple(rad for rad, (i, _) in _directions(tower).items() if num[i])
-        for i, p, q, mult, root in _float_terms(tower, _canonical_of(present)):
-            value += num[i] * p / (q * den) * mult * root
+    # the minimal tower is (d,), or () when num[1] is 0
+    if tower and num[1]:
+        value += num[1] / den * math.sqrt(tower[0])
     return value
 
 
@@ -405,25 +394,27 @@ def figure_locus(placement: Placement) -> str:
     return fig.render()
 
 
-def figure_conics(placement: Placement) -> str:
+def _cevian_conics(placement: Placement, cfg) -> Figure:
+    """The circumconic of cfg from A, its inconic from the first cevian
+    trace, then the triangle: the opening of both cevian-conic figures."""
     fig = Figure(placement)
-    cfg = maps_mod.derive_configuration(point([6, 3, 2]))
-    d = maps_mod.cevian_traces(cfg.p)[0]
     fig.add_conic(cfg.circumconic, A, "#cc4444")
-    fig.add_conic(cfg.inconic, d, "#22aa44")
+    fig.add_conic(cfg.inconic, maps_mod.cevian_traces(cfg.p)[0], "#22aa44")
     _triangle(fig)
+    return fig
+
+
+def figure_conics(placement: Placement) -> str:
+    cfg = maps_mod.derive_configuration(point([6, 3, 2]))
+    fig = _cevian_conics(placement, cfg)
     for p, label in ((cfg.p, "P"), (cfg.q, "Q"), (cfg.h, "H"), (cfg.o, "O")):
         fig.add_point(p, label)
     return fig.render()
 
 
 def figure_special(placement: Placement) -> str:
-    fig = Figure(placement)
     cfg = locus_mod.special_configuration(1)
-    d = maps_mod.cevian_traces(cfg.p)[0]
-    fig.add_conic(cfg.circumconic, A, "#cc4444")
-    fig.add_conic(cfg.inconic, d, "#22aa44")
-    _triangle(fig)
+    fig = _cevian_conics(placement, cfg)
     fig.add_segment(cfg.p, cfg.p_iso, "#bbbbbb")
     for p, label in (
         (cfg.p, "P"),

@@ -1069,7 +1069,7 @@ def chord_matches_reflection(frame, a1: BaryPoint) -> bool:
     half-turn image about the complement of a1 is (x+y+z) times the chord
     as a quadratic form, entry by entry (both zero at the conic's center)."""
     c = frame.conic.m
-    r = reflect_conic(frame.conic, locus_mod.centroid_complement(frame, a1)).m
+    r = reflect_conic(frame.conic, complement(a1)).m
     line = locus_mod._chord(frame, a1)
     chord = line.coords if line is not None else (ZERO, ZERO, ZERO)
     return all(2 * (c[i][j] - r[i][j]) == chord[i] + chord[j]

@@ -161,6 +161,27 @@ def test_readme_library_example(capsys):
     assert capsys.readouterr().out.splitlines() == expected
 
 
+def test_readme_command_line_block(tmp_path, capsys):
+    """Run every line of the README's command-line block through ``main``;
+    each exits 0, and an ``--out`` file is written under tmp_path."""
+    import shlex
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```\n", 2)[1]
+    lines = block.splitlines()
+    assert lines and all(line.startswith("ceviangeo ") for line in lines)
+    for line in lines:
+        args = shlex.split(line, comments=True)[1:]
+        out = None
+        if "--out" in args:
+            i = args.index("--out") + 1
+            out = tmp_path / args[i]
+            args[i] = str(out)
+        assert main(args) == 0, line
+        capsys.readouterr()
+        assert out is None or out.stat().st_size > 0, line
+
+
 class TestVerifyCommand:
     def test_single_suite(self, capsys):
         code, out, _ = run_cli(["verify", "special", "--json"], capsys)

@@ -30,7 +30,7 @@ from ceviangeo.curve import (
     w_to_bary,
 )
 from ceviangeo.field import FieldElement
-from ceviangeo.maps import classify_transfer, transfer_center_formula
+from ceviangeo.maps import classify_transfer
 from ceviangeo.plane import BaryPoint, _integral, point, point_to_literal
 from ceviangeo.verify import nf_to_bary, run_suite, w_to_nf
 
@@ -127,10 +127,10 @@ class TestBrokenLift:
 
 def reference_classification(p: BaryPoint):
     """kind, ratio and center from the formulas on the unscaled coordinates."""
-    s = transfer_center_formula(p)
+    x, y, z = p.coords
+    s = BaryPoint(x * (y + z) ** 2, y * (x + z) ** 2, z * (x + y) ** 2)
     if s.is_infinite():
         return "translation", None, s
-    x, y, z = p.coords
     return "homothety", -4 * x * y * z / ((x + y) * (x + z) * (y + z)), s
 
 

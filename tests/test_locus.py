@@ -385,7 +385,7 @@ class TestArcStructure:
         # (together with the two asymptote directions these cut the
         # admissible set into six open arcs)
         from ceviangeo.svgfig import conic_sweep
-        from ceviangeo.locus import centroid_complement
+        from ceviangeo.maps import complement
         from ceviangeo.verify import reflect_conic
 
         sweep = conic_sweep(frame.conic, frame.h, steps=64)
@@ -405,7 +405,7 @@ class TestArcStructure:
         assert len(long_false) == 2
         for start, _, _ in point_false:
             p = sweep[start]
-            assert reflect_conic(frame.conic, centroid_complement(frame, p)).contains(p)
+            assert reflect_conic(frame.conic, complement(p)).contains(p)
 
 
 def test_frame_needs_no_linear_solver(monkeypatch):

@@ -37,7 +37,7 @@ from ceviangeo.maps import (
     isotomic,
     map_from_triangles,
     orthocenter,
-    transfer_center_formula,
+    transfer_center_coords,
     transfer_map,
     validate_point,
 )
@@ -138,6 +138,13 @@ class TestAffineMaps:
     def test_shape_other_than_3x3_refused(self, rows):
         with pytest.raises(ValueError, match="3x3"):
             AffineMap(rows)
+
+    def test_equality_with_the_zero_map_is_symmetric(self):
+        # maps are equal up to a nonzero scalar: zero times the identity is
+        # not the identity, from either side
+        zero = AffineMap(((0, 0, 0),) * 3)
+        assert (zero == IDENTITY, IDENTITY == zero) == (False, False)
+        assert zero == AffineMap(((0, 0, 0),) * 3)
 
     def test_composition_inverse(self):
         rng = random.Random(12)
@@ -281,7 +288,8 @@ class TestClassification:
         for _ in range(12):
             p = random_valid(rng)
             cls = classify_transfer(p)
-            assert cls.center == transfer_center_formula(p)
+            x, y, z = p.coords
+            assert cls.center == BaryPoint(x * (y + z) ** 2, y * (x + z) ** 2, z * (x + y) ** 2)
 
     def test_center_line_intersection_agreement(self):
         rng = random.Random(32)
@@ -296,7 +304,7 @@ class TestClassification:
         rng = random.Random(33)
         for _ in range(12):
             p = random_valid(rng)
-            s = transfer_center_formula(p)
+            s = BaryPoint(*transfer_center_coords(p))
             assert s.is_infinite() == on_translation_locus(p)
 
 

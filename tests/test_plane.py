@@ -172,6 +172,11 @@ class TestCanonical:
             with pytest.raises(ValueError):
                 point(bad)
 
+    def test_points_and_lines_carry_no_instance_dict(self):
+        # slotted like every exact value: no per-instance __dict__
+        for x in (BaryPoint(1, 2, 3), BaryLine(1, -1, 0), point("[6,3,2]"), LINE_AT_INFINITY):
+            assert not hasattr(x, "__dict__"), type(x).__name__
+
     def test_zero_triple_rejected(self):
         with pytest.raises(ValueError):
             BaryPoint(0, 0, 0)

@@ -13,15 +13,17 @@ integer vectors: the generic sweep, each point located through
 ``Placement.locate`` (which normalizes it).  ``svgfig._conic_path``, which
 places the sweep's unreduced vectors, must give the same string on the same
 conics, over hypothesis-drawn placements too; ``svgfig._float`` must give
-the float of the reduced element on its minimal tower, bit for bit; and
-neither the sweep's nor the path's count of field operations may grow with
-the step count.
+the float of the reduced element on its minimal tower, bit for bit, and
+lie within a few rounding errors of the value mpmath computes at 60 digits
+from the vector's own basis; and neither the sweep's nor the path's count
+of field operations may grow with the step count.
 """
 
 import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -369,6 +371,23 @@ def test_float_is_the_float_of_the_reduced_element(vector):
     tower, num, den = vector
     got, want = svgfig._float(tower, num, den), reference_float(_reduced(tower, num, den))
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), vector
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors())
+@example(((6, 15), (0, 0, 0, 1), 1))  # 3*sqrt(10) on the minimal tower
+def test_float_is_within_rounding_of_the_exact_value(vector):
+    """``_float`` lies within 8*2**-52 times the sum of the terms' magnitudes
+    of the exact value, read at 60 digits on the vector's own basis (no
+    minimal tower), so this check does not share ``_float``'s route."""
+    tower, num, den = vector
+    with mpmath.workdps(60):
+        roots = [mpmath.sqrt(d) for d in tower]
+        basis = [mpmath.fprod(r for bit, r in enumerate(roots) if i >> bit & 1)
+                 for i in range(len(num))]
+        terms = [mpmath.mpf(n) * b / den for n, b in zip(num, basis)]
+        bound = 8 * mpmath.mpf(2) ** -52 * mpmath.fsum(abs(t) for t in terms)
+        assert abs(svgfig._float(tower, num, den) - mpmath.fsum(terms)) <= bound, vector
 
 
 @pytest.mark.parametrize("coords", [

@@ -375,11 +375,11 @@ def _projected_from_q(true):
 
 
 def _polar_of_complement(true):
-    from ceviangeo.locus import centroid_complement
+    from ceviangeo.maps import complement
     from ceviangeo.verify import polar
 
     # the chord's direction without its shift by m.Cm: the polar of m
-    return lambda frame, a1: polar(frame.conic, centroid_complement(frame, a1))
+    return lambda frame, a1: polar(frame.conic, complement(a1))
 
 
 def _ratio_negated(true):
