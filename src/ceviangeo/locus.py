@@ -7,10 +7,11 @@ pair of base points on the line through the centroid parallel to a side
 realizes both a vertex orthocenter and a translation transfer map; from any
 translation point one builds a parallelogram-plus-hyperbola frame in which
 inscribed triangles with a fixed centroid reconstruct the whole translation
-locus through affine maps.  Each chord of that construction is bisected at a
-known point (the secant e f at g, each inscribed side at the complement of
-the opposite vertex), so its ends come in closed form and no line is
-intersected with the conic.
+locus through affine maps, each applied as adj(M)*P for M the matrix of the
+triangle (``verify.map_from_triangles`` is the generic check).  Each chord
+is bisected at a known point (the secant e f at g, each inscribed side at
+the complement of the opposite vertex), so its ends come in closed form and
+no line is intersected with the conic.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import namedtuple
 
 from .field import (CeviangeoError, FieldElement, TowerDepthExceeded, TowerMismatch, fe,
                     sqrt_extending, ZERO, ONE)
-from .linalg import det3, matvec3
+from .linalg import adjugate3, det3, matvec3
 from .plane import (
     A,
     B,
@@ -37,7 +38,6 @@ from .maps import (
     Configuration,
     complement,
     derive_configuration,
-    map_from_triangles,
     orthocenter,
     validate_point,
 )
@@ -152,18 +152,16 @@ class ConstructionFrame(namedtuple("ConstructionFrame",
         return join(self.g, self.z)
 
 
-def _bisected_chord(conic: Conic, m: BaryPoint, d: BaryPoint):
-    """The chord of the conic bisected at the ordinary point m, in the
+def _bisected_chord(conic: Conic, m: BaryPoint, d: BaryPoint) -> FieldElement | None:
+    """The chord of the conic bisected at the normalized point m, in the
     direction of an infinite point d conjugate to m.  On the line m + t*d
-    (m normalized) the conic's form is Q(m) + t^2*Q(d), so the chord's ends
-    are m +- sqrt(r)*d with r = -Q(m)/Q(d); they are real, distinct and
-    ordinary exactly when r > 0.  Returns (m normalized, r), or None when
-    Q(d) = 0."""
-    mn = BaryPoint(*m.normalized())
+    the conic's form is Q(m) + t^2*Q(d), so the chord's ends are
+    m +- sqrt(r)*d with r = -Q(m)/Q(d); they are real, distinct and ordinary
+    exactly when r > 0.  Returns r, or None when Q(d) = 0."""
     qd = conic.evaluate(d)
     if qd.is_zero():
         return None
-    return mn, -conic.evaluate(mn) / qd
+    return -conic.evaluate(m) / qd
 
 
 def _chord_ends(mn: BaryPoint, r: FieldElement, d: BaryPoint) -> tuple[BaryPoint, BaryPoint]:
@@ -186,20 +184,18 @@ def construction_frame(p: BaryPoint) -> ConstructionFrame:
     conic = cfg.cevian_conic
     # g bisects the secant parallel to p p_iso: its direction is conjugate to g
     direction = infinite_point_of(join(cfg.p, cfg.p_iso))
-    chord = _bisected_chord(conic, G, direction)
-    if chord is None or chord[1].sign() <= 0:
+    g = BaryPoint(*G.normalized())
+    r = _bisected_chord(conic, g, direction)
+    if r is None or r.sign() <= 0:
         raise ConstructionError("secant through g must cut the conic twice")
-    pts = _chord_ends(*chord, direction)
+    pts = _chord_ends(g, r, direction)
     axis = join(G, cfg.z)
 
     def side(x: BaryPoint) -> int:
         return sum((a * b for a, b in zip(axis.coords, x.normalized())), ZERO).sign()
 
     target = side(cfg.q_iso)
-    if side(pts[0]) == target:
-        e, f = pts
-    else:
-        f, e = pts
+    e, f = pts if side(pts[0]) == target else pts[::-1]
     if side(e) != target or side(f) == target:
         raise ConstructionError("secant points do not separate across the axis")
     return ConstructionFrame(
@@ -232,13 +228,12 @@ def half_turn_projectivity(frame: ConstructionFrame, y: BaryPoint) -> BaryPoint:
     return meet(join(frame.p, image), axis)
 
 
-def _chord(frame: ConstructionFrame, a1: BaryPoint) -> BaryLine | None:
-    """The chord of the frame's conic bisected at m, the complement of a1:
-    the line through m parallel to the polar of m.  The conic minus its
-    half-turn image about m is (x+y+z)(L.X) with L = 4(Cm - (m.Cm)(1,1,1)),
+def _chord(frame: ConstructionFrame, m: BaryPoint) -> BaryLine | None:
+    """The chord of the frame's conic bisected at m, the normalized complement
+    of a vertex: the line through m parallel to the polar of m.  The conic
+    minus its half-turn image about m is (x+y+z)(L.X), L = 4(Cm - (m.Cm)(1,1,1)),
     so the chord carries every ordinary common point of the two conics.
     None when m is the conic's center, where the image is the conic itself."""
-    m = complement(a1).normalized()
     cm = matvec3(frame.conic.m, m)
     k = sum((x * y for x, y in zip(m, cm)), ZERO)
     coords = tuple(4 * (x - k) for x in cm)
@@ -252,16 +247,17 @@ def _inscribed_chord(frame: ConstructionFrame, a1: BaryPoint):
     at m, the complement of a1: (m normalized, r, d) with real ends
     m +- sqrt(r)*d.  These are the steps that ``inscribed_triangle`` and
     ``admissible`` share."""
-    line = _chord(frame, a1)
+    m = BaryPoint(*complement(a1).normalized())
+    line = _chord(frame, m)
     # a1 is ordinary and on the conic, so it lies on the half-turn image
     # exactly when it lies on the chord
     if line is None or line.contains(a1):
         raise DegenerateInscribed(f"{a1} lies on its own reflected conic")
     d = infinite_point_of(line)
-    chord = _bisected_chord(frame.conic, complement(a1), d)
-    if chord is None or chord[1].sign() <= 0:
+    r = _bisected_chord(frame.conic, m, d)
+    if r is None or r.sign() <= 0:
         raise NoIntersection("conic and reflected conic share no two ordinary points")
-    return (*chord, d)
+    return m, r, d
 
 
 def inscribed_triangle(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoint, BaryPoint]:
@@ -299,16 +295,16 @@ def admissible(frame: ConstructionFrame, a1: BaryPoint) -> bool:
 
 
 def reconstruct_point(frame: ConstructionFrame, a1: BaryPoint, orientation: int = 1) -> BaryPoint:
-    """Map the frame's base point through the affine map taking the inscribed
-    triangle of a1 onto the reference triangle; the image lies on the
-    translation locus."""
+    """The image of the frame's base point under the affine map taking the
+    inscribed triangle of a1 onto the reference triangle, a translation point:
+    M^-1 for M with columns the normalized a1, b1, c1, applied as adj(M)*p."""
+    if orientation not in (1, 2):
+        raise ValueError("orientation must be 1 or 2")
     b1, c1 = inscribed_triangle(frame, a1)
     if orientation == 2:
         b1, c1 = c1, b1
-    elif orientation != 1:
-        raise ValueError("orientation must be 1 or 2")
-    amap = map_from_triangles((a1, b1, c1), (A, B, C))
-    return amap.apply(frame.p)
+    m = tuple(zip(*(q.normalized() for q in (a1, b1, c1))))
+    return BaryPoint(*matvec3(adjugate3(m), frame.p.coords))
 
 
 def canonical_frame() -> ConstructionFrame:

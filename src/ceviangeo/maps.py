@@ -7,7 +7,8 @@ the circumconic to the inconic) and its classification.  The orthocenter,
 the named conics, the transfer map and its classification are closed forms
 in the base point; their defining constructions (for the transfer map, the
 composition of the cevian maps through the anticomplement) are cross-checks
-in ``verify.construction_profile``.
+in ``verify.construction_profile``; ``verify.map_from_triangles`` is the
+generic triangle map behind ``locus.reconstruct_point``'s adjugate.
 """
 
 from __future__ import annotations
@@ -139,14 +140,6 @@ def cevian_traces(p: BaryPoint) -> tuple[BaryPoint, BaryPoint, BaryPoint]:
         BaryPoint(x, ZERO, z),
         BaryPoint(x, y, ZERO),
     )
-
-
-def map_from_triangles(src, dst) -> AffineMap:
-    """The unique affine map sending the first triangle onto the second."""
-    s, d = (AffineMap.from_columns([p.normalized() for p in tri]) for tri in (src, dst))
-    if s.det().is_zero() or d.det().is_zero():
-        raise DegenerateTriangle("triangle vertices are collinear")
-    return (d @ s.inverse()).normalized()
 
 
 def cevian_map(p: BaryPoint) -> AffineMap:

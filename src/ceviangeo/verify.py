@@ -5,11 +5,12 @@ serialized counterexample on failure; the CLI exposes them and the
 acceptance tests replay them.  All sampling is seeded and exact.
 
 It also holds the cross-check helpers: second routes to the library's
-closed forms (such as the normal-form chain behind ``curve.w_to_bary``),
-profiles of equivalent conditions, and samplers that feed only a suite.
-The tools that rebuild the paper's definitions are here too, since only the
-checks run them: parallelism, collinearity, displacement ratios, polars,
-tangents, affine types, conic images and the interior test.
+closed forms (the normal-form chain behind ``curve.w_to_bary``, the generic
+triangle map ``map_from_triangles`` behind ``locus.reconstruct_point``'s
+adjugate), profiles of equivalent conditions, and samplers that feed only a
+suite.  The tools that rebuild the paper's definitions are here too, since
+only the checks run them: parallelism, collinearity, displacement ratios,
+polars, tangents, affine types, conic images and the interior test.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .plane import (A, B, C, D0, E0, F0, G, BaryLine, BaryPoint, InfiniteLineArg
                     affine_combination, join, meet, midpoint, point_to_literal)
 from .maps import (
     AffineMap,
+    DegenerateTriangle,
     MapError,
     MClassification,
     anticomplement,
@@ -35,7 +37,6 @@ from .maps import (
     is_valid_point,
     isotom_complement,
     isotomic,
-    map_from_triangles,
     orthocenter,
 )
 from .conics import (
@@ -1070,10 +1071,18 @@ def chord_matches_reflection(frame, a1: BaryPoint) -> bool:
     as a quadratic form, entry by entry (both zero at the conic's center)."""
     c = frame.conic.m
     r = reflect_conic(frame.conic, complement(a1)).m
-    line = locus_mod._chord(frame, a1)
+    line = locus_mod._chord(frame, BaryPoint(*complement(a1).normalized()))
     chord = line.coords if line is not None else (ZERO, ZERO, ZERO)
     return all(2 * (c[i][j] - r[i][j]) == chord[i] + chord[j]
                for i in range(3) for j in range(3))
+
+
+def map_from_triangles(src, dst) -> AffineMap:
+    """The unique affine map sending the first triangle onto the second."""
+    s, d = (AffineMap.from_columns([p.normalized() for p in tri]) for tri in (src, dst))
+    if s.det().is_zero() or d.det().is_zero():
+        raise DegenerateTriangle("triangle vertices are collinear")
+    return (d @ s.inverse()).normalized()
 
 
 def admissible_vertex_samples(frame, n: int, seed: int = 0) -> list[BaryPoint]:

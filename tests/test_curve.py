@@ -221,6 +221,14 @@ class TestBirationalChain:
             assert nf_to_bary(nf) == p
             assert w_to_nf(nf_to_w(nf)) == nf
 
+    def test_limit_table_points(self):
+        # the chain is undefined at these four; both maps read the limits
+        limits = [(WPoint.infinity(), A), (WPoint.of(0, 0), BaryPoint(0, 1, -1)),
+                  (WPoint.of(-3, 6), BaryPoint(1, 0, -1)), (WPoint.of(-3, -6), BaryPoint(1, -1, 0))]
+        for w, p in limits:
+            assert bary_to_w(p) == w
+            assert w_to_bary(w) == p
+
     def test_exceptional_points(self):
         with pytest.raises(MapUndefined):
             w_to_nf(WPoint.infinity())

@@ -172,6 +172,13 @@ class TestSqrt:
             (7 + R2).in_tower((2, 3)).sqrt()
         assert err.value.radicand is None
 
+    def test_root_of_a_square_stays_rational(self):
+        for n, want in ((0, 0), (4, 2)):
+            r = FieldElement.root(n)
+            assert r == want and r.tower == ()
+        # 12 = 2^2 * 3: the square part leaves the root
+        assert FieldElement.root(12) == 2 * R3 and FieldElement.root(12).tower == (3,)
+
     def test_sqrt_extending(self):
         assert sqrt_extending(fe(8)) == 2 * R2
         assert sqrt_extending(5 + 2 * R6) == R2 + R3

@@ -20,7 +20,7 @@ from ceviangeo.plane import (
     midpoint,
     point,
 )
-from ceviangeo.maps import classify_transfer
+from ceviangeo.maps import classify_transfer, complement
 from ceviangeo.conics import _line_restriction, intersect_line
 from ceviangeo.field import TowerDepthExceeded
 from ceviangeo.curve import on_translation_locus, sample_translation_points
@@ -30,6 +30,7 @@ from ceviangeo.verify import (
     chord_matches_reflection,
     equilateral_metric_checks,
     frame_profile,
+    map_from_triangles,
     median_torsion_bary,
     signed_ratio,
     tangent_at,
@@ -252,6 +253,17 @@ class TestInscribed:
         p = reconstruct_point(frame, A, 2)
         assert on_translation_locus(p)
 
+    def test_orientation_refused_before_the_triangle(self, frame, monkeypatch):
+        import ceviangeo.locus as locus_mod
+
+        calls = []
+        true = locus_mod.inscribed_triangle
+        monkeypatch.setattr(locus_mod, "inscribed_triangle",
+                            lambda *args: calls.append(args) or true(*args))
+        with pytest.raises(ValueError, match="orientation"):
+            reconstruct_point(frame, A, 3)
+        assert calls == []
+
     def test_random_samples_reconstruct(self, frame):
         for a1 in admissible_vertex_samples(frame, 3, seed=6):
             assert frame.conic.contains(a1)
@@ -296,9 +308,14 @@ class TestChord:
     def test_none_only_at_the_center(self, frame):
         # the complement of a1 is the center z exactly when a1 = 3g - 2z
         center_vertex = affine_combination([(frame.g, 3), (frame.z, -2)])
-        assert _chord(frame, center_vertex) is None
+        assert _chord(frame, _midpoint_of_chord(center_vertex)) is None
         assert chord_matches_reflection(frame, center_vertex)
-        assert _chord(frame, A) is not None
+        assert _chord(frame, _midpoint_of_chord(A)) is not None
+
+
+def _midpoint_of_chord(a1):
+    """The normalized complement of a1, the point ``_chord`` takes."""
+    return BaryPoint(*complement(a1).normalized())
 
 
 def _generic_chord(frame, a1):
@@ -307,7 +324,7 @@ def _generic_chord(frame, a1):
     discriminant of its restriction, and its infinite point off the conic),
     and its ordinary intersection points from ``intersect_line``, None where
     a depth-2 tower cannot hold them."""
-    line = _chord(frame, a1)
+    line = _chord(frame, _midpoint_of_chord(a1))
     if line is None or line.contains(a1):
         return False, []
     _, _, a, b, c = _line_restriction(frame.conic, line)
@@ -325,7 +342,16 @@ def frame2():
 
 
 class TestClosedForm:
-    """The chords' closed form against intersecting the line with the conic."""
+    """The chords' closed form against intersecting the line with the conic,
+    and the reconstruction's adjugate against the generic triangle map."""
+
+    def test_reconstruction_matches_map_from_triangles(self, frame):
+        vertices = [A] + admissible_vertex_samples(frame, 20, seed=5)
+        for a1 in vertices:
+            b1, c1 = inscribed_triangle(frame, a1)
+            for orientation, triangle in ((1, (a1, b1, c1)), (2, (a1, c1, b1))):
+                want = map_from_triangles(triangle, (A, B, C)).apply(frame.p)
+                assert reconstruct_point(frame, a1, orientation) == want
 
     @pytest.mark.parametrize("which", ["frame", "frame2"])
     def test_inscribed_chord_matches_the_generic_route(self, request, which):

@@ -35,13 +35,13 @@ from ceviangeo.maps import (
     is_valid_point,
     isotom_complement,
     isotomic,
-    map_from_triangles,
     orthocenter,
     transfer_center_coords,
     transfer_map,
     validate_point,
 )
-from ceviangeo.verify import ANTICOMPLEMENT, orthocenter_matches_definition
+from ceviangeo.verify import (ANTICOMPLEMENT, NotHomothetyOrTranslation, classify_map,
+                              map_from_triangles, orthocenter_matches_definition)
 
 R2 = FieldElement.root(2)
 # the complement as a matrix, up to scale: column j is the midpoint of the
@@ -297,6 +297,19 @@ class TestClassification:
             p = random_valid(rng, off_medians=True)
             cfg = derive_configuration(p)
             assert cfg.s == classify_transfer(p).center
+
+    @pytest.mark.parametrize("rows,reason", [
+        # the cyclic map A -> B -> C -> A turns (1 : -1 : 0) off its line
+        (((0, 0, 1), (1, 0, 0), (0, 1, 0)), "not scalar"),
+        # fixing A and sending B to the midpoint of AB turns (0 : 1 : -1)
+        (((2, 1, 0), (0, 1, 0), (0, 0, 2)), "not scalar"),
+        # (1 : -1 : 0) scaled by 1, (0 : 1 : -1) by 2
+        (((1, 0, 0), (1, 2, 0), (-1, -1, 1)), "two eigenvalues"),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), "identity"),
+    ], ids=["first-direction", "second-direction", "two-eigenvalues", "identity"])
+    def test_second_route_refuses_other_maps(self, rows, reason):
+        with pytest.raises(NotHomothetyOrTranslation, match=reason):
+            classify_map(AffineMap(rows))
 
     def test_formula_sum_vanishes_exactly_on_locus(self):
         from ceviangeo.curve import on_translation_locus

@@ -6,7 +6,8 @@ lam = -2*bd/qd.  ``svgfig.conic_sweep`` must give the same list, point for
 point and value for value, on every figure's conics, on seeded conics over
 towers of depth 0 to 2 (at depth 1 over sqrt(2), sqrt(3) and sqrt(5), since
 depths 0 and 1 run their own closed forms), and on conics built so that the
-grid meets an asymptotic direction and the tangent at the base.
+grid meets an asymptotic direction and the tangent at the base, scaled to
+coefficients at each depth 0 to 2.
 
 ``generic_path`` is the path string as it was drawn before the sweep ran on
 integer vectors: the generic sweep, each point located through
@@ -154,13 +155,24 @@ HYPERBOLA_A = Conic(((0, 1, 0), (1, 2, 0), (0, 0, -1)))
 HYPERBOLA_B = Conic(((1, 2, 0), (2, 0, 1), (0, 1, 2)))
 
 
-@pytest.mark.parametrize("c,base,asymptote,tangent", [
-    (HYPERBOLA_A, A, 48, 96),
-    (HYPERBOLA_B, B, 144, 120),
-], ids=["chart0", "chart1"])
-def test_grid_hits_asymptote_and_tangent(c, base, asymptote, tangent):
-    assert not c.is_degenerate()
+# the same conics scaled to coefficients on towers of depth 1 and 2, so the
+# asymptote and tangent branches of each depth's arithmetic run
+SCALES = {0: fe(1), 1: 1 + R2, 2: 1 + R2 + R3}
+
+
+@pytest.mark.parametrize("c,base,asymptote,tangent,d", [
+    (HYPERBOLA_A, A, 48, 96, 0),
+    (HYPERBOLA_B, B, 144, 120, 0),
+    (HYPERBOLA_A, A, 48, 96, 1),
+    (HYPERBOLA_B, B, 144, 120, 1),
+    (HYPERBOLA_A, A, 48, 96, 2),
+    (HYPERBOLA_B, B, 144, 120, 2),
+], ids=["chart0", "chart1", "chart0-depth1", "chart1-depth1", "chart0-depth2", "chart1-depth2"])
+def test_grid_hits_asymptote_and_tangent(c, base, asymptote, tangent, d):
+    c = Conic(tuple(tuple(SCALES[d] * x for x in row) for row in c.m))
+    assert not c.is_degenerate() and depth(c) == d
     got = assert_matches_generic(c, base, 96)
+    assert len(got.tower) == d
     assert got[asymptote] is None
     assert got[tangent] == base and got[tangent].coordinate_sum() == 1
     assert sum(p is None for p in got) == 2

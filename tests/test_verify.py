@@ -370,16 +370,30 @@ def _orientation_ignored(true):
     return lambda frame, a1, orientation=1: true(frame, a1, 1)
 
 
+def _by_m_not_adjugate(true):
+    import ceviangeo.locus as locus_mod
+    from ceviangeo.linalg import matvec3
+    from ceviangeo.plane import BaryPoint
+
+    # M carries A, B, C onto the inscribed triangle: the inverse direction
+    def wrong(frame, a1, orientation=1):
+        b1, c1 = locus_mod.inscribed_triangle(frame, a1)
+        if orientation == 2:
+            b1, c1 = c1, b1
+        m = tuple(zip(*(q.normalized() for q in (a1, b1, c1))))
+        return BaryPoint(*matvec3(m, frame.p.coords))
+    return wrong
+
+
 def _projected_from_q(true):
     return lambda frame, y: true(frame._replace(p=frame.q), y)
 
 
 def _polar_of_complement(true):
-    from ceviangeo.maps import complement
     from ceviangeo.verify import polar
 
     # the chord's direction without its shift by m.Cm: the polar of m
-    return lambda frame, a1: polar(frame.conic, complement(a1))
+    return lambda frame, m: polar(frame.conic, m)
 
 
 def _ratio_negated(true):
@@ -392,8 +406,8 @@ def _ratio_negated(true):
 def _radicand_scaled(factor):
     def fault(true):
         def wrong(conic, m, d):
-            chord = true(conic, m, d)
-            return chord if chord is None else (chord[0], factor * chord[1])
+            r = true(conic, m, d)
+            return r if r is None else factor * r
         return wrong
     return fault
 
@@ -451,6 +465,8 @@ INJECTED_FAULTS = {
                                    ["construction"]),
     "reconstruction ignores orientation": ("locus", "reconstruct_point", _orientation_ignored,
                                            ["construction"]),
+    "reconstruction by M, not its adjugate": ("locus", "reconstruct_point", _by_m_not_adjugate,
+                                              ["construction"]),
     "projectivity projects from q": ("locus", "half_turn_projectivity", _projected_from_q,
                                      ["construction"]),
     "chord is the polar of the complement": ("locus", "_chord", _polar_of_complement,
