@@ -11,7 +11,12 @@ locus through affine maps, each applied as adj(M)*P for M the matrix of the
 triangle (``verify.map_from_triangles`` is the generic check).  Each chord
 is bisected at a known point (the secant e f at g, each inscribed side at
 the complement of the opposite vertex), so its ends come in closed form and
-no line is intersected with the conic.
+no line is intersected with the conic.  The secant needs no square-root
+search: for p = (x:y:z) its radicand is 1/(9D(x+y+z)(xy+yz+zx)) with
+D = (x+y)(x+z)(y+z), and on the translation cubic F = D + 4xyz = 0,
+D = F - 4xyz = -4xyz and (x+y+z)(xy+yz+zx) = F - 3xyz = -3xyz, so the
+radicand is 1/(108(xyz)^2) and the ends are g +- k*d with
+k = sqrt(3)/(18xyz).
 """
 
 from __future__ import annotations
@@ -164,11 +169,8 @@ def _bisected_chord(conic: Conic, m: BaryPoint, d: BaryPoint) -> FieldElement | 
     return -conic.evaluate(m) / qd
 
 
-def _chord_ends(mn: BaryPoint, r: FieldElement, d: BaryPoint) -> tuple[BaryPoint, BaryPoint]:
-    """The points mn + sqrt(r)*d and mn - sqrt(r)*d, adjoining sqrt(r).
-    Raises TowerDepthExceeded when sqrt(r) or the points need a tower deeper
-    than 2."""
-    s = sqrt_extending(r)
+def _chord_ends(mn: BaryPoint, s: FieldElement, d: BaryPoint) -> tuple[BaryPoint, BaryPoint]:
+    """The points mn +- s*d; TowerDepthExceeded when they need a tower deeper than 2."""
     try:
         return tuple(BaryPoint(*(x + k * y for x, y in zip(mn.coords, d.coords))) for k in (s, -s))
     except TowerMismatch as exc:
@@ -176,19 +178,24 @@ def _chord_ends(mn: BaryPoint, r: FieldElement, d: BaryPoint) -> tuple[BaryPoint
 
 
 def construction_frame(p: BaryPoint) -> ConstructionFrame:
-    """Build the scaffold from a translation point off the medians."""
+    """Build the scaffold from a translation point p = (x:y:z) off the
+    medians.  The secant's ends are g +- k*d for d the infinite point of
+    p p_iso and k = sqrt(3)/(18xyz), from p's coordinates as given: the
+    radicand -Q(g)/Q(d) is 1/(9D(x+y+z)(xy+yz+zx)) for D = (x+y)(x+z)(y+z),
+    and on the cubic F = D + 4xyz = 0, D = F - 4xyz = -4xyz and
+    (x+y+z)(xy+yz+zx) = F - 3xyz = -3xyz, so it is 1/(108(xyz)^2)."""
     validate_point(p, off_medians=True)
     if not _curve.on_translation_locus(p):
         raise NotTranslation(f"{p} is not a translation point")
     cfg = derive_configuration(p)
-    conic = cfg.cevian_conic
     # g bisects the secant parallel to p p_iso: its direction is conjugate to g
     direction = infinite_point_of(join(cfg.p, cfg.p_iso))
-    g = BaryPoint(*G.normalized())
-    r = _bisected_chord(conic, g, direction)
-    if r is None or r.sign() <= 0:
-        raise ConstructionError("secant through g must cut the conic twice")
-    pts = _chord_ends(g, r, direction)
+    x, y, z = p.coords
+    try:
+        k = FieldElement.root(3) / (18 * x * y * z)
+    except TowerMismatch as exc:
+        raise TowerDepthExceeded(str(exc)) from exc
+    pts = _chord_ends(BaryPoint(*G.normalized()), k, direction)
     axis = join(G, cfg.z)
 
     def side(x: BaryPoint) -> int:
@@ -198,22 +205,9 @@ def construction_frame(p: BaryPoint) -> ConstructionFrame:
     e, f = pts if side(pts[0]) == target else pts[::-1]
     if side(e) != target or side(f) == target:
         raise ConstructionError("secant points do not separate across the axis")
-    return ConstructionFrame(
-        h=cfg.h,
-        u=cfg.u,
-        p=cfg.p,
-        v=cfg.v,
-        z=cfg.z,
-        g=G,
-        o=cfg.o,
-        q=cfg.q,
-        q_iso=cfg.q_iso,
-        p_iso=cfg.p_iso,
-        conic=conic,
-        e=e,
-        f=f,
-        t_p=cfg.t_p,
-    )
+    return ConstructionFrame(h=cfg.h, u=cfg.u, p=cfg.p, v=cfg.v, z=cfg.z, g=G, o=cfg.o, q=cfg.q,
+                             q_iso=cfg.q_iso, p_iso=cfg.p_iso, conic=cfg.cevian_conic, e=e, f=f,
+                             t_p=cfg.t_p)
 
 
 def half_turn_projectivity(frame: ConstructionFrame, y: BaryPoint) -> BaryPoint:
@@ -269,10 +263,12 @@ def inscribed_triangle(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoi
         raise NotOnConic("vertex must be an ordinary point")
     if not frame.conic.contains(a1):
         raise NotOnConic(f"{a1} is not on the frame conic")
-    b1, c1 = _chord_ends(*_inscribed_chord(frame, a1))
+    m, r, d = _inscribed_chord(frame, a1)
+    b1, c1 = _chord_ends(m, sqrt_extending(r), d)
     # fix the labeling so orientation 1 is the orientation-preserving one; the
     # map onto the reference triangle has determinant 1/det of these vertices
-    if det3(tuple(q.normalized() for q in (a1, b1, c1))).sign() < 0:
+    # (b1 and c1 sum to one already: m is normalized and d is infinite)
+    if det3((a1.normalized(), b1.coords, c1.coords)).sign() < 0:
         b1, c1 = c1, b1
     return b1, c1
 
@@ -303,7 +299,7 @@ def reconstruct_point(frame: ConstructionFrame, a1: BaryPoint, orientation: int 
     b1, c1 = inscribed_triangle(frame, a1)
     if orientation == 2:
         b1, c1 = c1, b1
-    m = tuple(zip(*(q.normalized() for q in (a1, b1, c1))))
+    m = tuple(zip(a1.normalized(), b1.coords, c1.coords))
     return BaryPoint(*matvec3(adjugate3(m), frame.p.coords))
 
 

@@ -152,6 +152,12 @@ class TestConstructionFrame:
         with pytest.raises(NotTranslation):
             construction_frame(point([6, 3, 2]))
 
+    def test_a_tower_too_deep_for_sqrt_3_is_refused(self):
+        # (1 : 1+sqrt(2) : 1-sqrt(2)) times 1+sqrt(2)+sqrt(5): xyz spans Q(sqrt(2), sqrt(5))
+        s = 1 + R2 + FieldElement.root(5)
+        with pytest.raises(TowerDepthExceeded):
+            construction_frame(BaryPoint(*(c * s for c in special_point(1).coords)))
+
     def test_frame_shape(self, frame):
         assert affine_type(frame.conic) == "hyperbola"
         assert frame.h == A
@@ -264,6 +270,20 @@ class TestInscribed:
             reconstruct_point(frame, A, 3)
         assert calls == []
 
+    def test_vertices_are_normalized_once(self, frame, monkeypatch):
+        # b1 and c1 sum to one as m +- s*d, so only a1 is normalized
+        calls = []
+        true = FieldElement.inverse
+        monkeypatch.setattr(FieldElement, "inverse",
+                            lambda self: calls.append(self) or true(self))
+        a1 = admissible_vertex_samples(frame, 1, seed=5)[0]
+        for run, count in ((lambda: inscribed_triangle(frame, a1), 6),
+                           (lambda: reconstruct_point(frame, a1, 1), 7),
+                           (lambda: reconstruct_point(frame, a1, 2), 7)):
+            calls.clear()
+            run()
+            assert len(calls) == count
+
     def test_random_samples_reconstruct(self, frame):
         for a1 in admissible_vertex_samples(frame, 3, seed=6):
             assert frame.conic.contains(a1)
@@ -284,6 +304,12 @@ class TestInscribed:
             C.canonical().coords,
         }
         assert frame_profile(frame2) == (True,) * 8
+
+    def test_frame_at_every_sampled_translation_point(self):
+        # the secant's ends need no square-root search, so no frame stops at
+        # the factoring budget, which seven of these 32 points exceed
+        for p in sample_translation_points(32, seed=0):
+            assert frame_profile(construction_frame(p)) == (True,) * 8
 
 
 def _finite_sweep(frame, steps):
@@ -341,6 +367,12 @@ def frame2():
     return construction_frame(sample_translation_points(3, seed=13)[1])
 
 
+@pytest.fixture(scope="module")
+def frame3():
+    # a point whose secant radicand is past the factoring budget
+    return construction_frame(sample_translation_points(32, seed=0)[14])
+
+
 class TestClosedForm:
     """The chords' closed form against intersecting the line with the conic,
     and the reconstruction's adjugate against the generic triangle map."""
@@ -371,11 +403,51 @@ class TestClosedForm:
                 assert (b1, c1) in ((ends[0], ends[1]), (ends[1], ends[0]))
         assert represented >= 10
 
-    @pytest.mark.parametrize("which", ["frame", "frame2"])
+    @pytest.mark.parametrize("which", ["frame", "frame2", "frame3"])
     def test_secant_ends_match_intersect_line(self, request, which):
         frame = request.getfixturevalue(which)
         ends = intersect_line(frame.conic, join(frame.g, frame.e))
         assert ends in ([frame.e, frame.f], [frame.f, frame.e])
+
+    def test_secant_radicand_on_the_cubic_symbolic(self):
+        # at generic P the secant's radicand -Q(g)/Q(d), for the conic through
+        # the triangle, P and Q and d the infinite point of P P', is
+        # 1/(9 D (x+y+z)(xy+yz+zx)); with F = D + 4xyz the translation cubic,
+        # 9 D (x+y+z)(xy+yz+zx) - 108 (xyz)^2 = 9F^2 - 63F xyz, so on F = 0
+        # the radicand is 1/(108 (xyz)^2)
+        import sympy
+
+        from ceviangeo.locus import _bisected_chord
+        from ceviangeo.maps import derive_configuration
+
+        x, y, z = sympy.symbols("x y z")
+
+        def cross(a, b):
+            return sympy.Matrix(a).cross(sympy.Matrix(b))
+
+        p_iso = (y * z, x * z, x * y)
+        q = (x * (y + z), y * (x + z), z * (x + y))
+        # the conic is the isotomic image of the line through P' and Q'
+        l0, l1, l2 = cross(p_iso, (q[1] * q[2], q[0] * q[2], q[0] * q[1]))
+        conic = sympy.Matrix([[0, l2, l1], [l2, 0, l0], [l1, l0, 0]])
+        g = sympy.Matrix([1, 1, 1]) / 3
+        d = cross(cross((x, y, z), p_iso), (1, 1, 1))
+        r = -(g.T * conic * g)[0] / (d.T * conic * d)[0]
+        dd = (x + y) * (x + z) * (y + z)
+        s12 = (x + y + z) * (x * y + y * z + z * x)
+        f = dd + 4 * x * y * z
+        assert sympy.cancel(r - 1 / (9 * dd * s12)) == 0
+        assert sympy.expand(9 * dd * s12 - 108 * (x * y * z) ** 2
+                            - (9 * f ** 2 - 63 * f * x * y * z)) == 0
+
+        g_normalized = BaryPoint(*G.normalized())
+        for p in (special_point(1), special_point(-1),
+                  sample_translation_points(32, seed=0)[14]):
+            cfg = derive_configuration(p)
+            d_p = infinite_point_of(join(cfg.p, cfg.p_iso))
+            a, b, c = p.coords
+            closed = 1 / (108 * (a * b * c) ** 2)
+            assert _bisected_chord(cfg.cevian_conic, g_normalized, d_p) == closed
 
 
 def _torsion_barycentric():
@@ -437,13 +509,18 @@ class TestArcStructure:
 def test_frame_needs_no_linear_solver(monkeypatch):
     import ceviangeo.conics as conics_mod
     import ceviangeo.linalg as linalg_mod
+    import ceviangeo.locus as locus_mod
 
     def refuse(rows):
         raise AssertionError("construction_frame ran a nullspace fit")
 
+    def refuse_root(a):
+        raise AssertionError("construction_frame searched for a square root")
+
     # conics binds nullspace at import, so both names are replaced
     monkeypatch.setattr(linalg_mod, "nullspace", refuse)
     monkeypatch.setattr(conics_mod, "nullspace", refuse)
+    monkeypatch.setattr(locus_mod, "sqrt_extending", refuse_root)
     frame = canonical_frame()
     assert frame.conic.contains(frame.p) and frame.conic.contains(frame.q)
 

@@ -412,6 +412,25 @@ def _radicand_scaled(factor):
     return fault
 
 
+def _secant_doubled(true):
+    from ceviangeo.plane import affine_combination
+
+    # the secant's ends at g +- 2k*d: its radicand times 4
+    def wrong(p):
+        frame = true(p)
+        e, f = (affine_combination([(x, 2), (frame.g, -1)]) for x in (frame.e, frame.f))
+        return frame._replace(e=e, f=f)
+    return wrong
+
+
+def _negated_when_defined(true):
+    return lambda *args: (lambda s: s if s is None else -s)(true(*args))
+
+
+def _of_negative(true):
+    return lambda w: true(-w)
+
+
 def _conic_shifted(shift):
     """A named conic with its upper triangle (m00, m01, m02, m11, m12, m22)
     replaced by ``shift`` of the true one."""
@@ -453,6 +472,8 @@ INJECTED_FAULTS = {
     "transposed transfer map": ("maps", "transfer_map", _transposed,
                                 ["special", "translation"]),
     "w_to_bary with y and z swapped": ("curve", "w_to_bary", _y_z_swapped, ["curve"]),
+    "w_to_bary of -P": ("curve", "w_to_bary", _of_negative, ["curve"]),
+    "torsion translation negated": ("curve", "_translate", _negated_when_defined, ["curve"]),
     "orthocenter never at a vertex": ("locus", "orthocenter_vertex", _never_a_vertex,
                                       ["vertex-locus"]),
     "classify_transfer ratio negated": ("maps", "classify_transfer", _ratio_negated,
@@ -471,11 +492,13 @@ INJECTED_FAULTS = {
                                      ["construction"]),
     "chord is the polar of the complement": ("locus", "_chord", _polar_of_complement,
                                              ["construction"]),
-    # chord ends twice as far from the midpoint
+    # inscribed chord ends twice as far from the midpoint
     "bisected chord radicand times 4": ("locus", "_bisected_chord", _radicand_scaled(4),
                                         ["construction"]),
-    # the frame's secant no longer cuts the conic
+    # no inscribed chord cuts the conic, so no vertex is admissible
     "bisected chord radicand negated": ("locus", "_bisected_chord", _radicand_scaled(-1),
+                                        ["construction"]),
+    "secant ends twice as far from g": ("locus", "construction_frame", _secant_doubled,
                                         ["construction"]),
     "sheared complement": ("maps", "complement", _sheared, DERIVED_POINT_SUITES),
     "transposed cevian map": ("maps", "cevian_map", _transposed,
@@ -538,17 +561,11 @@ def test_injected_fault_fails_entries_of_a_full_report(monkeypatch, capsys, faul
 def test_bisected_chord_faults_fail_the_frame_entries(monkeypatch):
     import ceviangeo.locus as locus_mod
 
-    true = locus_mod._bisected_chord
     asymptotes = "lines from the center to the secant midpoints are the asymptotes"
-    monkeypatch.setattr(locus_mod, "_bisected_chord", _radicand_scaled(4)(true))
+    monkeypatch.setattr(locus_mod, "construction_frame",
+                        _secant_doubled(locus_mod.construction_frame))
     failing = [r.name for r in run_suite("construction", seed=0, n=2).results if not r.passed]
     assert {"frame identities", asymptotes} <= set(failing)
-    # a negative radicand leaves the secant without ends: the frame raises
-    monkeypatch.setattr(locus_mod, "_bisected_chord", _radicand_scaled(-1)(true))
-    results = run_suite("construction", seed=0, n=2).results
-    assert len(results) == 15
-    assert all(not r.passed and r.detail.startswith("ConstructionError: secant through g")
-               for r in results)
 
 
 @pytest.mark.parametrize("name,count", [("translation", 8), ("special", 29), ("construction", 15)])
