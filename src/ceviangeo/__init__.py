@@ -64,7 +64,7 @@ _LAZY = {
                      "torsion_points"), "curve"),
     **dict.fromkeys(("ConstructionFrame", "admissible", "canonical_frame", "construction_frame",
                      "inscribed_triangle", "orthocenter_vertex", "reconstruct_point",
-                     "special_configuration", "vertex_locus"), "locus"),
+                     "vertex_locus"), "locus"),
     **dict.fromkeys(("run_all", "run_suite"), "verify"),
 }
 

@@ -40,9 +40,11 @@ from .plane import (
     meet,
 )
 from .maps import (
-    Configuration,
+    _cevian_members,
+    cevian_map,
     complement,
-    derive_configuration,
+    isotom_complement,
+    isotomic,
     orthocenter,
     validate_point,
 )
@@ -132,12 +134,6 @@ def special_point(sign: int = 1) -> BaryPoint:
     return BaryPoint(ONE, 1 + s, 1 - s)
 
 
-def special_configuration(sign: int = 1) -> Configuration:
-    """The full derived configuration of the special point; the ``special``
-    verification suite checks its defining relations."""
-    return derive_configuration(special_point(sign))
-
-
 # ---------------------------------------------------------------------------
 # the inscribed-triangle construction
 
@@ -179,35 +175,40 @@ def _chord_ends(mn: BaryPoint, s: FieldElement, d: BaryPoint) -> tuple[BaryPoint
 
 def construction_frame(p: BaryPoint) -> ConstructionFrame:
     """Build the scaffold from a translation point p = (x:y:z) off the
-    medians.  The secant's ends are g +- k*d for d the infinite point of
-    p p_iso and k = sqrt(3)/(18xyz), from p's coordinates as given: the
-    radicand -Q(g)/Q(d) is 1/(9D(x+y+z)(xy+yz+zx)) for D = (x+y)(x+z)(y+z),
-    and on the cubic F = D + 4xyz = 0, D = F - 4xyz = -4xyz and
+    medians.  It computes only the members it holds: p's isotomic conjugate
+    p_iso, isotomcomplement q and complement q_iso, the orthocenter h and its
+    complement o, the cevian conic with v, its center z and u (as
+    ``derive_configuration`` does), the cevian map t_p and the secant's
+    ends.  Those are g +- k*d for d the infinite point of p p_iso and
+    k = sqrt(3)/(18xyz), from p's coordinates as given: the radicand
+    -Q(g)/Q(d) is 1/(9D(x+y+z)(xy+yz+zx)) for D = (x+y)(x+z)(y+z), and on
+    the cubic F = D + 4xyz = 0, D = F - 4xyz = -4xyz and
     (x+y+z)(xy+yz+zx) = F - 3xyz = -3xyz, so it is 1/(108(xyz)^2)."""
     validate_point(p, off_medians=True)
     if not _curve.on_translation_locus(p):
         raise NotTranslation(f"{p} is not a translation point")
-    cfg = derive_configuration(p)
+    p_iso, q, q_iso = isotomic(p), isotom_complement(p), complement(p)
+    conic, v, z_center, u = _cevian_members(p, p_iso, q, q_iso)
+    h = orthocenter(p)
     # g bisects the secant parallel to p p_iso: its direction is conjugate to g
-    direction = infinite_point_of(join(cfg.p, cfg.p_iso))
+    direction = infinite_point_of(join(p, p_iso))
     x, y, z = p.coords
     try:
         k = FieldElement.root(3) / (18 * x * y * z)
     except TowerMismatch as exc:
         raise TowerDepthExceeded(str(exc)) from exc
     pts = _chord_ends(BaryPoint(*G.normalized()), k, direction)
-    axis = join(G, cfg.z)
+    axis = join(G, z_center)
 
     def side(x: BaryPoint) -> int:
         return sum((a * b for a, b in zip(axis.coords, x.normalized())), ZERO).sign()
 
-    target = side(cfg.q_iso)
-    e, f = pts if side(pts[0]) == target else pts[::-1]
-    if side(e) != target or side(f) == target:
+    target, first, second = side(q_iso), side(pts[0]), side(pts[1])
+    if (first == target) == (second == target):
         raise ConstructionError("secant points do not separate across the axis")
-    return ConstructionFrame(h=cfg.h, u=cfg.u, p=cfg.p, v=cfg.v, z=cfg.z, g=G, o=cfg.o, q=cfg.q,
-                             q_iso=cfg.q_iso, p_iso=cfg.p_iso, conic=cfg.cevian_conic, e=e, f=f,
-                             t_p=cfg.t_p)
+    e, f = pts if first == target else pts[::-1]
+    return ConstructionFrame(h=h, u=u, p=p, v=v, z=z_center, g=G, o=complement(h), q=q,
+                             q_iso=q_iso, p_iso=p_iso, conic=conic, e=e, f=f, t_p=cevian_map(p))
 
 
 def half_turn_projectivity(frame: ConstructionFrame, y: BaryPoint) -> BaryPoint:

@@ -286,6 +286,20 @@ def orthocenter(p: BaryPoint) -> BaryPoint:
     return BaryPoint(a * d_b * d_c, b * d_a * d_c, c * d_a * d_b)
 
 
+def _cevian_members(p: BaryPoint, p_iso: BaryPoint, q: BaryPoint, q_iso: BaryPoint):
+    """For p off the medians, with its isotomic conjugate, isotomcomplement
+    and complement: the cevian conic through the triangle, p and q, the meet
+    v of p q and p_iso q_iso, the conic's center z and its anticomplement u."""
+    from . import conics as _conics  # conics imports maps at module level
+
+    # the circumconic through p and q is the isotomic image of the line
+    # through their isotomic conjugates
+    cev = _conics.circumconic_of_line(join(p_iso, isotomic(q)).canonical())
+    v = meet(join(p, q), join(p_iso, q_iso))
+    z = _conics.conic_center(cev)
+    return cev, v, z, anticomplement(z)
+
+
 def derive_configuration(p: BaryPoint) -> Configuration:
     """Compute the full derived-point dictionary for a valid base point."""
     from . import conics as _conics  # conics imports maps at module level
@@ -308,12 +322,7 @@ def derive_configuration(p: BaryPoint) -> Configuration:
     on_median = (x - y).is_zero() or (y - z).is_zero() or (x - z).is_zero()
     v = z_center = u = s = cev = None
     if not on_median:
-        # the circumconic through p and q is the isotomic image of the line
-        # through their isotomic conjugates
-        cev = _conics.circumconic_of_line(join(p_iso, isotomic(q)).canonical())
-        v = meet(join(p, q), join(p_iso, q_iso))
-        z_center = _conics.conic_center(cev)
-        u = anticomplement(z_center)
+        cev, v, z_center, u = _cevian_members(p, p_iso, q, q_iso)
         s = meet(join(o, q), join(G, v))
     return Configuration(
         p=p,

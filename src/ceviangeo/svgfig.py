@@ -10,14 +10,17 @@ absolute barycentrics (summing to 1).  At tower depths 0 and 1, where every
 figure's conics lie, that arithmetic runs as closed forms on plain integers
 and integer pairs; depth 2 runs it as a loop over numerator vectors.
 ``_conic_path`` places each point straight from its unreduced numerator
-vectors and common denominator; the exact ``BaryPoint`` is built only when a
-caller reads it from the sweep.
-Coordinates become floats through one conversion, ``_float``, which embeds
-each value's coefficients into its minimal tower and divides them as
-integers (at depth 1 in closed form): integer true division is correctly
-rounded, so every representation of a value gives the same float, and the
-decimals are written at twelve significant digits, byte for byte the same
-on every run.  Paths are reserved for conics;
+vectors and common denominator, in one pass: at depths 0 and 1 it divides
+each coordinate's integers, applies the placement and writes the kept point
+inline; the exact ``BaryPoint`` is built only when a caller reads it from
+the sweep.
+Coordinates become floats by integer true division, which is correctly
+rounded, so every representation of a value gives the same float.
+``_float`` embeds a value's coefficients into its minimal tower and divides
+them (at depth 1 in closed form); it serves depth-2 paths and
+``Placement.place``, and the path's inline division at depths 0 and 1 gives
+its floats bit for bit.  The decimals are written at twelve significant
+digits, byte for byte the same on every run.  Paths are reserved for conics;
 segments and markers use line, circle and text elements, so a figure's
 conic count equals its path count.
 """
@@ -199,8 +202,9 @@ def conic_sweep(c: Conic, base: BaryPoint, steps: int = 96) -> Sequence[BaryPoin
     The points are returned as a sequence of those unreduced vectors:
     ``_conic_path`` places them as they are, and a point is reduced to
     lowest terms, as a ``BaryPoint``, only when it is read.  The path's
-    floats are those of the reduced points: ``_float`` gives every
-    representation of a value the same float.
+    floats are those of the reduced points: integer division, in ``_float``
+    and inline in the path, gives every representation of a value the same
+    float.
     """
     if steps < 1:
         raise ValueError(f"sweep needs at least one step, got {steps}")
@@ -292,26 +296,45 @@ def conic_sweep(c: Conic, base: BaryPoint, steps: int = 96) -> Sequence[BaryPoin
 
 
 def _conic_path(c: Conic, base: BaryPoint, placement: Placement, steps: int = 96) -> str:
+    """The path of the conic swept from base, in one pass over the sweep's
+    vectors.  At depths 0 and 1 each point is divided and placed inline, to
+    the bit as ``_float`` and ``Placement._at`` would, and a kept point is
+    written once, as ``_fmt`` would; depth 2 reads each coordinate through
+    ``_float``."""
     sweep = conic_sweep(c, base, steps)
-    tower, at = sweep.tower, placement._at
-    pieces: list[list[tuple[float, float]]] = [[]]
+    tower = sweep.tower
+    deep = len(tower) == 2
+    root = math.sqrt(tower[0]) if len(tower) == 1 else 0.0
+    ax, ay, bx, by, cx, cy = placement._floats
+    pieces: list[list[str]] = [[]]
     for entry in sweep.vectors:
         if entry is not None:
-            (wa, wb, wc), den = entry
-            x, y = at(_float(tower, wa, den), _float(tower, wb, den), _float(tower, wc, den))
-            # nan, from an overflow in place, fails both tests
+            (na, nb, nc), den = entry
+            if deep:
+                wa, wb, wc = _float(tower, na, den), _float(tower, nb, den), _float(tower, nc, den)
+            else:
+                # integer division rounds |n/den| and gives it the sign of the
+                # exact quotient, as after _float's flip of a negative den,
+                # except at n = 0, where 0/-den would be -0.0
+                wa = na[0] / den if na[0] else 0.0
+                wb = nb[0] / den if nb[0] else 0.0
+                wc = nc[0] / den if nc[0] else 0.0
+                if root:
+                    if na[1]:
+                        wa += na[1] / den * root
+                    if nb[1]:
+                        wb += nb[1] / den * root
+                    if nc[1]:
+                        wc += nc[1] / den * root
+            x, y = wa * ax + wb * bx + wc * cx, wa * ay + wb * by + wc * cy
+            # nan or an infinity, from an overflow in placing, fails both
+            # tests, so a kept point is finite: _fmt's check is not needed
             if abs(x) <= _SPAN and abs(y) <= _SPAN:
-                pieces[-1].append((x, y))
+                pieces[-1].append("%.12g %.12g" % (x, -y))
                 continue
         if pieces[-1]:
             pieces.append([])
-    parts = []
-    for piece in pieces:
-        if len(piece) < 2:
-            continue
-        coords = " L ".join(f"{_fmt(x)} {_fmt(-y)}" for x, y in piece)
-        parts.append(f"M {coords}")
-    return " ".join(parts)
+    return " ".join("M " + " L ".join(piece) for piece in pieces if len(piece) > 1)
 
 
 class Figure:
@@ -394,37 +417,42 @@ def figure_locus(placement: Placement) -> str:
     return fig.render()
 
 
-def _cevian_conics(placement: Placement, cfg) -> Figure:
-    """The circumconic of cfg from A, its inconic from the first cevian
+def _cevian_conics(placement: Placement, p: BaryPoint) -> Figure:
+    """The circumconic of p from A, its inconic from the first cevian
     trace, then the triangle: the opening of both cevian-conic figures."""
     fig = Figure(placement)
-    fig.add_conic(cfg.circumconic, A, "#cc4444")
-    fig.add_conic(cfg.inconic, maps_mod.cevian_traces(cfg.p)[0], "#22aa44")
+    fig.add_conic(conics_mod.circumconic_for(p), A, "#cc4444")
+    fig.add_conic(conics_mod.inconic(p), maps_mod.cevian_traces(p)[0], "#22aa44")
     _triangle(fig)
     return fig
 
 
 def figure_conics(placement: Placement) -> str:
-    cfg = maps_mod.derive_configuration(point([6, 3, 2]))
-    fig = _cevian_conics(placement, cfg)
-    for p, label in ((cfg.p, "P"), (cfg.q, "Q"), (cfg.h, "H"), (cfg.o, "O")):
-        fig.add_point(p, label)
+    p = point([6, 3, 2])
+    fig = _cevian_conics(placement, p)
+    h = maps_mod.orthocenter(p)
+    for x, label in ((p, "P"), (maps_mod.isotom_complement(p), "Q"), (h, "H"),
+                     (maps_mod.complement(h), "O")):
+        fig.add_point(x, label)
     return fig.render()
 
 
 def figure_special(placement: Placement) -> str:
-    cfg = locus_mod.special_configuration(1)
-    fig = _cevian_conics(placement, cfg)
-    fig.add_segment(cfg.p, cfg.p_iso, "#bbbbbb")
-    for p, label in (
-        (cfg.p, "P"),
-        (cfg.p_iso, "P'"),
-        (cfg.o, "O"),
-        (cfg.o_iso, "O'"),
-        (cfg.u, "U"),
-        (cfg.z, "Z"),
+    p = locus_mod.special_point(1)
+    p_iso = maps_mod.isotomic(p)
+    _, _, z, u = maps_mod._cevian_members(p, p_iso, maps_mod.isotom_complement(p),
+                                          maps_mod.complement(p))
+    fig = _cevian_conics(placement, p)
+    fig.add_segment(p, p_iso, "#bbbbbb")
+    for x, label in (
+        (p, "P"),
+        (p_iso, "P'"),
+        (maps_mod.complement(maps_mod.orthocenter(p)), "O"),
+        (maps_mod.complement(maps_mod.orthocenter(p_iso)), "O'"),
+        (u, "U"),
+        (z, "Z"),
     ):
-        fig.add_point(p, label)
+        fig.add_point(x, label)
     return fig.render()
 
 

@@ -26,6 +26,7 @@ from .plane import (A, B, C, D0, E0, F0, G, BaryLine, BaryPoint, InfiniteLineArg
                     affine_combination, join, meet, midpoint, point_to_literal)
 from .maps import (
     AffineMap,
+    Configuration,
     DegenerateTriangle,
     MapError,
     MClassification,
@@ -449,6 +450,12 @@ def equilateral_metric_checks():
     )
 
 
+def special_configuration(sign: int = 1) -> Configuration:
+    """The full derived configuration of the special point; the ``special``
+    verification suite checks its defining relations."""
+    return derive_configuration(locus_mod.special_point(sign))
+
+
 def verify_special(seed: int = 0, n: int = 0) -> SuiteReport:
     """The two special translation points: every stated relation, plus the
     equilateral-embedding distance checks."""
@@ -491,7 +498,7 @@ def verify_special(seed: int = 0, n: int = 0) -> SuiteReport:
          axis_line_meets_special_points),
     )
     # each variant is derived once, inside the first entry that reads it
-    configs = {sign: cache(partial(locus_mod.special_configuration, sign)) for sign in (1, -1)}
+    configs = {sign: cache(partial(special_configuration, sign)) for sign in (1, -1)}
     for sign, cfg in configs.items():
         tag = "+" if sign > 0 else "-"
         for name, fn in checks:

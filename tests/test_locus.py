@@ -33,6 +33,7 @@ from ceviangeo.verify import (
     map_from_triangles,
     median_torsion_bary,
     signed_ratio,
+    special_configuration,
     tangent_at,
     vertex_condition_profile,
 )
@@ -50,7 +51,6 @@ from ceviangeo.locus import (
     inscribed_triangle,
     orthocenter_vertex,
     reconstruct_point,
-    special_configuration,
     special_point,
     vertex_locus,
 )
@@ -141,6 +141,18 @@ class TestSpecialConfiguration:
             assert failed == []
 
 
+def _raw(x):
+    """x with every exact value spelled out as (tower, num, den)."""
+    if isinstance(x, FieldElement):
+        return x.tower, x.num, x.den
+    if isinstance(x, tuple):
+        return tuple(map(_raw, x))
+    for attr in ("coords", "m", "rows"):  # BaryPoint, Conic, AffineMap
+        if hasattr(x, attr):
+            return type(x).__name__, _raw(getattr(x, attr))
+    return x
+
+
 @pytest.fixture(scope="module")
 def frame():
     return canonical_frame()
@@ -185,6 +197,23 @@ class TestConstructionFrame:
         for _ in range(3):
             y = half_turn_projectivity(frame, y)
         assert y == y0
+
+    @pytest.mark.parametrize("index", [None, *range(0, 32, 4)])
+    def test_members_are_those_of_the_configuration(self, index):
+        # each member the frame computes itself, without deriving the whole
+        # configuration, is the configuration's, value and representation
+        from ceviangeo.maps import derive_configuration
+
+        if index is None:
+            p, built = special_point(1), canonical_frame()
+        else:
+            p = sample_translation_points(32, seed=0)[index]
+            built = construction_frame(p)
+        cfg = derive_configuration(p)
+        want = built._replace(h=cfg.h, u=cfg.u, p=cfg.p, v=cfg.v, z=cfg.z, o=cfg.o, q=cfg.q,
+                              q_iso=cfg.q_iso, p_iso=cfg.p_iso, conic=cfg.cevian_conic,
+                              t_p=cfg.t_p)
+        assert _raw(built) == _raw(want)
 
     def test_asymptote_points_infinite_on_conic(self, frame):
         points = intersect_line(frame.conic, LINE_AT_INFINITY)

@@ -23,12 +23,13 @@ of field operations may grow with the step count.
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ceviangeo import svgfig
+from ceviangeo import conics, locus, svgfig
 from ceviangeo.conics import Conic
 from ceviangeo.field import FieldElement, _directions, _reduced, fe
 from ceviangeo.plane import A, B, G, BaryPoint
@@ -257,6 +258,67 @@ def test_figure_paths_match_generic_route(monkeypatch, name):
         for placement in PLACEMENTS:
             want = generic_path(c, base, placement, steps, sweep)
             assert svgfig._conic_path(c, base, placement, steps) == want
+
+
+def _zero_over_negative_den(entry) -> bool:
+    # integer division gives 0/-den as -0.0, and _float flips den first
+    nums, den = entry
+    return den < 0 and any(not any(v) for v in nums)
+
+
+def _sqrt_coefficient_zero(entry) -> bool:
+    nums, _ = entry
+    return any(v[0] and not v[1] for v in nums)
+
+
+def _negated(c: Conic) -> Conic:
+    return Conic(tuple(tuple(-x for x in row) for row in c.m))
+
+
+# The Steiner inellipse, scaled by -1, swept from the midpoint of CA meets the
+# midpoint (0 : 1/2 : 1/2) of BC over a negative denominator.  A weight of
+# -0.0 there changes no placed coordinate unless every term of the sum is a
+# zero: under the last placement, whose B and C sit at x = -5e-324, half of
+# each rounds to -0.0, so the point's x would be written "-0".  The special
+# point's circumconic lies over Q(sqrt(2)), and its swept points have
+# coordinates with no sqrt(2) part.
+EDGE_PLACEMENTS = [*PLACEMENTS, svgfig.Placement(("1", "0", "-5e-324", "0", "-5e-324", "1"))]
+
+
+@pytest.mark.parametrize("c,base,edge", [
+    (_negated(conics.inconic(G)), BaryPoint(1, 0, 1), _zero_over_negative_den),
+    (conics.circumconic_for(locus.special_point(1)), A, _sqrt_coefficient_zero),
+], ids=["zero-over-negative-den", "depth1-sqrt-coefficient-zero"])
+@pytest.mark.parametrize("placement", EDGE_PLACEMENTS, ids=["default", "wide", "skew", "tiny"])
+def test_path_division_edge_cases_match_generic_route(c, base, edge, placement):
+    sweep = svgfig.conic_sweep(c, base, 96)
+    assert any(entry is not None and edge(entry) for entry in sweep.vectors)
+    assert svgfig._conic_path(c, base, placement, 96) == generic_path(c, base, placement, 96)
+
+
+@pytest.mark.parametrize("draw", [*(partial(svgfig.render_figure, name)
+                                    for name in sorted(svgfig.FIGURES)), locus.canonical_frame],
+                         ids=[*sorted(svgfig.FIGURES), "canonical_frame"])
+def test_figures_and_the_frame_derive_no_configuration(monkeypatch, draw):
+    # each derives only the members it draws or holds, through the closed forms
+    import importlib
+    import pkgutil
+
+    import ceviangeo
+
+    calls = []
+    derive = ceviangeo.maps.derive_configuration
+
+    def counted(p):
+        calls.append(p)
+        return derive(p)
+
+    for info in pkgutil.iter_modules(ceviangeo.__path__):
+        module = importlib.import_module(f"ceviangeo.{info.name}")
+        if getattr(module, "derive_configuration", None) is derive:
+            monkeypatch.setattr(module, "derive_configuration", counted)
+    draw()
+    assert calls == []
 
 
 # the basis of the (non-canonical) tower (6, 15), whose last vector is

@@ -570,9 +570,9 @@ def test_bisected_chord_faults_fail_the_frame_entries(monkeypatch):
 
 @pytest.mark.parametrize("name,count", [("translation", 8), ("special", 29), ("construction", 15)])
 def test_a_configuration_that_raises_fails_each_entry(monkeypatch, name, count):
-    import ceviangeo.maps as maps_mod
-
-    monkeypatch.setattr(maps_mod, "transfer_map", _raising(maps_mod.transfer_map))
+    # the construction frame reads no transfer map, so it raises from the cevian map
+    raising = "cevian_map" if name == "construction" else "transfer_map"
+    _patch_everywhere(monkeypatch, "maps", raising, _raising)
     results = run_suite(name, seed=0, n=2).results
     assert len(results) == count
     # an on-locus entry's detail goes on with the point it failed at
