@@ -420,7 +420,8 @@ def sample_translation_points(n: int, seed: int = 0) -> list[BaryPoint]:
     rational torsion (so coordinate heights stay moderate).  Each (k, T) is
     drawn once, and distinct draws give distinct points, as G has infinite
     order and ``w_to_bary`` is injective; k != 0 keeps draws off its limit
-    table."""
+    table and valid off the medians: k*G + T is then not torsion, and the
+    curves ``validate_point`` excludes meet the cubic only at torsion images."""
     if not 0 <= n <= SAMPLE_BOUND:
         raise SampleTooLarge(f"sample size {n} is outside 0..{SAMPLE_BOUND}")
     rng = random.Random(seed)
@@ -435,7 +436,5 @@ def sample_translation_points(n: int, seed: int = 0) -> list[BaryPoint]:
             span += 1
             continue
         tried.add((k, ti))
-        p = w_to_bary(k * GENERATOR + torsion[ti])
-        if _maps.is_valid_point(p, off_medians=True):
-            out.append(p)
+        out.append(w_to_bary(k * GENERATOR + torsion[ti]))
     return out

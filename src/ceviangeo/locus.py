@@ -183,7 +183,9 @@ def construction_frame(p: BaryPoint) -> ConstructionFrame:
     k = sqrt(3)/(18xyz), from p's coordinates as given: the radicand
     -Q(g)/Q(d) is 1/(9D(x+y+z)(xy+yz+zx)) for D = (x+y)(x+z)(y+z), and on
     the cubic F = D + 4xyz = 0, D = F - 4xyz = -4xyz and
-    (x+y+z)(xy+yz+zx) = F - 3xyz = -3xyz, so it is 1/(108(xyz)^2)."""
+    (x+y+z)(xy+yz+zx) = F - 3xyz = -3xyz, so it is 1/(108(xyz)^2).  As g
+    is on the axis, its form at g +- k*d is +-k*(axis.d): that one sign
+    labels the ends, and ConstructionError when it or q_iso's side is 0."""
     validate_point(p, off_medians=True)
     if not _curve.on_translation_locus(p):
         raise NotTranslation(f"{p} is not a translation point")
@@ -198,13 +200,10 @@ def construction_frame(p: BaryPoint) -> ConstructionFrame:
     except TowerMismatch as exc:
         raise TowerDepthExceeded(str(exc)) from exc
     pts = _chord_ends(BaryPoint(*G.normalized()), k, direction)
-    axis = join(G, z_center)
-
-    def side(x: BaryPoint) -> int:
-        return sum((a * b for a, b in zip(axis.coords, x.normalized())), ZERO).sign()
-
-    target, first, second = side(q_iso), side(pts[0]), side(pts[1])
-    if (first == target) == (second == target):
+    axis = join(G, z_center).coords
+    first = k.sign() * sum((a * b for a, b in zip(axis, direction.coords)), ZERO).sign()
+    target = sum((a * b for a, b in zip(axis, q_iso.normalized())), ZERO).sign()
+    if first == 0 or target == 0:
         raise ConstructionError("secant points do not separate across the axis")
     e, f = pts if first == target else pts[::-1]
     return ConstructionFrame(h=h, u=u, p=p, v=v, z=z_center, g=G, o=complement(h), q=q,

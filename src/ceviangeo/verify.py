@@ -1038,16 +1038,25 @@ def verify_curve(seed: int = 0, n: int = 20) -> SuiteReport:
 
 
 def frame_profile(frame) -> tuple[bool, ...]:
-    """The identities of the construction frame.  Each names a member that
-    no other entry reads, so changing one member fails one entry: z is the
-    center of the parallelogram h-u-p-v, whose fourth vertex v = h + p - u;
-    q, q_iso and o are the midpoints of its sides p v, h u and u p; g is the
-    centroid of h, u and p (where the diagonal u v meets the line h o); e
-    and f lie on the conic and g is their midpoint, which holds exactly when
-    the secant's direction is conjugate to g; the conic is the five-point fit
-    through p, q, h, q_iso and p_iso."""
+    """The identities of the construction frame.  Each of the first eight
+    names a member that no other entry reads, so changing one member fails
+    one entry: z is the center of the parallelogram h-u-p-v, whose fourth
+    vertex v = h + p - u; q, q_iso and o are the midpoints of its sides p v,
+    h u and u p; g is the centroid of h, u and p (where the diagonal u v
+    meets the line h o); e and f lie on the conic and g is their midpoint,
+    which holds exactly when the secant's direction is conjugate to g; the
+    conic is the five-point fit through p, q, h, q_iso and p_iso.  The last
+    is the labelling that ``locus.construction_frame`` reads from one sign:
+    e and q_iso lie on one side of the axis and f on the other, each point
+    normalized and signed on its own.  It reads the axis as the diagonal
+    u v, which carries g and z, so exchanging e and f fails it alone."""
     h, u, p = frame.h, frame.u, frame.p
     fourth = affine_combination([(h, 1), (p, 1), (u, -1)])
+    axis = join(u, frame.v).coords
+
+    def side(x: BaryPoint) -> int:
+        return sum((a * b for a, b in zip(axis, x.normalized())), ZERO).sign()
+
     return (
         frame.z == midpoint(h, p),
         frame.v == fourth,
@@ -1058,6 +1067,7 @@ def frame_profile(frame) -> tuple[bool, ...]:
         (frame.conic.contains(frame.e) and frame.conic.contains(frame.f)
          and frame.g == midpoint(frame.e, frame.f)),
         frame.conic == conic_through(p, frame.q, h, frame.q_iso, frame.p_iso),
+        side(frame.e) == side(frame.q_iso) == -side(frame.f) != 0,
     )
 
 
@@ -1094,7 +1104,9 @@ def map_from_triangles(src, dst) -> AffineMap:
 
 def admissible_vertex_samples(frame, n: int, seed: int = 0) -> list[BaryPoint]:
     """n admissible vertices on the frame conic over a depth-2 tower, pulled
-    back from translation-locus samples through the parallelogram map."""
+    back from translation-locus samples: each sample's own frame is mapped
+    onto this one through the triangles h u p of the two parallelograms, and
+    A's image is the vertex.  It builds frames only, no configuration."""
     out: list[BaryPoint] = []
     batch = max(2 * n, 6)
     for p2 in curve_mod.sample_translation_points(batch, seed=seed):
@@ -1102,9 +1114,10 @@ def admissible_vertex_samples(frame, n: int, seed: int = 0) -> list[BaryPoint]:
             break
         if p2 == frame.p:
             continue
-        # the sampler returns valid points off the medians, so cfg2.u exists
-        cfg2 = derive_configuration(p2)
-        pull = map_from_triangles((cfg2.h, cfg2.u, cfg2.p), (frame.h, frame.u, frame.p))
+        # the sampler returns valid translation points off the medians, so
+        # each has a frame
+        frame2 = locus_mod.construction_frame(p2)
+        pull = map_from_triangles((frame2.h, frame2.u, frame2.p), (frame.h, frame.u, frame.p))
         a1 = pull.apply(A)
         if not frame.conic.contains(a1):
             raise ConstructionError("pullback vertex left the frame conic")

@@ -299,6 +299,45 @@ class TestSampler:
             assert is_valid_point(p, off_medians=True)
         assert classify_transfer(pts[0]).is_translation()
 
+    def test_excluded_curves_meet_the_cubic_only_at_torsion_images(self):
+        # why the sampler needs no validity filter: each curve that
+        # validate_point(off_medians=True) excludes, parametrized by binary
+        # forms in (s, t), meets the cubic only at images of the 12 torsion
+        # points, and k*G + T with k != 0 is never torsion
+        import sympy
+
+        s, t, x, y, z = sympy.symbols("s t x y z")
+        cubic = x * (y + z) ** 2 + y * (x + z) ** 2 + z * (x + y) ** 2
+        images = [sympy.Matrix([sympy.sympify(format_element(c)) for c in w_to_bary(w).coords])
+                  for w in torsion_points()]
+        curves = [
+            (x, (0, s, t)), (y, (s, 0, t)), (z, (s, t, 0)),
+            (y + z, (s, t, -t)), (x + z, (s, t, -s)), (x + y, (s, -s, t)),
+            (x + y + z, (s, t, -s - t)),
+            (x * y + y * z + z * x, (-s * t, s * (s + t), t * (s + t))),
+            (x - y, (s, s, t)), (y - z, (s, t, t)), (x - z, (s, t, s)),
+        ]
+        for form, param in curves:
+            at = dict(zip((x, y, z), param))
+            assert sympy.expand(form.subs(at, simultaneous=True)) == 0
+            meet = sympy.expand(cubic.subs(at, simultaneous=True))
+            _, factors = sympy.factor_list(meet, s, t, extension=sympy.sqrt(3))
+            for factor, _ in factors:
+                linear = sympy.Poly(factor, s, t)
+                assert linear.total_degree() == 1, (form, factor)
+                root = {s: linear.coeff_monomial(t), t: -linear.coeff_monomial(s)}
+                pt = sympy.Matrix([sympy.sympify(c).subs(root, simultaneous=True) for c in param])
+                assert any(sympy.simplify(e) != 0 for e in pt)
+                assert any(all(sympy.simplify(c) == 0 for c in pt.cross(image))
+                           for image in images), (form, pt)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_draw_is_valid_off_the_medians(self, seed):
+        from ceviangeo.maps import is_valid_point
+
+        assert all(is_valid_point(p, off_medians=True)
+                   for p in sample_translation_points(128, seed=seed))
+
     def test_deterministic(self):
         a = sample_translation_points(5, seed=9)
         b = sample_translation_points(5, seed=9)

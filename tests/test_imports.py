@@ -67,6 +67,7 @@ ROOTS = {
     ("conics", "nine_point_conic"): "read by module in perfbench/tracer.py, until ROADMAP item 1",
     ("conics", "intersect_line"): "read by module in perfbench/tracer.py, until ROADMAP item 1",
     ("linalg", "nullspace"): "read by module in perfbench/tracer.py, until ROADMAP item 1",
+    ("maps", "is_valid_point"): "imported by perfbench/record.py for its depth-2 pool",
 }
 # every definition of these modules is a root: they are the program's entry points
 ENTRY_MODULES = ("cli", "svgfig")

@@ -332,13 +332,13 @@ class TestInscribed:
             B.canonical().coords,
             C.canonical().coords,
         }
-        assert frame_profile(frame2) == (True,) * 8
+        assert frame_profile(frame2) == (True,) * 9
 
     def test_frame_at_every_sampled_translation_point(self):
         # the secant's ends need no square-root search, so no frame stops at
         # the factoring budget, which seven of these 32 points exceed
         for p in sample_translation_points(32, seed=0):
-            assert frame_profile(construction_frame(p)) == (True,) * 8
+            assert frame_profile(construction_frame(p)) == (True,) * 9
 
 
 def _finite_sweep(frame, steps):

@@ -29,7 +29,7 @@ import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ceviangeo import conics, locus, svgfig
+from ceviangeo import conics, locus, svgfig, verify
 from ceviangeo.conics import Conic
 from ceviangeo.field import FieldElement, _directions, _reduced, fe
 from ceviangeo.plane import A, B, G, BaryPoint
@@ -297,10 +297,12 @@ def test_path_division_edge_cases_match_generic_route(c, base, edge, placement):
 
 
 @pytest.mark.parametrize("draw", [*(partial(svgfig.render_figure, name)
-                                    for name in sorted(svgfig.FIGURES)), locus.canonical_frame],
-                         ids=[*sorted(svgfig.FIGURES), "canonical_frame"])
+                                    for name in sorted(svgfig.FIGURES)), locus.canonical_frame,
+                                  partial(verify.run_suite, "construction", seed=0, n=2)],
+                         ids=[*sorted(svgfig.FIGURES), "canonical_frame", "construction_suite"])
 def test_figures_and_the_frame_derive_no_configuration(monkeypatch, draw):
-    # each derives only the members it draws or holds, through the closed forms
+    # each derives only the members it draws or holds, through the closed
+    # forms; the construction suite pulls its samples back between frames
     import importlib
     import pkgutil
 

@@ -110,16 +110,19 @@ def test_construction_profile_entry_can_fail(index, member, source):
 
 # one swap per frame identity; each moves members that only that identity
 # reads, or moves them where the other identities still hold: q and q_iso
-# stay on the conic, and the secant ends h and p still have midpoint z
+# stay on the conic, e and q_iso stand in for each other on one side of the
+# diagonal u v, the secant ends h and p still have midpoint z and lie on
+# either side of it, and z lies on it as v does
 FRAME_SWAPS = (
     (0, {"z": "g"}),
     (1, {"v": "z"}),
     (2, {"q": "e"}),
-    (3, {"q_iso": "f"}),
+    (3, {"q_iso": "e"}),
     (4, {"o": "g"}),
     (5, {"g": "z", "e": "h", "f": "p"}),
-    (6, {"e": "f"}),
+    (6, {"e": "q_iso"}),
     (7, {"p_iso": "z"}),
+    (8, {"e": "f", "f": "e"}),
 )
 
 
@@ -134,9 +137,9 @@ def frame():
 def test_frame_profile_entry_can_fail(frame, index, swap):
     from ceviangeo.verify import frame_profile
 
-    assert frame_profile(frame) == (True,) * 8
+    assert frame_profile(frame) == (True,) * 9
     broken = frame_profile(frame._replace(**{m: getattr(frame, s) for m, s in swap.items()}))
-    assert broken == tuple(i != index for i in range(8))
+    assert broken == tuple(i != index for i in range(9))
 
 
 def test_frame_identities_entry_can_fail(monkeypatch):
@@ -148,7 +151,7 @@ def test_frame_identities_entry_can_fail(monkeypatch):
     results = run_suite("construction", seed=0, n=1).results
     assert [r.name for r in results[:2]] == ["canonical frame construction", "frame identities"]
     entry = results[1]
-    assert not entry.passed and entry.detail == repr(tuple(i != 2 for i in range(8)))
+    assert not entry.passed and entry.detail == repr(tuple(i != 2 for i in range(9)))
 
 
 def test_translation_cross_check_entries_can_fail(monkeypatch):
@@ -423,6 +426,13 @@ def _secant_doubled(true):
     return wrong
 
 
+def _secant_labels_swapped(true):
+    def wrong(p):
+        frame = true(p)
+        return frame._replace(e=frame.f, f=frame.e)
+    return wrong
+
+
 def _negated_when_defined(true):
     return lambda *args: (lambda s: s if s is None else -s)(true(*args))
 
@@ -461,9 +471,11 @@ DERIVED_POINT_SUITES = ["equivalences", "special", "translation", "consequences"
 
 # (module, function, fault, suites that must report a failing entry)
 INJECTED_FAULTS = {
-    # equivalences reads h, q and p_iso in closed form, never the transfer map
+    # equivalences reads h, q and p_iso in closed form, never the transfer map;
+    # construction builds frames, not configurations, so it reads none either
+    # ("transposed cevian map" still fails it)
     "raising transfer map": ("maps", "transfer_map", _raising,
-                             ["special", "translation", "consequences", "construction"]),
+                             ["special", "translation", "consequences"]),
     "sheared orthocenter": ("maps", "orthocenter", _sheared,
                             ["equivalences", "vertex-locus", "special", "translation",
                              "consequences", "construction"]),
@@ -500,6 +512,8 @@ INJECTED_FAULTS = {
                                         ["construction"]),
     "secant ends twice as far from g": ("locus", "construction_frame", _secant_doubled,
                                         ["construction"]),
+    "secant labels swapped": ("locus", "construction_frame", _secant_labels_swapped,
+                              ["construction"]),
     "sheared complement": ("maps", "complement", _sheared, DERIVED_POINT_SUITES),
     "transposed cevian map": ("maps", "cevian_map", _transposed,
                               ["special", "translation", "consequences", "construction"]),
