@@ -1104,9 +1104,12 @@ def map_from_triangles(src, dst) -> AffineMap:
 
 def admissible_vertex_samples(frame, n: int, seed: int = 0) -> list[BaryPoint]:
     """n admissible vertices on the frame conic over a depth-2 tower, pulled
-    back from translation-locus samples: each sample's own frame is mapped
-    onto this one through the triangles h u p of the two parallelograms, and
-    A's image is the vertex.  It builds frames only, no configuration."""
+    back from translation samples without building their frames: the map
+    through the triangles h G p (orthocenter, centroid, sample) sends A to
+    the vertex.  As every frame's g = G is the centroid of h, u and p, it is
+    the map through the triangles h u p.  It fixes G, so it carries the
+    sample frame's inscribed triangle ABC onto one inscribed in this conic
+    with centroid G: every vertex is admissible and none is filtered."""
     out: list[BaryPoint] = []
     batch = max(2 * n, 6)
     for p2 in curve_mod.sample_translation_points(batch, seed=seed):
@@ -1114,16 +1117,11 @@ def admissible_vertex_samples(frame, n: int, seed: int = 0) -> list[BaryPoint]:
             break
         if p2 == frame.p:
             continue
-        # the sampler returns valid translation points off the medians, so
-        # each has a frame
-        frame2 = locus_mod.construction_frame(p2)
-        pull = map_from_triangles((frame2.h, frame2.u, frame2.p), (frame.h, frame.u, frame.p))
+        pull = map_from_triangles((orthocenter(p2), G, p2), (frame.h, G, frame.p))
         a1 = pull.apply(A)
         if not frame.conic.contains(a1):
             raise ConstructionError("pullback vertex left the frame conic")
-        if any(a1 == prev for prev in out):
-            continue
-        if locus_mod.admissible(frame, a1):
+        if all(a1 != prev for prev in out):  # (k, T) and (-k, -T) give one vertex
             out.append(a1)
     if len(out) < n:
         raise locus_mod.LocusError(f"could only build {len(out)} admissible samples")

@@ -20,7 +20,7 @@ from ceviangeo.plane import (
     midpoint,
     point,
 )
-from ceviangeo.maps import classify_transfer, complement
+from ceviangeo.maps import classify_transfer, complement, orthocenter
 from ceviangeo.conics import _line_restriction, intersect_line
 from ceviangeo.field import TowerDepthExceeded
 from ceviangeo.curve import on_translation_locus, sample_translation_points
@@ -402,6 +402,17 @@ def frame3():
     return construction_frame(sample_translation_points(32, seed=0)[14])
 
 
+def _symbolic_cevian_conic(x, y, z):
+    """The cevian conic of P = (x:y:z) in sympy, as ``maps._cevian_members``
+    builds it: the isotomic image of the line through P' and Q'."""
+    import sympy
+
+    p_iso = (y * z, x * z, x * y)
+    q_prime = (y * z * (x + z) * (x + y), x * z * (y + z) * (x + y), x * y * (y + z) * (x + z))
+    l0, l1, l2 = sympy.Matrix(p_iso).cross(sympy.Matrix(q_prime))
+    return sympy.Matrix([[0, l2, l1], [l2, 0, l0], [l1, l0, 0]])
+
+
 class TestClosedForm:
     """The chords' closed form against intersecting the line with the conic,
     and the reconstruction's adjugate against the generic triangle map."""
@@ -455,10 +466,7 @@ class TestClosedForm:
             return sympy.Matrix(a).cross(sympy.Matrix(b))
 
         p_iso = (y * z, x * z, x * y)
-        q = (x * (y + z), y * (x + z), z * (x + y))
-        # the conic is the isotomic image of the line through P' and Q'
-        l0, l1, l2 = cross(p_iso, (q[1] * q[2], q[0] * q[2], q[0] * q[1]))
-        conic = sympy.Matrix([[0, l2, l1], [l2, 0, l0], [l1, l0, 0]])
+        conic = _symbolic_cevian_conic(x, y, z)
         g = sympy.Matrix([1, 1, 1]) / 3
         d = cross(cross((x, y, z), p_iso), (1, 1, 1))
         r = -(g.T * conic * g)[0] / (d.T * conic * d)[0]
@@ -477,6 +485,58 @@ class TestClosedForm:
             a, b, c = p.coords
             closed = 1 / (108 * (a * b * c) ** 2)
             assert _bisected_chord(cfg.cevian_conic, g_normalized, d_p) == closed
+
+    def test_centroid_of_h_u_p_on_the_cubic_symbolic(self):
+        # g = G is the centroid of h, u and p on the translation cubic: with s
+        # each point's coordinate sum, F = D + 4xyz divides both coordinate
+        # differences of s_u*s_p*h + s_h*s_p*u + s_h*s_u*p, which are not zero
+        # off the cubic
+        import sympy
+
+        from ceviangeo.field import ZERO
+
+        x, y, z = sympy.symbols("x y z")
+        p = (x, y, z)
+        # u is the anticomplement of the cevian conic's center
+        c0, c1, c2 = _symbolic_cevian_conic(x, y, z).adjugate() * sympy.Matrix([1, 1, 1])
+        u = (c1 + c2 - c0, c0 + c2 - c1, c0 + c1 - c2)
+        d_a, d_b, d_c = (a * a - a * (b + c) - b * c
+                         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)))
+        h = (x * d_b * d_c, y * d_a * d_c, z * d_a * d_b)
+        f = (x + y) * (x + z) * (y + z) + 4 * x * y * z
+        s_h, s_u, s_p = sum(h), sum(u), sum(p)
+        w = [s_u * s_p * a + s_h * s_p * b + s_h * s_u * c for a, b, c in zip(h, u, p)]
+        diffs = [sympy.expand(w[0] - w[1]), sympy.expand(w[1] - w[2])]
+        for diff in diffs:
+            # a single divisor is a Groebner basis: remainder 0 is divisibility
+            assert diff != 0 and sympy.div(diff, f, x, y, z)[1] == 0
+
+        def at(expr, pt):
+            a, b, c = pt.coords
+            return sum((int(k) * a ** i * b ** j * c ** m
+                        for (i, j, m), k in sympy.Poly(expr, x, y, z).terms()), ZERO)
+
+        samples = sample_translation_points(32, seed=0)
+        for pt in (special_point(1), samples[0], samples[14]):
+            assert BaryPoint(*(at(e, pt) for e in h)) == orthocenter(pt)
+            assert BaryPoint(*(at(e, pt) for e in u)) == construction_frame(pt).u
+            assert at(f, pt) == 0 and all(at(diff, pt) == 0 for diff in diffs)
+
+    def test_pullback_through_h_g_p_matches_the_frames_route(self, frame):
+        # the map fixed by h, G and p is the map through the two frames'
+        # triangles h u p, since g = G is the centroid of h, u and p; it fixes
+        # G, so A's image is a vertex of an inscribed triangle with centroid G
+        def rows(m):
+            return [(x.tower, x.num, x.den) for row in m.rows for x in row]
+
+        for p2 in sample_translation_points(32, seed=0):
+            if p2 == frame.p:
+                continue
+            f2 = construction_frame(p2)
+            pull = map_from_triangles((orthocenter(p2), G, p2), (frame.h, G, frame.p))
+            assert rows(pull) == rows(map_from_triangles((f2.h, f2.u, f2.p),
+                                                         (frame.h, frame.u, frame.p)))
+            assert admissible(frame, pull.apply(A))
 
 
 def _torsion_barycentric():

@@ -302,7 +302,7 @@ def test_path_division_edge_cases_match_generic_route(c, base, edge, placement):
                          ids=[*sorted(svgfig.FIGURES), "canonical_frame", "construction_suite"])
 def test_figures_and_the_frame_derive_no_configuration(monkeypatch, draw):
     # each derives only the members it draws or holds, through the closed
-    # forms; the construction suite pulls its samples back between frames
+    # forms; the construction suite pulls its samples back through h, G and p
     import importlib
     import pkgutil
 

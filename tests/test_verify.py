@@ -582,6 +582,34 @@ def test_bisected_chord_faults_fail_the_frame_entries(monkeypatch):
     assert {"frame identities", asymptotes} <= set(failing)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_construction_suite_builds_one_frame(monkeypatch, seed):
+    # the canonical one: each sample is pulled back through its h, G and p
+    calls = []
+
+    def counting(true):
+        def counted(p):
+            calls.append(p)
+            return true(p)
+        return counted
+
+    _patch_everywhere(monkeypatch, "locus", "construction_frame", counting)
+    assert run_suite("construction", seed=seed).passed
+    assert len(calls) == 1
+
+
+def test_the_pullback_orthocenter_can_fail_the_sample_entries(monkeypatch):
+    # only verify's binding: the canonical frame keeps its true h, and the
+    # pulled-back vertices leave its conic
+    import ceviangeo.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "orthocenter", _sheared(verify_mod.orthocenter))
+    failing = {r.name for r in run_suite("construction", seed=0, n=2).results if not r.passed}
+    assert failing == {
+        "2 admissible samples reconstruct translation points",
+        "the inscribed chord is the common chord of the conic and its half-turn image"}
+
+
 @pytest.mark.parametrize("name,count", [("translation", 8), ("special", 29), ("construction", 15)])
 def test_a_configuration_that_raises_fails_each_entry(monkeypatch, name, count):
     # the construction frame reads no transfer map, so it raises from the cevian map
