@@ -765,7 +765,7 @@ def sqrt_extending(a: FieldElement) -> FieldElement:
 
 MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(\d+|sqrt|[()+\-*/\[\],])\s*")
+_TOKEN = re.compile(r"\s*([0-9]+|sqrt|[()+\-*/\[\],])\s*")
 
 
 def _tokenize(text: str) -> list[str]:

@@ -16,7 +16,8 @@ search: for p = (x:y:z) its radicand is 1/(9D(x+y+z)(xy+yz+zx)) with
 D = (x+y)(x+z)(y+z), and on the translation cubic F = D + 4xyz = 0,
 D = F - 4xyz = -4xyz and (x+y+z)(xy+yz+zx) = F - 3xyz = -3xyz, so the
 radicand is 1/(108(xyz)^2) and the ends are g +- k*d with
-k = sqrt(3)/(18xyz).
+k = sqrt(3)/(18xyz); e, the end on the complement's side of the axis, is
+g - k*d on the cubic.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .maps import (
     orthocenter,
     validate_point,
 )
-from .conics import Conic, ConstructionError
+from .conics import Conic
 from . import curve as _curve
 
 
@@ -183,9 +184,9 @@ def construction_frame(p: BaryPoint) -> ConstructionFrame:
     k = sqrt(3)/(18xyz), from p's coordinates as given: the radicand
     -Q(g)/Q(d) is 1/(9D(x+y+z)(xy+yz+zx)) for D = (x+y)(x+z)(y+z), and on
     the cubic F = D + 4xyz = 0, D = F - 4xyz = -4xyz and
-    (x+y+z)(xy+yz+zx) = F - 3xyz = -3xyz, so it is 1/(108(xyz)^2).  As g
-    is on the axis, its form at g +- k*d is +-k*(axis.d): that one sign
-    labels the ends, and ConstructionError when it or q_iso's side is 0."""
+    (x+y+z)(xy+yz+zx) = F - 3xyz = -3xyz, so it is 1/(108(xyz)^2).  And
+    e = g - k*d: g + k*d is on q_iso's side of the axis g z exactly when
+    xyz(x+y+z)(xy+yz+zx) = xyz*F - 3(xyz)^2 > 0, never on the cubic."""
     validate_point(p, off_medians=True)
     if not _curve.on_translation_locus(p):
         raise NotTranslation(f"{p} is not a translation point")
@@ -199,13 +200,7 @@ def construction_frame(p: BaryPoint) -> ConstructionFrame:
         k = FieldElement.root(3) / (18 * x * y * z)
     except TowerMismatch as exc:
         raise TowerDepthExceeded(str(exc)) from exc
-    pts = _chord_ends(BaryPoint(*G.normalized()), k, direction)
-    axis = join(G, z_center).coords
-    first = k.sign() * sum((a * b for a, b in zip(axis, direction.coords)), ZERO).sign()
-    target = sum((a * b for a, b in zip(axis, q_iso.normalized())), ZERO).sign()
-    if first == 0 or target == 0:
-        raise ConstructionError("secant points do not separate across the axis")
-    e, f = pts if first == target else pts[::-1]
+    e, f = _chord_ends(BaryPoint(*G.normalized()), -k, direction)
     return ConstructionFrame(h=h, u=u, p=p, v=v, z=z_center, g=G, o=complement(h), q=q,
                              q_iso=q_iso, p_iso=p_iso, conic=conic, e=e, f=f, t_p=cevian_map(p))
 

@@ -1046,10 +1046,10 @@ def frame_profile(frame) -> tuple[bool, ...]:
     meets the line h o); e and f lie on the conic and g is their midpoint,
     which holds exactly when the secant's direction is conjugate to g; the
     conic is the five-point fit through p, q, h, q_iso and p_iso.  The last
-    is the labelling that ``locus.construction_frame`` reads from one sign:
-    e and q_iso lie on one side of the axis and f on the other, each point
-    normalized and signed on its own.  It reads the axis as the diagonal
-    u v, which carries g and z, so exchanging e and f fails it alone."""
+    is the labelling e = g - k*d, which ``locus.construction_frame`` takes
+    in closed form: e and q_iso lie on one side of the axis and f on the
+    other, each normalized and signed on its own.  It reads the axis as the
+    diagonal u v, through g and z, so exchanging e and f fails it alone."""
     h, u, p = frame.h, frame.u, frame.p
     fourth = affine_combination([(h, 1), (p, 1), (u, -1)])
     axis = join(u, frame.v).coords

@@ -124,6 +124,9 @@ def test_drawn_commands_keep_the_contract(argv):
     (["compute", "[1,2,3,]", "H"], 2),
     # whitespace after a token was a bad character
     (["compute", "[1 ,2, 3 ]", "H"], 0),
+    # Arabic-Indic and fullwidth digits read as 6 and 3
+    (["compute", "[\u0666,3,2]", "H"], 2),
+    (["compute", "[6,\uff13,2]", "H"], 2),
     # the output's integers pass the 4300-digit conversion limit
     (["compute", f"[{'9' * 4300},1,2]", "H"], 2),
     (["compute", f"[{'9' * 4301},1,2]", "H"], 2),

@@ -266,7 +266,8 @@ class TestSerialization:
     def test_parse_errors(self):
         from ceviangeo.field import ExpressionError
 
-        for bad in ("1+", "sqrt(x)", "(1+2", "1**2", ""):
+        # int() reads the digits of any script, the grammar only 0-9
+        for bad in ("1+", "sqrt(x)", "(1+2", "1**2", "", "sqrt(\u0662)", "\uff13"):
             with pytest.raises(ExpressionError):
                 parse_element(bad)
 

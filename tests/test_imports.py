@@ -8,7 +8,8 @@ each imported name among the names the module reads, annotations included.
 The import surface is read from ``sys.modules`` in fresh interpreters, and
 the package's lazy exports are checked against the eager ones they stand for.
 A reachability scan over the same parse trees finds public definitions
-outside ``verify`` that only ``verify`` reaches.
+outside ``verify`` that only ``verify`` reaches, and every absolute import
+names a standard-library module.
 """
 
 import ast
@@ -44,6 +45,19 @@ def _names_imported(tree: ast.AST) -> set[str]:
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(_names_imported(tree) - _names_read(tree)) == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    # absolute imports anywhere in a module, function-local ones included;
+    # relative imports stay inside the package
+    roots = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots.add(node.module.split(".")[0])
+            elif isinstance(node, ast.Import):
+                roots |= {alias.name.split(".")[0] for alias in node.names}
+    assert roots and sorted(roots - sys.stdlib_module_names) == []
 
 
 # -- the library boundary: what only verify reaches belongs in verify --------

@@ -110,6 +110,43 @@ class TestVertexLocus:
         off = vertex_condition_profile(point([1, 2, 3]))
         assert tuple(off) == (False, False, False, False)
 
+    def test_orthocenter_is_a_exactly_on_the_vertex_conic_symbolic(self):
+        # H = (a D_b D_c : b D_a D_c : c D_a D_b) is A exactly when D_a = 0:
+        # D_a != 0 would need D_b = D_c = 0, so (b-c)(b+c) = 0 and D_b = -2ac;
+        # D_a = 0 with D_b or D_c = 0 would need (a-b)(a+b) = 0 and D_a = -2ac,
+        # or (a-c)(a+c) = 0 and D_a = -2ab; each zero factor is a sideline or
+        # an anticomplementary sideline, so no valid point has one
+        import sympy
+
+        a, b, c, t = sympy.symbols("a b c t")
+        d_a, d_b, d_c = (u * u - u * (v + w) - v * w for u, v, w in ((a, b, c), (b, c, a),
+                                                                     (c, a, b)))
+        m = vertex_locus("A").conic.m
+        form = sum(sympy.Rational(m[i][j].as_fraction()) * s * r
+                   for i, s in enumerate((a, b, c)) for j, r in enumerate((a, b, c)))
+        assert sympy.expand(form + d_a) == 0
+        assert sympy.expand(d_b - d_c - (b - c) * (b + c)) == 0
+        assert sympy.expand(d_a - d_b - (a - b) * (a + b)) == 0
+        assert sympy.expand(d_a - d_c - (a - c) * (a + c)) == 0
+        assert sympy.expand(d_b.subs(b, c) + 2 * a * c) == 0
+        assert sympy.expand(d_a.subs(b, a) + 2 * a * c) == 0
+        assert sympy.expand(d_a.subs(c, a) + 2 * a * b) == 0
+        param = dict(zip((a, b, c), (1 + t, 1 - t, t * (1 + t))))
+        assert sympy.expand(d_a.subs(param, simultaneous=True)) == 0
+
+        def at(expr, p):
+            r = expr.subs(dict(zip((a, b, c), (sympy.Rational(x.as_fraction())
+                                               for x in p.coords))))
+            return fe(Fraction(int(r.p), int(r.q)))
+
+        h = (a * d_b * d_c, b * d_a * d_c, c * d_a * d_b)
+        vl = vertex_locus("A")
+        on = [vl.point_at(fe(value)) for value in ("1/3", "2", "-5/7")]
+        for p in on + [point([1, 2, 3])]:
+            assert BaryPoint(*(at(e, p) for e in h)) == orthocenter(p)
+            assert at(d_a, p) == -vl.conic.evaluate(p)
+            assert (orthocenter(p) == A) == at(d_a, p).is_zero() == (p in on)
+
     def test_tangents(self):
         vl = vertex_locus("A")
         assert tangent_at(vl.conic, B) == BaryLine(1, 0, 1)
@@ -169,6 +206,20 @@ class TestConstructionFrame:
         s = 1 + R2 + FieldElement.root(5)
         with pytest.raises(TowerDepthExceeded):
             construction_frame(BaryPoint(*(c * s for c in special_point(1).coords)))
+
+    @pytest.mark.parametrize("d,u,v", [(7, "-12/7", "78/49"), (10, "-5", "2"), (11, "-4", "2")],
+                             ids=["sqrt7", "sqrt10", "sqrt11"])
+    def test_frames_over_other_radicands(self, d, u, v):
+        # twist points mapped onto the curve, (u, v*sqrt(d)); each frame's
+        # ninth identity reads the labelling e = g - k*d on its own
+        from ceviangeo.curve import WPoint, rational_torsion, w_to_bary
+
+        twist = WPoint.of(fe(u), fe(v) * FieldElement.root(d))
+        for k in (1, 2):
+            for t in rational_torsion():
+                p = w_to_bary(k * twist + t)
+                assert {c.tower for c in p.coords} <= {(), (d,)}
+                assert frame_profile(construction_frame(p)) == (True,) * 9
 
     def test_frame_shape(self, frame):
         assert affine_type(frame.conic) == "hyperbola"
@@ -485,6 +536,55 @@ class TestClosedForm:
             a, b, c = p.coords
             closed = 1 / (108 * (a * b * c) ** 2)
             assert _bisected_chord(cfg.cevian_conic, g_normalized, d_p) == closed
+
+    def test_secant_labelling_on_the_cubic_symbolic(self):
+        # e = G - k*d with no sign taken: for Z = adj(C)(1,1,1) the cevian
+        # conic's center, axis = G x Z and Q' = (y+z : x+z : x+y) the
+        # complement, axis.d = 2(xy+yz+zx)(axis.Q') and axis.Q' is a product
+        # of factors that vanish only at refused points; as k has the sign of
+        # xyz and Q' normalized that of x+y+z, G + k*d is on Q''s side exactly
+        # when xyz(x+y+z)(xy+yz+zx) = xyz*F - 3(xyz)^2 > 0, never on F = 0
+        import sympy
+
+        from ceviangeo.field import ZERO
+        from ceviangeo.maps import isotomic
+
+        x, y, z = sympy.symbols("x y z")
+
+        def cross(a, b):
+            return sympy.Matrix(a).cross(sympy.Matrix(b))
+
+        def dot(a, b):
+            return sum(s * t for s, t in zip(a, b))
+
+        ones = (1, 1, 1)
+        center = _symbolic_cevian_conic(x, y, z).adjugate() * sympy.Matrix(ones)
+        axis = cross(ones, center)
+        d = cross(cross((x, y, z), (y * z, x * z, x * y)), ones)
+        q_iso = (y + z, x + z, x + y)
+        s2 = x * y + y * z + z * x
+        f = (x + y) * (x + z) * (y + z) + 4 * x * y * z
+        assert sympy.expand(dot(axis, d) - 2 * s2 * dot(axis, q_iso)) == 0
+        assert sympy.expand(dot(axis, q_iso) + (x * y * z) ** 2 * (x - y) * (x + y) * (x - z)
+                            * (x + z) * (y - z) * (y + z) * (x + y + z)) == 0
+        assert sympy.expand(x * y * z * (x + y + z) * s2
+                            - (x * y * z * f - 3 * (x * y * z) ** 2)) == 0
+
+        def side(line, pt):
+            return sum((a * b for a, b in zip(line, pt)), ZERO).sign()
+
+        samples = sample_translation_points(32, seed=0)
+        for p in (special_point(1), special_point(-1), samples[0], samples[14]):
+            frame = construction_frame(p)
+            a, b, c = p.coords
+            k = FieldElement.root(3) / (18 * a * b * c)
+            direction = infinite_point_of(join(p, isotomic(p)))
+            # the axis rule on library objects puts G + k*d off the complement's side
+            line = join(G, frame.z).coords
+            first = k.sign() * side(line, direction.coords)
+            assert first == -side(line, complement(p).normalized()) != 0
+            e = BaryPoint(*(g - k * t for g, t in zip(G.normalized(), direction.coords)))
+            assert _raw(frame.e) == _raw(e)
 
     def test_centroid_of_h_u_p_on_the_cubic_symbolic(self):
         # g = G is the centroid of h, u and p on the translation cubic: with s
