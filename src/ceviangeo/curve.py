@@ -175,9 +175,6 @@ class WPoint(_Frozen):
             return s
         return _wpoint(_chord_tangent(_A2, _A4, (self.u, self.v), (other.u, other.v)))
 
-    def __sub__(self, other: WPoint) -> WPoint:
-        return self + (-other)
-
     def __rmul__(self, n: int) -> WPoint:
         if not isinstance(n, int):
             return NotImplemented

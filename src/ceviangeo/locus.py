@@ -11,13 +11,13 @@ locus through affine maps, each applied as adj(M)*P for M the matrix of the
 triangle (``verify.map_from_triangles`` is the generic check).  Each chord
 is bisected at a known point (the secant e f at g, each inscribed side at
 the complement of the opposite vertex), so its ends come in closed form and
-no line is intersected with the conic.  The secant needs no square-root
-search: for p = (x:y:z) its radicand is 1/(9D(x+y+z)(xy+yz+zx)) with
-D = (x+y)(x+z)(y+z), and on the translation cubic F = D + 4xyz = 0,
-D = F - 4xyz = -4xyz and (x+y+z)(xy+yz+zx) = F - 3xyz = -3xyz, so the
-radicand is 1/(108(xyz)^2) and the ends are g +- k*d with
-k = sqrt(3)/(18xyz); e, the end on the complement's side of the axis, is
-g - k*d on the cubic.
+no line is intersected with the conic.  Both chords are labelled in closed
+form too.  On the translation cubic the secant's ends are g +- k*d with
+k = sqrt(3)/(18xyz), and e, the end on the complement's side of the axis,
+is g - k*d (``construction_frame`` has the proof).  An inscribed side's ends
+m +- s*d, s = sqrt(r), lie on the chord L with d = L x (1,1,1), so
+m x d = L and det(1 - 2m, m + s*d, m - s*d) = -2s*L(G): b1 = m - s*d
+exactly when L(G) > 0 makes the triangle a1 b1 c1 positively oriented.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections import namedtuple
 
 from .field import (CeviangeoError, FieldElement, TowerDepthExceeded, TowerMismatch, fe,
                     sqrt_extending, ZERO, ONE)
-from .linalg import adjugate3, det3, matvec3
+from .linalg import adjugate3, matvec3
 from .plane import (
     A,
     B,
@@ -233,39 +233,41 @@ def _chord(frame: ConstructionFrame, m: BaryPoint) -> BaryLine | None:
 
 def _inscribed_chord(frame: ConstructionFrame, a1: BaryPoint):
     """The inscribed chord of a1, an ordinary point of the conic, bisected
-    at m, the complement of a1: (m normalized, r, d) with real ends
-    m +- sqrt(r)*d.  These are the steps that ``inscribed_triangle`` and
+    at m, the complement of a1: (m normalized, r, d, L(G)) with real ends
+    m +- sqrt(r)*d, for L the chord and L(G) = L0 + L1 + L2 its form at the
+    centroid.  These are the steps that ``inscribed_triangle`` and
     ``admissible`` share."""
     m = BaryPoint(*complement(a1).normalized())
     line = _chord(frame, m)
     # a1 is ordinary and on the conic, so it lies on the half-turn image
-    # exactly when it lies on the chord
-    if line is None or line.contains(a1):
+    # exactly when it lies on the chord, that is when L(G) = 0: a1 normalized
+    # is 1 - 2m and m lies on L, so L.(1 - 2m) = L(G) - 2 L.m = L(G)
+    at_g = None if line is None else sum(line.coords, ZERO)
+    if at_g is None or at_g.is_zero():
         raise DegenerateInscribed(f"{a1} lies on its own reflected conic")
     d = infinite_point_of(line)
     r = _bisected_chord(frame.conic, m, d)
     if r is None or r.sign() <= 0:
         raise NoIntersection("conic and reflected conic share no two ordinary points")
-    return m, r, d
+    return m, r, d, at_g
 
 
 def inscribed_triangle(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoint, BaryPoint]:
     """The unique triangle inscribed in the frame's conic with vertex a1 and
-    centroid g: the other two vertices are the ends D0 +- sqrt(r)*d of the
-    chord bisected at D0, the complement of a1, which the conic shares with
-    its half-turn image about D0."""
+    centroid g: the other two vertices are the ends m +- s*d, s = sqrt(r),
+    of the chord L bisected at m, the complement of a1, which the conic
+    shares with its half-turn image about m.  They are labelled so that
+    orientation 1 preserves orientation, det(a1, b1, c1) > 0, in closed form:
+    a1 normalized is 1 - 2m, and d = L x (1,1,1) gives m x d = L*(sum m) -
+    (1,1,1)*(m.L) = L, so det(1 - 2m, m + s*d, m - s*d) = -2s*det(1, m, d)
+    = -2s*L(G); b1 is m + s*d exactly when L(G) < 0."""
     if a1.is_infinite():
         raise NotOnConic("vertex must be an ordinary point")
     if not frame.conic.contains(a1):
         raise NotOnConic(f"{a1} is not on the frame conic")
-    m, r, d = _inscribed_chord(frame, a1)
-    b1, c1 = _chord_ends(m, sqrt_extending(r), d)
-    # fix the labeling so orientation 1 is the orientation-preserving one; the
-    # map onto the reference triangle has determinant 1/det of these vertices
-    # (b1 and c1 sum to one already: m is normalized and d is infinite)
-    if det3((a1.normalized(), b1.coords, c1.coords)).sign() < 0:
-        b1, c1 = c1, b1
-    return b1, c1
+    m, r, d, at_g = _inscribed_chord(frame, a1)
+    s = sqrt_extending(r)
+    return _chord_ends(m, -s if at_g.sign() > 0 else s, d)
 
 
 def admissible(frame: ConstructionFrame, a1: BaryPoint) -> bool:

@@ -207,6 +207,7 @@ class TestCurveLocusCommands:
         code, out, _ = run_cli(["curve", "invariants"], capsys)
         assert code == 0
         assert json.loads(out)["j"] == "54000"
+        assert json.loads(out)["b8"] == "-9"
 
     def test_multiple(self, capsys):
         code, out, _ = run_cli(["curve", "multiple", "--k", "2"], capsys)

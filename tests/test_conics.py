@@ -163,6 +163,12 @@ class TestLineIntersection:
         assert len(pts) == 2
         assert any(p == B for p in pts) and any(p == target for p in pts)
 
+    def test_line_through_a_point_of_its_span(self):
+        # the line's second spanning point (1:0:1) is on the conic, so the
+        # restriction has no t^2 term and the other point is linear in t
+        pts = intersect_line(VERTEX_A_CONIC, BaryLine(1, 1, -1))
+        assert pts == [BaryPoint(-1, 3, 2), BaryPoint(1, 0, 1)]
+
     def test_no_real_intersection(self):
         # the line through A parallel to BC misses the vertex conic
         assert intersect_line(VERTEX_A_CONIC, BaryLine(0, 1, 1)) == []

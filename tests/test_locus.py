@@ -351,15 +351,16 @@ class TestInscribed:
         assert calls == []
 
     def test_vertices_are_normalized_once(self, frame, monkeypatch):
-        # b1 and c1 sum to one as m +- s*d, so only a1 is normalized
+        # b1 and c1 sum to one as m +- s*d and the labelling reads L(G), not
+        # a determinant, so only the reconstruction's matrix normalizes a1
         calls = []
         true = FieldElement.inverse
         monkeypatch.setattr(FieldElement, "inverse",
                             lambda self: calls.append(self) or true(self))
         a1 = admissible_vertex_samples(frame, 1, seed=5)[0]
-        for run, count in ((lambda: inscribed_triangle(frame, a1), 6),
-                           (lambda: reconstruct_point(frame, a1, 1), 7),
-                           (lambda: reconstruct_point(frame, a1, 2), 7)):
+        for run, count in ((lambda: inscribed_triangle(frame, a1), 5),
+                           (lambda: reconstruct_point(frame, a1, 1), 6),
+                           (lambda: reconstruct_point(frame, a1, 2), 6)):
             calls.clear()
             run()
             assert len(calls) == count
@@ -621,6 +622,38 @@ class TestClosedForm:
             assert BaryPoint(*(at(e, pt) for e in h)) == orthocenter(pt)
             assert BaryPoint(*(at(e, pt) for e in u)) == construction_frame(pt).u
             assert at(f, pt) == 0 and all(at(diff, pt) == 0 for diff in diffs)
+
+    def test_inscribed_orientation_symbolic(self, frame):
+        # for m normalized, L a line through m and d = L x (1,1,1), the
+        # inscribed triangle 1 - 2m, m + s*d, m - s*d has determinant
+        # -2s*L(G): m x d = L*(sum m) - (1,1,1)*(m.L) = L
+        import sympy
+
+        from ceviangeo.field import sqrt_extending
+        from ceviangeo.linalg import det3
+        from ceviangeo.locus import _chord_ends, _inscribed_chord
+
+        m0, m1, w0, w1, w2, s = sympy.symbols("m0 m1 w0 w1 w2 s")
+        m = sympy.Matrix([m0, m1, 1 - m0 - m1])
+        ones = sympy.Matrix([1, 1, 1])
+        line = m.cross(sympy.Matrix([w0, w1, w2]))
+        d = line.cross(ones)
+        assert sympy.expand(line.dot(m)) == 0
+        triangle = sympy.Matrix.hstack(ones - 2 * m, m + s * d, m - s * d)
+        assert sympy.expand(triangle.det() + 2 * s * sum(line)) == 0
+
+        def by_determinant(a1):
+            # the labelling before the closed form: build both ends and swap
+            # them when det(a1, b1, c1) < 0
+            m, r, d, _ = _inscribed_chord(frame, a1)
+            b1, c1 = _chord_ends(m, sqrt_extending(r), d)
+            if det3((a1.normalized(), b1.coords, c1.coords)).sign() < 0:
+                b1, c1 = c1, b1
+            return b1, c1
+
+        for seed in range(12):
+            for a1 in [A] + admissible_vertex_samples(frame, 20, seed=seed):
+                assert _raw(inscribed_triangle(frame, a1)) == _raw(by_determinant(a1))
 
     def test_pullback_through_h_g_p_matches_the_frames_route(self, frame):
         # the map fixed by h, G and p is the map through the two frames'

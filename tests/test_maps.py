@@ -187,8 +187,10 @@ class TestValidity:
         validate_point(G)
         with pytest.raises(OnMedian):
             validate_point(G, off_medians=True)
-        with pytest.raises(OnMedian):
-            validate_point(BaryPoint(2, 2, 1), off_medians=True)
+        # one point on each median, so each of the three tests must fire
+        for p in (BaryPoint(2, 2, 1), BaryPoint(2, 1, 2), BaryPoint(1, 2, 2)):
+            with pytest.raises(OnMedian):
+                validate_point(p, off_medians=True)
 
 
 class TestConfiguration:
