@@ -39,11 +39,11 @@ class FieldError(CeviangeoError):
 
 
 class TowerMismatch(FieldError):
-    """Operands generate a field needing more than two quadratic extensions."""
+    """An element is not representable in the tower asked for."""
 
 
-class TowerDepthExceeded(FieldError):
-    """A requested extension does not fit in a depth-2 tower."""
+class TowerDepthExceeded(TowerMismatch):
+    """Operands or a requested extension need a tower deeper than 2."""
 
 
 class NegativeRadicand(FieldError):
@@ -220,8 +220,8 @@ def canonical_tower(radicands) -> tuple[int, ...]:
         a, b, c = rads
         if squarefree_decompose(a * b)[1] == c:
             return (a, b)
-        raise TowerMismatch(f"radicands {rads} need a tower deeper than 2")
-    raise TowerMismatch(f"radicands {rads} need a tower deeper than 2")
+        raise TowerDepthExceeded(f"radicands {rads} need a tower deeper than 2")
+    raise TowerDepthExceeded(f"radicands {rads} need a tower deeper than 2")
 
 
 _canonical_of = lru_cache(maxsize=None)(canonical_tower)
@@ -232,7 +232,7 @@ def _field_tower(tower) -> tuple[int, ...]:
     at most two distinct squarefree radicands > 1, possibly not canonical."""
     tower = tuple(tower)
     if len(tower) > 2:
-        raise TowerMismatch(f"tower {tower} is deeper than 2")
+        raise TowerDepthExceeded(f"tower {tower} is deeper than 2")
     if len(set(tower)) != len(tower):
         raise ValueError(f"tower {tower} repeats a radicand")
     _canonical_of(tower)

@@ -11,12 +11,13 @@ locus through affine maps, each applied as adj(M)*P for M the matrix of the
 triangle (``verify.map_from_triangles`` is the generic check).  Each chord
 is bisected at a known point (the secant e f at g, each inscribed side at
 the complement of the opposite vertex), so its ends come in closed form and
-no line is intersected with the conic.  Both chords are labelled in closed
-form too.  On the translation cubic the secant's ends are g +- k*d with
+no line is intersected with the conic.  An inscribed side's ends are
+m +- s*d, s = sqrt(r), for r = -Q(m)/Q(d), d = L x (1,1,1) and L the chord,
+which forms Q(m) on the way.  Both chords are labelled in closed form too.
+On the translation cubic the secant's ends are g +- k*d with
 k = sqrt(3)/(18xyz), and e, the end on the complement's side of the axis,
-is g - k*d (``construction_frame`` has the proof).  An inscribed side's ends
-m +- s*d, s = sqrt(r), lie on the chord L with d = L x (1,1,1), so
-m x d = L and det(1 - 2m, m + s*d, m - s*d) = -2s*L(G): b1 = m - s*d
+is g - k*d (``construction_frame`` has the proof).  For an inscribed side
+m x d = L, so det(1 - 2m, m + s*d, m - s*d) = -2s*L(G): b1 = m - s*d
 exactly when L(G) > 0 makes the triangle a1 b1 c1 positively oriented.
 """
 
@@ -24,8 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .field import (CeviangeoError, FieldElement, TowerDepthExceeded, TowerMismatch, fe,
-                    sqrt_extending, ZERO, ONE)
+from .field import CeviangeoError, FieldElement, fe, sqrt_extending, ZERO, ONE
 from .linalg import adjugate3, matvec3
 from .plane import (
     A,
@@ -154,24 +154,10 @@ class ConstructionFrame(namedtuple("ConstructionFrame",
         return join(self.g, self.z)
 
 
-def _bisected_chord(conic: Conic, m: BaryPoint, d: BaryPoint) -> FieldElement | None:
-    """The chord of the conic bisected at the normalized point m, in the
-    direction of an infinite point d conjugate to m.  On the line m + t*d
-    the conic's form is Q(m) + t^2*Q(d), so the chord's ends are
-    m +- sqrt(r)*d with r = -Q(m)/Q(d); they are real, distinct and ordinary
-    exactly when r > 0.  Returns r, or None when Q(d) = 0."""
-    qd = conic.evaluate(d)
-    if qd.is_zero():
-        return None
-    return -conic.evaluate(m) / qd
-
-
-def _chord_ends(mn: BaryPoint, s: FieldElement, d: BaryPoint) -> tuple[BaryPoint, BaryPoint]:
-    """The points mn +- s*d; TowerDepthExceeded when they need a tower deeper than 2."""
-    try:
-        return tuple(BaryPoint(*(x + k * y for x, y in zip(mn.coords, d.coords))) for k in (s, -s))
-    except TowerMismatch as exc:
-        raise TowerDepthExceeded(str(exc)) from exc
+def _chord_ends(mn, s: FieldElement, d) -> tuple[BaryPoint, BaryPoint]:
+    """The points mn +- s*d for triples mn and d; TowerDepthExceeded when
+    they need a tower deeper than 2."""
+    return tuple(BaryPoint(*(x + k * y for x, y in zip(mn, d))) for k in (s, -s))
 
 
 def construction_frame(p: BaryPoint) -> ConstructionFrame:
@@ -196,11 +182,8 @@ def construction_frame(p: BaryPoint) -> ConstructionFrame:
     # g bisects the secant parallel to p p_iso: its direction is conjugate to g
     direction = infinite_point_of(join(p, p_iso))
     x, y, z = p.coords
-    try:
-        k = FieldElement.root(3) / (18 * x * y * z)
-    except TowerMismatch as exc:
-        raise TowerDepthExceeded(str(exc)) from exc
-    e, f = _chord_ends(BaryPoint(*G.normalized()), -k, direction)
+    k = FieldElement.root(3) / (18 * x * y * z)
+    e, f = _chord_ends(G.normalized(), -k, direction)
     return ConstructionFrame(h=h, u=u, p=p, v=v, z=z_center, g=G, o=complement(h), q=q,
                              q_iso=q_iso, p_iso=p_iso, conic=conic, e=e, f=f, t_p=cevian_map(p))
 
@@ -217,36 +200,40 @@ def half_turn_projectivity(frame: ConstructionFrame, y: BaryPoint) -> BaryPoint:
     return meet(join(frame.p, image), axis)
 
 
-def _chord(frame: ConstructionFrame, m: BaryPoint) -> BaryLine | None:
-    """The chord of the frame's conic bisected at m, the normalized complement
-    of a vertex: the line through m parallel to the polar of m.  The conic
-    minus its half-turn image about m is (x+y+z)(L.X), L = 4(Cm - (m.Cm)(1,1,1)),
-    so the chord carries every ordinary common point of the two conics.
-    None when m is the conic's center, where the image is the conic itself."""
+def _chord(frame: ConstructionFrame, m) -> tuple:
+    """The chord of the frame's conic bisected at m, a normalized triple,
+    and the conic's form there: (L, Q(m)) for Q(m) = m.Cm and the plain
+    triple L = 4(Cm - Q(m)(1,1,1)), the line through m parallel to the polar
+    of m.  The conic minus its half-turn image about m is (x+y+z)(L.X), so
+    the chord carries every ordinary common point of the two conics.  L is
+    zero when m is the conic's center, where the image is the conic itself."""
     cm = matvec3(frame.conic.m, m)
-    k = sum((x * y for x, y in zip(m, cm)), ZERO)
-    coords = tuple(4 * (x - k) for x in cm)
-    if all(x.is_zero() for x in coords):
-        return None
-    return BaryLine(*coords)
+    qm = sum((x * y for x, y in zip(m, cm)), ZERO)
+    return tuple(4 * (x - qm) for x in cm), qm
 
 
 def _inscribed_chord(frame: ConstructionFrame, a1: BaryPoint):
     """The inscribed chord of a1, an ordinary point of the conic, bisected
-    at m, the complement of a1: (m normalized, r, d, L(G)) with real ends
-    m +- sqrt(r)*d, for L the chord and L(G) = L0 + L1 + L2 its form at the
-    centroid.  These are the steps that ``inscribed_triangle`` and
-    ``admissible`` share."""
-    m = BaryPoint(*complement(a1).normalized())
-    line = _chord(frame, m)
+    at m, the complement of a1, in one pass over the conic: (m normalized,
+    r, d, L(G)) for L the chord, L(G) = L0 + L1 + L2 and d = L x (1,1,1).
+    On the line m + t*d the conic's form is Q(m) + t^2*Q(d), so the ends
+    m +- sqrt(r)*d, r = -Q(m)/Q(d) with the Q(m) that ``_chord`` forms, are
+    real, distinct and ordinary exactly when r > 0.  These are the steps
+    that ``inscribed_triangle`` and ``admissible`` share."""
+    m = complement(a1).normalized()
+    line, qm = _chord(frame, m)
     # a1 is ordinary and on the conic, so it lies on the half-turn image
     # exactly when it lies on the chord, that is when L(G) = 0: a1 normalized
-    # is 1 - 2m and m lies on L, so L.(1 - 2m) = L(G) - 2 L.m = L(G)
-    at_g = None if line is None else sum(line.coords, ZERO)
-    if at_g is None or at_g.is_zero():
+    # is 1 - 2m and m lies on L, so L.(1 - 2m) = L(G) - 2 L.m = L(G); at the
+    # center L = 0
+    at_g = sum(line, ZERO)
+    if at_g.is_zero():
         raise DegenerateInscribed(f"{a1} lies on its own reflected conic")
-    d = infinite_point_of(line)
-    r = _bisected_chord(frame.conic, m, d)
+    # L is never a multiple of (1,1,1), as L.m = 0 and sum m = 1, so d != 0
+    l0, l1, l2 = line
+    d = BaryPoint(l1 - l2, l2 - l0, l0 - l1)
+    qd = frame.conic.evaluate(d)
+    r = None if qd.is_zero() else -qm / qd
     if r is None or r.sign() <= 0:
         raise NoIntersection("conic and reflected conic share no two ordinary points")
     return m, r, d, at_g

@@ -1088,8 +1088,7 @@ def chord_matches_reflection(frame, a1: BaryPoint) -> bool:
     as a quadratic form, entry by entry (both zero at the conic's center)."""
     c = frame.conic.m
     r = reflect_conic(frame.conic, complement(a1)).m
-    line = locus_mod._chord(frame, BaryPoint(*complement(a1).normalized()))
-    chord = line.coords if line is not None else (ZERO, ZERO, ZERO)
+    chord, _ = locus_mod._chord(frame, complement(a1).normalized())
     return all(2 * (c[i][j] - r[i][j]) == chord[i] + chord[j]
                for i in range(3) for j in range(3))
 

@@ -14,6 +14,7 @@ from ceviangeo.field import (
     FieldElement,
     NegativeRadicand,
     NotASquare,
+    TowerDepthExceeded,
     TowerMismatch,
     canonical_tower,
     factorize,
@@ -54,8 +55,14 @@ class TestArithmetic:
             parse_element("1/(2-2)")
 
     def test_tower_mismatch(self):
-        with pytest.raises(TowerMismatch):
+        # past depth 2 it is the exported TowerDepthExceeded, so no caller
+        # converts it
+        with pytest.raises(TowerDepthExceeded):
             (R2 + R3) * FieldElement.root(5)
+        # a radicand the target tower lacks is a plain mismatch
+        with pytest.raises(TowerMismatch) as info:
+            FieldElement.root(2).in_tower((3,))
+        assert not isinstance(info.value, TowerDepthExceeded)
 
     def test_depth2_inverse(self):
         x = 1 + R2 + R3 + R6
@@ -462,7 +469,6 @@ import sympy  # noqa: E402
 
 from ceviangeo.field import (  # noqa: E402
     FactorBudgetExceeded,
-    TowerDepthExceeded,
     _directions,
 )
 

@@ -21,7 +21,7 @@ from ceviangeo.plane import (
     point,
 )
 from ceviangeo.maps import classify_transfer, complement, orthocenter
-from ceviangeo.conics import _line_restriction, intersect_line
+from ceviangeo.conics import Conic, _line_restriction, intersect_line
 from ceviangeo.field import TowerDepthExceeded
 from ceviangeo.curve import on_translation_locus, sample_translation_points
 from ceviangeo.verify import (
@@ -40,6 +40,7 @@ from ceviangeo.verify import (
 from ceviangeo.locus import (
     DegenerateInscribed,
     _chord,
+    _inscribed_chord,
     ExcludedParameter,
     NoIntersection,
     NotOnConic,
@@ -365,6 +366,18 @@ class TestInscribed:
             run()
             assert len(calls) == count
 
+    def test_admissible_evaluates_the_conic_twice(self, frame, monkeypatch):
+        # once to find a1 on the conic and once at the chord's direction d:
+        # the chord forms Q(m) on its way to L, so r = -Q(m)/Q(d) reads it
+        vertices = [A] + admissible_vertex_samples(frame, 20, seed=0)
+        calls = []
+        true = Conic.evaluate
+        monkeypatch.setattr(Conic, "evaluate", lambda self, p: calls.append(p) or true(self, p))
+        for a1 in vertices:
+            calls.clear()
+            assert admissible(frame, a1)
+            assert len(calls) == 2
+
     def test_random_samples_reconstruct(self, frame):
         for a1 in admissible_vertex_samples(frame, 3, seed=6):
             assert frame.conic.contains(a1)
@@ -412,17 +425,18 @@ class TestChord:
         points = _finite_sweep(frame2, 16) + [A, frame2.q, frame2.p_iso]
         assert all(chord_matches_reflection(frame2, p) for p in points)
 
-    def test_none_only_at_the_center(self, frame):
+    def test_zero_only_at_the_center(self, frame):
         # the complement of a1 is the center z exactly when a1 = 3g - 2z
         center_vertex = affine_combination([(frame.g, 3), (frame.z, -2)])
-        assert _chord(frame, _midpoint_of_chord(center_vertex)) is None
+        line, _ = _chord(frame, complement(center_vertex).normalized())
+        assert all(x.is_zero() for x in line)
         assert chord_matches_reflection(frame, center_vertex)
-        assert _chord(frame, _midpoint_of_chord(A)) is not None
-
-
-def _midpoint_of_chord(a1):
-    """The normalized complement of a1, the point ``_chord`` takes."""
-    return BaryPoint(*complement(a1).normalized())
+        # off the conic, so ``admissible`` refuses it; the chord's steps read
+        # L(G) = 0 there, the degenerate case
+        with pytest.raises(DegenerateInscribed):
+            _inscribed_chord(frame, center_vertex)
+        line, _ = _chord(frame, complement(A).normalized())
+        assert not all(x.is_zero() for x in line)
 
 
 def _generic_chord(frame, a1):
@@ -431,7 +445,8 @@ def _generic_chord(frame, a1):
     discriminant of its restriction, and its infinite point off the conic),
     and its ordinary intersection points from ``intersect_line``, None where
     a depth-2 tower cannot hold them."""
-    line = _chord(frame, _midpoint_of_chord(a1))
+    coords, _ = _chord(frame, complement(a1).normalized())
+    line = None if all(x.is_zero() for x in coords) else BaryLine(*coords)
     if line is None or line.contains(a1):
         return False, []
     _, _, a, b, c = _line_restriction(frame.conic, line)
@@ -509,7 +524,6 @@ class TestClosedForm:
         # the radicand is 1/(108 (xyz)^2)
         import sympy
 
-        from ceviangeo.locus import _bisected_chord
         from ceviangeo.maps import derive_configuration
 
         x, y, z = sympy.symbols("x y z")
@@ -536,7 +550,8 @@ class TestClosedForm:
             d_p = infinite_point_of(join(cfg.p, cfg.p_iso))
             a, b, c = p.coords
             closed = 1 / (108 * (a * b * c) ** 2)
-            assert _bisected_chord(cfg.cevian_conic, g_normalized, d_p) == closed
+            q = cfg.cevian_conic.evaluate
+            assert -q(g_normalized) / q(d_p) == closed
 
     def test_secant_labelling_on_the_cubic_symbolic(self):
         # e = G - k*d with no sign taken: for Z = adj(C)(1,1,1) the cevian
@@ -631,7 +646,7 @@ class TestClosedForm:
 
         from ceviangeo.field import sqrt_extending
         from ceviangeo.linalg import det3
-        from ceviangeo.locus import _chord_ends, _inscribed_chord
+        from ceviangeo.locus import _chord_ends
 
         m0, m1, w0, w1, w2, s = sympy.symbols("m0 m1 w0 w1 w2 s")
         m = sympy.Matrix([m0, m1, 1 - m0 - m1])

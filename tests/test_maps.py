@@ -1,5 +1,6 @@
 import json
 import random
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from ceviangeo.plane import (
     BaryPoint,
     InfinitePointArgument,
     join,
+    meet,
     midpoint,
     point,
 )
@@ -321,6 +323,77 @@ class TestClassification:
             p = random_valid(rng)
             s = BaryPoint(*transfer_center_coords(p))
             assert s.is_infinite() == on_translation_locus(p)
+
+
+@pytest.fixture(scope="module")
+def sym():
+    """The paper's H = K^-1 o T_P'^-1 o K(Q) and O = T_P'^-1 o K(Q) at
+    generic P = (x:y:z) in sympy, as projective vectors, next to the
+    library's h = (x D_b D_c : y D_a D_c : z D_a D_b) with
+    D_a = x^2 - x(y+z) - yz.  K is the medial matrix, the complement up to
+    scale, and T_P'^-1 the adjugate of the cevian map of P' = (yz:xz:xy),
+    the inverse up to scale."""
+    import sympy
+
+    x, y, z = sympy.symbols("x y z")
+    traces = ((0, x * z, x * y), (y * z, 0, x * y), (y * z, x * z, 0))
+    t_p_iso = sympy.Matrix(3, 3, lambda i, j: traces[j][i] / sum(traces[j]))
+    k = sympy.Matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    k_inv = sympy.Matrix([[-1, 1, 1], [1, -1, 1], [1, 1, -1]])
+    q = k * sympy.Matrix([y * z, x * z, x * y])
+    o = t_p_iso.adjugate() * k * q
+    d_a, d_b, d_c = (a * a - a * (b + c) - b * c for a, b, c in ((x, y, z), (y, z, x), (z, x, y)))
+    h = sympy.Matrix([x * d_b * d_c, y * d_a * d_c, z * d_a * d_b])
+    return types.SimpleNamespace(symbols=(x, y, z), k=k, q=q, o=o, composed=k_inv * o, h=h)
+
+
+def _vanishes(vector) -> bool:
+    """Every entry's numerator, over a common denominator, is zero."""
+    import sympy
+
+    return all(sympy.expand(sympy.fraction(sympy.together(e))[0]) == 0 for e in vector)
+
+
+def _pinned(symbols, vector, p) -> BaryPoint:
+    """A symbolic vector at the rational point p, as a library point."""
+    at = dict(zip(symbols, (int(c.as_fraction()) for c in p.coords)))
+    return BaryPoint(*(fe(str(e.subs(at))) for e in vector))
+
+
+# three valid base points
+PINNED = [BaryPoint(1, 2, 4), BaryPoint(3, -1, 5), BaryPoint(-2, 3, 7)]
+
+
+class TestOrthocenterClosedForm:
+    """The paper's definition of the generalized orthocenter H and of the
+    circumcenter O, proved at a generic point against the library's formula
+    and tied to ``orthocenter`` and ``complement`` at three pinned points."""
+
+    def test_orthocenter_is_the_papers_composition(self, sym):
+        # H = K^-1 o T_P'^-1 o K(Q) up to scale
+        assert _vanishes(sym.h.cross(sym.composed))
+        for p in PINNED:
+            assert _pinned(sym.symbols, sym.composed, p) == orthocenter(p)
+
+    def test_orthocenter_lines_parallel_to_the_traces_lines(self, sym):
+        # HA, HB and HC meet QD, QE and QF on the line at infinity
+        import sympy
+
+        x, y, z = sym.symbols
+        vertices = [sympy.Matrix(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        traces = [sympy.Matrix(t) for t in ((0, y, z), (x, 0, z), (x, y, 0))]
+        assert _vanishes([sum(sym.h.cross(v).cross(sym.q.cross(t)))
+                          for v, t in zip(vertices, traces)])
+        for p in PINNED:
+            h_p, q_p = orthocenter(p), isotom_complement(p)
+            for vertex, trace in zip((A, B, C), cevian_traces(p)):
+                assert meet(join(h_p, vertex), join(q_p, trace)).is_infinite()
+
+    def test_circumcenter_is_the_complement_of_h(self, sym):
+        # O = K(H) = T_P'^-1 o K(Q) up to scale
+        assert _vanishes((sym.k * sym.h).cross(sym.o))
+        for p in PINNED:
+            assert _pinned(sym.symbols, sym.o, p) == complement(orthocenter(p))
 
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "expected.json"

@@ -393,10 +393,14 @@ def _projected_from_q(true):
 
 
 def _polar_of_complement(true):
+    from ceviangeo.plane import BaryPoint
     from ceviangeo.verify import polar
 
     # the chord's direction without its shift by m.Cm: the polar of m
-    return lambda frame, m: polar(frame.conic, m)
+    def wrong(frame, m):
+        _, qm = true(frame, m)
+        return polar(frame.conic, BaryPoint(*m)).coords, qm
+    return wrong
 
 
 def _ratio_negated(true):
@@ -407,10 +411,11 @@ def _ratio_negated(true):
 
 
 def _radicand_scaled(factor):
+    # the chord's Q(m) scaled, so r = -Q(m)/Q(d) is scaled and L is not
     def fault(true):
-        def wrong(conic, m, d):
-            r = true(conic, m, d)
-            return r if r is None else factor * r
+        def wrong(frame, m):
+            line, qm = true(frame, m)
+            return line, factor * qm
         return wrong
     return fault
 
@@ -505,10 +510,10 @@ INJECTED_FAULTS = {
     "chord is the polar of the complement": ("locus", "_chord", _polar_of_complement,
                                              ["construction"]),
     # inscribed chord ends twice as far from the midpoint
-    "bisected chord radicand times 4": ("locus", "_bisected_chord", _radicand_scaled(4),
+    "bisected chord radicand times 4": ("locus", "_chord", _radicand_scaled(4),
                                         ["construction"]),
     # no inscribed chord cuts the conic, so no vertex is admissible
-    "bisected chord radicand negated": ("locus", "_bisected_chord", _radicand_scaled(-1),
+    "bisected chord radicand negated": ("locus", "_chord", _radicand_scaled(-1),
                                         ["construction"]),
     "secant ends twice as far from g": ("locus", "construction_frame", _secant_doubled,
                                         ["construction"]),
