@@ -63,7 +63,7 @@ _LAZY = {
     **dict.fromkeys(("GENERATOR", "WPoint", "on_translation_locus", "sample_translation_points",
                      "torsion_points"), "curve"),
     **dict.fromkeys(("ConstructionFrame", "admissible", "canonical_frame", "construction_frame",
-                     "inscribed_triangle", "orthocenter_vertex", "reconstruct_point",
+                     "inscribed_triangle", "orthocenter_vertex", "reconstruct_points",
                      "vertex_locus"), "locus"),
     **dict.fromkeys(("run_all", "run_suite"), "verify"),
 }

@@ -8,10 +8,11 @@ realizes both a vertex orthocenter and a translation transfer map; from any
 translation point one builds a parallelogram-plus-hyperbola frame in which
 inscribed triangles with a fixed centroid reconstruct the whole translation
 locus through affine maps, each applied as adj(M)*P for M the matrix of the
-triangle (``verify.map_from_triangles`` is the generic check).  Each chord
-is bisected at a known point (the secant e f at g, each inscribed side at
-the complement of the opposite vertex), so its ends come in closed form and
-no line is intersected with the conic.  An inscribed side's ends are
+triangle (``verify.map_from_triangles`` is the generic check); one product
+serves both orientations, the second being (x : z : y) = -P on the curve.
+Each chord is bisected at a known point (the secant e f at g, each inscribed
+side at the complement of the opposite vertex), so its ends come in closed
+form and no line is intersected with the conic.  An inscribed side's ends are
 m +- s*d, s = sqrt(r), for r = -Q(m)/Q(d), d = L x (1,1,1) and L the chord,
 which forms Q(m) on the way.  Both chords are labelled in closed form too.
 On the translation cubic the secant's ends are g +- k*d with
@@ -274,17 +275,17 @@ def admissible(frame: ConstructionFrame, a1: BaryPoint) -> bool:
     return True
 
 
-def reconstruct_point(frame: ConstructionFrame, a1: BaryPoint, orientation: int = 1) -> BaryPoint:
-    """The image of the frame's base point under the affine map taking the
-    inscribed triangle of a1 onto the reference triangle, a translation point:
-    M^-1 for M with columns the normalized a1, b1, c1, applied as adj(M)*p."""
-    if orientation not in (1, 2):
-        raise ValueError("orientation must be 1 or 2")
+def reconstruct_points(frame: ConstructionFrame, a1: BaryPoint) -> tuple[BaryPoint, BaryPoint]:
+    """The base point's images under the affine maps taking the inscribed
+    triangle of a1 onto the reference triangle, in orientations 1 and 2:
+    w = adj(M)*p for M with columns the normalized a1, b1, c1, and
+    (-w0 : -w2 : -w1) = (x : z : y), which is -P on the curve, as orientation
+    2's matrix is M*S for S the swap of the last two columns and
+    adj(M*S) = adj(S)*adj(M) = -S*adj(M)."""
     b1, c1 = inscribed_triangle(frame, a1)
-    if orientation == 2:
-        b1, c1 = c1, b1
     m = tuple(zip(a1.normalized(), b1.coords, c1.coords))
-    return BaryPoint(*matvec3(adjugate3(m), frame.p.coords))
+    w0, w1, w2 = matvec3(adjugate3(m), frame.p.coords)
+    return BaryPoint(w0, w1, w2), BaryPoint(-w0, -w2, -w1)
 
 
 def canonical_frame() -> ConstructionFrame:

@@ -8,7 +8,7 @@ the named conics, the transfer map and its classification are closed forms
 in the base point; their defining constructions (for the transfer map, the
 composition of the cevian maps through the anticomplement) are cross-checks
 in ``verify.construction_profile``; ``verify.map_from_triangles`` is the
-generic triangle map behind ``locus.reconstruct_point``'s adjugate.
+generic triangle map behind ``locus.reconstruct_points``'s adjugate.
 """
 
 from __future__ import annotations

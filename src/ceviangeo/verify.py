@@ -6,7 +6,7 @@ acceptance tests replay them.  All sampling is seeded and exact.
 
 It also holds the cross-check helpers: second routes to the library's
 closed forms (the normal-form chain behind ``curve.w_to_bary``, the generic
-triangle map ``map_from_triangles`` behind ``locus.reconstruct_point``'s
+triangle map ``map_from_triangles`` behind ``locus.reconstruct_points``'s
 adjugate), profiles of equivalent conditions, and samplers that feed only a
 suite.  The tools that rebuild the paper's definitions are here too, since
 only the checks run them: parallelism, collinearity, displacement ratios,
@@ -1159,13 +1159,11 @@ def verify_construction(seed: int = 0, n: int = 5) -> SuiteReport:
         return (b1 == B and c1 == C) or (b1 == C and c1 == B)
 
     def orientations_at_a(frame):
-        return (locus_mod.reconstruct_point(frame, A, 1) == frame.p
-                and locus_mod.reconstruct_point(frame, A, 2) == locus_mod.special_point(-1))
+        return locus_mod.reconstruct_points(frame, A) == (frame.p, locus_mod.special_point(-1))
 
     def reconstruction_lands_on_locus(frame):
         for a1 in samples():
-            for orientation in (1, 2):
-                p = locus_mod.reconstruct_point(frame, a1, orientation)
+            for p in locus_mod.reconstruct_points(frame, a1):
                 if not curve_mod.on_translation_locus(p):
                     return False
                 if not classify_transfer(p).is_translation():

@@ -76,7 +76,7 @@ ROOTS = {
     ("locus", "half_turn_projectivity"): "the paper's construction",
     ("locus", "admissible"): "the paper's construction",
     ("locus", "inscribed_triangle"): "the paper's construction",
-    ("locus", "reconstruct_point"): "the paper's construction",
+    ("locus", "reconstruct_points"): "the paper's construction",
     ("conics", "conic_through"): "read by module in perfbench/tracer.py, until ROADMAP item 1",
     ("conics", "nine_point_conic"): "read by module in perfbench/tracer.py, until ROADMAP item 1",
     ("conics", "intersect_line"): "read by module in perfbench/tracer.py, until ROADMAP item 1",

@@ -51,7 +51,7 @@ from ceviangeo.locus import (
     half_turn_projectivity,
     inscribed_triangle,
     orthocenter_vertex,
-    reconstruct_point,
+    reconstruct_points,
     special_point,
     vertex_locus,
 )
@@ -334,34 +334,24 @@ class TestInscribed:
                 inscribed_triangle(frame, a1)
 
     def test_reconstruct_identity_orientation(self, frame):
-        assert reconstruct_point(frame, A, 1) == frame.p
+        assert reconstruct_points(frame, A)[0] == frame.p
 
     def test_reconstruct_swapped_orientation(self, frame):
-        p = reconstruct_point(frame, A, 2)
+        p = reconstruct_points(frame, A)[1]
         assert on_translation_locus(p)
-
-    def test_orientation_refused_before_the_triangle(self, frame, monkeypatch):
-        import ceviangeo.locus as locus_mod
-
-        calls = []
-        true = locus_mod.inscribed_triangle
-        monkeypatch.setattr(locus_mod, "inscribed_triangle",
-                            lambda *args: calls.append(args) or true(*args))
-        with pytest.raises(ValueError, match="orientation"):
-            reconstruct_point(frame, A, 3)
-        assert calls == []
+        assert p == special_point(-1)
 
     def test_vertices_are_normalized_once(self, frame, monkeypatch):
         # b1 and c1 sum to one as m +- s*d and the labelling reads L(G), not
-        # a determinant, so only the reconstruction's matrix normalizes a1
+        # a determinant, so only the reconstruction's matrix normalizes a1,
+        # once for both orientations
         calls = []
         true = FieldElement.inverse
         monkeypatch.setattr(FieldElement, "inverse",
                             lambda self: calls.append(self) or true(self))
         a1 = admissible_vertex_samples(frame, 1, seed=5)[0]
         for run, count in ((lambda: inscribed_triangle(frame, a1), 5),
-                           (lambda: reconstruct_point(frame, a1, 1), 6),
-                           (lambda: reconstruct_point(frame, a1, 2), 6)):
+                           (lambda: reconstruct_points(frame, a1), 6)):
             calls.clear()
             run()
             assert len(calls) == count
@@ -381,8 +371,7 @@ class TestInscribed:
     def test_random_samples_reconstruct(self, frame):
         for a1 in admissible_vertex_samples(frame, 3, seed=6):
             assert frame.conic.contains(a1)
-            for orientation in (1, 2):
-                p = reconstruct_point(frame, a1, orientation)
+            for p in reconstruct_points(frame, a1):
                 assert on_translation_locus(p)
                 assert classify_transfer(p).is_translation()
                 assert not any(
@@ -488,9 +477,9 @@ class TestClosedForm:
         vertices = [A] + admissible_vertex_samples(frame, 20, seed=5)
         for a1 in vertices:
             b1, c1 = inscribed_triangle(frame, a1)
-            for orientation, triangle in ((1, (a1, b1, c1)), (2, (a1, c1, b1))):
-                want = map_from_triangles(triangle, (A, B, C)).apply(frame.p)
-                assert reconstruct_point(frame, a1, orientation) == want
+            want = tuple(map_from_triangles(triangle, (A, B, C)).apply(frame.p)
+                         for triangle in ((a1, b1, c1), (a1, c1, b1)))
+            assert reconstruct_points(frame, a1) == want
 
     @pytest.mark.parametrize("which", ["frame", "frame2"])
     def test_inscribed_chord_matches_the_generic_route(self, request, which):
@@ -669,6 +658,28 @@ class TestClosedForm:
         for seed in range(12):
             for a1 in [A] + admissible_vertex_samples(frame, 20, seed=seed):
                 assert _raw(inscribed_triangle(frame, a1)) == _raw(by_determinant(a1))
+
+    def test_second_orientation_is_the_negative_symbolic(self, frame):
+        # orientation 2 swaps b1 and c1, so its matrix is M*S for S the swap
+        # of the last two columns, and adj(M*S) = adj(S)*adj(M) = -S*adj(M):
+        # for w = adj(M)*p it is (-w0 : -w2 : -w1) = (x : z : y), -P on E
+        import sympy
+
+        from ceviangeo.linalg import adjugate3, matvec3
+        from ceviangeo.verify import bary_to_w
+
+        m = sympy.Matrix(3, 3, sympy.symbols("m0:9"))
+        swap = sympy.Matrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+        assert swap.adjugate() == -swap
+        assert ((m * swap).adjugate() + swap * m.adjugate()).expand() == sympy.zeros(3, 3)
+
+        for a1 in [A] + admissible_vertex_samples(frame, 10, seed=0):
+            p1, p2 = reconstruct_points(frame, a1)
+            assert bary_to_w(p2) == -bary_to_w(p1)
+            # the swapped triangle's own adjugate, the route before the closed form
+            b1, c1 = inscribed_triangle(frame, a1)
+            swapped = tuple(zip(a1.normalized(), c1.coords, b1.coords))
+            assert _raw(p2) == _raw(BaryPoint(*matvec3(adjugate3(swapped), frame.p.coords)))
 
     def test_pullback_through_h_g_p_matches_the_frames_route(self, frame):
         # the map fixed by h, G and p is the map through the two frames'

@@ -13,6 +13,7 @@ from ceviangeo.plane import (
     C,
     D0,
     G,
+    BaryLine,
     BaryPoint,
     InfinitePointArgument,
     join,
@@ -20,6 +21,7 @@ from ceviangeo.plane import (
     midpoint,
     point,
 )
+from ceviangeo.conics import circumconic_for, conic_center
 from ceviangeo.maps import (
     AffineMap,
     DegenerateTriangle,
@@ -394,6 +396,22 @@ class TestOrthocenterClosedForm:
         assert _vanishes((sym.k * sym.h).cross(sym.o))
         for p in PINNED:
             assert _pinned(sym.symbols, sym.o, p) == complement(orthocenter(p))
+
+    def test_circumconic_is_centred_at_o(self, sym):
+        # circumconic_for is the isotomic image of the line
+        # (x^2(y+z)^2 : y^2(x+z)^2 : z^2(x+y)^2), Q squared entrywise, up to
+        # scale, and the pole of the infinite line is O up to scale
+        import sympy
+
+        l0, l1, l2 = (c * c for c in sym.q)
+        conic = sympy.Matrix([[0, l2, l1], [l2, 0, l0], [l1, l0, 0]])
+        center = conic.adjugate() * sympy.Matrix([1, 1, 1])
+        assert _vanishes(center.cross(sym.o))
+        for p in PINNED:
+            c = circumconic_for(p)
+            assert (BaryLine(c.m[1][2], c.m[0][2], c.m[0][1])
+                    == BaryLine(*_pinned(sym.symbols, (l0, l1, l2), p).coords))
+            assert _pinned(sym.symbols, center, p) == conic_center(c) == complement(orthocenter(p))
 
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "expected.json"

@@ -370,7 +370,10 @@ def _vertices_swapped(true):
 
 
 def _orientation_ignored(true):
-    return lambda frame, a1, orientation=1: true(frame, a1, 1)
+    def wrong(frame, a1):
+        p1, _ = true(frame, a1)
+        return p1, p1
+    return wrong
 
 
 def _by_m_not_adjugate(true):
@@ -379,12 +382,13 @@ def _by_m_not_adjugate(true):
     from ceviangeo.plane import BaryPoint
 
     # M carries A, B, C onto the inscribed triangle: the inverse direction
-    def wrong(frame, a1, orientation=1):
+    def wrong(frame, a1):
+        def through_m(triangle):
+            m = tuple(zip(*(q.normalized() for q in triangle)))
+            return BaryPoint(*matvec3(m, frame.p.coords))
+
         b1, c1 = locus_mod.inscribed_triangle(frame, a1)
-        if orientation == 2:
-            b1, c1 = c1, b1
-        m = tuple(zip(*(q.normalized() for q in (a1, b1, c1))))
-        return BaryPoint(*matvec3(m, frame.p.coords))
+        return through_m((a1, b1, c1)), through_m((a1, c1, b1))
     return wrong
 
 
@@ -501,9 +505,9 @@ INJECTED_FAULTS = {
                           "construction"]),
     "inscribed vertices swapped": ("locus", "inscribed_triangle", _vertices_swapped,
                                    ["construction"]),
-    "reconstruction ignores orientation": ("locus", "reconstruct_point", _orientation_ignored,
+    "reconstruction ignores orientation": ("locus", "reconstruct_points", _orientation_ignored,
                                            ["construction"]),
-    "reconstruction by M, not its adjugate": ("locus", "reconstruct_point", _by_m_not_adjugate,
+    "reconstruction by M, not its adjugate": ("locus", "reconstruct_points", _by_m_not_adjugate,
                                               ["construction"]),
     "projectivity projects from q": ("locus", "half_turn_projectivity", _projected_from_q,
                                      ["construction"]),
@@ -577,7 +581,7 @@ def test_injected_fault_fails_entries_of_a_full_report(monkeypatch, capsys, faul
         assert "suite ran to completion" not in names or len(names) == 1, r
 
 
-def test_bisected_chord_faults_fail_the_frame_entries(monkeypatch):
+def test_secant_doubled_fails_the_frame_entries(monkeypatch):
     import ceviangeo.locus as locus_mod
 
     asymptotes = "lines from the center to the secant midpoints are the asymptotes"
@@ -587,20 +591,33 @@ def test_bisected_chord_faults_fail_the_frame_entries(monkeypatch):
     assert {"frame identities", asymptotes} <= set(failing)
 
 
+def _counting(calls):
+    """A fault that changes nothing and records each call's arguments."""
+    def fault(true):
+        def counted(*args):
+            calls.append(args)
+            return true(*args)
+        return counted
+    return fault
+
+
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_construction_suite_builds_one_frame(monkeypatch, seed):
     # the canonical one: each sample is pulled back through its h, G and p
     calls = []
-
-    def counting(true):
-        def counted(p):
-            calls.append(p)
-            return true(p)
-        return counted
-
-    _patch_everywhere(monkeypatch, "locus", "construction_frame", counting)
+    _patch_everywhere(monkeypatch, "locus", "construction_frame", _counting(calls))
     assert run_suite("construction", seed=seed).passed
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_construction_suite_builds_one_triangle_per_vertex(monkeypatch, seed):
+    # A and the five samples: A's triangle once for the reference triangle
+    # and once for both orientations, each sample's once for both
+    calls = []
+    _patch_everywhere(monkeypatch, "locus", "inscribed_triangle", _counting(calls))
+    assert run_suite("construction", seed=seed).passed
+    assert len(calls) == 7
 
 
 def test_the_pullback_orthocenter_can_fail_the_sample_entries(monkeypatch):
