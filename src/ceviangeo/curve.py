@@ -9,13 +9,13 @@ v^2 = u(u^2 + 6u - 3), where the chord-tangent group law lives.  This module
 implements the cubic, the Weierstrass model and the map ``w_to_bary`` between
 them (with the explicit limit table at its exceptional points), the group
 law, the torsion group, and the seeded sampler used by the verification
-suites.  The cubic is the coordinate sum of the transfer map's center
-(``maps.transfer_center_coords``).  ``w_to_bary`` is the closed form, written
-through the slope v/u of the line to (0, 0), of the chain through the normal
-form; the chain, the normal-form family and the torsion addition table are
-cross-checks in ``verify``.  Under ``w_to_bary``, P -> +-P + T for the six
-rational torsion points T are the triangle's symmetries together with
-isotomic conjugation; the ``curve`` suite checks that table.
+suites.  The cubic is evaluated as (x+y+z)(xy+yz+zx) + 3xyz; ``verify``
+checks it against the coordinate sum of the transfer map's center.
+``w_to_bary`` is the closed form, written through the slope v/u of the line
+to (0, 0), of the chain through the normal form; the chain, the normal-form
+family and the torsion addition table are cross-checks in ``verify``.  Under
+``w_to_bary``, P -> +-P + T for the six rational torsion points T are the
+triangle's symmetries with isotomic conjugation, as the ``curve`` suite checks.
 
 Shifting u by 2 puts the Weierstrass model in the minimal form
 v^2 = u^3 - 15u + 22 (Cremona label 36a2), whose Mordell-Weil rank over Q
@@ -47,7 +47,6 @@ from math import gcd
 
 from .field import CeviangeoError, FieldElement, fe, ZERO, _Frozen, _make, _reduced
 from .plane import A, BaryPoint, _integral
-from . import maps as _maps
 
 
 class CurveError(CeviangeoError):
@@ -280,9 +279,8 @@ def _translate(p: WPoint, t: WPoint):
 def _from_twist(coords) -> WPoint:
     """The point (U/2, (V/4)*sqrt(2)) over the tower with sqrt(2); the twist
     point is finite, being a multiple of a point of infinite order."""
-    big_u, big_v = coords
-    u = (big_u / 2).in_tower(_TWIST_TOWER)
-    v = FieldElement(_TWIST_TOWER, (0, (big_v / 4).as_fraction()))
+    u, v = coords[0] / 2, coords[1] / 4
+    u, v = _make(_TWIST_TOWER, (u.num[0], 0), u.den), _make(_TWIST_TOWER, (0, v.num[0]), v.den)
     return _wpoint((u, v))
 
 
@@ -372,11 +370,12 @@ def torsion_order_census() -> dict[int, int]:
 
 
 def translation_cubic(p: BaryPoint) -> FieldElement:
-    """The projective cubic x(y+z)^2 + y(x+z)^2 + z(x+y)^2 whose zero locus
-    is the translation locus: the coordinate sum of the transfer map's
-    center, so it is zero exactly where that center is infinite."""
-    a, b, c = _maps.transfer_center_coords(p)
-    return a + b + c
+    """The cubic x(y+z)^2 + y(x+z)^2 + z(x+y)^2 of the translation locus, as
+    (x+s)(xs+yz) + 3x*yz = (x+y+z)(xy+yz+zx) + 3xyz with s = y + z; ``verify``
+    checks it against the coordinate sum of the transfer map's center."""
+    x, y, z = p.coords
+    s, yz = y + z, y * z
+    return (x + s) * (x * s + yz) + 3 * x * yz
 
 
 def on_translation_locus(p: BaryPoint) -> bool:
@@ -397,18 +396,19 @@ def w_to_bary(w: WPoint) -> BaryPoint:
     """Total map from the Weierstrass model to the projective cubic, using
     the documented limits at the exceptional points of the chain.  Elsewhere
     it is the composite of ``verify.w_to_nf`` and ``verify.nf_to_bary`` in
-    closed form, the
-    absolute coordinates ((u-1)/(u+3), (v+2u)/(u(u+3)), (2u-v)/(u(u+3))),
-    computed through the slope s = v/u as ((u-1)/(u+3), (s+2)/(u+3),
-    (2-s)/(u+3)): two inverses and no product with the larger u(u+3).
-    u = 0 and u = -3 occur only at points of the limit table."""
+    closed form, the absolute coordinates ((u-1)/(u+3), (v+2u)/(u(u+3)),
+    (2u-v)/(u(u+3))), computed through the slope s = v/u and i = 1/(u+3) as
+    (1-4i, y, 4i-y) with y = (s+2)i: two inverses, and only y a product of
+    two tall elements.  u = 0 and u = -3 occur only at points of the limit
+    table."""
     for wp, bary in _TORSION_BARY_LIMITS:
         if w == wp:
             return bary
     u, v = w.u, w.v
     slope = v * u.inverse()
     inv = (u + 3).inverse()
-    return BaryPoint((u - 1) * inv, (slope + 2) * inv, (2 - slope) * inv)
+    y, four_inv = (slope + 2) * inv, 4 * inv
+    return BaryPoint(1 - four_inv, y, four_inv - y)
 
 
 def sample_translation_points(n: int, seed: int = 0) -> list[BaryPoint]:

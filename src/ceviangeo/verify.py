@@ -39,6 +39,7 @@ from .maps import (
     isotom_complement,
     isotomic,
     orthocenter,
+    transfer_center_coords,
 )
 from .conics import (
     Conic,
@@ -863,8 +864,9 @@ def _triangle_symmetry(p: BaryPoint, symmetry) -> BaryPoint:
 
 def verify_curve(seed: int = 0, n: int = 20) -> SuiteReport:
     """Curve arithmetic: invariants, named multiples, torsion structure,
-    the discriminant identity, the birational chain, the intersection with
-    the vertex conic, and the homothety-ratio law of the normal-form family."""
+    the discriminant identity, the birational chain, the cubic against the
+    transfer map's center, the intersection with the vertex conic, and the
+    homothety-ratio law of the normal-form family."""
     report = SuiteReport("curve")
     rng = random.Random(seed)
     report.check("j invariant is 54000", lambda: curve_mod.curve_invariants()["j"] == 54000)
@@ -938,6 +940,13 @@ def verify_curve(seed: int = 0, n: int = 20) -> SuiteReport:
         "birational chain round-trips on samples",
         lambda: all(curve_mod.w_to_bary(bary_to_w(p)) == p
                     for p in curve_mod.sample_translation_points(8, seed=seed + 2)),
+    )
+    # translation_cubic evaluates the symmetric form (x+y+z)(xy+yz+zx) + 3xyz
+    report.check(
+        "the translation cubic is the coordinate sum of the transfer map's center",
+        lambda: tuple(curve_mod.translation_cubic(p) == sum(transfer_center_coords(p), ZERO)
+                      for p in random_valid_points(4, seed + 4, off_locus=True)
+                      + curve_mod.sample_translation_points(4, seed=seed + 2)),
     )
     report.check(
         "rational torsion corresponds to the vertices and the side directions",

@@ -192,6 +192,11 @@ class TestBirationalChain:
         chain = (x, y, 1 - x - y)
         closed = ((u - 1) / (u + 3), (v + 2 * u) / (u * (u + 3)), (2 * u - v) / (u * (u + 3)))
         assert all(sympy.cancel(a - b) == 0 for a, b in zip(chain, closed))
+        # the form w_to_bary evaluates: x = 1 - 4i and z = 4i - y, as
+        # y + z = 4/(u+3); test_w_to_bary_matches_the_chain_exactly ties it
+        i = 1 / (u + 3)
+        y = (v / u + 2) * i
+        assert all(sympy.cancel(a - b) == 0 for a, b in zip((1 - 4 * i, y, 4 * i - y), closed))
 
     def test_w_to_bary_matches_the_chain_exactly(self):
         # every point off the limit table, the median torsion points included
@@ -275,6 +280,22 @@ class TestCubic:
         assert not on_translation_locus(point([6, 3, 2]))
         # 6*25 + 3*64 + 2*81 = 504
         assert translation_cubic(point([6, 3, 2])) == 504
+
+    def test_symbolic_symmetric_form(self):
+        # translation_cubic evaluates (x+s)(xs+yz) + 3x*yz with s = y + z;
+        # tests/test_height_path.py::test_cubic_is_the_center_sum_exactly
+        # ties it to the center's coordinate sum at the pinned points
+        import sympy
+
+        x, y, z = sympy.symbols("x y z")
+        center_sum = x * (y + z) ** 2 + y * (x + z) ** 2 + z * (x + y) ** 2
+        symmetric = (x + y + z) * (x * y + y * z + z * x) + 3 * x * y * z
+        s = y + z
+        assert sympy.expand(center_sum - symmetric) == 0
+        assert sympy.expand((x + s) * (x * s + y * z) + 3 * x * y * z - symmetric) == 0
+        for coords in ((6, 3, 2), (1, 2, 4), (3, -1, 5)):
+            value = center_sum.subs(dict(zip((x, y, z), coords)))
+            assert translation_cubic(BaryPoint(*coords)) == int(value)
 
     def test_infinite_points_on_cubic(self):
         for v in (BaryPoint(0, 1, -1), BaryPoint(1, 0, -1), BaryPoint(1, -1, 0)):

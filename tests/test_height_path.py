@@ -29,8 +29,8 @@ from ceviangeo.curve import (
     translation_cubic,
     w_to_bary,
 )
-from ceviangeo.field import FieldElement
-from ceviangeo.maps import classify_transfer
+from ceviangeo.field import ZERO, FieldElement
+from ceviangeo.maps import classify_transfer, transfer_center_coords
 from ceviangeo.plane import BaryPoint, _integral, point, point_to_literal
 from ceviangeo.verify import nf_to_bary, run_suite, w_to_nf
 
@@ -165,6 +165,57 @@ def test_zero_tests_agree_on_curve_points(k, ti):
     p = w_to_bary(k * GENERATOR + rational_torsion()[ti])
     assert on_translation_locus(p)
     assert_zero_tests_agree(p)
+
+
+def test_cubic_is_the_center_sum_exactly():
+    # translation_cubic's symmetric form against the center's coordinate
+    # sum, as (tower, num, den); tests/test_curve.py proves the identity
+    points = [point(lit) for lit in COMPUTE_LITERALS]
+    points += [w_to_bary(k * GENERATOR + rational_torsion()[ti])
+               for k, ti in EXPECTED["curve"]["by_cost"][::12]]
+    for p in points:
+        got, want = translation_cubic(p), sum(transfer_center_coords(p), ZERO)
+        assert (got.tower, got.num, got.den) == (want.tower, want.num, want.den), p
+
+
+@pytest.fixture
+def operators(monkeypatch):
+    """Calls of FieldElement's inverse, products and powers, by name."""
+    counts = {}
+    for name in ("inverse", "__mul__", "__rmul__", "__pow__"):
+        def counting(self, *args, name=name, true=getattr(FieldElement, name)):
+            counts[name] = counts.get(name, 0) + 1
+            return true(self, *args)
+
+        monkeypatch.setattr(FieldElement, name, counting)
+    return counts
+
+
+def products(counts):
+    return counts.get("__mul__", 0) + counts.get("__rmul__", 0)
+
+
+def test_w_to_bary_forms_one_coordinate_by_a_product(operators):
+    # off the limit table: the two inverses, the slope, y, and the scale 4i
+    # of x = 1 - 4i and z = 4i - y
+    torsion = rational_torsion()
+    points = [k * GENERATOR + t for k in (1, -2, 60, -119) for t in torsion]
+    points += torsion_points()[6:]
+    for w in points:
+        operators.clear()
+        w_to_bary(w)
+        assert (operators.get("inverse"), products(operators), operators.get("__pow__")) == (
+            2, 3, None)
+
+
+def test_translation_cubic_takes_five_products(operators):
+    points = [point(lit) for lit in COMPUTE_LITERALS[::40]]
+    points += [w_to_bary(k * GENERATOR + t) for k in (3, -60) for t in rational_torsion()[1:]]
+    for p in points:
+        operators.clear()
+        translation_cubic(p)
+        assert (products(operators), operators.get("__pow__"), operators.get("inverse")) == (
+            5, None, None)
 
 
 class TestMultipleBound:

@@ -581,6 +581,16 @@ def test_injected_fault_fails_entries_of_a_full_report(monkeypatch, capsys, faul
         assert "suite ran to completion" not in names or len(names) == 1, r
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("fault", ["shifted transfer center", "translation cubic plus one"])
+def test_cubic_faults_fail_the_center_sum_entry(monkeypatch, fault, seed):
+    # translation_cubic does not read the center: this entry compares them
+    module, name, wrong, _ = INJECTED_FAULTS[fault]
+    _patch_everywhere(monkeypatch, module, name, wrong)
+    failing = [r.name for r in run_suite("curve", seed=seed, n=2).results if not r.passed]
+    assert "the translation cubic is the coordinate sum of the transfer map's center" in failing
+
+
 def test_secant_doubled_fails_the_frame_entries(monkeypatch):
     import ceviangeo.locus as locus_mod
 
