@@ -35,7 +35,10 @@ Group-law results are built without evaluating the cubic (only
 ``WPoint(...)`` and ``WPoint.of`` check it); the ``curve`` suite's entries
 "generator multiples lie on the curve", "twist multiples equal chord-tangent
 multiples up to 24" and "torsion translations equal the chord-tangent sum"
-check them.
+check them.  Conjugating sqrt(2) negates the twist image, so it sends
+w = k*G + T, for T rational torsion, to -w + 2T; by the triangle's
+symmetries, y of ``w_to_bary(w)`` is then rational for T = (1, 2), (-3, 6)
+and z for T = (1, -2), (-3, -6), though u is not.
 """
 
 from __future__ import annotations
@@ -392,23 +395,49 @@ _TORSION_BARY_LIMITS = (
 )
 
 
+def _rational_coordinate(u: FieldElement, v: FieldElement):
+    """(1, y) or (2, z) when u is irrational and that coordinate of
+    ``w_to_bary`` rational, for u and v on one depth-1 tower; else None.  As
+    v^2 - 4u^2 = u(u-1)(u+3), y = (u-1)/(v-2u) and z = (1-u)/(v+2u).  For
+    u = (a0 + a1*sqrt(d))/du, v = (b0 + b1*sqrt(d))/dv and g = gcd(du, dv),
+    y is rational exactly when the cross-multiplication below holds, and is
+    then a1*(dv/g)/q; q != 0, as v = 2u only at rational u.  For z the 2u
+    terms and the value change sign."""
+    tower = u.tower
+    if len(tower) != 1 or v.tower != tower or not u.num[1]:
+        return None
+    (a0, a1), du, (b0, b1), dv = u.num, u.den, v.num, v.den
+    g = gcd(du, dv)
+    du_g, dv_g = du // g, dv // g
+    for index, s in ((1, 1), (2, -1)):
+        q = b1 * du_g - 2 * s * a1 * dv_g
+        if a1 * (b0 * du_g - 2 * s * a0 * dv_g) == (a0 - du) * q:
+            return index, _reduced(tower, (s * a1 * dv_g, 0), q)
+    return None
+
+
 def w_to_bary(w: WPoint) -> BaryPoint:
     """Total map from the Weierstrass model to the projective cubic, using
     the documented limits at the exceptional points of the chain.  Elsewhere
     it is the composite of ``verify.w_to_nf`` and ``verify.nf_to_bary`` in
     closed form, the absolute coordinates ((u-1)/(u+3), (v+2u)/(u(u+3)),
-    (2u-v)/(u(u+3))), computed through the slope s = v/u and i = 1/(u+3) as
-    (1-4i, y, 4i-y) with y = (s+2)i: two inverses, and only y a product of
+    (2u-v)/(u(u+3))), computed through i = 1/(u+3) as (1-4i, y, 4i-y) or
+    (1-4i, 4i-z, z).  A rational y or z (``_rational_coordinate``) takes one
+    inverse in all; else y = (v/u + 2)i takes two, and only y is a product of
     two tall elements.  u = 0 and u = -3 occur only at points of the limit
     table."""
     for wp, bary in _TORSION_BARY_LIMITS:
         if w == wp:
             return bary
     u, v = w.u, w.v
-    slope = v * u.inverse()
     inv = (u + 3).inverse()
-    y, four_inv = (slope + 2) * inv, 4 * inv
-    return BaryPoint(1 - four_inv, y, four_inv - y)
+    four_inv = 4 * inv
+    x, known = 1 - four_inv, _rational_coordinate(u, v)
+    if known is None:
+        y = (v * u.inverse() + 2) * inv
+        return BaryPoint(x, y, four_inv - y)
+    index, r = known
+    return BaryPoint(x, r, four_inv - r) if index == 1 else BaryPoint(x, four_inv - r, r)
 
 
 def sample_translation_points(n: int, seed: int = 0) -> list[BaryPoint]:

@@ -215,6 +215,19 @@ class TestCurveLocusCommands:
         data = json.loads(out)
         assert data["point"] == ["1/2", "1/4*sqrt(2)"]
 
+    # sha256[:16] of the printed point and its barycentric image at the
+    # tallest multiples, near and at MULTIPLE_BOUND
+    @pytest.mark.parametrize("k,expected", [
+        (119, "760041084201f6d8"),
+        (-119, "ab8615dd003a1e99"),
+        (128, "86c160b68346c160"),
+        (-128, "2f1ea27c9fb08834"),
+    ])
+    def test_tall_multiple_output_pinned(self, k, expected, capsys):
+        code, out, _ = run_cli(["curve", "multiple", "--k", str(k)], capsys)
+        assert code == 0 and json.loads(out)["k"] == k
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected
+
     def test_torsion(self, capsys):
         code, out, _ = run_cli(["curve", "torsion"], capsys)
         data = json.loads(out)

@@ -198,6 +198,49 @@ class TestBirationalChain:
         y = (v / u + 2) * i
         assert all(sympy.cancel(a - b) == 0 for a, b in zip((1 - 4 * i, y, 4 * i - y), closed))
 
+    def test_symbolic_rational_coordinate_forms(self):
+        # y = (u-1)/(v-2u) and z = (1-u)/(v+2u) on the curve, the forms
+        # _rational_coordinate reads y or z off: each differs from the closed
+        # form by a multiple of the curve equation over its denominator
+        import sympy
+
+        from ceviangeo.curve import _rational_coordinate
+
+        u, v = sympy.symbols("u v")
+        curve = v ** 2 - u * (u ** 2 + 6 * u - 3)
+        assert sympy.expand(v ** 2 - 4 * u ** 2 - u * (u - 1) * (u + 3) - curve) == 0
+        y, z = (v + 2 * u) / (u * (u + 3)), (2 * u - v) / (u * (u + 3))
+        # (closed - form) * u(u+3) * (v -+ 2u) is +-(v^2 - 4u^2 - u(u-1)(u+3))
+        for closed, form, den, sign in ((y, (u - 1) / (v - 2 * u), v - 2 * u, 1),
+                                        (z, (1 - u) / (v + 2 * u), v + 2 * u, -1)):
+            assert sympy.cancel((closed - form) * u * (u + 3) * den / curve) == sign
+        # the integer test: u = (a0 + a1*r)/(g*du_g) and v = (b0 + b1*r)/(g*dv_g)
+        # with r = sqrt(d); at the value s*a1*dv_g/q, the residual of
+        # y*(v - 2u) = u - 1 (s = 1) or z*(v + 2u) = 1 - u (s = -1) has no r
+        # part and is s times the cross-multiplication over g*du_g*q, so the
+        # value solves it exactly when the test holds
+        a0, a1, b0, b1, du_g, dv_g, g, r = sympy.symbols("a0 a1 b0 b1 du_g dv_g g r")
+        du = g * du_g
+        uu, vv = (a0 + a1 * r) / du, (b0 + b1 * r) / (g * dv_g)
+        for s in (1, -1):
+            q = b1 * du_g - 2 * s * a1 * dv_g
+            residual, den = sympy.fraction(sympy.together(
+                s * a1 * dv_g / q * (vv - 2 * s * uu) - s * (uu - 1)))
+            residual = sympy.expand(residual)
+            assert residual.coeff(r, 1) == 0
+            test = a1 * (b0 * du_g - 2 * s * a0 * dv_g) - (a0 - du) * q
+            assert sympy.cancel(residual.coeff(r, 0) / den - s * test / (g * du_g * q)) == 0
+        # tied at three pinned points: the helper's value is the form
+        # evaluated in exact arithmetic, and w_to_bary's coordinate
+        for k, ti, index in ((2, 2, 1), (-3, 3, 2), (5, 4, 1)):
+            w = k * GENERATOR + rational_torsion()[ti]
+            got_index, value = _rational_coordinate(w.u, w.v)
+            uu, vv = (sympy.sympify(format_element(c)) for c in (w.u, w.v))
+            form = (uu - 1) / (vv - 2 * uu) if index == 1 else (1 - uu) / (vv + 2 * uu)
+            assert got_index == index
+            assert sympy.expand(sympy.radsimp(form)) == sympy.Rational(value.num[0], value.den)
+            assert w_to_bary(w).coords[index] == value
+
     def test_w_to_bary_matches_the_chain_exactly(self):
         # every point off the limit table, the median torsion points included
         points = [k * GENERATOR + t for k in (1, 2, 3, -5) for t in rational_torsion()]

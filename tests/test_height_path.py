@@ -196,16 +196,24 @@ def products(counts):
 
 
 def test_w_to_bary_forms_one_coordinate_by_a_product(operators):
-    # off the limit table: the two inverses, the slope, y, and the scale 4i
-    # of x = 1 - 4i and z = 4i - y
+    # off the limit table: the inverse of u + 3 and the scale 4i of x = 1 - 4i
+    # and of 4i - y or 4i - z; a rational y or z comes from integers, and
+    # elsewhere the inverse of u, the slope and y = (v/u + 2)i add one
+    # inverse and two products
     torsion = rational_torsion()
     points = [k * GENERATOR + t for k in (1, -2, 60, -119) for t in torsion]
     points += torsion_points()[6:]
+    rational = 0
     for w in points:
         operators.clear()
         w_to_bary(w)
-        assert (operators.get("inverse"), products(operators), operators.get("__pow__")) == (
-            2, 3, None)
+        counts = (operators.get("inverse"), products(operators), operators.get("__pow__"))
+        if curve_mod._rational_coordinate(w.u, w.v) is None:
+            assert counts == (2, 3, None), w
+        else:
+            assert counts == (1, 1, None), w
+            rational += 1
+    assert rational == 16
 
 
 def test_translation_cubic_takes_five_products(operators):
@@ -320,23 +328,58 @@ class TestTorsionTranslation:
             assert exact(s) == exact(generic_sum(p, q))
 
 
+def exact_coords(p: BaryPoint):
+    return [(c.tower, c.num, c.den) for c in p.coords]
+
+
 class TestSlopeForm:
     def test_depth_one_points_equal_the_chain_exactly(self):
+        # both branches: y or z read off integers, and the slope form
         torsion = rational_torsion()
-        points = [k * GENERATOR + torsion[ti] for k, ti in PINNED[::9] if ti >= 2]
-        points += [k * GENERATOR + t for k in (1, -2, 3) for t in torsion[2:]]
-        assert len(points) > 40
+        points = [k * GENERATOR + torsion[ti] for k, ti in PINNED[::9]]
+        points += [k * GENERATOR + t for k in (1, -2, 3) for t in torsion[1:]]
+        branches = set()
         for w in points:
-            assert not w.u.is_rational()
-            got, want = w_to_bary(w), nf_to_bary(w_to_nf(w))
-            assert [(c.tower, c.num, c.den) for c in got.coords] == [
-                (c.tower, c.num, c.den) for c in want.coords]
+            known = curve_mod._rational_coordinate(w.u, w.v)
+            branches.add(None if known is None else known[0])
+            assert exact_coords(w_to_bary(w)) == exact_coords(nf_to_bary(w_to_nf(w)))
+        assert branches == {None, 1, 2}
+        assert len(points) > 50
 
     def test_sqrt3_torsion_points_equal_the_chain_exactly(self):
         for w in torsion_points()[6:]:
-            got, want = w_to_bary(w), nf_to_bary(w_to_nf(w))
-            assert [(c.tower, c.num, c.den) for c in got.coords] == [
-                (c.tower, c.num, c.den) for c in want.coords]
+            assert exact_coords(w_to_bary(w)) == exact_coords(nf_to_bary(w_to_nf(w)))
+
+
+class TestRationalCoordinate:
+    # index of the rational coordinate of w_to_bary(k*G + T), by T's index in
+    # rational_torsion(): none at rational u (T = O, (0, 0)), y at (1, 2) and
+    # (-3, 6), z at (1, -2) and (-3, -6)
+    BRANCH = (None, None, 1, 2, 1, 2)
+
+    def test_pinned_pairs_take_the_branch_of_their_torsion(self):
+        torsion = rational_torsion()
+        taken = {}
+        for k, ti in PINNED:
+            w = k * GENERATOR + torsion[ti]
+            known = curve_mod._rational_coordinate(w.u, w.v)
+            assert (None if known is None else known[0]) == self.BRANCH[ti], (k, ti)
+            assert w.u.is_rational() == (known is None), (k, ti)
+            if known is not None:
+                index, value = known
+                got = w_to_bary(w).coords[index]
+                assert value.is_rational()
+                assert (value.tower, value.num, value.den) == (got.tower, got.num, got.den)
+            taken[ti] = taken.get(ti, 0) + 1
+        assert taken == {ti: 60 for ti in range(6)}
+
+    def test_sqrt3_torsion_points_take_the_slope_form(self):
+        # (3 +- 2sqrt(3), 12 +- 6sqrt(3)) have no rational coordinate, and
+        # (-3 +- 2sqrt(3), 0) has v on the rational tower
+        for w in torsion_points()[6:]:
+            assert not w.u.is_rational()
+            assert curve_mod._rational_coordinate(w.u, w.v) is None
+            assert not any(c.is_rational() for c in w_to_bary(w).coords[1:])
 
 
 class TestTorsionEntries:

@@ -450,6 +450,11 @@ def _of_negative(true):
     return lambda w: true(-w)
 
 
+def _value_negated(true):
+    # the index kept, the rational coordinate's sign flipped
+    return lambda *args: (lambda known: known and (known[0], -known[1]))(true(*args))
+
+
 def _conic_shifted(shift):
     """A named conic with its upper triangle (m00, m01, m02, m11, m12, m22)
     replaced by ``shift`` of the true one."""
@@ -495,6 +500,9 @@ INJECTED_FAULTS = {
     "w_to_bary with y and z swapped": ("curve", "w_to_bary", _y_z_swapped, ["curve"]),
     "w_to_bary of -P": ("curve", "w_to_bary", _of_negative, ["curve"]),
     "torsion translation negated": ("curve", "_translate", _negated_when_defined, ["curve"]),
+    # the sampled translation points move off the cubic
+    "rational coordinate negated": ("curve", "_rational_coordinate", _value_negated,
+                                    ["translation", "consequences", "curve", "construction"]),
     "orthocenter never at a vertex": ("locus", "orthocenter_vertex", _never_a_vertex,
                                       ["vertex-locus"]),
     "classify_transfer ratio negated": ("maps", "classify_transfer", _ratio_negated,
