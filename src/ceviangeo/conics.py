@@ -7,14 +7,15 @@ fit and the image of the nine-point conic), which ``verify`` keeps as
 cross-checks.  The five-point fit, the nine-point conic of a quadrangle and
 line intersection (adjoining the square root of the discriminant when it is
 not a square) are here too, though only ``verify`` runs them: the benchmark
-tracer reads them by module.  Polarity, tangency, affine type, images under
-affine maps and the interior test are ``verify``'s.
+tracer reads them by module.  The degeneracy test, polarity, tangency,
+affine type, images under affine maps and the interior test are
+``verify``'s.
 """
 
 from __future__ import annotations
 
 from .field import CeviangeoError, FieldElement, _Frozen, fe, ZERO, ONE, sqrt_extending
-from .linalg import _matrix3, adjugate3, det3, matvec3, nullspace, proportional
+from .linalg import _matrix3, adjugate3, matvec3, nullspace, proportional
 from .maps import isotom_complement, validate_point
 from .plane import (
     A,
@@ -78,12 +79,6 @@ class Conic(_Frozen):
     def pair(self, p: BaryPoint, q: BaryPoint) -> FieldElement:
         v = matvec3(self.m, q.coords)
         return sum((a * b for a, b in zip(p.coords, v)), ZERO)
-
-    def det(self) -> FieldElement:
-        return det3(self.m)
-
-    def is_degenerate(self) -> bool:
-        return self.det().is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, Conic):

@@ -1,6 +1,7 @@
 """Tiny exact linear algebra over field elements: 3x3 determinants,
-adjugates and products, equality up to scale, and the nullspace behind
-``verify``'s five-point conic fits."""
+adjugates and matrix-vector products, equality up to scale, and the
+nullspace behind ``verify``'s five-point conic fits.  Matrix products are
+``verify``'s."""
 
 from __future__ import annotations
 
@@ -48,17 +49,6 @@ def adjugate3(m):
 
 def matvec3(m, v):
     return tuple(sum((m[i][j] * v[j] for j in range(3)), ZERO) for i in range(3))
-
-
-def vecmat3(v, m):
-    return tuple(sum((v[i] * m[i][j] for i in range(3)), ZERO) for j in range(3))
-
-
-def matmul3(a, b):
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(3)), ZERO) for j in range(3))
-        for i in range(3)
-    )
 
 
 def proportional(a, b) -> bool:

@@ -8,7 +8,9 @@ the named conics, the transfer map and its classification are closed forms
 in the base point; their defining constructions (for the transfer map, the
 composition of the cevian maps through the anticomplement) are cross-checks
 in ``verify.construction_profile``; ``verify.map_from_triangles`` is the
-generic triangle map behind ``locus.reconstruct_points``'s adjugate.
+generic triangle map behind ``locus.reconstruct_points``'s adjugate.  An
+``AffineMap`` only builds and applies: composing, inverting, normalizing and
+mapping lines are ``verify``'s.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .field import CeviangeoError, FieldElement, _Frozen, ZERO
-from .linalg import _matrix3, adjugate3, det3, matmul3, matvec3, proportional, vecmat3
-from .plane import G, BaryLine, BaryPoint, InfinitePointArgument, _integral, join, meet
+from .linalg import _matrix3, matvec3, proportional
+from .plane import G, BaryPoint, InfinitePointArgument, _integral, join, meet
 
 
 class MapError(CeviangeoError):
@@ -44,10 +46,6 @@ class VertexArgument(MapError):
     pass
 
 
-class DegenerateTriangle(MapError):
-    pass
-
-
 class AffineMap(_Frozen):
     """A 3x3 coefficient array acting linearly on barycentric triples.
 
@@ -67,28 +65,6 @@ class AffineMap(_Frozen):
 
     def apply(self, p: BaryPoint) -> BaryPoint:
         return BaryPoint(*matvec3(self.rows, p.coords))
-
-    def apply_line(self, line: BaryLine) -> BaryLine:
-        return BaryLine(*vecmat3(line.coords, adjugate3(self.rows)))
-
-    def __matmul__(self, other: AffineMap) -> AffineMap:
-        return AffineMap(matmul3(self.rows, other.rows))
-
-    def det(self) -> FieldElement:
-        return det3(self.rows)
-
-    def inverse(self) -> AffineMap:
-        if self.det().is_zero():
-            raise DegenerateTriangle("map is not invertible")
-        return AffineMap(adjugate3(self.rows))
-
-    def normalized(self) -> AffineMap:
-        """Rescale so every column sums to one."""
-        sums = tuple(sum((self.rows[i][j] for i in range(3)), ZERO) for j in range(3))
-        if sums[0].is_zero() or sums[0] != sums[1] or sums[1] != sums[2]:
-            raise MapError("matrix does not fix the infinite line")
-        inv = sums[0].inverse()
-        return AffineMap(tuple(tuple(x * inv for x in r) for r in self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, AffineMap):
@@ -190,9 +166,6 @@ class MClassification(namedtuple("MClassification", "kind ratio center")):
     """
 
     __slots__ = ()
-
-    def is_translation(self) -> bool:
-        return self.kind == "translation"
 
 
 class Configuration(namedtuple("Configuration", (

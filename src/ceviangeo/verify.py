@@ -9,8 +9,10 @@ closed forms (the normal-form chain behind ``curve.w_to_bary``, the generic
 triangle map ``map_from_triangles`` behind ``locus.reconstruct_points``'s
 adjugate), profiles of equivalent conditions, and samplers that feed only a
 suite.  The tools that rebuild the paper's definitions are here too, since
-only the checks run them: parallelism, collinearity, displacement ratios,
-polars, tangents, affine types, conic images and the interior test.
+only the checks run them: the map algebra (products, inverses as
+adjugates, column normalization and line images), parallelism,
+collinearity, displacement ratios, the degeneracy test, polars, tangents,
+affine types, conic images and the interior test.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .field import FieldElement, fe, sqrt_extending, ZERO, ONE
-from .linalg import adjugate3, det3, matmul3, matvec3
+from .linalg import adjugate3, det3, matvec3
 from .plane import (A, B, C, D0, E0, F0, G, BaryLine, BaryPoint, InfiniteLineArgument, PlaneError,
                     affine_combination, join, meet, midpoint, point_to_literal)
 from .maps import (
     AffineMap,
     Configuration,
-    DegenerateTriangle,
     MapError,
     MClassification,
     anticomplement,
@@ -169,6 +170,10 @@ class NotHomothetyOrTranslation(MapError):
     pass
 
 
+class DegenerateTriangle(MapError):
+    pass
+
+
 class PointNotOnConic(ConicError):
     pass
 
@@ -187,6 +192,22 @@ ANTICOMPLEMENT = AffineMap.from_columns(((-1, 1, 1), (1, -1, 1), (1, 1, -1)))
 
 def transpose3(m):
     return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
+
+
+def matmul3(a, b):
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(3)), ZERO) for j in range(3))
+        for i in range(3)
+    )
+
+
+def _normalized(m) -> AffineMap:
+    """The map of a 3x3 matrix rescaled so every column sums to one."""
+    sums = tuple(sum(col, ZERO) for col in zip(*m))
+    if sums[0].is_zero() or sums[0] != sums[1] or sums[1] != sums[2]:
+        raise MapError("matrix does not fix the infinite line")
+    inv = sums[0].inverse()
+    return AffineMap(tuple(tuple(x * inv for x in r) for r in m))
 
 
 def collinear(p1: BaryPoint, p2: BaryPoint, p3: BaryPoint) -> bool:
@@ -265,7 +286,7 @@ def infinity_restriction(c: Conic) -> tuple[FieldElement, FieldElement, FieldEle
 
 def affine_type(c: Conic) -> str:
     """'ellipse', 'parabola' or 'hyperbola' by the number of real infinite points."""
-    if c.is_degenerate():
+    if det3(c.m).is_zero():
         raise DegenerateConic("affine type needs a nondegenerate conic")
     a, b, cc = infinity_restriction(c)
     sgn = (b * b - a * cc).sign()
@@ -421,8 +442,9 @@ def doubled_anticomplementary_line() -> BaryLine:
     """The image of sideline BC under the anticomplement map applied twice:
     the line parallel to BC through the reflection of A in the centroid-side
     midpoint."""
-    bc = BaryLine(1, 0, 0)
-    return ANTICOMPLEMENT.apply_line(ANTICOMPLEMENT.apply_line(bc))
+    # a map M carries the line l to l adj(M)
+    image = transpose3(adjugate3(ANTICOMPLEMENT.rows))
+    return BaryLine(*matvec3(image, matvec3(image, (ONE, ZERO, ZERO))))
 
 
 def equilateral_metric_checks():
@@ -483,7 +505,7 @@ def verify_special(seed: int = 0, n: int = 0) -> SuiteReport:
          lambda cfg: doubled == BaryLine(2, 1, 1)
          and cfg.circumconic == circumconic_of_line(doubled)),
         ("transfer map is a translation",
-         lambda cfg: classify_map(cfg.transfer).is_translation()),
+         lambda cfg: classify_map(cfg.transfer).kind == "translation"),
         ("d3 is the midpoint of the segment to the isotomic point",
          lambda cfg: cevian_traces(cfg.p_iso)[0] == midpoint(A, cfg.p_iso)),
         ("base point is the centroid of o, d, q",
@@ -582,7 +604,7 @@ def orthocenter_matches_definition(cfg) -> bool:
 def composed_transfer(t_p: AffineMap, t_p_iso: AffineMap) -> AffineMap:
     """The transfer map as its definition builds it: the cevian map of p
     after the anticomplement after the cevian map of the isotomic conjugate."""
-    return (t_p @ ANTICOMPLEMENT @ t_p_iso).normalized()
+    return _normalized(matmul3(matmul3(t_p.rows, ANTICOMPLEMENT.rows), t_p_iso.rows))
 
 
 def transfer_matches_composition(cfg) -> bool:
@@ -601,7 +623,7 @@ def construction_profile(cfg) -> tuple[bool, ...]:
     traces and the center for the inconic, the five-point fit for the
     cevian conic, and the composition of cevian maps for the transfer map."""
     c1 = orthocenter_matches_definition(cfg)
-    t_inv = cfg.t_p_iso.inverse()
+    t_inv = AffineMap(adjugate3(cfg.t_p_iso.rows))
     c2 = cfg.o == t_inv.apply(complement(cfg.q))
     c3 = cfg.circumconic == conic_image(nine_point_conic(cfg.p_iso), t_inv)
     sides = (BaryLine(1, 0, 0), BaryLine(0, 1, 0), BaryLine(0, 0, 1))
@@ -637,7 +659,7 @@ def _translation_flags(cfg, on_locus: bool) -> tuple[bool, ...]:
     translation; each flag is True when it matches the side of the locus
     the base point is on.  A transfer map that is neither a homothety nor a
     translation raises, which the calling check records as a failure."""
-    flags = translation_condition_profile(cfg) + (classify_map(cfg.transfer).is_translation(),)
+    flags = translation_condition_profile(cfg) + (classify_map(cfg.transfer).kind == "translation",)
     return flags if on_locus else tuple(not f for f in flags)
 
 
@@ -1104,10 +1126,10 @@ def chord_matches_reflection(frame, a1: BaryPoint) -> bool:
 
 def map_from_triangles(src, dst) -> AffineMap:
     """The unique affine map sending the first triangle onto the second."""
-    s, d = (AffineMap.from_columns([p.normalized() for p in tri]) for tri in (src, dst))
-    if s.det().is_zero() or d.det().is_zero():
+    s, d = (AffineMap.from_columns([p.normalized() for p in tri]).rows for tri in (src, dst))
+    if det3(s).is_zero() or det3(d).is_zero():
         raise DegenerateTriangle("triangle vertices are collinear")
-    return (d @ s.inverse()).normalized()
+    return _normalized(matmul3(d, adjugate3(s)))
 
 
 def admissible_vertex_samples(frame, n: int, seed: int = 0) -> list[BaryPoint]:
@@ -1175,7 +1197,7 @@ def verify_construction(seed: int = 0, n: int = 5) -> SuiteReport:
             for p in locus_mod.reconstruct_points(frame, a1):
                 if not curve_mod.on_translation_locus(p):
                     return False
-                if not classify_transfer(p).is_translation():
+                if classify_transfer(p).kind != "translation":
                     return False
         return True
 

@@ -19,7 +19,9 @@ from ceviangeo.plane import (
     midpoint,
     point,
 )
+from ceviangeo.linalg import adjugate3, det3
 from ceviangeo.maps import (
+    AffineMap,
     cevian_map,
     cevian_traces,
     complement,
@@ -192,7 +194,7 @@ class TestAffineType:
             for j in range(3):
                 m[i][j] = Fraction(l1[i] * l2[j] + l1[j] * l2[i], 2) + 1
         c = Conic(m)
-        assert not c.is_degenerate()
+        assert not det3(c.m).is_zero()
         assert affine_type(c) == "hyperbola"
         # the asymptotes are the tangents at the two infinite points
         a1, a2 = (tangent_at(c, v) for v in intersect_line(c, LINE_AT_INFINITY))
@@ -243,7 +245,8 @@ class TestNamedConics:
     def test_circumconic_closed_form_keeps_the_nine_point_scale(self, literal):
         p = point(literal)
         p_iso = isotomic(p)
-        image = conic_image(nine_point_conic(p_iso), cevian_map(p_iso).inverse())
+        t_inv = AffineMap(adjugate3(cevian_map(p_iso).rows))
+        image = conic_image(nine_point_conic(p_iso), t_inv)
         assert circumconic_for(p).upper() == image.upper()
 
     @pytest.mark.parametrize("literal", CLOSED_FORM_POINTS)

@@ -361,7 +361,7 @@ class TestSampler:
         for p in pts:
             assert on_translation_locus(p)
             assert is_valid_point(p, off_medians=True)
-        assert classify_transfer(pts[0]).is_translation()
+        assert classify_transfer(pts[0]).kind == "translation"
 
     def test_excluded_curves_meet_the_cubic_only_at_torsion_images(self):
         # why the sampler needs no validity filter: each curve that

@@ -10,11 +10,21 @@ the package's lazy exports are checked against the eager ones they stand for.
 A reachability scan over the same parse trees finds public definitions
 outside ``verify`` that only ``verify`` reaches, and every absolute import
 names a standard-library module.
+
+The scan treats each method of a library class as its own definition.  A
+method is reached when a reached definition reads its name as an attribute,
+on any object; an operator dunder (``__matmul__``, ``__add__``, ``__eq__``
+...) when a reached definition uses its operator; any other dunder with its
+class.  Matching is by name alone, so a method that shares its name with a
+reached one (``inverse`` with ``FieldElement.inverse``, ``normalized`` with
+``BaryPoint.normalized``) is reached too: the scan cannot see such a method
+go unused, and moving one into ``verify`` is done by hand.
 """
 
 import ast
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 import types
@@ -81,16 +91,36 @@ ROOTS = {
     ("conics", "nine_point_conic"): "read by module in perfbench/tracer.py, until ROADMAP item 1",
     ("conics", "intersect_line"): "read by module in perfbench/tracer.py, until ROADMAP item 1",
     ("linalg", "nullspace"): "read by module in perfbench/tracer.py, until ROADMAP item 1",
+    ("linalg", "det3"): "read by module in perfbench/tracer.py, until ROADMAP item 1",
     ("maps", "is_valid_point"): "imported by perfbench/record.py for its depth-2 pool",
 }
 # every definition of these modules is a root: they are the program's entry points
 ENTRY_MODULES = ("cli", "svgfig")
 
+# the dunders an operator reaches, reflected forms included; every other
+# dunder is reached with its class
+OPERATOR_DUNDERS = {
+    ast.Add: ("__add__", "__radd__"), ast.Sub: ("__sub__", "__rsub__"),
+    ast.Mult: ("__mul__", "__rmul__"), ast.MatMult: ("__matmul__", "__rmatmul__"),
+    ast.Div: ("__truediv__", "__rtruediv__"), ast.FloorDiv: ("__floordiv__", "__rfloordiv__"),
+    ast.Mod: ("__mod__", "__rmod__"), ast.Pow: ("__pow__", "__rpow__"),
+    ast.LShift: ("__lshift__", "__rlshift__"), ast.RShift: ("__rshift__", "__rrshift__"),
+    ast.BitAnd: ("__and__", "__rand__"), ast.BitOr: ("__or__", "__ror__"),
+    ast.BitXor: ("__xor__", "__rxor__"),
+    ast.USub: ("__neg__",), ast.UAdd: ("__pos__",), ast.Invert: ("__invert__",),
+    ast.Eq: ("__eq__",), ast.NotEq: ("__ne__", "__eq__"),
+    ast.Lt: ("__lt__", "__gt__"), ast.Gt: ("__gt__", "__lt__"),
+    ast.LtE: ("__le__", "__ge__"), ast.GtE: ("__ge__", "__le__"),
+}
+OPERATOR_NAMES = {name for names in OPERATOR_DUNDERS.values() for name in names}
+
 
 def _references(module: str, tree: ast.Module):
-    """The top-level definitions of a module (functions, classes and
-    assigned names), each with the (module, name) pairs its body reads, and
-    the pairs read by the module's other top-level statements."""
+    """The definitions of a module: top-level functions, classes and
+    assigned names, and each method of a class as ``Class.method``, each
+    with the nodes its body reads, and the nodes read by the module's other
+    top-level statements.  A node is a (module, name) pair, or ``(".",
+    name)`` for an attribute or operator dunder read on any object."""
     submodules, imported = {}, {}
     for node in ast.walk(tree):  # handler-local imports included
         if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -109,27 +139,52 @@ def _references(module: str, tree: ast.Module):
         elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
             loose.append(stmt)
 
-    def reads(node) -> set[tuple[str, str]]:
+    def reads(*nodes) -> set[tuple[str, str]]:
         out = set()
-        for n in ast.walk(node):
+        for n in (n for node in nodes for n in ast.walk(node)):
             if isinstance(n, ast.Name) and n.id in defs:
                 out.add((module, n.id))
             elif isinstance(n, ast.Name) and n.id in imported:
                 out.add(imported[n.id])
-            elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
-                  and n.value.id in submodules):
-                out.add((submodules[n.value.id], n.attr))
+            elif isinstance(n, ast.Attribute):
+                out.add((".", n.attr))
+                if isinstance(n.value, ast.Name) and n.value.id in submodules:
+                    out.add((submodules[n.value.id], n.attr))
+            elif isinstance(n, (ast.BinOp, ast.UnaryOp, ast.AugAssign)):
+                out |= {(".", d) for d in OPERATOR_DUNDERS.get(type(n.op), ())}
+            elif isinstance(n, ast.Compare):
+                out |= {(".", d) for op in n.ops for d in OPERATOR_DUNDERS.get(type(op), ())}
         return out
 
-    edges = {(module, name): reads(node) for name, node in defs.items()}
-    public = {(module, name) for name, node in defs.items()
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_")}
+    edges, public = {}, set()
+    for name, node in defs.items():
+        if not isinstance(node, ast.ClassDef):
+            edges[(module, name)] = reads(node)
+            if isinstance(node, ast.FunctionDef) and not name.startswith("_"):
+                public.add((module, name))
+            continue
+        own, rest = set(), [*node.bases, *node.keywords, *node.decorator_list]
+        for stmt in node.body:
+            if not isinstance(stmt, ast.FunctionDef):
+                rest.append(stmt)
+                continue
+            method = (module, f"{name}.{stmt.name}")
+            edges[method] = edges.get(method, set()) | reads(stmt)
+            dunder = stmt.name.startswith("__") and stmt.name.endswith("__")
+            if dunder and stmt.name not in OPERATOR_NAMES:
+                own.add(method)
+            elif not name.startswith("_") and (dunder or not stmt.name.startswith("_")):
+                public.add(method)
+        edges[(module, name)] = own | reads(*rest)
+        if not name.startswith("_"):
+            public.add((module, name))
     return edges, public, set().union(*map(reads, loose))
 
 
 def verify_only_definitions(src: Path = SRC) -> list[str]:
-    """Public functions and classes outside ``verify`` that no module but
-    ``verify`` reaches, directly or through a reached definition."""
+    """Public functions, classes and methods outside ``verify`` that no
+    module but ``verify`` reaches, directly or through a reached
+    definition."""
     edges, public, todo = {}, set(), set(ROOTS)
     for path in src.glob("*.py"):
         if path.stem in ("__init__", "verify"):
@@ -141,6 +196,8 @@ def verify_only_definitions(src: Path = SRC) -> list[str]:
         todo |= loose
         if path.stem in ENTRY_MODULES:
             todo |= set(module_edges)
+    for method in [node for node in edges if "." in node[1]]:
+        edges.setdefault((".", method[1].split(".")[1]), set()).add(method)
     reached = set()
     while todo:
         node = todo.pop()
@@ -152,6 +209,31 @@ def verify_only_definitions(src: Path = SRC) -> list[str]:
 
 def test_library_modules_define_only_what_the_library_runs():
     assert verify_only_definitions() == []
+
+
+def test_every_root_names_a_top_level_definition():
+    missing = []
+    for module, name in ROOTS:
+        edges, _, _ = _references(module, ast.parse((SRC / f"{module}.py").read_text("utf-8")))
+        if "." in name or (module, name) not in edges:
+            missing.append(f"{module}.{name}")
+    assert missing == []
+
+
+def _add_method(path: Path, cls: str, source: str) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls).body += (
+        ast.parse(source).body)
+    path.write_text(ast.unparse(tree), encoding="utf-8")
+
+
+def test_the_scan_reports_unused_methods(tmp_path):
+    copy = tmp_path / "ceviangeo"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    _add_method(copy / "plane.py", "BaryPoint", "def never_read(self):\n    return self\n")
+    _add_method(copy / "conics.py", "Conic", "def __matmul__(self, other):\n    return self\n")
+    assert verify_only_definitions(copy) == ["conics.Conic.__matmul__",
+                                             "plane.BaryPoint.never_read"]
 
 
 # -- the import surface, measured in fresh interpreters ----------------------

@@ -160,7 +160,7 @@ class TestSpecialConfiguration:
             cfg = special_configuration(sign)
             assert cfg.h == A
             assert cfg.o == D0
-            assert classify_transfer(cfg.p).is_translation()
+            assert classify_transfer(cfg.p).kind == "translation"
 
     def test_point_on_axis_line(self):
         for sign in (1, -1):
@@ -373,7 +373,7 @@ class TestInscribed:
             assert frame.conic.contains(a1)
             for p in reconstruct_points(frame, a1):
                 assert on_translation_locus(p)
-                assert classify_transfer(p).is_translation()
+                assert classify_transfer(p).kind == "translation"
                 assert not any(
                     p == t for t in _torsion_barycentric()
                 )
