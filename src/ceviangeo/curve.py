@@ -26,19 +26,26 @@ The generator G = (3, 6*sqrt(2)) has rational u and v in sqrt(2)*Q, so it
 is the image of the rational point G' = (6, 24) of the quadratic twist
 V^2 = U^3 + 12U^2 - 12U under u = U/2, v = (V/4)*sqrt(2) (Silverman, The
 Arithmetic of Elliptic Curves, GTM 106, section X.2).  The map is a group
-homomorphism, so ``k*P`` for such a point runs double-and-add on the twist
-over Q and lifts the result once onto the tower with sqrt(2); both curves
-share one chord-tangent formula.  ``WPoint.__add__`` translates such a
-point by a finite rational torsion point in closed form over Q (see
-``_translate``) and leaves every other sum to the chord-tangent law.
-Group-law results are built without evaluating the cubic (only
-``WPoint(...)`` and ``WPoint.of`` check it); the ``curve`` suite's entries
-"generator multiples lie on the curve", "twist multiples equal chord-tangent
-multiples up to 24" and "torsion translations equal the chord-tangent sum"
-check them.  Conjugating sqrt(2) negates the twist image, so it sends
-w = k*G + T, for T rational torsion, to -w + 2T; by the triangle's
-symmetries, y of ``w_to_bary(w)`` is then rational for T = (1, 2), (-3, 6)
-and z for T = (1, -2), (-3, -6), though u is not.
+homomorphism, so ``k*P`` for a point whose twist image is integral, as +-G'
+is, runs double-and-add on the twist over Q in weighted integers
+(U, V) = (m/s^2, n/s^3) and lifts the result once onto the tower with
+sqrt(2) (``_from_twist``).  The twist has good reduction away from 2 and 3
+(Silverman, sections VII.2-3), so a doubling cancels only powers of 2 and 3,
+and adding the integral base cancels s exactly after the slope's one gcd
+(``_twist_double``, ``_twist_add``).  Every other multiple takes
+``chord_tangent_multiple`` on the curve itself.  ``WPoint.__add__``
+translates a twist-image point by a finite rational torsion point in closed
+form over Q (see ``_translate``) and leaves every other sum to the
+chord-tangent law.  Group-law results are built without evaluating the cubic
+(only ``WPoint(...)`` and ``WPoint.of`` check it); the ``curve`` suite's
+entries "generator multiples lie on the curve", "twist multiples equal
+chord-tangent multiples up to 24" and "torsion translations equal the
+chord-tangent sum" check them.  Conjugating sqrt(2) negates the twist image,
+so it sends w = k*G + T, for T rational torsion, to -w + 2T; by the
+triangle's symmetries, y of ``w_to_bary(w)`` is then rational for T = (1, 2),
+(-3, 6) and z for T = (1, -2), (-3, -6), though u is not, and the other two
+coordinates are conjugate (``_conjugate_pair``).  For T = O and (0, 0), u is
+rational and z is the conjugate of y.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, isqrt
 
 from .field import CeviangeoError, FieldElement, fe, ZERO, _Frozen, _make, _reduced
 from .plane import A, BaryPoint, _integral
@@ -75,16 +82,21 @@ _A2 = fe(6)
 _A4 = fe(-3)
 # its quadratic twist by 2, V^2 = U^3 + 2*a2*U^2 + 4*a4*U = U^3 + 12U^2 - 12U,
 # with u = U/2 and v = (V/4)*sqrt(2); the twist's rational torsion is
-# {O, (0, 0)} (Nagell-Lutz), so a point with v != 0 on its image has no torsion
+# {O, (0, 0)} (Nagell-Lutz), so a point with v != 0 on its image has no torsion.
+# Its discriminant, 16 * 12^2 * (12^2 + 4*12), is 2^14 * 3^3.
 _TWIST_TOWER = (2,)
-_TWIST_A2 = 2 * _A2
-_TWIST_A4 = 4 * _A4
-# the largest |k| whose multiple of the generator the CLI prints: the
-# coordinates of k*G have about 0.7*k^2 bits, 3.5 k digits at k = 128
+_TWIST_A2 = 12
+_TWIST_A4 = -12
+# the largest |k| whose multiple of the generator the CLI prints.  Height law:
+# the largest integer of u of k*G has 0.4712*k^2 bits and that of v
+# 0.7068*k^2, each to within 4 bits for 1 <= k <= 128
+# (tests/test_height_path.py), so 7.7 and 11.6 kbit at k = 128
 MULTIPLE_BOUND = 128
 # the largest sample sample_translation_points draws: its multiple range
-# widens with n, so coordinate heights grow with n^2 (1500 bits at n = 128,
-# 4753 at n = 256), and with them the time of the suites using the sample
+# starts at |k| <= n/6 + 2 and widens at each repeated draw, to 46..54 at
+# n = 128 (seeds 0..19), where by the height law above u of k*G has up to
+# 0.4712*54^2 = 1374 bits; the sampled points reach 1500 bits at n = 128 and
+# 4753 at n = 256, and the time of the suites using the sample grows with them
 SAMPLE_BOUND = 128
 
 
@@ -92,9 +104,9 @@ def _rhs(u: FieldElement) -> FieldElement:
     return u * (u * u + _A2 * u + _A4)
 
 
-def _chord_tangent(a2, a4, p, q):
-    """p + q on v^2 = u^3 + a2*u^2 + a4*u, for coordinate pairs (u, v) with
-    None for the point at infinity."""
+def _chord_tangent(p, q):
+    """p + q on the curve, for coordinate pairs (u, v) with None for the
+    point at infinity."""
     if p is None:
         return q
     if q is None:
@@ -103,23 +115,11 @@ def _chord_tangent(a2, a4, p, q):
     if u1 == u2:
         if (v1 + v2).is_zero():
             return None
-        slope = (3 * u1 * u1 + 2 * a2 * u1 + a4) / (2 * v1)
+        slope = (3 * u1 * u1 + 2 * _A2 * u1 + _A4) / (2 * v1)
     else:
         slope = (v2 - v1) / (u2 - u1)
-    u3 = slope * slope - a2 - u1 - u2
+    u3 = slope * slope - _A2 - u1 - u2
     return u3, -(v1 + slope * (u3 - u1))
-
-
-def _double_and_add(a2, a4, p, n: int):
-    """n*p for n >= 0 on the curve with coefficients (a2, a4)."""
-    acc = None
-    while n:
-        if n & 1:
-            acc = _chord_tangent(a2, a4, acc, p)
-        n >>= 1
-        if n:
-            p = _chord_tangent(a2, a4, p, p)
-    return acc
 
 
 class WPoint(_Frozen):
@@ -175,7 +175,7 @@ class WPoint(_Frozen):
             s = _translate(other, self)
         if s is not None:
             return s
-        return _wpoint(_chord_tangent(_A2, _A4, (self.u, self.v), (other.u, other.v)))
+        return _wpoint(_chord_tangent((self.u, self.v), (other.u, other.v)))
 
     def __rmul__(self, n: int) -> WPoint:
         if not isinstance(n, int):
@@ -183,9 +183,9 @@ class WPoint(_Frozen):
         if n < 0:
             return (-n) * (-self)
         if n > 1:
-            twisted = _to_twist(self)
-            if twisted is not None:
-                return _from_twist(_double_and_add(_TWIST_A2, _TWIST_A4, twisted, n))
+            base = _to_twist(self)
+            if base is not None:
+                return _from_twist(_twist_multiple(*base, n))
         return chord_tangent_multiple(self, n)
 
     def order(self, bound: int = 16) -> int | None:
@@ -228,13 +228,16 @@ def _twist_rationals(p: WPoint):
 
 
 def _to_twist(p: WPoint):
-    """(U, V) = (2u, 2*sqrt(2)*v) over Q when p lies on the twist image, else
-    None."""
+    """The twist point (U, V) = (2u, 2*sqrt(2)*v) as a pair of integers when p
+    lies on the twist image at an integral point, as +-G' = (6, +-24) does;
+    else None."""
     q = _twist_rationals(p)
     if q is None:
         return None
     a, d, b, e = q
-    return fe(Fraction(2 * a, d)), fe(Fraction(4 * b, e))
+    if 2 % d or 4 % e:
+        return None
+    return 2 * a // d, 4 * b // e
 
 
 def _translate(p: WPoint, t: WPoint):
@@ -279,11 +282,96 @@ def _translate(p: WPoint, t: WPoint):
     return _wpoint((u, v))
 
 
+def _twist_double(m: int, n: int, s: int):
+    """2P for the twist point P = (m/s^2, n/s^3), s > 0 and n != 0, as the
+    triple (m2, n2, s2) in lowest terms, like (m, n, s).
+
+    With the slope L/(2ns), L = 3m^2 + 2*a2*m*s^2 + a4*s^4, the chord-tangent
+    law gives 2P = (m2/s2^2, n2/s2^3) with s2 = 2ns, m2 = L^2 - a2*s2^2 - 8mn^2
+    and n2 = -8n^4 - L(m2 - 4mn^2).  Their common factor g (g | s2, g^2 | m2,
+    g^3 | n2) has no prime l > 3.  If l | s, then l does not divide m, and
+    n^2 = m^3 + a2*m^2*s^2 + a4*m*s^4 is m^3 mod l, so m2 = 9m^4 - 8mn^2 = m^4
+    mod l.  If l divides n but not s, then U = m/s^2 is a root mod l of
+    f(U) = U^3 + a2*U^2 + a4*U, whose discriminant is 2^10 * 3^3; the root is
+    simple, so L = f'(U)*s^4 and m2 = L^2 are nonzero mod l.  Else l does not
+    divide s2.  As m2/g^2 is prime to s2/g, the power of l in g is the
+    smaller of its power in s2 and half its power in m2, rounded down, which
+    trailing zeros and divisions by 3 find; m2 != 0, as U = 0 only at the
+    2-torsion point."""
+    ss = s * s
+    slope = 3 * m * m + ss * (2 * _TWIST_A2 * m + _TWIST_A4 * ss)
+    s2 = 2 * n * s
+    nn = n * n
+    mnn = m * nn
+    m2 = slope * slope - _TWIST_A2 * s2 * s2 - 8 * mnn
+    n2 = -8 * nn * nn - slope * (m2 - 4 * mnn)
+    if s2 < 0:
+        s2, n2 = -s2, -n2
+    e = min((s2 & -s2).bit_length(), ((m2 & -m2).bit_length() + 1) >> 1) - 1
+    if e:
+        m2, n2, s2 = m2 >> 2 * e, n2 >> 3 * e, s2 >> e
+    while not s2 % 3 and not m2 % 9:
+        m2, n2, s2 = m2 // 9, n2 // 27, s2 // 3
+    return m2, n2, s2
+
+
+def _twist_add(m: int, n: int, s: int, a: int, b: int):
+    """P + B for the twist point P = (m/s^2, n/s^3) in lowest terms, s > 0,
+    and an integral point B = (a, b) other than +-P.
+
+    The slope (b*s^3 - n)/(s(a*s^2 - m)) takes the one gcd, giving N/D with
+    D > 0.  With t = D/s, P + B = (m3/D^2, n3/D^3) for
+    m3 = N^2 - (a2 + a)D^2 - m*t^2 and n3 = -(b*D^3 + N(m3 - a*D^2)), and
+    s^2 divides m3 and s^3 divides n3 exactly.  At a prime l of s, x and y
+    of P have l in their denominators 2 and 3 times as often as s has it, and
+    B none, so the slope (y - b)/(x - a) has l in its denominator as often as
+    s, and D is a multiple of s.  On the curve,
+    x(P + B) = (a*x^2 + (a^2 + 2*a*a2 + a4)x + a*a4 - 2by)/(x - a)^2, whose
+    numerator has l at most 4 times as often in its denominator as s has it
+    and (x - a)^2 exactly 4 times, so x(P + B) is integral at l, and
+    y(P + B) is too, being a root of y^2 = f(x).  At a prime of t, the slope
+    has a pole and x(P + B) the pole's square, so the result
+    (m3/s^2, n3/s^3, t) is again in lowest terms."""
+    ss = s * s
+    num = b * ss * s - n
+    den = s * (a * ss - m)
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    num, den = num // g, den // g
+    t = den // s
+    dd = den * den
+    m3 = num * num - (_TWIST_A2 + a) * dd - m * t * t
+    n3 = -(b * dd * den + num * (m3 - a * dd))
+    return m3 // ss, n3 // (ss * s), t
+
+
+def _twist_multiple(a: int, b: int, k: int):
+    """k*B for k >= 1 and an integral twist point B = (a, b) of infinite
+    order, left to right in weighted integers (m, n, s) with U = m/s^2 and
+    V = n/s^3 in lowest terms.  No intermediate multiple is +-B or 2-torsion,
+    so each step is defined."""
+    m, n, s = a, b, 1
+    for bit in bin(k)[3:]:
+        m, n, s = _twist_double(m, n, s)
+        if bit == "1":
+            m, n, s = _twist_add(m, n, s, a, b)
+    return m, n, s
+
+
 def _from_twist(coords) -> WPoint:
-    """The point (U/2, (V/4)*sqrt(2)) over the tower with sqrt(2); the twist
-    point is finite, being a multiple of a point of infinite order."""
-    u, v = coords[0] / 2, coords[1] / 4
-    u, v = _make(_TWIST_TOWER, (u.num[0], 0), u.den), _make(_TWIST_TOWER, (0, v.num[0]), v.den)
+    """The point (U/2, (V/4)*sqrt(2)) over the tower with sqrt(2) for the
+    twist point (U, V) = (m/s^2, n/s^3) in lowest terms.  As n^2 = m^3 + ...
+    + a4*m*s^4, n is prime to s as m is, so only 2 can cancel: u = m/(2s^2)
+    halves an even m (then s is odd) and v = n/(4s^3) loses gcd(n, 4)."""
+    m, n, s = coords
+    ss = s * s
+    if m & 1:
+        u = _make(_TWIST_TOWER, (m, 0), 2 * ss)
+    else:
+        u = _make(_TWIST_TOWER, (m >> 1, 0), ss)
+    g = gcd(n, 4)
+    v = _make(_TWIST_TOWER, (0, n // g), (4 // g) * ss * s)
     return _wpoint((u, v))
 
 
@@ -295,7 +383,14 @@ def chord_tangent_multiple(p: WPoint, n: int) -> WPoint:
         return chord_tangent_multiple(-p, -n)
     if p.is_infinity():
         return p
-    return _wpoint(_double_and_add(_A2, _A4, (p.u, p.v), n))
+    acc, q = None, (p.u, p.v)
+    while n:
+        if n & 1:
+            acc = _chord_tangent(acc, q)
+        n >>= 1
+        if n:
+            q = _chord_tangent(q, q)
+    return _wpoint(acc)
 
 
 GENERATOR = WPoint.of(3, FieldElement.root(2) * 6)
@@ -416,28 +511,72 @@ def _rational_coordinate(u: FieldElement, v: FieldElement):
     return None
 
 
+def _conjugate_pair(u: FieldElement, r: FieldElement):
+    """(x, x') with x = (u-1)/(u+3), for a point of the cubic whose y or z
+    is the rational r = p/q and whose u is irrational over Q(sqrt(d)).
+
+    With x + y + z = 1, the cubic (x+y+z)(xy+yz+zx) + 3xyz = 0 and y = r give
+    x + z = 1 - r and xz = -r(1-r)/(1+3r) (z = r alike), so x and the other
+    coordinate x' are the roots of t^2 - (1-r)t - r(1-r)/(1+3r); x is
+    irrational, so x' is its conjugate and x = ((1-r) +- c*sqrt(d))/2.  The
+    discriminant is c^2*d = F1*F3/(q^2*F2) with F1 = q - p, F2 = q + 3p and
+    F3 = q^2 + 6pq - 3p^2 = F2^2 - 12p^2.  Its lowest terms need
+    G = gcd(F1*F3, d*q^2*F2).  As p is prime to q, q shares nothing with F1
+    and at most one 3 with F3, and 3 | q puts a 3 in F2; so G is
+    gcd(F1*F3, d*F2), which divides 48d, as gcd(F1, F2) = gcd(F1, 4p)
+    divides 4 and gcd(F3, F2) = gcd(12p^2, F2) divides 12.  So G is read off
+    residues mod 48d, and both parts of c = C1/(q*e), C1^2 = |F1*F3|/G and
+    e^2 = d|F2|/G, are exact square roots.  As C1 is prime to q*e,
+    x = ((q-p)e +- C1*sqrt(d))/(2qe) can cancel only a 2.
+
+    The sign: for u = (a0 + a1*sqrt(d))/du, x = 1 - 4/(u+3) has the sqrt(d)
+    part 4*a1/(du*N(u+3)), where the norm N(u+3) = (u+3)(u'+3) is positive
+    exactly when 1 + 3r is: (1-x)(1-x') = 16/N(u+3) is
+    1 - (1-r) + xx' = 4r^2/(1+3r).  So the sign is that of a1*F2, and no
+    inverse of u+3 is taken."""
+    tower = u.tower
+    d = tower[0]
+    p, q = r.num[0], r.den
+    f1, f2 = q - p, q + 3 * p
+    f13 = f1 * (f2 * f2 - 12 * p * p)
+    modulus = 48 * d
+    g = gcd(f13 % modulus, d * f2 % modulus, modulus)
+    c1, e = isqrt(abs(f13) // g), isqrt(d * abs(f2) // g)
+    x0, x1, den = f1 * e, (c1 if (u.num[1] > 0) == (f2 > 0) else -c1), 2 * q * e
+    if not (c1 & 1 or x0 & 1):
+        x0, x1, den = x0 >> 1, x1 >> 1, den >> 1
+    return _make(tower, (x0, x1), den), _make(tower, (x0, -x1), den)
+
+
 def w_to_bary(w: WPoint) -> BaryPoint:
     """Total map from the Weierstrass model to the projective cubic, using
     the documented limits at the exceptional points of the chain.  Elsewhere
     it is the composite of ``verify.w_to_nf`` and ``verify.nf_to_bary`` in
     closed form, the absolute coordinates ((u-1)/(u+3), (v+2u)/(u(u+3)),
-    (2u-v)/(u(u+3))), computed through i = 1/(u+3) as (1-4i, y, 4i-y) or
-    (1-4i, 4i-z, z).  A rational y or z (``_rational_coordinate``) takes one
-    inverse in all; else y = (v/u + 2)i takes two, and only y is a product of
-    two tall elements.  u = 0 and u = -3 occur only at points of the limit
-    table."""
+    (2u-v)/(u(u+3))).  Where y or z is rational (``_rational_coordinate``),
+    the other two are conjugate and come from integers, with no inverse and
+    no product of field elements (``_conjugate_pair``).  Else the point is
+    computed through i = 1/(u+3) as (1-4i, y, z) with y = (v/u + 2)i, which
+    takes two inverses and one product of two tall elements; z is the
+    conjugate of y where u is rational and v a multiple of sqrt(d), and 4i - y
+    otherwise.  u = 0 and u = -3 occur only at points of the limit table."""
     for wp, bary in _TORSION_BARY_LIMITS:
         if w == wp:
             return bary
     u, v = w.u, w.v
+    known = _rational_coordinate(u, v)
+    if known is not None:
+        index, r = known
+        x, other = _conjugate_pair(u, r)
+        return BaryPoint(x, r, other) if index == 1 else BaryPoint(x, other, r)
     inv = (u + 3).inverse()
     four_inv = 4 * inv
-    x, known = 1 - four_inv, _rational_coordinate(u, v)
-    if known is None:
-        y = (v * u.inverse() + 2) * inv
-        return BaryPoint(x, y, four_inv - y)
-    index, r = known
-    return BaryPoint(x, r, four_inv - r) if index == 1 else BaryPoint(x, four_inv - r, r)
+    y = (v * u.inverse() + 2) * inv
+    if u.is_rational() and len(v.tower) == 1 and not v.num[0]:
+        z = _make(y.tower, (y.num[0], -y.num[1]), y.den)
+    else:
+        z = four_inv - y
+    return BaryPoint(1 - four_inv, y, z)
 
 
 def sample_translation_points(n: int, seed: int = 0) -> list[BaryPoint]:

@@ -928,8 +928,7 @@ def verify_curve(seed: int = 0, n: int = 20) -> SuiteReport:
         for p in (k * gen, -k * gen):
             for t in curve_mod.rational_torsion()[1:]:
                 for a, b in ((p, t), (t, p)):
-                    chord = curve_mod._chord_tangent(
-                        curve_mod._A2, curve_mod._A4, (a.u, a.v), (b.u, b.v))
+                    chord = curve_mod._chord_tangent((a.u, a.v), (b.u, b.v))
                     out.append(a + b == curve_mod._wpoint(chord))
         return tuple(out)
 

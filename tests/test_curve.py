@@ -94,6 +94,67 @@ class TestGroupLaw:
             assert p + q == q + p
             assert (p + q) + r == p + (q + r)
 
+    def test_symbolic_weighted_twist_steps(self):
+        # the kernel's doubling and its addition of an integral base B equal
+        # the affine chord-tangent law on V^2 = U^3 + 12U^2 - 12U
+        import sympy
+
+        from ceviangeo.curve import _twist_add, _twist_double, _twist_multiple
+
+        m, n, s, a, b, g = sympy.symbols("m n s a b g")
+        a2, a4 = 12, -12
+        x, y = m / s ** 2, n / s ** 3
+
+        def f(t):
+            return t ** 3 + a2 * t ** 2 + a4 * t
+
+        slope = 3 * m ** 2 + s ** 2 * (2 * a2 * m + a4 * s ** 2)
+        s2 = 2 * n * s
+        m2 = slope ** 2 - a2 * s2 ** 2 - 8 * m * n ** 2
+        n2 = -8 * n ** 4 - slope * (m2 - 4 * m * n ** 2)
+        lam = (3 * x ** 2 + 2 * a2 * x + a4) / (2 * y)
+        x2 = lam ** 2 - a2 - 2 * x
+        double = (x2, -(y + lam * (x2 - x)))
+        assert sympy.cancel(m2 / s2 ** 2 - double[0]) == 0
+        assert sympy.cancel(n2 / s2 ** 3 - double[1]) == 0
+        # the doubling's common factor: on the curve, m2 = m^4 mod s, and the
+        # slope is f'(U)s^4, with f's discriminant 2^10 * 3^3 (the twist's
+        # is 16 times that, 2^14 * 3^3)
+        nn = sympy.Symbol("nn")
+        on_curve = m ** 3 + a2 * m ** 2 * s ** 2 + a4 * m * s ** 4
+        m2_of_nn = slope ** 2 - 4 * a2 * nn * s ** 2 - 8 * m * nn
+        assert sympy.expand(m2_of_nn - m2.subs(n ** 2, nn)) == 0
+        assert sympy.expand(m2_of_nn.subs(nn, on_curve) - m ** 4).subs(s, 0) == 0
+        u = sympy.Symbol("u")
+        assert sympy.cancel(slope / s ** 4 - sympy.diff(f(u), u).subs(u, x)) == 0
+        assert sympy.discriminant(f(u), u) == 2 ** 10 * 3 ** 3
+        # the addition, with the slope N/D cancelled by any g
+        num, den = (b * s ** 3 - n) / g, s * (a * s ** 2 - m) / g
+        t = den / s
+        m3 = num ** 2 - (a2 + a) * den ** 2 - m * t ** 2
+        n3 = -(b * den ** 3 + num * (m3 - a * den ** 2))
+        lam = (b - y) / (a - x)
+        x3 = lam ** 2 - a2 - x - a
+        added = (x3, -(y + lam * (x3 - x)))
+        assert sympy.cancel(m3 / den ** 2 - added[0]) == 0
+        assert sympy.cancel(n3 / den ** 3 - added[1]) == 0
+        # the exact division by s^2: x3*(x - a)^2 is this numerator, which
+        # has no pole worse than (x - a)^2 at the primes of s, modulo the
+        # curve at P and at B
+        X, Y = sympy.symbols("X Y")
+        numerator = a * X ** 2 + (a ** 2 + 2 * a * a2 + a4) * X + a * a4 - 2 * b * Y
+        chord = (Y - b) ** 2 - (X + a2 + a) * (X - a) ** 2
+        assert sympy.expand(chord - numerator - (Y ** 2 - f(X)) - (b ** 2 - f(a))) == 0
+        # tied at three pinned multiples: each step of the kernel is the law
+        for k in (60, 90, 119):
+            state = _twist_multiple(6, 24, k)
+            at = dict(zip((m, n, s, a, b, g), state + (6, 24, 1)))
+            for step, want in ((_twist_double(*state), double),
+                               (_twist_add(*state, 6, 24), added)):
+                mm, vn, ss = step
+                assert sympy.Rational(mm, ss ** 2) == want[0].subs(at)
+                assert sympy.Rational(vn, ss ** 3) == want[1].subs(at)
+
     def test_orders(self):
         assert WPoint.of(0, 0).order() == 2
         assert WPoint.of(1, 2).order() == 3
@@ -240,6 +301,71 @@ class TestBirationalChain:
             assert got_index == index
             assert sympy.expand(sympy.radsimp(form)) == sympy.Rational(value.num[0], value.den)
             assert w_to_bary(w).coords[index] == value
+
+    def test_symbolic_conjugate_pair(self):
+        # on the cubic in absolute coordinates with y = r, x + z = 1 - r and
+        # xz = -r(1-r)/(1+3r); the discriminant of their quadratic, over Q
+        # at r = p/q, is F1*F3/(q^2*F2), the form _conjugate_pair reads c off
+        import sympy
+
+        from ceviangeo.curve import _conjugate_pair, _rational_coordinate
+
+        x, r, p, q, t = sympy.symbols("x r p q t")
+        z = 1 - r - x
+        cubic = (x + r + z) * (x * r + r * z + z * x) + 3 * x * r * z
+        quadratic = t ** 2 - (1 - r) * t - r * (1 - r) / (1 + 3 * r)
+        assert sympy.cancel(cubic + (1 + 3 * r) * quadratic.subs(t, x)) == 0
+        disc = sympy.discriminant(sympy.numer(sympy.together(quadratic)), t) / (1 + 3 * r) ** 2
+        f1, f2 = q - p, q + 3 * p
+        f3 = q ** 2 + 6 * p * q - 3 * p ** 2
+        assert sympy.cancel(disc.subs(r, p / q) - f1 * f3 / (q ** 2 * f2)) == 0
+        # the facts behind gcd(F1*F3, d*q^2*F2) | 48d
+        assert sympy.expand(f3 - (f2 ** 2 - 12 * p ** 2)) == 0
+        assert sympy.expand(f2 - f1 - 4 * p) == 0
+        assert sympy.expand(f3 - q * (q + 6 * p) + 3 * p ** 2) == 0
+        # tied at three pinned points: x and the other coordinate are the
+        # roots, and w_to_bary returns them around r
+        for k, ti in ((60, 2), (97, 3), (119, 5)):
+            w = k * GENERATOR + rational_torsion()[ti]
+            index, value = _rational_coordinate(w.u, w.v)
+            pair = _conjugate_pair(w.u, value)
+            rr = sympy.Rational(value.num[0], value.den)
+            for root in pair:
+                xx = sympy.sympify(format_element(root))
+                assert sympy.expand(quadratic.subs({r: rr, t: xx})) == 0
+            got = w_to_bary(w).coords
+            assert got[index] == value and {got[0], got[3 - index]} == set(pair)
+            assert got[0] == pair[0]
+
+    def test_symbolic_root_sign(self):
+        # x = (u-1)/(u+3) has the sqrt(d) part 4*a1*du/((a0 + 3du)^2 - d*a1^2),
+        # which is 4*a1/(du*N(u+3)); and (1-x)(1-x') = 16/N(u+3) is
+        # 4r^2/(1+3r) on the cubic, so the sign is that of a1*(1 + 3r)
+        import sympy
+
+        from ceviangeo.curve import _conjugate_pair, _rational_coordinate
+
+        a0, a1, du, sd, r = sympy.symbols("a0 a1 du sd r")
+        u, ubar = (a0 + a1 * sd) / du, (a0 - a1 * sd) / du
+        t0 = a0 + 3 * du
+        norm = (t0 ** 2 - sd ** 2 * a1 ** 2) / du ** 2
+        x = (u - 1) / (u + 3)
+        split = 1 - 4 * du * t0 / (du ** 2 * norm) + 4 * a1 / (du * norm) * sd
+        assert sympy.cancel(x - split) == 0
+        assert sympy.cancel((u + 3) * (ubar + 3) - norm) == 0
+        xx_sum, xx_product = 1 - r, -r * (1 - r) / (1 + 3 * r)
+        assert sympy.cancel(1 - xx_sum + xx_product - 4 * r ** 2 / (1 + 3 * r)) == 0
+        assert sympy.cancel((4 / (u + 3)) * (4 / (ubar + 3)) - 16 / norm) == 0
+        # tied at three pinned points, against the norm in exact integers
+        for k, ti in ((61, 2), (88, 4), (118, 3)):
+            w = k * GENERATOR + rational_torsion()[ti]
+            _, value = _rational_coordinate(w.u, w.v)
+            x_el, _ = _conjugate_pair(w.u, value)
+            (b0, b1), bd = w.u.num, w.u.den
+            exact_norm = (b0 + 3 * bd) ** 2 - 2 * b1 * b1
+            sign = 1 if (b1 > 0) == (exact_norm > 0) else -1
+            assert (x_el.num[1] > 0) == (sign > 0)
+            assert (exact_norm > 0) == (value.den + 3 * value.num[0] > 0)
 
     def test_w_to_bary_matches_the_chain_exactly(self):
         # every point off the limit table, the median torsion points included

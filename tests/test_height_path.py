@@ -1,5 +1,6 @@
-"""The height-aware curve path: generator multiples on the quadratic twist,
-unchecked group-law results and integral coordinates for the zero tests.
+"""The height-aware curve path: generator multiples on the quadratic twist
+in weighted integers, unchecked group-law results, w_to_bary's conjugate
+pair, the height law, and integral coordinates for the zero tests.
 
 Each change keeps outputs identical, so these tests compare the fast route
 with the generic one on the curve itself, exactly (tower, numerators and
@@ -10,6 +11,7 @@ pins in perfbench/data/expected.json (only read here).
 import hashlib
 import json
 import time
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,25 @@ class TestTwistRoute:
         for t in rational_torsion() + [GENERATOR + rational_torsion()[2]]:
             for k in (2, 3, 7):
                 assert exact(k * t) == exact(chord_tangent_multiple(t, k))
+
+    def test_a_non_integral_twist_base_takes_the_chord_tangent_route(self):
+        # 3G is on the twist image at U = 54/25, not an integral point
+        base = 3 * GENERATOR
+        assert curve_mod._twist_rationals(base) is not None
+        assert curve_mod._to_twist(base) is None
+        for k in (2, 3, 5, 8, -4):
+            assert exact(k * base) == exact(chord_tangent_multiple(base, k)), k
+            assert exact(k * base) == exact((3 * k) * GENERATOR), k
+
+    def test_every_integral_base_takes_the_kernel(self):
+        # +-G' = (6, +-24) and 2G' = (1, 1): the kernel and its one lift
+        assert curve_mod._to_twist(GENERATOR) == (6, 24)
+        assert curve_mod._to_twist(-GENERATOR) == (6, -24)
+        assert curve_mod._to_twist(2 * GENERATOR) == (1, 1)
+        for k in (2, 3, 6, 11, -7):
+            assert exact(k * (2 * GENERATOR)) == exact((2 * k) * GENERATOR), k
+            assert exact(k * (2 * GENERATOR)) == exact(
+                chord_tangent_multiple(2 * GENERATOR, k)), k
 
     @pytest.mark.parametrize("seed,want", [
         (0, "3101c554f4964ddc"),
@@ -196,10 +217,10 @@ def products(counts):
 
 
 def test_w_to_bary_forms_one_coordinate_by_a_product(operators):
-    # off the limit table: the inverse of u + 3 and the scale 4i of x = 1 - 4i
-    # and of 4i - y or 4i - z; a rational y or z comes from integers, and
-    # elsewhere the inverse of u, the slope and y = (v/u + 2)i add one
-    # inverse and two products
+    # off the limit table: a rational y or z and its conjugate pair come from
+    # integers, with no inverse and no product; elsewhere the inverses of
+    # u + 3 and of u, the scale 4i of x = 1 - 4i, the slope and
+    # y = (v/u + 2)i take two inverses and three products
     torsion = rational_torsion()
     points = [k * GENERATOR + t for k in (1, -2, 60, -119) for t in torsion]
     points += torsion_points()[6:]
@@ -211,7 +232,7 @@ def test_w_to_bary_forms_one_coordinate_by_a_product(operators):
         if curve_mod._rational_coordinate(w.u, w.v) is None:
             assert counts == (2, 3, None), w
         else:
-            assert counts == (1, 1, None), w
+            assert counts == (None, 0, None), w
             rational += 1
     assert rational == 16
 
@@ -251,20 +272,18 @@ PINNED = [tuple(item) for item in EXPECTED["curve"]["by_cost"]]
 
 
 def generic_sum(p: WPoint, q: WPoint) -> WPoint:
-    return curve_mod._wpoint(curve_mod._chord_tangent(
-        curve_mod._A2, curve_mod._A4, (p.u, p.v), (q.u, q.v)))
+    return curve_mod._wpoint(curve_mod._chord_tangent((p.u, p.v), (q.u, q.v)))
 
 
 @pytest.fixture
 def chord_calls(monkeypatch):
-    """The argument pairs of every _chord_tangent call on the curve itself."""
+    """The argument pairs of every _chord_tangent call."""
     calls = []
     chord = curve_mod._chord_tangent
 
-    def counting(a2, a4, p, q):
-        if a2 is curve_mod._A2:
-            calls.append((p, q))
-        return chord(a2, a4, p, q)
+    def counting(p, q):
+        calls.append((p, q))
+        return chord(p, q)
 
     monkeypatch.setattr(curve_mod, "_chord_tangent", counting)
     return calls
@@ -349,6 +368,106 @@ class TestSlopeForm:
     def test_sqrt3_torsion_points_equal_the_chain_exactly(self):
         for w in torsion_points()[6:]:
             assert exact_coords(w_to_bary(w)) == exact_coords(nf_to_bary(w_to_nf(w)))
+
+
+def inverse_form(w: WPoint) -> BaryPoint:
+    """w_to_bary before the conjugate pair: (1 - 4i, y, 4i - y) through
+    i = 1/(u+3) and y = (v/u + 2)i off the limit table."""
+    for wp, bary in curve_mod._TORSION_BARY_LIMITS:
+        if w == wp:
+            return bary
+    inv = (w.u + 3).inverse()
+    y = (w.v * w.u.inverse() + 2) * inv
+    return BaryPoint(1 - 4 * inv, y, 4 * inv - y)
+
+
+class TestConjugatePair:
+    def test_w_to_bary_equals_the_inverse_form_exactly(self):
+        torsion = rational_torsion()
+        points = [k * GENERATOR + torsion[ti] for k, ti in PINNED]
+        points += torsion_points()
+        points += [k * GENERATOR + t for k in range(-40, 41) for t in torsion]
+        limits = [wp for wp, _ in curve_mod._TORSION_BARY_LIMITS]
+        branches = {}
+        for w in points:
+            if w in limits:
+                branch = "limit table"
+            elif curve_mod._rational_coordinate(w.u, w.v) is not None:
+                branch = "conjugate pair"
+            elif w.u.is_rational() and len(w.v.tower) == 1 and not w.v.num[0]:
+                branch = "z conjugate to y"
+            else:
+                branch = "z = 4i - y"
+            branches[branch] = branches.get(branch, 0) + 1
+            assert exact_coords(w_to_bary(w)) == exact_coords(inverse_form(w)), w
+        # T = (1, +-2), (-3, +-6) at k != 0 read the pair, T = O, (0, 0) the
+        # conjugate of y; (1, +-2) themselves and the sqrt(3) points take 4i - y
+        assert branches == {"conjugate pair": 560, "z conjugate to y": 280,
+                            "z = 4i - y": 10, "limit table": 8}
+
+    def test_the_gcd_divides_48d_and_both_roots_are_exact(self):
+        torsion = rational_torsion()
+        seen = set()
+        for k, ti in PINNED:
+            w = k * GENERATOR + torsion[ti]
+            known = curve_mod._rational_coordinate(w.u, w.v)
+            if known is None:
+                continue
+            (d,), r = w.u.tower, known[1]
+            p, q = r.num[0], r.den
+            f1, f2 = q - p, q + 3 * p
+            f13 = f1 * (f2 * f2 - 12 * p * p)
+            g = gcd(f13, d * q * q * f2)
+            assert 48 * d % g == 0 and g == gcd(f13, d * f2), (k, ti)
+            c1, e = isqrt(abs(f13) // g), isqrt(d * abs(f2) // g)
+            assert c1 * c1 * g == abs(f13) and e * e * g == d * abs(f2), (k, ti)
+            seen.add(g)
+        assert seen == {4, 8, 12, 48}
+
+
+def twist_steps(k: int):
+    """The kernel's steps for k*G', each with its input and output."""
+    a, b = curve_mod._to_twist(GENERATOR)
+    state, steps = (a, b, 1), []
+    for bit in bin(k)[3:]:
+        out = curve_mod._twist_double(*state)
+        steps.append(("double", state, out))
+        state = out
+        if bit == "1":
+            out = curve_mod._twist_add(*state, a, b)
+            steps.append(("add", state, out))
+            state = out
+    return steps
+
+
+class TestTwistKernel:
+    def test_doubling_cancels_only_twos_and_threes(self):
+        # the factor that a doubling strips is 2ns over the new s, and both
+        # steps leave (m, n, s) in lowest terms
+        ks = sorted({k for k, _ in PINNED})
+        factors = set()
+        for k in ks:
+            for kind, (m, n, s), (m2, n2, s2) in twist_steps(k):
+                assert s2 > 0 and gcd(m2, s2) == 1, (k, kind)
+                if kind == "double":
+                    factor, rest = divmod(2 * abs(n) * s, s2)
+                    assert rest == 0, k
+                    factors.add(factor)
+        # measured: a doubling strips 2^4 * 3 or nothing
+        assert len(ks) == 60 and factors == {1, 48}
+
+
+class TestHeightLaw:
+    def test_heights_of_generator_multiples_follow_the_law(self):
+        # the largest integer of u has 0.4712*k^2 bits and that of v
+        # 0.7068*k^2, each to within 4 bits (2.7 and 3.3 at worst); a kernel
+        # that stops reducing its weighted coordinates leaves the law
+        for k in range(1, MULTIPLE_BOUND + 1):
+            w = k * GENERATOR
+            u_bits = max(abs(w.u.num[0]), w.u.den).bit_length()
+            v_bits = max(abs(w.v.num[-1]), w.v.den).bit_length()
+            assert abs(u_bits - 0.4712 * k * k) <= 4, k
+            assert abs(v_bits - 0.7068 * k * k) <= 4, k
 
 
 class TestRationalCoordinate:

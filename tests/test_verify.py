@@ -455,6 +455,17 @@ def _value_negated(true):
     return lambda *args: (lambda known: known and (known[0], -known[1]))(true(*args))
 
 
+def _minus_base_added(true):
+    # the twist kernel's addition step adds -B where B is due: k*G' becomes
+    # a wrong multiple that is still on the curve
+    return lambda m, n, s, a, b: true(m, n, s, a, -b)
+
+
+def _roots_swapped(true):
+    # x given the other root of its quadratic: the pair's sign flipped
+    return lambda *args: true(*args)[::-1]
+
+
 def _conic_shifted(shift):
     """A named conic with its upper triangle (m00, m01, m02, m11, m12, m22)
     replaced by ``shift`` of the true one."""
@@ -503,6 +514,11 @@ INJECTED_FAULTS = {
     # the sampled translation points move off the cubic
     "rational coordinate negated": ("curve", "_rational_coordinate", _value_negated,
                                     ["translation", "consequences", "curve", "construction"]),
+    # measured at seeds 0, 3 and 7: only the chord-tangent cross-check sees a
+    # wrong multiple, and only the round trip and the symmetries see the swap
+    "twist kernel adds -G' at a set bit": ("curve", "_twist_add", _minus_base_added, ["curve"]),
+    "conjugate pair's root sign flipped": ("curve", "_conjugate_pair", _roots_swapped,
+                                           ["curve"]),
     "orthocenter never at a vertex": ("locus", "orthocenter_vertex", _never_a_vertex,
                                       ["vertex-locus"]),
     "classify_transfer ratio negated": ("maps", "classify_transfer", _ratio_negated,
