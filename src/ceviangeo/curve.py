@@ -40,12 +40,15 @@ chord-tangent law.  Group-law results are built without evaluating the cubic
 (only ``WPoint(...)`` and ``WPoint.of`` check it); the ``curve`` suite's
 entries "generator multiples lie on the curve", "twist multiples equal
 chord-tangent multiples up to 24" and "torsion translations equal the
-chord-tangent sum" check them.  Conjugating sqrt(2) negates the twist image,
-so it sends w = k*G + T, for T rational torsion, to -w + 2T; by the
-triangle's symmetries, y of ``w_to_bary(w)`` is then rational for T = (1, 2),
-(-3, 6) and z for T = (1, -2), (-3, -6), though u is not, and the other two
-coordinates are conjugate (``_conjugate_pair``).  For T = O and (0, 0), u is
-rational and z is the conjugate of y.
+chord-tangent sum" check them.
+
+For w over Q(sqrt(d)) but not over Q, and w' its conjugate, the line through
+w and w' is defined over Q, so it meets the curve again at the rational point
+-(w + w').  A coordinate of ``w_to_bary(w)`` is rational exactly when w + w'
+is in the rational 3-torsion: O gives x, (1, -2) gives y and (1, 2) gives z
+(Silverman, sections III.2 and X.2).  Conjugating sqrt(2) negates the twist
+image, so w = k*G + T, for k != 0 and T rational torsion, has w + w' = 2T,
+and ``_rational_triple`` reads all three coordinates off u and v.
 """
 
 from __future__ import annotations
@@ -490,62 +493,67 @@ _TORSION_BARY_LIMITS = (
 )
 
 
-def _rational_coordinate(u: FieldElement, v: FieldElement):
-    """(1, y) or (2, z) when u is irrational and that coordinate of
-    ``w_to_bary`` rational, for u and v on one depth-1 tower; else None.  As
-    v^2 - 4u^2 = u(u-1)(u+3), y = (u-1)/(v-2u) and z = (1-u)/(v+2u).  For
-    u = (a0 + a1*sqrt(d))/du, v = (b0 + b1*sqrt(d))/dv and g = gcd(du, dv),
-    y is rational exactly when the cross-multiplication below holds, and is
-    then a1*(dv/g)/q; q != 0, as v = 2u only at rational u.  For z the 2u
-    terms and the value change sign."""
-    tower = u.tower
-    if len(tower) != 1 or v.tower != tower or not u.num[1]:
+def _rational_triple(u: FieldElement, v: FieldElement):
+    """The absolute coordinates (x, y, z) of ``w_to_bary`` from the integers
+    of u and v, when one is rational and v lies on a depth-1 tower Q(sqrt(d))
+    and u on it or on (); else None.
+
+    x = (u-1)/(u+3) is rational when u = a/du is and v = b1*sqrt(d)/dv, and is
+    r = (a - du)/(a + 3du) on u's tower.  Else, for u = (a0 + a1*sqrt(d))/du and
+    v = (b0 + b1*sqrt(d))/dv, l = (v - 2s)/(u - 1) is the slope of the line to
+    (1, 2s); as v^2 - 4u^2 = u(u-1)(u+3), y = 1/(l-2) and z = -1/(l+2).  So y
+    (s = 1) or z (s = -1) is rational exactly when v - 2s and u - 1 are
+    proportional, (b0 - 2s*dv)*a1 = b1*(a0 - du); then l = b1*du/(a1*dv), and
+    with g = gcd(du, dv) the coordinate is r = s*a1*(dv/g)/m for
+    m = b1*(du/g) - 2s*a1*(dv/g), nonzero as v = 2su only at rational u.
+
+    On the cubic (x+y+z)(xy+yz+zx) + 3xyz = 0 with x + y + z = 1, the two
+    coordinates other than r = p/q have sum 1 - r and product
+    -r(1-r)/(1+3r); one is irrational, so they are ((1-r) +- c*sqrt(d))/2 with
+    c^2*d = F1*F3/(q^2*F2), F1 = q - p, F2 = q + 3p, F3 = F2^2 - 12p^2.  As p
+    is prime to q, q shares nothing with F1 and at most one 3 with F3, and
+    3 | q puts a 3 in F2; so G = gcd(F1*F3, d*q^2*F2) is gcd(F1*F3, d*F2),
+    which divides 48d, as gcd(F1, F2) = gcd(F1, 4p) divides 4 and
+    gcd(F3, F2) = gcd(12p^2, F2) divides 12.  So G is read off residues mod
+    48d, both parts of c = C1/(q*e), C1^2 = |F1*F3|/G and e^2 = d|F2|/G, are
+    exact square roots, and as C1 is prime to q*e,
+    ((q-p)e +- C1*sqrt(d))/(2qe) can cancel only a 2.
+
+    The root listed first has the sign of lead*F2.  Where r is y or z, lead is
+    a1: x = 1 - 4/(u+3) has the sqrt(d) part 4*a1/(du*N(u+3)), and
+    (1-x)(1-x') = 16/N(u+3) is 1 - (1-r) + xx' = 4r^2/(1+3r).  Where r is x,
+    lead is b1: y has the sqrt(d) part b1/(dv*u(u+3)), and u(u+3) has the
+    sign of 4u/(u+3) = 1 + 3x.  No inverse is taken."""
+    tower = v.tower
+    if len(tower) != 1 or u.tower not in ((), tower):
         return None
-    (a0, a1), du, (b0, b1), dv = u.num, u.den, v.num, v.den
-    g = gcd(du, dv)
-    du_g, dv_g = du // g, dv // g
-    for index, s in ((1, 1), (2, -1)):
-        q = b1 * du_g - 2 * s * a1 * dv_g
-        if a1 * (b0 * du_g - 2 * s * a0 * dv_g) == (a0 - du) * q:
-            return index, _reduced(tower, (s * a1 * dv_g, 0), q)
-    return None
-
-
-def _conjugate_pair(u: FieldElement, r: FieldElement):
-    """(x, x') with x = (u-1)/(u+3), for a point of the cubic whose y or z
-    is the rational r = p/q and whose u is irrational over Q(sqrt(d)).
-
-    With x + y + z = 1, the cubic (x+y+z)(xy+yz+zx) + 3xyz = 0 and y = r give
-    x + z = 1 - r and xz = -r(1-r)/(1+3r) (z = r alike), so x and the other
-    coordinate x' are the roots of t^2 - (1-r)t - r(1-r)/(1+3r); x is
-    irrational, so x' is its conjugate and x = ((1-r) +- c*sqrt(d))/2.  The
-    discriminant is c^2*d = F1*F3/(q^2*F2) with F1 = q - p, F2 = q + 3p and
-    F3 = q^2 + 6pq - 3p^2 = F2^2 - 12p^2.  Its lowest terms need
-    G = gcd(F1*F3, d*q^2*F2).  As p is prime to q, q shares nothing with F1
-    and at most one 3 with F3, and 3 | q puts a 3 in F2; so G is
-    gcd(F1*F3, d*F2), which divides 48d, as gcd(F1, F2) = gcd(F1, 4p)
-    divides 4 and gcd(F3, F2) = gcd(12p^2, F2) divides 12.  So G is read off
-    residues mod 48d, and both parts of c = C1/(q*e), C1^2 = |F1*F3|/G and
-    e^2 = d|F2|/G, are exact square roots.  As C1 is prime to q*e,
-    x = ((q-p)e +- C1*sqrt(d))/(2qe) can cancel only a 2.
-
-    The sign: for u = (a0 + a1*sqrt(d))/du, x = 1 - 4/(u+3) has the sqrt(d)
-    part 4*a1/(du*N(u+3)), where the norm N(u+3) = (u+3)(u'+3) is positive
-    exactly when 1 + 3r is: (1-x)(1-x') = 16/N(u+3) is
-    1 - (1-r) + xx' = 4r^2/(1+3r).  So the sign is that of a1*F2, and no
-    inverse of u+3 is taken."""
-    tower = u.tower
-    d = tower[0]
-    p, q = r.num[0], r.den
-    f1, f2 = q - p, q + 3 * p
+    (b0, b1), dv = v.num, v.den
+    if u.is_rational():
+        if b0 or not b1:
+            return None
+        a, du = u.num[0], u.den
+        index, lead, r = 0, b1, _reduced(u.tower, (a - du,) + u.num[1:], a + 3 * du)
+    else:
+        (a0, a1), du = u.num, u.den
+        shared = b1 * (a0 - du)
+        for index, s in ((1, 1), (2, -1)):
+            if (b0 - 2 * s * dv) * a1 == shared:
+                break
+        else:
+            return None
+        g = gcd(du, dv)
+        du_g, dv_g = du // g, dv // g
+        lead, r = a1, _reduced(tower, (s * a1 * dv_g, 0), b1 * du_g - 2 * s * a1 * dv_g)
+    d, p, q = tower[0], r.num[0], r.den
+    f1, f2, modulus = q - p, q + 3 * p, 48 * d
     f13 = f1 * (f2 * f2 - 12 * p * p)
-    modulus = 48 * d
     g = gcd(f13 % modulus, d * f2 % modulus, modulus)
     c1, e = isqrt(abs(f13) // g), isqrt(d * abs(f2) // g)
-    x0, x1, den = f1 * e, (c1 if (u.num[1] > 0) == (f2 > 0) else -c1), 2 * q * e
+    x0, x1, den = f1 * e, (c1 if (lead > 0) == (f2 > 0) else -c1), 2 * q * e
     if not (c1 & 1 or x0 & 1):
         x0, x1, den = x0 >> 1, x1 >> 1, den >> 1
-    return _make(tower, (x0, x1), den), _make(tower, (x0, -x1), den)
+    pair = (_make(tower, (x0, x1), den), _make(tower, (x0, -x1), den))
+    return pair[:index] + (r,) + pair[index:]
 
 
 def w_to_bary(w: WPoint) -> BaryPoint:
@@ -553,30 +561,22 @@ def w_to_bary(w: WPoint) -> BaryPoint:
     the documented limits at the exceptional points of the chain.  Elsewhere
     it is the composite of ``verify.w_to_nf`` and ``verify.nf_to_bary`` in
     closed form, the absolute coordinates ((u-1)/(u+3), (v+2u)/(u(u+3)),
-    (2u-v)/(u(u+3))).  Where y or z is rational (``_rational_coordinate``),
-    the other two are conjugate and come from integers, with no inverse and
-    no product of field elements (``_conjugate_pair``).  Else the point is
-    computed through i = 1/(u+3) as (1-4i, y, z) with y = (v/u + 2)i, which
-    takes two inverses and one product of two tall elements; z is the
-    conjugate of y where u is rational and v a multiple of sqrt(d), and 4i - y
-    otherwise.  u = 0 and u = -3 occur only at points of the limit table."""
+    (2u-v)/(u(u+3))).  Where one coordinate is rational, ``_rational_triple``
+    reads all three off integers, with no inverse and no field product.  Else
+    the point is (1-4i, y, 4i-y) through i = 1/(u+3) and y = (v/u + 2)i, two
+    inverses and one product of two tall elements.  u = 0 and u = -3 occur
+    only at points of the limit table."""
     for wp, bary in _TORSION_BARY_LIMITS:
         if w == wp:
             return bary
     u, v = w.u, w.v
-    known = _rational_coordinate(u, v)
-    if known is not None:
-        index, r = known
-        x, other = _conjugate_pair(u, r)
-        return BaryPoint(x, r, other) if index == 1 else BaryPoint(x, other, r)
+    triple = _rational_triple(u, v)
+    if triple is not None:
+        return BaryPoint(*triple)
     inv = (u + 3).inverse()
     four_inv = 4 * inv
     y = (v * u.inverse() + 2) * inv
-    if u.is_rational() and len(v.tower) == 1 and not v.num[0]:
-        z = _make(y.tower, (y.num[0], -y.num[1]), y.den)
-    else:
-        z = four_inv - y
-    return BaryPoint(1 - four_inv, y, z)
+    return BaryPoint(1 - four_inv, y, four_inv - y)
 
 
 def sample_translation_points(n: int, seed: int = 0) -> list[BaryPoint]:

@@ -260,55 +260,60 @@ class TestBirationalChain:
         assert all(sympy.cancel(a - b) == 0 for a, b in zip((1 - 4 * i, y, 4 * i - y), closed))
 
     def test_symbolic_rational_coordinate_forms(self):
-        # y = (u-1)/(v-2u) and z = (1-u)/(v+2u) on the curve, the forms
-        # _rational_coordinate reads y or z off: each differs from the closed
-        # form by a multiple of the curve equation over its denominator
+        # with l = (v - 2s)/(u - 1) the slope of the line to (1, 2s), y =
+        # 1/(l - 2) and z = -1/(l + 2) on the curve: each differs from the
+        # closed form by a multiple of the curve equation over its denominator
         import sympy
 
-        from ceviangeo.curve import _rational_coordinate
+        from ceviangeo.curve import _rational_triple
 
         u, v = sympy.symbols("u v")
         curve = v ** 2 - u * (u ** 2 + 6 * u - 3)
         assert sympy.expand(v ** 2 - 4 * u ** 2 - u * (u - 1) * (u + 3) - curve) == 0
         y, z = (v + 2 * u) / (u * (u + 3)), (2 * u - v) / (u * (u + 3))
-        # (closed - form) * u(u+3) * (v -+ 2u) is +-(v^2 - 4u^2 - u(u-1)(u+3))
-        for closed, form, den, sign in ((y, (u - 1) / (v - 2 * u), v - 2 * u, 1),
-                                        (z, (1 - u) / (v + 2 * u), v + 2 * u, -1)):
-            assert sympy.cancel((closed - form) * u * (u + 3) * den / curve) == sign
-        # the integer test: u = (a0 + a1*r)/(g*du_g) and v = (b0 + b1*r)/(g*dv_g)
-        # with r = sqrt(d); at the value s*a1*dv_g/q, the residual of
-        # y*(v - 2u) = u - 1 (s = 1) or z*(v + 2u) = 1 - u (s = -1) has no r
-        # part and is s times the cross-multiplication over g*du_g*q, so the
-        # value solves it exactly when the test holds
+        forms = {1: lambda l: 1 / (l - 2), -1: lambda l: -1 / (l + 2)}
+        for closed, s in ((y, 1), (z, -1)):
+            form = forms[s]((v - 2 * s) / (u - 1))
+            assert sympy.cancel((closed - form) * u * (u + 3) * (v - 2 * s * u) / curve) == s
+        # the proportionality test: for u = (a0 + a1*r)/du, v = (b0 + b1*r)/dv
+        # and r = sqrt(d), lam = b1*du/(a1*dv) matches the r parts of v - 2s
+        # and lam*(u - 1), and the rational parts differ by the test over
+        # a1*dv; so l is rational, and then lam, exactly when the test holds,
+        # and the coordinate is s*a1*(dv/g)/(b1*(du/g) - 2s*a1*(dv/g))
         a0, a1, b0, b1, du_g, dv_g, g, r = sympy.symbols("a0 a1 b0 b1 du_g dv_g g r")
-        du = g * du_g
-        uu, vv = (a0 + a1 * r) / du, (b0 + b1 * r) / (g * dv_g)
+        du, dv = g * du_g, g * dv_g
+        uu, vv = (a0 + a1 * r) / du, (b0 + b1 * r) / dv
+        lam = b1 * du / (a1 * dv)
         for s in (1, -1):
-            q = b1 * du_g - 2 * s * a1 * dv_g
-            residual, den = sympy.fraction(sympy.together(
-                s * a1 * dv_g / q * (vv - 2 * s * uu) - s * (uu - 1)))
-            residual = sympy.expand(residual)
-            assert residual.coeff(r, 1) == 0
-            test = a1 * (b0 * du_g - 2 * s * a0 * dv_g) - (a0 - du) * q
-            assert sympy.cancel(residual.coeff(r, 0) / den - s * test / (g * du_g * q)) == 0
-        # tied at three pinned points: the helper's value is the form
-        # evaluated in exact arithmetic, and w_to_bary's coordinate
-        for k, ti, index in ((2, 2, 1), (-3, 3, 2), (5, 4, 1)):
+            residual = sympy.expand(sympy.cancel((lam * (uu - 1) - (vv - 2 * s)) * a1 * dv))
+            test = (b0 - 2 * s * dv) * a1 - b1 * (a0 - du)
+            assert residual.coeff(r, 1) == 0 and sympy.expand(residual + test) == 0
+            value = s * a1 * dv_g / (b1 * du_g - 2 * s * a1 * dv_g)
+            assert sympy.cancel(forms[s](lam) - value) == 0
+        # tied at three pinned points, one with T = O: the helper's rational
+        # coordinate is the form in exact arithmetic, the integer test holds
+        # for its sign only, and w_to_bary returns it
+        for k, ti, index in ((2, 2, 1), (-3, 3, 2), (5, 0, 0)):
             w = k * GENERATOR + rational_torsion()[ti]
-            got_index, value = _rational_coordinate(w.u, w.v)
+            value = _rational_triple(w.u, w.v)[index]
             uu, vv = (sympy.sympify(format_element(c)) for c in (w.u, w.v))
-            form = (uu - 1) / (vv - 2 * uu) if index == 1 else (1 - uu) / (vv + 2 * uu)
-            assert got_index == index
+            s = (None, 1, -1)[index]
+            form = forms[s]((vv - 2 * s) / (uu - 1)) if s else (uu - 1) / (uu + 3)
+            assert value.is_rational()
             assert sympy.expand(sympy.radsimp(form)) == sympy.Rational(value.num[0], value.den)
             assert w_to_bary(w).coords[index] == value
+            (a0, a1), du, (b0, b1), dv = w.u.num, w.u.den, w.v.num, w.v.den
+            holds = [s for s in (1, -1) if (b0 - 2 * s * dv) * a1 == b1 * (a0 - du)]
+            assert holds == ([], [1], [-1])[index]
 
     def test_symbolic_conjugate_pair(self):
         # on the cubic in absolute coordinates with y = r, x + z = 1 - r and
-        # xz = -r(1-r)/(1+3r); the discriminant of their quadratic, over Q
-        # at r = p/q, is F1*F3/(q^2*F2), the form _conjugate_pair reads c off
+        # xz = -r(1-r)/(1+3r), and alike for each coordinate, the cubic being
+        # symmetric; the discriminant of their quadratic, over Q at r = p/q,
+        # is F1*F3/(q^2*F2), the form _rational_triple reads c off
         import sympy
 
-        from ceviangeo.curve import _conjugate_pair, _rational_coordinate
+        from ceviangeo.curve import _rational_triple
 
         x, r, p, q, t = sympy.symbols("x r p q t")
         z = 1 - r - x
@@ -323,27 +328,29 @@ class TestBirationalChain:
         assert sympy.expand(f3 - (f2 ** 2 - 12 * p ** 2)) == 0
         assert sympy.expand(f2 - f1 - 4 * p) == 0
         assert sympy.expand(f3 - q * (q + 6 * p) + 3 * p ** 2) == 0
-        # tied at three pinned points: x and the other coordinate are the
-        # roots, and w_to_bary returns them around r
-        for k, ti in ((60, 2), (97, 3), (119, 5)):
+        # tied at three pinned points, one with T = O: the two irrational
+        # coordinates are the roots around the rational one, as w_to_bary
+        # returns them
+        for k, ti, index in ((60, 2, 1), (97, 3, 2), (119, 0, 0)):
             w = k * GENERATOR + rational_torsion()[ti]
-            index, value = _rational_coordinate(w.u, w.v)
-            pair = _conjugate_pair(w.u, value)
+            triple = _rational_triple(w.u, w.v)
+            value = triple[index]
             rr = sympy.Rational(value.num[0], value.den)
+            pair = triple[:index] + triple[index + 1:]
             for root in pair:
+                assert not root.is_rational()
                 xx = sympy.sympify(format_element(root))
                 assert sympy.expand(quadratic.subs({r: rr, t: xx})) == 0
-            got = w_to_bary(w).coords
-            assert got[index] == value and {got[0], got[3 - index]} == set(pair)
-            assert got[0] == pair[0]
+            assert w_to_bary(w).coords == triple
 
     def test_symbolic_root_sign(self):
-        # x = (u-1)/(u+3) has the sqrt(d) part 4*a1*du/((a0 + 3du)^2 - d*a1^2),
-        # which is 4*a1/(du*N(u+3)); and (1-x)(1-x') = 16/N(u+3) is
-        # 4r^2/(1+3r) on the cubic, so the sign is that of a1*(1 + 3r)
+        # where y or z is r: x = (u-1)/(u+3) has the sqrt(d) part
+        # 4*a1*du/((a0 + 3du)^2 - d*a1^2), which is 4*a1/(du*N(u+3)); and
+        # (1-x)(1-x') = 16/N(u+3) is 4r^2/(1+3r) on the cubic, so the sign is
+        # that of a1*(1 + 3r)
         import sympy
 
-        from ceviangeo.curve import _conjugate_pair, _rational_coordinate
+        from ceviangeo.curve import _rational_triple
 
         a0, a1, du, sd, r = sympy.symbols("a0 a1 du sd r")
         u, ubar = (a0 + a1 * sd) / du, (a0 - a1 * sd) / du
@@ -356,16 +363,33 @@ class TestBirationalChain:
         xx_sum, xx_product = 1 - r, -r * (1 - r) / (1 + 3 * r)
         assert sympy.cancel(1 - xx_sum + xx_product - 4 * r ** 2 / (1 + 3 * r)) == 0
         assert sympy.cancel((4 / (u + 3)) * (4 / (ubar + 3)) - 16 / norm) == 0
-        # tied at three pinned points, against the norm in exact integers
+        # where x is r, u is rational and v = b1*sqrt(d)/dv: y = (v+2u)/(u(u+3))
+        # has the sqrt(d) part b1/(dv*u(u+3)), and u(u+3) is (u+3)^2/4 times
+        # 1 + 3x = 4u/(u+3), so the sign is that of b1*(1 + 3x)
+        uq, b1, dv = sympy.symbols("uq b1 dv")
+        y = (b1 * sd / dv + 2 * uq) / (uq * (uq + 3))
+        assert sympy.cancel(sympy.expand(y).coeff(sd, 1) - b1 / (dv * uq * (uq + 3))) == 0
+        xq = (uq - 1) / (uq + 3)
+        assert sympy.cancel(1 + 3 * xq - 4 * uq / (uq + 3)) == 0
+        assert sympy.cancel(uq * (uq + 3) - (uq + 3) ** 2 * (1 + 3 * xq) / 4) == 0
+        # tied at three pinned points of each case, against the norm and
+        # u(u+3) in exact integers
         for k, ti in ((61, 2), (88, 4), (118, 3)):
             w = k * GENERATOR + rational_torsion()[ti]
-            _, value = _rational_coordinate(w.u, w.v)
-            x_el, _ = _conjugate_pair(w.u, value)
+            triple = _rational_triple(w.u, w.v)
+            x_el, value = triple[0], triple[1 if ti in (2, 4) else 2]
             (b0, b1), bd = w.u.num, w.u.den
             exact_norm = (b0 + 3 * bd) ** 2 - 2 * b1 * b1
             sign = 1 if (b1 > 0) == (exact_norm > 0) else -1
             assert (x_el.num[1] > 0) == (sign > 0)
             assert (exact_norm > 0) == (value.den + 3 * value.num[0] > 0)
+        for k, ti in ((1, 0), (64, 1), (-101, 0)):
+            w = k * GENERATOR + rational_torsion()[ti]
+            value, y_el, _ = _rational_triple(w.u, w.v)
+            a, ad, vb = w.u.num[0], w.u.den, w.v.num[1]
+            assert value.is_rational() and w.u.is_rational() and not w.v.num[0]
+            assert (y_el.num[1] > 0) == (vb * a * (a + 3 * ad) > 0)
+            assert (a * (a + 3 * ad) > 0) == (value.den + 3 * value.num[0] > 0)
 
     def test_w_to_bary_matches_the_chain_exactly(self):
         # every point off the limit table, the median torsion points included

@@ -1,6 +1,6 @@
 """The height-aware curve path: generator multiples on the quadratic twist
-in weighted integers, unchecked group-law results, w_to_bary's conjugate
-pair, the height law, and integral coordinates for the zero tests.
+in weighted integers, unchecked group-law results, w_to_bary's rational
+triple, the height law, and integral coordinates for the zero tests.
 
 Each change keeps outputs identical, so these tests compare the fast route
 with the generic one on the curve itself, exactly (tower, numerators and
@@ -31,7 +31,7 @@ from ceviangeo.curve import (
     translation_cubic,
     w_to_bary,
 )
-from ceviangeo.field import ZERO, FieldElement
+from ceviangeo.field import ZERO, FieldElement, fe
 from ceviangeo.maps import classify_transfer, transfer_center_coords
 from ceviangeo.plane import BaryPoint, _integral, point, point_to_literal
 from ceviangeo.verify import nf_to_bary, run_suite, w_to_nf
@@ -217,8 +217,8 @@ def products(counts):
 
 
 def test_w_to_bary_forms_one_coordinate_by_a_product(operators):
-    # off the limit table: a rational y or z and its conjugate pair come from
-    # integers, with no inverse and no product; elsewhere the inverses of
+    # off the limit table: a rational x, y or z and its conjugate pair come
+    # from integers, with no inverse and no product; elsewhere the inverses of
     # u + 3 and of u, the scale 4i of x = 1 - 4i, the slope and
     # y = (v/u + 2)i take two inverses and three products
     torsion = rational_torsion()
@@ -229,12 +229,13 @@ def test_w_to_bary_forms_one_coordinate_by_a_product(operators):
         operators.clear()
         w_to_bary(w)
         counts = (operators.get("inverse"), products(operators), operators.get("__pow__"))
-        if curve_mod._rational_coordinate(w.u, w.v) is None:
+        if curve_mod._rational_triple(w.u, w.v) is None:
             assert counts == (2, 3, None), w
         else:
             assert counts == (None, 0, None), w
             rational += 1
-    assert rational == 16
+    # every k*G + T; only the sqrt(3) torsion points take the slope form
+    assert rational == 24
 
 
 def test_translation_cubic_takes_five_products(operators):
@@ -351,18 +352,24 @@ def exact_coords(p: BaryPoint):
     return [(c.tower, c.num, c.den) for c in p.coords]
 
 
+def rational_index(w: WPoint):
+    """The index of the rational coordinate that ``_rational_triple`` reads
+    at w, or None where w_to_bary takes the slope form."""
+    triple = curve_mod._rational_triple(w.u, w.v)
+    return None if triple is None else [c.is_rational() for c in triple].index(True)
+
+
 class TestSlopeForm:
     def test_depth_one_points_equal_the_chain_exactly(self):
-        # both branches: y or z read off integers, and the slope form
+        # x, y and z read off integers; the slope form is the next test's
         torsion = rational_torsion()
         points = [k * GENERATOR + torsion[ti] for k, ti in PINNED[::9]]
-        points += [k * GENERATOR + t for k in (1, -2, 3) for t in torsion[1:]]
+        points += [k * GENERATOR + t for k in (1, -2, 3) for t in torsion]
         branches = set()
         for w in points:
-            known = curve_mod._rational_coordinate(w.u, w.v)
-            branches.add(None if known is None else known[0])
+            branches.add(rational_index(w))
             assert exact_coords(w_to_bary(w)) == exact_coords(nf_to_bary(w_to_nf(w)))
-        assert branches == {None, 1, 2}
+        assert branches == {0, 1, 2}
         assert len(points) > 50
 
     def test_sqrt3_torsion_points_equal_the_chain_exactly(self):
@@ -392,37 +399,89 @@ class TestConjugatePair:
         for w in points:
             if w in limits:
                 branch = "limit table"
-            elif curve_mod._rational_coordinate(w.u, w.v) is not None:
-                branch = "conjugate pair"
-            elif w.u.is_rational() and len(w.v.tower) == 1 and not w.v.num[0]:
-                branch = "z conjugate to y"
             else:
-                branch = "z = 4i - y"
+                index = rational_index(w)
+                branch = "slope form" if index is None else "xyz"[index]
             branches[branch] = branches.get(branch, 0) + 1
             assert exact_coords(w_to_bary(w)) == exact_coords(inverse_form(w)), w
-        # T = (1, +-2), (-3, +-6) at k != 0 read the pair, T = O, (0, 0) the
-        # conjugate of y; (1, +-2) themselves and the sqrt(3) points take 4i - y
-        assert branches == {"conjugate pair": 560, "z conjugate to y": 280,
-                            "z = 4i - y": 10, "limit table": 8}
+        # at k != 0, x is rational for T = O, (0, 0), y for (1, 2), (-3, 6)
+        # and z for (1, -2), (-3, -6); (1, +-2) themselves and the sqrt(3)
+        # points take the slope form
+        assert branches == {"x": 280, "y": 280, "z": 280, "slope form": 10, "limit table": 8}
 
     def test_the_gcd_divides_48d_and_both_roots_are_exact(self):
         torsion = rational_torsion()
-        seen = set()
-        for k, ti in PINNED:
-            w = k * GENERATOR + torsion[ti]
-            known = curve_mod._rational_coordinate(w.u, w.v)
-            if known is None:
-                continue
-            (d,), r = w.u.tower, known[1]
-            p, q = r.num[0], r.den
-            f1, f2 = q - p, q + 3 * p
-            f13 = f1 * (f2 * f2 - 12 * p * p)
-            g = gcd(f13, d * q * q * f2)
-            assert 48 * d % g == 0 and g == gcd(f13, d * f2), (k, ti)
-            c1, e = isqrt(abs(f13) // g), isqrt(d * abs(f2) // g)
-            assert c1 * c1 * g == abs(f13) and e * e * g == d * abs(f2), (k, ti)
-            seen.add(g)
+        seen = {pair_gcd(k * GENERATOR + torsion[ti]) for k, ti in PINNED}
         assert seen == {4, 8, 12, 48}
+
+
+def pair_gcd(w: WPoint) -> int:
+    """G = gcd(F1*F3, d*q^2*F2) for the rational coordinate p/q of
+    w_to_bary(w), checked to divide 48d, to equal gcd(F1*F3, d*F2) and to
+    leave both square roots of the conjugate pair exact."""
+    (d,), r = w.v.tower, w_to_bary(w).coords[rational_index(w)]
+    p, q = r.num[0], r.den
+    f1, f2 = q - p, q + 3 * p
+    f13 = f1 * (f2 * f2 - 12 * p * p)
+    g = gcd(f13, d * q * q * f2)
+    assert 48 * d % g == 0 and g == gcd(f13, d * f2), w
+    c1, e = isqrt(abs(f13) // g), isqrt(d * abs(f2) // g)
+    assert c1 * c1 * g == abs(f13) and e * e * g == d * abs(f2), w
+    return g
+
+
+def conjugate(w: WPoint) -> WPoint:
+    """w with sqrt(d) negated, for w over Q or over one depth-1 tower."""
+    return WPoint(*(c if c.is_rational() else FieldElement(c.tower, (c.coeffs[0], -c.coeffs[1]))
+                    for c in (w.u, w.v)))
+
+
+class TestThreeTorsion:
+    # for w over Q(sqrt(d)) but not over Q, the line through w and its
+    # conjugate w' is rational and meets the curve again at -(w + w'), a
+    # point of E(Q); a coordinate of w_to_bary(w) is rational exactly when
+    # w + w' is O, (1, -2) or (1, 2), and it is x, y or z.  Conjugating
+    # sqrt(2) negates k*G, so w = k*G + T has w + w' = 2T
+    def test_w_plus_its_conjugate_names_the_rational_coordinate(self):
+        torsion = rational_torsion()
+        names = ((torsion[0], 0), (torsion[3], 1), (torsion[2], 2))
+        counts = {}
+        for k in (*range(-40, 0), *range(1, 41)):
+            for t in torsion:
+                w = k * GENERATOR + t
+                total = w + conjugate(w)
+                assert total == 2 * t, (k, t)
+                index = rational_index(w)
+                assert [i for s, i in names if s == total] == [index], (k, t)
+                counts[index] = counts.get(index, 0) + 1
+        assert counts == {0: 160, 1: 160, 2: 160}
+
+
+# points of infinite order over Q(sqrt(7)) and Q(sqrt(26)), with their
+# multiples k taken by the chord-tangent law
+OTHER_TOWERS = (
+    (WPoint(fe("-12/7"), fe("78/49") * FieldElement.root(7)), (1, -2, 3)),
+    (WPoint(fe(2), FieldElement.root(26)), (1, 2, -3, 4)),
+)
+
+
+class TestOtherTowers:
+    def test_w_to_bary_equals_the_inverse_form_exactly(self):
+        # every rational index, the x-rational root sign, and G reaching
+        # d's primes in the modulus 48d: 336 = 48*7, 208 = 8*26, 312 = 12*26
+        indices, seen = set(), set()
+        for base, ks in OTHER_TOWERS:
+            (d,) = base.v.tower
+            for k in ks:
+                for t in rational_torsion():
+                    w = k * base + t
+                    assert exact_coords(w_to_bary(w)) == exact_coords(inverse_form(w)), (d, k, t)
+                    assert w + conjugate(w) == 2 * t, (d, k, t)
+                    indices.add(rational_index(w))
+                    seen.add((d, pair_gcd(w)))
+        assert indices == {0, 1, 2}
+        assert seen == {(7, 4), (7, 28), (7, 48), (7, 336),
+                        (26, 48), (26, 104), (26, 208), (26, 312)}
 
 
 def twist_steps(k: int):
@@ -472,23 +531,22 @@ class TestHeightLaw:
 
 class TestRationalCoordinate:
     # index of the rational coordinate of w_to_bary(k*G + T), by T's index in
-    # rational_torsion(): none at rational u (T = O, (0, 0)), y at (1, 2) and
+    # rational_torsion(): x at rational u (T = O, (0, 0)), y at (1, 2) and
     # (-3, 6), z at (1, -2) and (-3, -6)
-    BRANCH = (None, None, 1, 2, 1, 2)
+    BRANCH = (0, 0, 1, 2, 1, 2)
 
     def test_pinned_pairs_take_the_branch_of_their_torsion(self):
         torsion = rational_torsion()
         taken = {}
         for k, ti in PINNED:
             w = k * GENERATOR + torsion[ti]
-            known = curve_mod._rational_coordinate(w.u, w.v)
-            assert (None if known is None else known[0]) == self.BRANCH[ti], (k, ti)
-            assert w.u.is_rational() == (known is None), (k, ti)
-            if known is not None:
-                index, value = known
-                got = w_to_bary(w).coords[index]
-                assert value.is_rational()
-                assert (value.tower, value.num, value.den) == (got.tower, got.num, got.den)
+            index = rational_index(w)
+            assert index == self.BRANCH[ti], (k, ti)
+            assert w.u.is_rational() == (index == 0), (k, ti)
+            value = curve_mod._rational_triple(w.u, w.v)[index]
+            got = w_to_bary(w).coords[index]
+            assert value.is_rational()
+            assert (value.tower, value.num, value.den) == (got.tower, got.num, got.den)
             taken[ti] = taken.get(ti, 0) + 1
         assert taken == {ti: 60 for ti in range(6)}
 
@@ -497,7 +555,7 @@ class TestRationalCoordinate:
         # (-3 +- 2sqrt(3), 0) has v on the rational tower
         for w in torsion_points()[6:]:
             assert not w.u.is_rational()
-            assert curve_mod._rational_coordinate(w.u, w.v) is None
+            assert curve_mod._rational_triple(w.u, w.v) is None
             assert not any(c.is_rational() for c in w_to_bary(w).coords[1:])
 
 

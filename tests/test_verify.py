@@ -450,9 +450,24 @@ def _of_negative(true):
     return lambda w: true(-w)
 
 
-def _value_negated(true):
+def _triple_fault(change):
+    """_rational_triple with ``change`` applied to the triple it returns,
+    as a list with the index of its rational coordinate."""
+    def fault(true):
+        def wrong(u, v):
+            triple = true(u, v)
+            if triple is None:
+                return None
+            coords = list(triple)
+            change(coords, [c.is_rational() for c in coords].index(True))
+            return tuple(coords)
+        return wrong
+    return fault
+
+
+def _value_negated(coords, index):
     # the index kept, the rational coordinate's sign flipped
-    return lambda *args: (lambda known: known and (known[0], -known[1]))(true(*args))
+    coords[index] = -coords[index]
 
 
 def _minus_base_added(true):
@@ -461,9 +476,17 @@ def _minus_base_added(true):
     return lambda m, n, s, a, b: true(m, n, s, a, -b)
 
 
-def _roots_swapped(true):
-    # x given the other root of its quadratic: the pair's sign flipped
-    return lambda *args: true(*args)[::-1]
+def _roots_swapped(coords, index):
+    # each irrational coordinate given the other root of their quadratic:
+    # the pair's sign flipped
+    i, j = (n for n in range(3) if n != index)
+    coords[i], coords[j] = coords[j], coords[i]
+
+
+def _y_z_exchanged_where_slope_rational(coords, index):
+    # y and z exchanged where one of them is the rational coordinate
+    if index:
+        coords[1], coords[2] = coords[2], coords[1]
 
 
 def _conic_shifted(shift):
@@ -512,13 +535,17 @@ INJECTED_FAULTS = {
     "w_to_bary of -P": ("curve", "w_to_bary", _of_negative, ["curve"]),
     "torsion translation negated": ("curve", "_translate", _negated_when_defined, ["curve"]),
     # the sampled translation points move off the cubic
-    "rational coordinate negated": ("curve", "_rational_coordinate", _value_negated,
+    "rational coordinate negated": ("curve", "_rational_triple", _triple_fault(_value_negated),
                                     ["translation", "consequences", "curve", "construction"]),
     # measured at seeds 0, 3 and 7: only the chord-tangent cross-check sees a
-    # wrong multiple, and only the round trip and the symmetries see the swap
+    # wrong multiple, only the round trip sees the pair's roots swapped, and
+    # the round trip and the symmetries see y and z exchanged
     "twist kernel adds -G' at a set bit": ("curve", "_twist_add", _minus_base_added, ["curve"]),
-    "conjugate pair's root sign flipped": ("curve", "_conjugate_pair", _roots_swapped,
-                                           ["curve"]),
+    "conjugate pair's root sign flipped": ("curve", "_rational_triple",
+                                           _triple_fault(_roots_swapped), ["curve"]),
+    "y and z exchanged where the slope is rational": (
+        "curve", "_rational_triple", _triple_fault(_y_z_exchanged_where_slope_rational),
+        ["curve"]),
     "orthocenter never at a vertex": ("locus", "orthocenter_vertex", _never_a_vertex,
                                       ["vertex-locus"]),
     "classify_transfer ratio negated": ("maps", "classify_transfer", _ratio_negated,
