@@ -46,7 +46,9 @@ from .maps import (
     derive_configuration,
     isotom_complement,
     isotomic,
+    on_translation_locus,
     transfer_map,
+    translation_cubic,
 )
 from .conics import (
     Conic,
@@ -60,8 +62,8 @@ from .conics import (
 
 # each lazy export and the submodule that defines it
 _LAZY = {
-    **dict.fromkeys(("GENERATOR", "WPoint", "on_translation_locus", "sample_translation_points",
-                     "torsion_points"), "curve"),
+    **dict.fromkeys(("GENERATOR", "WPoint", "sample_translation_points", "torsion_points"),
+                    "curve"),
     **dict.fromkeys(("ConstructionFrame", "admissible", "canonical_frame", "construction_frame",
                      "inscribed_triangle", "orthocenter_vertex", "reconstruct_points",
                      "vertex_locus"), "locus"),
@@ -73,7 +75,8 @@ __all__ = [
     "format_element", "parse_element", "sqrt_extending",
     "A", "B", "C", "G", "BaryLine", "BaryPoint", "join", "meet", "midpoint", "point",
     "AffineMap", "Configuration", "MClassification", "classify_transfer", "complement",
-    "anticomplement", "derive_configuration", "isotom_complement", "isotomic", "transfer_map",
+    "anticomplement", "derive_configuration", "isotom_complement", "isotomic",
+    "on_translation_locus", "transfer_map", "translation_cubic",
     "Conic", "conic_center", "conic_through", "inconic", "intersect_line", "nine_point_conic",
     "steiner_circumellipse",
     *_LAZY,

@@ -6,11 +6,11 @@ coordinates it becomes the normal form (3x+1)y^2 + (3x+1)(x-1)y + x^2-x = 0,
 a member of the family E_a with parameter a = 3; completing the square and a
 Moebius change of variable carry it to the Weierstrass model
 v^2 = u(u^2 + 6u - 3), where the chord-tangent group law lives.  This module
-implements the cubic, the Weierstrass model and the map ``w_to_bary`` between
-them (with the explicit limit table at its exceptional points), the group
+implements the Weierstrass model and the map ``w_to_bary`` from it to the
+cubic (with the explicit limit table at its exceptional points), the group
 law, the torsion group, and the seeded sampler used by the verification
-suites.  The cubic is evaluated as (x+y+z)(xy+yz+zx) + 3xyz; ``verify``
-checks it against the coordinate sum of the transfer map's center.
+suites.  The cubic itself and its zero test are ``maps``'s, beside the
+transfer map's center, whose coordinate sum it is.
 ``w_to_bary`` is the closed form, written through the slope v/u of the line
 to (0, 0), of the chain through the normal form; the chain, the normal-form
 family and the torsion addition table are cross-checks in ``verify``.  Under
@@ -59,7 +59,8 @@ from functools import cache
 from math import gcd, isqrt
 
 from .field import CeviangeoError, FieldElement, fe, ZERO, _Frozen, _make, _reduced
-from .plane import A, BaryPoint, _integral
+from .plane import A, BaryPoint
+from . import maps as _maps
 
 
 class CurveError(CeviangeoError):
@@ -470,17 +471,10 @@ def torsion_order_census() -> dict[int, int]:
     return census
 
 
-def translation_cubic(p: BaryPoint) -> FieldElement:
-    """The cubic x(y+z)^2 + y(x+z)^2 + z(x+y)^2 of the translation locus, as
-    (x+s)(xs+yz) + 3x*yz = (x+y+z)(xy+yz+zx) + 3xyz with s = y + z; ``verify``
-    checks it against the coordinate sum of the transfer map's center."""
-    x, y, z = p.coords
-    s, yz = y + z, y * z
-    return (x + s) * (x * s + yz) + 3 * x * yz
-
-
-def on_translation_locus(p: BaryPoint) -> bool:
-    return translation_cubic(_integral(p)).is_zero()
+# the cubic's zero test lives in ``maps``, beside the transfer map's center;
+# this binding stays only because perfbench/workloads.py calls
+# ``curve.on_translation_locus``
+on_translation_locus = _maps.on_translation_locus
 
 
 # limits of the birational chain at its exceptional torsion points O, (0, 0),

@@ -47,11 +47,11 @@ from .maps import (
     complement,
     isotom_complement,
     isotomic,
+    on_translation_locus,
     orthocenter,
     validate_point,
 )
 from .conics import Conic
-from . import curve as _curve
 
 
 class LocusError(CeviangeoError):
@@ -175,7 +175,7 @@ def construction_frame(p: BaryPoint) -> ConstructionFrame:
     e = g - k*d: g + k*d is on q_iso's side of the axis g z exactly when
     xyz(x+y+z)(xy+yz+zx) = xyz*F - 3(xyz)^2 > 0, never on the cubic."""
     validate_point(p, off_medians=True)
-    if not _curve.on_translation_locus(p):
+    if not on_translation_locus(p):
         raise NotTranslation(f"{p} is not a translation point")
     p_iso, q, q_iso = isotomic(p), isotom_complement(p), complement(p)
     conic, v, z_center, u = _cevian_members(p, p_iso, q, q_iso)

@@ -3,14 +3,18 @@
 Covers the complement and isotomic maps, cevian triangles and the affine
 maps carrying the reference triangle onto them, the generalized orthocenter
 and circumcenter, and the transfer map (the homothety or translation taking
-the circumconic to the inconic) and its classification.  The orthocenter,
-the named conics, the transfer map and its classification are closed forms
-in the base point; their defining constructions (for the transfer map, the
-composition of the cevian maps through the anticomplement) are cross-checks
-in ``verify.construction_profile``; ``verify.map_from_triangles`` is the
-generic triangle map behind ``locus.reconstruct_points``'s adjugate.  An
-``AffineMap`` only builds and applies: composing, inverting, normalizing and
-mapping lines are ``verify``'s.
+the circumconic to the inconic) and its classification.  The map is a
+translation exactly when its center S = (x(y+z)^2 : y(x+z)^2 : z(x+y)^2) is
+infinite, so the translation cubic (``translation_cubic``) is the
+coordinate sum of S, and ``on_translation_locus`` is its zero test.  The
+orthocenter, the named conics, the transfer map and its classification are
+closed forms in the base point; their defining constructions (for the
+transfer map, the composition of the cevian maps through the anticomplement)
+are cross-checks in ``verify.construction_profile``;
+``verify.map_from_triangles`` is the generic triangle map behind
+``locus.reconstruct_points``'s adjugate.  An ``AffineMap`` only builds and
+applies: composing, inverting, normalizing and mapping lines are
+``verify``'s.
 """
 
 from __future__ import annotations
@@ -245,6 +249,19 @@ def transfer_center_coords(p: BaryPoint) -> tuple[FieldElement, FieldElement, Fi
     the vertices, which lie on it."""
     x, y, z = p.coords
     return (x * (y + z) ** 2, y * (x + z) ** 2, z * (x + y) ** 2)
+
+
+def translation_cubic(p: BaryPoint) -> FieldElement:
+    """The cubic x(y+z)^2 + y(x+z)^2 + z(x+y)^2 of the translation locus, as
+    (x+s)(xs+yz) + 3x*yz = (x+y+z)(xy+yz+zx) + 3xyz with s = y + z; ``verify``
+    checks it against the coordinate sum of the transfer map's center."""
+    x, y, z = p.coords
+    s, yz = y + z, y * z
+    return (x + s) * (x * s + yz) + 3 * x * yz
+
+
+def on_translation_locus(p: BaryPoint) -> bool:
+    return translation_cubic(_integral(p)).is_zero()
 
 
 def orthocenter(p: BaryPoint) -> BaryPoint:

@@ -17,7 +17,7 @@ from ceviangeo.plane import (
     BaryPoint,
     point,
 )
-from ceviangeo.maps import classify_transfer
+from ceviangeo.maps import classify_transfer, on_translation_locus, translation_cubic
 from ceviangeo.conics import conic_center
 from ceviangeo import curve as curve_mod
 from ceviangeo import locus as locus_mod
@@ -101,7 +101,7 @@ class TestAcceptance:
         # fixed by seven evaluations of the degree-six form
         def cubic_at(t: Fraction) -> FieldElement:
             p = BaryPoint(fe(1 + t), fe(1 - t), fe(t) * (1 + t))
-            return curve_mod.translation_cubic(p)
+            return translation_cubic(p)
 
         def target(t: Fraction) -> FieldElement:
             tt = fe(t)
@@ -111,7 +111,7 @@ class TestAcceptance:
         vl = locus_mod.vertex_locus("A")
         for t in (1 + R2, 1 - R2):
             p = vl.point_at(t)
-            checks.append(curve_mod.on_translation_locus(p))
+            checks.append(on_translation_locus(p))
             checks.append(any(p == locus_mod.special_point(s) for s in (1, -1)))
 
         def cubic_tangent(v: BaryPoint) -> BaryLine:

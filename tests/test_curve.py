@@ -16,14 +16,13 @@ from ceviangeo.curve import (
     OffCurve,
     WPoint,
     curve_invariants,
-    on_translation_locus,
     rational_torsion,
     sample_translation_points,
     torsion_order_census,
     torsion_points,
-    translation_cubic,
     w_to_bary,
 )
+from ceviangeo.maps import on_translation_locus, translation_cubic
 from ceviangeo.verify import (
     BadParameter,
     MapUndefined,

@@ -52,7 +52,7 @@ def test_compute_output(literal, expected):
 def test_curve_point(k, torsion):
     w = k * curve.GENERATOR + curve.rational_torsion()[torsion]
     p = curve.w_to_bary(w)
-    text = f"{point_to_literal(p)} {curve.on_translation_locus(p)} {maps.classify_transfer(p).kind}"
+    text = f"{point_to_literal(p)} {maps.on_translation_locus(p)} {maps.classify_transfer(p).kind}"
     assert digest(text) == EXPECTED["curve"]["digests"][f"{k}:{torsion}"]
 
 

@@ -24,15 +24,14 @@ from ceviangeo.curve import (
     MULTIPLE_BOUND,
     WPoint,
     chord_tangent_multiple,
-    on_translation_locus,
     rational_torsion,
     sample_translation_points,
     torsion_points,
-    translation_cubic,
     w_to_bary,
 )
 from ceviangeo.field import ZERO, FieldElement, fe
-from ceviangeo.maps import classify_transfer, transfer_center_coords
+from ceviangeo.maps import (classify_transfer, on_translation_locus, transfer_center_coords,
+                            translation_cubic)
 from ceviangeo.plane import BaryPoint, _integral, point, point_to_literal
 from ceviangeo.verify import nf_to_bary, run_suite, w_to_nf
 

@@ -259,6 +259,34 @@ def test_compute_imports_only_its_path():
     assert loaded & {"dataclasses", "inspect", "typing", "random"} == set()
 
 
+# render and locus test the translation cubic through ``maps`` and run no
+# curve arithmetic, so neither loads ``curve`` or its ``random``
+RENDER_LOCUS = ("field", "linalg", "plane", "maps", "conics", "locus", "cli")
+
+
+@pytest.mark.parametrize("argv", [
+    *(["render", figure] for figure in ("conics", "construction", "locus", "special")),
+    ["locus", "param"], ["locus", "check"],
+], ids=" ".join)
+def test_render_and_locus_import_only_their_path(argv):
+    loaded = loaded_after(f"import ceviangeo.cli\nceviangeo.cli.main({argv!r})")
+    extra = ("svgfig",) if argv[0] == "render" else ()
+    assert {m for m in loaded if m.startswith("ceviangeo")} == {
+        "ceviangeo", *(f"ceviangeo.{m}" for m in (*RENDER_LOCUS, *extra))}
+    assert "random" not in loaded
+
+
+def test_the_cubic_test_is_one_function_in_maps():
+    loaded = loaded_after("import ceviangeo\nceviangeo.on_translation_locus")
+    assert "ceviangeo.curve" not in loaded
+    import ceviangeo.curve
+    import ceviangeo.maps
+
+    # the benchmark reads curve.on_translation_locus: an alias, never a copy
+    assert ceviangeo.curve.on_translation_locus is ceviangeo.maps.on_translation_locus
+    assert not hasattr(ceviangeo.curve, "translation_cubic")
+
+
 @pytest.mark.parametrize("modules", ["ceviangeo.curve",
                                      "ceviangeo.cli, ceviangeo.svgfig, ceviangeo.verify"])
 def test_no_module_loads_dataclasses_or_typing(modules):

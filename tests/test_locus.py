@@ -20,10 +20,10 @@ from ceviangeo.plane import (
     midpoint,
     point,
 )
-from ceviangeo.maps import classify_transfer, complement, orthocenter
+from ceviangeo.maps import classify_transfer, complement, on_translation_locus, orthocenter
 from ceviangeo.conics import Conic, _line_restriction, intersect_line
 from ceviangeo.field import TowerDepthExceeded
-from ceviangeo.curve import on_translation_locus, sample_translation_points
+from ceviangeo.curve import sample_translation_points
 from ceviangeo.verify import (
     admissible_vertex_samples,
     affine_type,

@@ -318,7 +318,7 @@ class TestClassification:
             classify_map(AffineMap(rows))
 
     def test_formula_sum_vanishes_exactly_on_locus(self):
-        from ceviangeo.curve import on_translation_locus
+        from ceviangeo.maps import on_translation_locus
 
         rng = random.Random(33)
         for _ in range(12):

@@ -57,7 +57,7 @@ class TestPlumbing:
         assert all(is_valid_point(p, off_medians=True) for p in a)
 
     def test_off_locus_filter(self):
-        from ceviangeo.curve import on_translation_locus
+        from ceviangeo.maps import on_translation_locus
 
         pts = random_valid_points(5, seed=4, off_locus=True)
         assert all(not on_translation_locus(p) for p in pts)
@@ -538,8 +538,8 @@ INJECTED_FAULTS = {
     "rational coordinate negated": ("curve", "_rational_triple", _triple_fault(_value_negated),
                                     ["translation", "consequences", "curve", "construction"]),
     # measured at seeds 0, 3 and 7: only the chord-tangent cross-check sees a
-    # wrong multiple, only the round trip sees the pair's roots swapped, and
-    # the round trip and the symmetries see y and z exchanged
+    # wrong multiple, and the round trip and the symmetries, whose base image
+    # comes from the chain, see the pair's roots swapped and y and z exchanged
     "twist kernel adds -G' at a set bit": ("curve", "_twist_add", _minus_base_added, ["curve"]),
     "conjugate pair's root sign flipped": ("curve", "_rational_triple",
                                            _triple_fault(_roots_swapped), ["curve"]),
@@ -586,7 +586,7 @@ INJECTED_FAULTS = {
                                                "construction"]),
     "sheared conic center": ("conics", "conic_center", _sheared,
                              ["vertex-locus", "translation", "consequences", "construction"]),
-    "translation cubic plus one": ("curve", "translation_cubic", _plus_one,
+    "translation cubic plus one": ("maps", "translation_cubic", _plus_one,
                                    ["curve", "construction"]),
     "admissible negated": ("locus", "admissible", _negated, ["construction"]),
 }
@@ -640,6 +640,16 @@ def test_cubic_faults_fail_the_center_sum_entry(monkeypatch, fault, seed):
     _patch_everywhere(monkeypatch, module, name, wrong)
     failing = [r.name for r in run_suite("curve", seed=seed, n=2).results if not r.passed]
     assert "the translation cubic is the coordinate sum of the transfer map's center" in failing
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_root_sign_flip_fails_the_round_trip_and_the_symmetries(monkeypatch, seed):
+    # the symmetries' base image comes from the chain, not from w_to_bary
+    module, name, wrong, _ = INJECTED_FAULTS["conjugate pair's root sign flipped"]
+    _patch_everywhere(monkeypatch, module, name, wrong)
+    failing = {r.name for r in run_suite("curve", seed=seed, n=2).results if not r.passed}
+    assert {"birational chain round-trips on samples",
+            "rational torsion acts by the triangle's symmetries"} <= failing
 
 
 def test_secant_doubled_fails_the_frame_entries(monkeypatch):
