@@ -25,22 +25,24 @@ generator's first 24 multiples avoid the torsion group stand in for it.
 The generator G = (3, 6*sqrt(2)) has rational u and v in sqrt(2)*Q, so it
 is the image of the rational point G' = (6, 24) of the quadratic twist
 V^2 = U^3 + 12U^2 - 12U under u = U/2, v = (V/4)*sqrt(2) (Silverman, The
-Arithmetic of Elliptic Curves, GTM 106, section X.2).  The map is a group
-homomorphism, so ``k*P`` for a point whose twist image is integral, as +-G'
-is, runs double-and-add on the twist over Q in weighted integers
-(U, V) = (m/s^2, n/s^3) and lifts the result once onto the tower with
-sqrt(2) (``_from_twist``).  The twist has good reduction away from 2 and 3
-(Silverman, sections VII.2-3), so a doubling cancels only powers of 2 and 3,
-and adding the integral base cancels s exactly after the slope's one gcd
-(``_twist_double``, ``_twist_add``).  Every other multiple takes
-``chord_tangent_multiple`` on the curve itself.  ``WPoint.__add__``
-translates a twist-image point by a finite rational torsion point in closed
-form over Q (see ``_translate``) and leaves every other sum to the
-chord-tangent law.  Group-law results are built without evaluating the cubic
-(only ``WPoint(...)`` and ``WPoint.of`` check it); the ``curve`` suite's
-entries "generator multiples lie on the curve", "twist multiples equal
-chord-tangent multiples up to 24" and "torsion translations equal the
-chord-tangent sum" check them.
+Arithmetic of Elliptic Curves, GTM 106, section X.2).  A twist-image point
+is read in one integer form, the weighted integers (U, V) = (m/s^2, n/s^3)
+in lowest terms, by the only reader ``_weighted``, and results return to
+the tower with sqrt(2) by the only lift ``_from_twist``.  The map is a group
+homomorphism, so ``k*P`` for a point whose twist image is integral (s = 1),
+as +-G' is, runs double-and-add on the twist in these integers and lifts
+once.  The twist has good reduction away from 2 and 3 (Silverman, sections
+VII.2-3), so a doubling cancels only powers of 2 and 3, and adding the
+integral base cancels s exactly after the slope's one gcd (``_twist_double``,
+``_twist_add``).  Every other multiple takes ``chord_tangent_multiple`` on
+the curve itself.  ``WPoint.__add__`` translates a twist-image point by a
+finite rational torsion point in closed form on the same (m, n, s) (see
+``_translate``) and leaves every other sum to the chord-tangent law.
+Group-law results are built without evaluating the cubic (only
+``WPoint(...)`` and ``WPoint.of`` check it); the ``curve`` suite's entries
+"generator multiples lie on the curve", "twist multiples equal chord-tangent
+multiples up to 24" and "torsion translations equal the chord-tangent sum"
+check them.
 
 For w over Q(sqrt(d)) but not over Q, and w' its conjugate, the line through
 w and w' is defined over Q, so it meets the curve again at the rational point
@@ -187,9 +189,9 @@ class WPoint(_Frozen):
         if n < 0:
             return (-n) * (-self)
         if n > 1:
-            base = _to_twist(self)
-            if base is not None:
-                return _from_twist(_twist_multiple(*base, n))
+            base = _weighted(self)
+            if base is not None and base[2] == 1:
+                return _from_twist(_twist_multiple(base[0], base[1], n))
         return chord_tangent_multiple(self, n)
 
     def order(self, bound: int = 16) -> int | None:
@@ -217,10 +219,13 @@ def _wpoint(coords) -> WPoint:
     return w
 
 
-def _twist_rationals(p: WPoint):
-    """Integers (a, d, b, e) with u = a/d and v = (b/e)*sqrt(2) when p is
-    finite with rational u and v a nonzero rational multiple of sqrt(2): the
-    image of a twist point, which has infinite order.  Else None."""
+def _weighted(p: WPoint):
+    """The twist image (U, V) = (2u, 2*sqrt(2)*v) = (m/s^2, n/s^3) of p in
+    lowest terms with s > 0, as (m, n, s), when p is finite with rational u
+    and v a nonzero rational multiple of sqrt(2): the image of a twist point,
+    which has infinite order.  Else None.  The twist's model is integral, so
+    u = m/(2s^2) has the denominator s^2 (m even) or 2s^2 (m odd), and
+    n = 4b*s^3/e exactly for v = (b/e)*sqrt(2)."""
     if p.is_infinity():
         return None
     u, v = p.u, p.v
@@ -228,61 +233,52 @@ def _twist_rationals(p: WPoint):
         return None
     if u.tower not in ((), _TWIST_TOWER) or not u.is_rational():
         return None
-    return u.num[0], u.den, v.num[1], v.den
-
-
-def _to_twist(p: WPoint):
-    """The twist point (U, V) = (2u, 2*sqrt(2)*v) as a pair of integers when p
-    lies on the twist image at an integral point, as +-G' = (6, +-24) does;
-    else None."""
-    q = _twist_rationals(p)
-    if q is None:
-        return None
-    a, d, b, e = q
-    if 2 % d or 4 % e:
-        return None
-    return 2 * a // d, 4 * b // e
+    m, d = u.num[0], u.den
+    if d & 1:
+        m, s = 2 * m, isqrt(d)
+    else:
+        s = isqrt(d >> 1)
+    return m, 4 * v.num[1] * s * s * s // v.den, s
 
 
 def _translate(p: WPoint, t: WPoint):
-    """p + t in closed form when p lies on the twist image and t is a finite
-    rational torsion point written over Q, else None.  With v = r*sqrt(2):
-    p + (0, 0) = (-3/u, 3v/u^2), again on the twist image; p + (1, 2e) is the
-    chord of slope (v - 2e)/(u - 1), which the curve equation reduces to
-    ((u^2 + 10u - 3 - 4er*sqrt(2))/(u - 1)^2,
-     (2e(u^3 + 15u^2 + 3u - 3) - 4(3u + 1)r*sqrt(2))/(u - 1)^3);
-    and p + (-3, 6e) = (p + (0, 0)) + (1, 2e).  The result lies on the tower
-    with sqrt(2), as the chord-tangent sum does."""
+    """p + t in closed form from (m, n, s) = ``_weighted(p)`` when p lies on
+    the twist image and t is a finite rational torsion point written over Q,
+    else None.  The result lies on the tower with sqrt(2), as the
+    chord-tangent sum does.
+
+    p + (0, 0) is the twist's 2-torsion addition (U, V) -> (-12/U, 12V/U^2),
+    here (-12s^2/m, 12ns/m^2), m != 0 as V != 0.  For g = gcd(m, 12), 12/g
+    and m/g share no prime, as v2(12) = 2 and v3(12) = 1, and m is prime to
+    s; so -(12/g)s^2/(m/g) is in lowest terms, and |m|/g is a square s'^2,
+    as the twist's model is integral.  The sum is (m', n', s') =
+    (-sign(m)(12/g)s^2, 12ns/(g^2 s'), s'), as m^2 = g^2 s'^4, and the
+    division is exact: n' is rational and n'^2 = m'^3 + 12m'^2 s'^2 - 12m's'^4
+    is an integer.  p + (1, 2e) is the chord of slope (v - 2e)/(u - 1), which
+    the curve equation reduces, for u = m/(2s^2), v = n*sqrt(2)/(4s^3) and
+    k = m - 2s^2 (nonzero, as u = 1 only at (1, +-2)), to
+    ((m^2 + 20ms^2 - 12s^4 - 4ens*sqrt(2))/k^2,
+     (2e(m^3 + 30m^2 s^2 + 12ms^4 - 24s^6) - 4(3m + 2s^2)ns*sqrt(2))/k^3);
+    and p + (-3, 6e) = (p + (0, 0)) + (1, 2e)."""
     tu = t.u
     if tu is None or tu.tower or t.v.tower or tu.den != 1 or tu.num[0] not in (0, 1, -3):
         return None
-    q = _twist_rationals(p)
+    q = _weighted(p)
     if q is None:
         return None
-    a, d, b, e = q
+    m, n, s = q
     if tu.num[0] != 1:
-        # p + (0, 0) in lowest terms: a/d and b/e are, so -3d/a and 3b/e
-        # cancel only by 3, and 3b/e times d^2/a^2 only crosswise
-        g = gcd(3, a) if a > 0 else -gcd(3, a)
-        g0 = gcd(3, e)
-        b, e, aa, dd = 3 * b // g0, e // g0, a * a, d * d
-        g1, g2 = gcd(b, aa), gcd(dd, e)
-        a, d, b, e = -3 * d // g, a // g, (b // g1) * (dd // g2), (e // g2) * (aa // g1)
+        g = gcd(m, 12)
+        s2 = isqrt(abs(m) // g)
+        sign = 1 if m > 0 else -1
+        m, n, s = -sign * (12 // g) * s * s, 12 * n * s // (g * g * s2), s2
         if tu.num[0] == 0:
-            return _wpoint((_make(_TWIST_TOWER, (a, 0), d), _make(_TWIST_TOWER, (0, b), e)))
-    sign = 1 if t.v.num[0] > 0 else -1
-    # on the twist image e divides d^2 up to a small factor, so cancelling
-    # their gcd first keeps the products (and the final gcds) short
-    h = gcd(d * d, e)
-    e, dd, m = e // h, d * d // h, a - d
-    u = _reduced(
-        _TWIST_TOWER, (e * (a * a + 10 * a * d - 3 * d * d), -4 * sign * b * dd), e * m * m)
-    v = _reduced(
-        _TWIST_TOWER,
-        (2 * sign * e * (a * a * a + 15 * a * a * d + 3 * a * d * d - 3 * d * d * d),
-         -4 * (3 * a + d) * b * dd),
-        e * m * m * m,
-    )
+            return _from_twist((m, n, s))
+    e = 1 if t.v.num[0] > 0 else -1
+    ss, k = s * s, m - 2 * s * s
+    u = _reduced(_TWIST_TOWER, (m * m + ss * (20 * m - 12 * ss), -4 * e * n * s), k * k)
+    v = _reduced(_TWIST_TOWER, (2 * e * (m * m * m + ss * (30 * m * m + ss * (12 * m - 24 * ss))),
+                                -4 * (3 * m + 2 * ss) * n * s), k * k * k)
     return _wpoint((u, v))
 
 
@@ -411,15 +407,16 @@ def generator_multiple(k: int) -> WPoint:
 
 
 def curve_invariants() -> dict[str, Fraction]:
-    """Standard invariants b2, b4, b6, b8, c4, c6, disc and j of the curve."""
-    a1 = a3 = a6 = Fraction(0)
+    """Standard invariants b2, b4, b6, b8, c4, c6, disc and j of the curve.
+    As a1 = a3 = a6 = 0, the terms in them vanish: b6 = 0, b8 = -b4^2/4 =
+    -a4^2 and c6 = 36*b2*b4 - b2^3."""
     a2, a4 = _A2.as_fraction(), _A4.as_fraction()
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = (b2 * b6 - b4 * b4) / 4
+    b2 = 4 * a2
+    b4 = 2 * a4
+    b6 = Fraction(0)
+    b8 = -a4 * a4
     c4 = b2 * b2 - 24 * b4
-    c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
+    c6 = 36 * b2 * b4 - b2 ** 3
     disc = (c4 ** 3 - c6 ** 2) / 1728
     return {
         "b2": b2,

@@ -154,6 +154,81 @@ class TestGroupLaw:
                 assert sympy.Rational(mm, ss ** 2) == want[0].subs(at)
                 assert sympy.Rational(vn, ss ** 3) == want[1].subs(at)
 
+    def test_symbolic_weighted_torsion_translation(self):
+        # _translate's two forms on the kernel's weighted integers (m, n, s),
+        # U = m/s^2 and V = n/s^3 on V^2 = U^3 + 12U^2 - 12U, equal the
+        # affine chord-tangent law, with r standing for sqrt(2)
+        from math import gcd
+
+        import sympy
+
+        import ceviangeo.curve as curve_mod
+
+        m, n, s, e, r, U, V, g, t = sympy.symbols("m n s e r U V g t")
+        twist = m ** 3 + 12 * m ** 2 * s ** 2 - 12 * m * s ** 4
+
+        def vanishes(expr, relations):
+            # the numerator reduces to zero modulo each monic relation
+            num = sympy.numer(sympy.together(expr))
+            for var, rel in relations:
+                num = sympy.rem(sympy.expand(num), rel, var)
+            return sympy.expand(num) == 0
+
+        def closed(m, n, s):
+            # p + (1, 2e) as ((A, B, K), (C, D, K*k)): (A + B*sqrt(2))/K and
+            # (C + D*sqrt(2))/(K*k)
+            k = m - 2 * s ** 2
+            return ((m ** 2 + 20 * m * s ** 2 - 12 * s ** 4, -4 * e * n * s, k ** 2),
+                    (2 * e * (m ** 3 + 30 * m ** 2 * s ** 2 + 12 * m * s ** 4 - 24 * s ** 6),
+                     -4 * (3 * m + 2 * s ** 2) * n * s, k ** 3))
+
+        # the chord to (1, 2e) under u = m/(2s^2) and v = n*sqrt(2)/(4s^3)
+        u, v = m / (2 * s ** 2), n * r / (4 * s ** 3)
+        lam = (v - 2 * e) / (u - 1)
+        u3 = lam ** 2 - 6 - u - 1
+        chord = (u3, -(v + lam * (u3 - u)))
+        relations = ((n, n ** 2 - twist), (r, r ** 2 - 2), (e, e ** 2 - 1))
+        for (a, b, den), want in zip(closed(m, n, s), chord):
+            assert vanishes((a + b * r) / den - want, relations)
+        # the twist's (0, 0) addition, and its weighted form at m = sign*g*t^2
+        lam = V / U
+        x3 = lam ** 2 - 12 - U
+        added = (-12 / U, 12 * V / U ** 2)
+        on_twist = ((V, V ** 2 - U ** 3 - 12 * U ** 2 + 12 * U),)
+        assert vanishes(x3 - added[0], on_twist)
+        assert vanishes(-(V + lam * (x3 - U)) - added[1], on_twist)
+        for sign in (1, -1):
+            at = {U: sign * g * t ** 2 / s ** 2, V: n / s ** 3}
+            assert sympy.cancel(-sign * (12 / g) * s ** 2 / t ** 2 - added[0].subs(at)) == 0
+            assert sympy.cancel(12 * n * s / (g ** 2 * t) / t ** 3 - added[1].subs(at)) == 0
+        # 12/g and m/g share no prime, for g = gcd(m, 12)
+        for i in range(5):
+            for j in range(5):
+                for mm in (2 ** i * 3 ** j, -(2 ** i * 3 ** j)):
+                    gg = gcd(mm, 12)
+                    assert gcd(12 // gg, mm // gg) == 1, mm
+        # tied at three pinned multiples under each nonzero rational torsion
+        # point; (m, n, s) -> (-12ms^2, 12mns, m) is the (0, 0) addition in
+        # weighted integers not in lowest terms, and (-3, 6e) = (0, 0) + (1, 2e)
+        for k in (60, 90, 119):
+            p = k * GENERATOR
+            mm, nn, ss = curve_mod._weighted(p)
+            at = {U: sympy.Rational(mm, ss ** 2), V: sympy.Rational(nn, ss ** 3)}
+            shifted = (-12 * mm * ss ** 2, 12 * mm * nn * ss, mm)
+            for tt in rational_torsion()[1:]:
+                got = curve_mod._translate(p, tt)
+                # each coordinate as its rational and its sqrt(2) part
+                have = [(sympy.Rational(c.num[0], c.den), sympy.Rational(c.num[1], c.den))
+                        for c in (got.u, got.v)]
+                if tt.u == 0:
+                    want = [(added[0].subs(at) / 2, 0), (0, added[1].subs(at) / 4)]
+                else:
+                    base = (mm, nn, ss) if tt.u == 1 else shifted
+                    sign = 1 if tt.v > 0 else -1
+                    want = [tuple(sympy.sympify(c).subs(e, sign) / den for c in (a, b))
+                            for a, b, den in closed(*base)]
+                assert have == want, (k, tt)
+
     def test_orders(self):
         assert WPoint.of(0, 0).order() == 2
         assert WPoint.of(1, 2).order() == 3

@@ -59,19 +59,19 @@ class TestTwistRoute:
                 assert exact(k * t) == exact(chord_tangent_multiple(t, k))
 
     def test_a_non_integral_twist_base_takes_the_chord_tangent_route(self):
-        # 3G is on the twist image at U = 54/25, not an integral point
+        # 3G is on the twist image at U = 54/25, not an integral point: s != 1
         base = 3 * GENERATOR
-        assert curve_mod._twist_rationals(base) is not None
-        assert curve_mod._to_twist(base) is None
+        assert curve_mod._weighted(base) == (54, -792, 5)
         for k in (2, 3, 5, 8, -4):
             assert exact(k * base) == exact(chord_tangent_multiple(base, k)), k
             assert exact(k * base) == exact((3 * k) * GENERATOR), k
 
     def test_every_integral_base_takes_the_kernel(self):
-        # +-G' = (6, +-24) and 2G' = (1, 1): the kernel and its one lift
-        assert curve_mod._to_twist(GENERATOR) == (6, 24)
-        assert curve_mod._to_twist(-GENERATOR) == (6, -24)
-        assert curve_mod._to_twist(2 * GENERATOR) == (1, 1)
+        # +-G' = (6, +-24) and 2G' = (1, 1), each with s = 1: the kernel and
+        # its one lift
+        assert curve_mod._weighted(GENERATOR) == (6, 24, 1)
+        assert curve_mod._weighted(-GENERATOR) == (6, -24, 1)
+        assert curve_mod._weighted(2 * GENERATOR) == (1, 1, 1)
         for k in (2, 3, 6, 11, -7):
             assert exact(k * (2 * GENERATOR)) == exact((2 * k) * GENERATOR), k
             assert exact(k * (2 * GENERATOR)) == exact(
@@ -88,6 +88,32 @@ class TestTwistRoute:
         pts = sample_translation_points(6, seed=seed)
         text = " ".join(point_to_literal(p) for p in pts)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
+
+
+class TestWeightedReader:
+    def test_the_lift_inverts_the_reader(self):
+        # the points k*P and the translations build: _weighted reads each in
+        # lowest terms with s > 0, and _from_twist gives it back exactly,
+        # except that +-G is given with u = 3 on the rational tower ()
+        third, two_torsion = 3 * GENERATOR, rational_torsion()[1]
+        for k in [k for k in range(-40, 41) if k]:
+            for p in (k * GENERATOR, k * third, k * GENERATOR + two_torsion):
+                m, n, s = curve_mod._weighted(p)
+                assert s > 0 and gcd(m, s) == 1 and gcd(n, s) == 1, k
+                back = curve_mod._from_twist((m, n, s))
+                if p.u.tower:
+                    assert exact(back) == exact(p), k
+                else:
+                    assert abs(k) == 1 and back == p
+
+    def test_points_off_the_twist_image_are_not_read(self):
+        # the twelve torsion points: infinity, five with rational v and six
+        # over the tower with sqrt(3); and G + (1, 2), whose u is on the
+        # tower with sqrt(2) but not rational
+        others = torsion_points() + [GENERATOR + rational_torsion()[2]]
+        assert len(others) == 13 and not others[-1].u.is_rational()
+        for p in others:
+            assert curve_mod._weighted(p) is None, p
 
 
 def test_generator_multiple_builds_no_checked_point_and_no_depth_one_product(monkeypatch):
@@ -485,7 +511,7 @@ class TestOtherTowers:
 
 def twist_steps(k: int):
     """The kernel's steps for k*G', each with its input and output."""
-    a, b = curve_mod._to_twist(GENERATOR)
+    a, b, _ = curve_mod._weighted(GENERATOR)
     state, steps = (a, b, 1), []
     for bit in bin(k)[3:]:
         out = curve_mod._twist_double(*state)

@@ -476,6 +476,16 @@ def _minus_base_added(true):
     return lambda m, n, s, a, b: true(m, n, s, a, -b)
 
 
+def _weighted_fault(change):
+    """_weighted with ``change`` applied to the (m, n, s) it returns."""
+    def fault(true):
+        def wrong(p):
+            w = true(p)
+            return w if w is None else change(*w)
+        return wrong
+    return fault
+
+
 def _roots_swapped(coords, index):
     # each irrational coordinate given the other root of their quadratic:
     # the pair's sign flipped
@@ -541,6 +551,14 @@ INJECTED_FAULTS = {
     # wrong multiple, and the round trip and the symmetries, whose base image
     # comes from the chain, see the pair's roots swapped and y and z exchanged
     "twist kernel adds -G' at a set bit": ("curve", "_twist_add", _minus_base_added, ["curve"]),
+    # measured at seeds 0, 3 and 7: only curve entries see a wrong reader.
+    # A negated n reflects every kernel base and translated point; a dropped
+    # s leaves the other suites' samples at n = 2, all of k = +-1 and +-2
+    # with s = 1, alone
+    "weighted reader negates n": ("curve", "_weighted",
+                                  _weighted_fault(lambda m, n, s: (m, -n, s)), ["curve"]),
+    "weighted reader drops s": ("curve", "_weighted",
+                                _weighted_fault(lambda m, n, s: (m, n, 1)), ["curve"]),
     "conjugate pair's root sign flipped": ("curve", "_rational_triple",
                                            _triple_fault(_roots_swapped), ["curve"]),
     "y and z exchanged where the slope is rational": (
