@@ -18,7 +18,7 @@ Coordinates become floats by integer true division, which is correctly
 rounded, so every representation of a value gives the same float.
 ``_float`` embeds a value's coefficients into its minimal tower and divides
 them (at depth 1 in closed form); it serves depth-2 paths and
-``Placement.place``, and the path's inline division at depths 0 and 1 gives
+``Placement.locate``, and the path's inline division at depths 0 and 1 gives
 its floats bit for bit.  The decimals are written at twelve significant
 digits, byte for byte the same on every run.  Paths are reserved for conics;
 segments and markers use line, circle and text elements, so a figure's
@@ -124,13 +124,8 @@ class Placement:
         return cls((0, 2, -1, 0, Fraction(3, 2), 0))
 
     def locate(self, p: BaryPoint) -> tuple[float, float]:
-        return self.place(p.normalized())
-
-    def place(self, coords) -> tuple[float, float]:
-        """The position of a point given in absolute barycentrics (summing to 1)."""
-        return self._at(*(_float(x.tower, x.num, x.den) for x in coords))
-
-    def _at(self, wa: float, wb: float, wc: float) -> tuple[float, float]:
+        """The position of p: its absolute coordinates weight the vertices."""
+        wa, wb, wc = (_float(x.tower, x.num, x.den) for x in p.normalized())
         ax, ay, bx, by, cx, cy = self._floats
         return wa * ax + wb * bx + wc * cx, wa * ay + wb * by + wc * cy
 
@@ -295,12 +290,11 @@ def conic_sweep(c: Conic, base: BaryPoint, steps: int = 96) -> Sequence[BaryPoin
     return _Sweep(tower, out)
 
 
-def _conic_path(c: Conic, base: BaryPoint, placement: Placement, steps: int = 96) -> str:
+def _conic_path(c: Conic, base: BaryPoint, placement: Placement, steps: int) -> str:
     """The path of the conic swept from base, in one pass over the sweep's
     vectors.  At depths 0 and 1 each point is divided and placed inline, to
-    the bit as ``_float`` and ``Placement._at`` would, and a kept point is
-    written once, as ``_fmt`` would; depth 2 reads each coordinate through
-    ``_float``."""
+    the bit as ``Placement.locate`` would, and a kept point is written once,
+    as ``_fmt`` would; depth 2 reads each coordinate through ``_float``."""
     sweep = conic_sweep(c, base, steps)
     tower = sweep.tower
     deep = len(tower) == 2

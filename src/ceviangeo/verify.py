@@ -28,7 +28,6 @@ from .plane import (A, B, C, D0, E0, F0, G, BaryLine, BaryPoint, InfiniteLineArg
                     affine_combination, join, meet, midpoint, point_to_literal)
 from .maps import (
     AffineMap,
-    Configuration,
     MapError,
     MClassification,
     anticomplement,
@@ -245,18 +244,12 @@ def _vector_ratio(num, den):
     return t
 
 
-def signed_ratio(x: BaryPoint, y: BaryPoint, z: BaryPoint) -> FieldElement:
-    """The scalar t with Y - X = t*(Z - X) in absolute coordinates.
-
-    This is the fixed convention used throughout the package: the ratio of
-    the signed displacement XY to the signed displacement XZ along their
-    common line.  Requires ordinary collinear arguments and Z != X.
-    """
-    return _vector_ratio(_diff(y, x), _diff(z, x))
-
-
 def displacement_ratio(a: BaryPoint, b: BaryPoint, c: BaryPoint, d: BaryPoint) -> FieldElement:
-    """(B - A)/(D - C) for parallel segments AB and CD."""
+    """The scalar t with B - A = t*(D - C) in absolute coordinates.
+
+    With C = A it is the package's one signed ratio, Y - X = t*(Z - X): the
+    signed displacement XY over XZ along their common line.  Requires
+    ordinary arguments, parallel displacements and D != C."""
     return _vector_ratio(_diff(b, a), _diff(d, c))
 
 
@@ -398,7 +391,7 @@ def verify_vertex_locus(seed: int = 0, n: int = 20) -> SuiteReport:
     )
     report.check(
         "center six sevenths along the median",
-        lambda: signed_ratio(A, conic_center(vl.conic), D0) == Fraction(6, 7),
+        lambda: displacement_ratio(A, conic_center(vl.conic), A, D0) == Fraction(6, 7),
     )
     report.check(
         "polar of A is the parallel to BC through G",
@@ -475,12 +468,6 @@ def equilateral_metric_checks():
     )
 
 
-def special_configuration(sign: int = 1) -> Configuration:
-    """The full derived configuration of the special point; the ``special``
-    verification suite checks its defining relations."""
-    return derive_configuration(locus_mod.special_point(sign))
-
-
 def verify_special(seed: int = 0, n: int = 0) -> SuiteReport:
     """The two special translation points: every stated relation, plus the
     equilateral-embedding distance checks."""
@@ -502,7 +489,7 @@ def verify_special(seed: int = 0, n: int = 0) -> SuiteReport:
         ("orthocenter is A", lambda cfg: cfg.h == A),
         ("circumcenter is the midpoint of BC", lambda cfg: cfg.o == D0),
         ("signed ratio of iso displacement is -3",
-         lambda cfg: signed_ratio(cfg.o, cfg.p_iso, cfg.p) == -3),
+         lambda cfg: displacement_ratio(cfg.o, cfg.p_iso, cfg.o, cfg.p) == -3),
         ("circumconic is the isotomic image of the doubled anticomplementary line",
          lambda cfg: doubled == BaryLine(2, 1, 1)
          and cfg.circumconic == circumconic_of_line(doubled)),
@@ -522,8 +509,9 @@ def verify_special(seed: int = 0, n: int = 0) -> SuiteReport:
         ("the axis-parallel line meets the circumconic in the two special points",
          axis_line_meets_special_points),
     )
-    # each variant is derived once, inside the first entry that reads it
-    configs = {sign: cache(partial(special_configuration, sign)) for sign in (1, -1)}
+    # each variant and its special point are derived once, in the first entry that reads them
+    configs = {sign: cache(lambda sign=sign: derive_configuration(locus_mod.special_point(sign)))
+               for sign in (1, -1)}
     for sign, cfg in configs.items():
         tag = "+" if sign > 0 else "-"
         for name, fn in checks:
@@ -734,11 +722,8 @@ class NormalFormCurve:
             raise BadParameter(f"parameter {a} is excluded")
         self.a = a
 
-    def residual(self, x, y) -> FieldElement:
-        return _nf_residual(self.a, fe(x), fe(y))
-
     def contains(self, x, y) -> bool:
-        return self.residual(x, y).is_zero()
+        return _nf_residual(self.a, fe(x), fe(y)).is_zero()
 
     def y_discriminant(self, x) -> FieldElement:
         """Discriminant of the defining equation in y at a given x."""

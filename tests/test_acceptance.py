@@ -22,7 +22,7 @@ from ceviangeo.conics import conic_center
 from ceviangeo import curve as curve_mod
 from ceviangeo import locus as locus_mod
 from ceviangeo import verify as verify_mod
-from ceviangeo.verify import polar, signed_ratio, tangent_at
+from ceviangeo.verify import displacement_ratio, polar, tangent_at
 
 R2 = FieldElement.root(2)
 
@@ -56,7 +56,7 @@ class TestAcceptance:
             tangent_at(vl.conic, B) == BaryLine(1, 0, 1),
             tangent_at(vl.conic, C) == BaryLine(1, 1, 0),
             conic_center(vl.conic) == BaryPoint(1, 3, 3),
-            signed_ratio(A, conic_center(vl.conic), D0) == Fraction(6, 7),
+            displacement_ratio(A, conic_center(vl.conic), A, D0) == Fraction(6, 7),
             polar(vl.conic, A) == BaryLine(-2, 1, 1),
         ]
         _report("criterion 2: tangents, center and polar of the vertex conic", all(checks))

@@ -20,7 +20,8 @@ from ceviangeo.plane import (
     midpoint,
     point,
 )
-from ceviangeo.maps import classify_transfer, complement, on_translation_locus, orthocenter
+from ceviangeo.maps import (classify_transfer, complement, derive_configuration,
+                            on_translation_locus, orthocenter)
 from ceviangeo.conics import Conic, _line_restriction, intersect_line
 from ceviangeo.field import TowerDepthExceeded
 from ceviangeo.curve import sample_translation_points
@@ -28,12 +29,11 @@ from ceviangeo.verify import (
     admissible_vertex_samples,
     affine_type,
     chord_matches_reflection,
+    displacement_ratio,
     equilateral_metric_checks,
     frame_profile,
     map_from_triangles,
     median_torsion_bary,
-    signed_ratio,
-    special_configuration,
     tangent_at,
     vertex_condition_profile,
 )
@@ -157,7 +157,7 @@ class TestVertexLocus:
 class TestSpecialConfiguration:
     def test_both_variants(self):
         for sign in (1, -1):
-            cfg = special_configuration(sign)
+            cfg = derive_configuration(special_point(sign))
             assert cfg.h == A
             assert cfg.o == D0
             assert classify_transfer(cfg.p).kind == "translation"
@@ -169,12 +169,12 @@ class TestSpecialConfiguration:
             assert on_translation_locus(p)
 
     def test_displacement_ratio(self):
-        cfg = special_configuration(1)
-        assert signed_ratio(cfg.o, cfg.p_iso, cfg.p) == -3
+        cfg = derive_configuration(special_point(1))
+        assert displacement_ratio(cfg.o, cfg.p_iso, cfg.o, cfg.p) == -3
 
     def test_equilateral_metrics(self):
         for sign in (1, -1):
-            cfg = special_configuration(sign)
+            cfg = derive_configuration(special_point(sign))
             failed = [name for name, check in equilateral_metric_checks() if not check(cfg)]
             assert failed == []
 

@@ -361,13 +361,16 @@ def test_paths_match_generic_route_under_drawn_placements(coords):
         assert svgfig._conic_path(c, base, placement, 48) == want
 
 
-def test_place_of_normalized_is_locate():
+def test_locate_weights_the_placed_vertices_by_float_coordinates():
     c, base = seeded_conic(201, 2)
     points = [A, G, BaryPoint(3, -1, 5), BaryPoint(1, 1 + R2, R3), base]
     points += [p for p in svgfig.conic_sweep(c, base, 6) if p is not None]
     for placement in PLACEMENTS:
+        ax, ay, bx, by, cx, cy = placement._floats
         for p in points:
-            assert placement.place(p.normalized()) == placement.locate(p)
+            wa, wb, wc = (svgfig._float(x.tower, x.num, x.den) for x in p.normalized())
+            want = wa * ax + wb * bx + wc * cx, wa * ay + wb * by + wc * cy
+            assert placement.locate(p) == want
 
 
 # minimal() is counted too: a path that read each swept point through it

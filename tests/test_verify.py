@@ -259,6 +259,20 @@ def test_run_suite_refuses_a_count_outside_the_bound(monkeypatch, name, n):
         run_suite(name, seed=0, n=n)
 
 
+def test_construction_refuses_its_own_count_before_building_the_frame(monkeypatch):
+    # called directly, past run_suite's check: 65 is past construction's
+    # halved bound of 64, though inside every other suite's
+    import ceviangeo.locus as locus_mod
+    import ceviangeo.verify as verify_mod
+
+    calls = []
+    canonical = locus_mod.canonical_frame
+    monkeypatch.setattr(locus_mod, "canonical_frame", lambda: calls.append(1) or canonical())
+    with pytest.raises(SampleTooLarge):
+        verify_mod.verify_construction(seed=0, n=65)
+    assert calls == []
+
+
 @pytest.mark.parametrize("name,n", [("curve", 128), ("vertex-locus", 128), ("equivalences", 0)])
 def test_run_suite_accepts_the_bound(name, n):
     assert run_suite(name, seed=0, n=n).passed
